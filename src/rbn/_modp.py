@@ -1,23 +1,24 @@
 """Dense rank computation over a prime field F_p.
 
 The interpolation oracle reduces to the rank of small dense integer matrices
-mod p.  The kernel is compiled with numba when available; setting
-``RBN_DISABLE_NUMBA=1`` (or a failed numba import) selects a vectorized
-pure-numpy fallback.  Entries must be reduced mod p and p must stay below
-2^31 so products fit in int64.
+mod p, computed by vectorized numpy Gaussian elimination.  Entries must be
+reduced mod p and p must stay below 2^31 so products fit in int64.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 MAX_PRIME = 1 << 31
 
 
-def _rank_numpy(a: np.ndarray, p: int) -> int:
-    a = np.mod(a, p).astype(np.int64, copy=True)
+def modp_rank(mat: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p."""
+    if not 1 < p < MAX_PRIME:
+        raise ValueError(f"modulus {p} out of the supported range (2, 2^31)")
+    if mat.size == 0:
+        return 0
+    a = np.mod(np.asarray(mat, dtype=np.int64), p)  # a fresh array, eliminated in place
     m, n = a.shape
     row = 0
     for col in range(n):
@@ -40,68 +41,6 @@ def _rank_numpy(a: np.ndarray, p: int) -> int:
             ) % p
         row += 1
     return row
-
-
-def _rank_loops(a, p):  # pragma: no cover - exercised via the jit wrapper
-    m, n = a.shape
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        piv = -1
-        for r in range(row, m):
-            if a[r, col] != 0:
-                piv = r
-                break
-        if piv == -1:
-            continue
-        if piv != row:
-            for c in range(col, n):
-                tmp = a[row, c]
-                a[row, c] = a[piv, c]
-                a[piv, c] = tmp
-        # modular inverse of the pivot by extended Euclid
-        t, new_t = 0, 1
-        r0, new_r = p, a[row, col]
-        while new_r != 0:
-            q = r0 // new_r
-            t, new_t = new_t, t - q * new_t
-            r0, new_r = new_r, r0 - q * new_r
-        inv = t % p
-        for c in range(col, n):
-            a[row, c] = (a[row, c] * inv) % p
-        for r in range(row + 1, m):
-            f = a[r, col]
-            if f != 0:
-                for c in range(col, n):
-                    a[r, c] = (a[r, c] - f * a[row, c]) % p
-        row += 1
-    return row
-
-
-def _pick_backend():
-    if os.environ.get("RBN_DISABLE_NUMBA", "") not in ("", "0"):
-        return "numpy", None
-    try:
-        from numba import njit
-    except ImportError:
-        return "numpy", None
-    return "numba", njit(cache=True)(_rank_loops)
-
-
-KERNEL_BACKEND, _rank_jit = _pick_backend()
-
-
-def modp_rank(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    if not 1 < p < MAX_PRIME:
-        raise ValueError(f"modulus {p} out of the supported range (2, 2^31)")
-    if mat.size == 0:
-        return 0
-    a = np.mod(np.asarray(mat, dtype=np.int64), p)
-    if KERNEL_BACKEND == "numba":
-        return int(_rank_jit(a, p))
-    return _rank_numpy(a, p)
 
 
 def modp_nullity(mat: np.ndarray, p: int) -> int:

@@ -2,8 +2,8 @@
 
 Three layers, by strength of the statement:
 
-* Hirzebruch surfaces get exact ``(h0, h1, h2)`` from the base-locus
-  recursion, cross-checkable against an independent pushforward oracle
+* Hirzebruch surfaces get exact ``(h0, h1, h2)`` in closed form from the
+  base locus, cross-checkable against an independent pushforward oracle
   (the direct image of ``O(aE+bF)`` on the base splits into line bundles
   of degrees ``b - je``).
 * Blowups of the plane and of Hirzebruch surfaces get *sound but
@@ -99,15 +99,13 @@ def _chi_hirzebruch(e: int, a: int, b: int) -> int:
     return (a + 1) * (b + 1) - e * a * (a + 1) // 2
 
 
-@lru_cache(maxsize=None)
 def _hirz_h0(e: int, a: int, b: int) -> int:
-    # a >= 0 throughout; the negative section is a base component while b < ae
+    # a >= 0; the negative section is a base component while b < ae, so
+    # h0(aE+bF) = h0(a'E+bF) with a' = min(a, floor(b/e)), where h0 = chi
     if b < 0:
         return 0
-    if a == 0:
-        return b + 1
-    if b < a * e:
-        return _hirz_h0(e, a - 1, b)
+    if e > 0:
+        a = min(a, b // e)
     return _chi_hirzebruch(e, a, b)
 
 
@@ -127,9 +125,10 @@ def _hirz_vector(e: int, a: int, b: int) -> tuple[int, int, int]:
 def hirzebruch_cohomology(D: DivisorClass) -> CohomologyVector:
     """Exact cohomology of O(aE+bF) on F_e.
 
-    Cases: a = -1 kills everything; for a >= 0 there is no h2 and h0 follows
-    the base-locus recursion h0(aE+bF) = h0((a-1)E+bF) while b < ae, closing
-    with h0 = chi once b >= ae; a <= -2 dualizes to a >= 0.
+    Cases: a = -1 kills everything; for a >= 0 there is no h2, and since
+    h0(aE+bF) = h0((a-1)E+bF) while b < ae (the negative section is a base
+    component), h0 is chi of the class with a lowered to min(a, floor(b/e)),
+    or 0 when b < 0; a <= -2 dualizes to a >= 0.
     """
     if not D.surface.is_hirzebruch:
         raise LatticeError("hirzebruch_cohomology expects a Hirzebruch model")
@@ -174,9 +173,19 @@ def hirzebruch_pushforward_oracle(D: DivisorClass) -> CohomologyVector:
 # a general member of the pencil of lines through one point misses the other
 # points regardless of their position.  On a del Pezzo model (points in
 # general position) lines through two of the points are available as well.
-# The derivation search walks these moves backwards from the target and
-# accepts when it reaches a class with no higher cohomology: the zero class
-# or one of the stock classes with no cohomology at all,
+#
+# One engine, ``_derive``, serves every family.  It walks the moves
+# backwards from the target with an explicit stack and accepts when it
+# reaches a class with no higher cohomology: the zero class or one of the
+# family's stock classes with no cohomology at all.  A family supplies its
+# stock test, its strip generator (candidate last moves, tried in generator
+# order; a state takes its first derivable predecessor) and an optional
+# prune rule.  Every strip lowers the state in a well-founded order, so the
+# search graph has no cycles and derivability is a property of the state
+# alone; each (family, parameter) keeps one memo of searched states, shared
+# across queries and written only once a state is resolved.
+#
+# The stock classes on a blowup of the plane are
 #   -2L + sum_I E_i,  -L + sum_I E_i,  -E_j + sum_{I, i != j} E_i.
 
 
@@ -187,10 +196,6 @@ def _is_stock_blp2(coords) -> bool:
     if ell == 0:
         return sum(1 for c in tail if c == -1) == 1 and all(c in (-1, 0, 1) for c in tail)
     return False
-
-
-def _is_start_blp2(coords) -> bool:
-    return _is_stock_blp2(coords) or all(c == 0 for c in coords)
 
 
 def _strips_blp2(coords, del_pezzo: bool):
@@ -234,42 +239,6 @@ def _plausible_blp2(coords, del_pezzo: bool) -> bool:
     return total_mult <= 1 + per_move * (ell + 2)
 
 
-@lru_cache(maxsize=None)
-def _derive_step_blp2(coords, del_pezzo: bool) -> tuple[str, tuple] | None:
-    """Last (move, predecessor) of some derivation of coords, else None.
-
-    Derivability of a state does not depend on where the search started, so
-    this memoizes globally across queries.
-    """
-    if _is_start_blp2(coords):
-        return ("start", ())
-    if not _plausible_blp2(coords, del_pezzo):
-        return None
-    for state, move in _strips_blp2(coords, del_pezzo):
-        if _derive_step_blp2(state, del_pezzo) is not None:
-            return (move, state)
-    return None
-
-
-def _derive_blp2(coords, del_pezzo: bool) -> tuple[str, ...] | None:
-    """Full derivation trail (start class, then moves) or None."""
-    step = _derive_step_blp2(coords, del_pezzo)
-    if step is None:
-        return None
-    moves = []
-    cur = coords
-    while True:
-        move, prev = _derive_step_blp2(cur, del_pezzo)
-        if move == "start":
-            return (f"start {_coords_repr(cur)}",) + tuple(reversed(moves))
-        moves.append(move)
-        cur = prev
-
-
-def _coords_repr(coords) -> str:
-    return "(" + ",".join(str(c) for c in coords) + ")"
-
-
 # Blowup of a Hirzebruch surface: same idea with coordinates (a, b, c_1..c_k)
 # for aE + bF + sum c_i E_i.  The stock classes with no cohomology are
 # -E + mF + sum_I E_i (any m), -F + sum_I E_i and -E_j + sum_{I, i!=j} E_i;
@@ -288,10 +257,6 @@ def _is_stock_blf(coords) -> bool:
     return False
 
 
-def _is_start_blf(coords) -> bool:
-    return _is_stock_blf(coords) or all(c == 0 for c in coords)
-
-
 def _strips_blf(coords, e: int):
     a, b, tail = coords[0], coords[1], coords[2:]
     for j, c in enumerate(tail):
@@ -305,27 +270,69 @@ def _strips_blf(coords, e: int):
         yield (a - 1, b) + tail, "+E"
 
 
-@lru_cache(maxsize=None)
-def _derive_step_blf(coords, e: int) -> tuple[str, tuple] | None:
-    if _is_start_blf(coords):
-        return ("start", ())
-    for state, move in _strips_blf(coords, e):
-        if _derive_step_blf(state, e) is not None:
-            return (move, state)
-    return None
+_START = ("start", ())
+_OPEN = object()  # not yet resolved: the state's strips must be searched
+_MEMOS: dict[tuple, dict] = {}
 
 
-def _derive_blf(coords, e: int) -> tuple[str, ...] | None:
-    if _derive_step_blf(coords, e) is None:
+def _derive(coords, stock, strips, plausible, param) -> tuple[str, ...] | None:
+    """Derivation trail (start class, then moves) of ``coords``, else None.
+
+    ``stock(c)``, ``strips(c, param)`` and ``plausible(c, param)`` (or None)
+    are the family's rules.  The memo maps each searched state to its last
+    (move, predecessor) step, or None when the state is not derivable.
+    """
+    memo = _MEMOS.setdefault((strips, param), {})
+
+    def known(c):
+        step = memo.get(c, _OPEN)
+        if step is _OPEN:
+            if not any(c) or stock(c):
+                return _START
+            if plausible is not None and not plausible(c, param):
+                return None
+        return step
+
+    step = known(coords)
+    if step is _OPEN:
+        # frames are [state, remaining strips, move under test]
+        stack = [[coords, strips(coords, param), None]]
+        while stack:
+            frame = stack[-1]
+            step = None
+            for pred, move in frame[1]:
+                pred_step = known(pred)
+                if pred_step is _OPEN:
+                    frame[2] = move
+                    stack.append([pred, strips(pred, param), None])
+                    step = _OPEN
+                    break
+                if pred_step is not None:
+                    step = (move, pred)
+                    break
+            if step is _OPEN:
+                continue
+            # frame resolved; a derivable state resolves its parent as well
+            state = frame[0]
+            while True:
+                memo[state] = step
+                stack.pop()
+                if step is None or not stack:
+                    break
+                parent = stack[-1]
+                step, state = (parent[2], state), parent[0]
+    if step is None:
         return None
     moves = []
-    cur = coords
-    while True:
-        move, prev = _derive_step_blf(cur, e)
-        if move == "start":
-            return (f"start {_coords_repr(cur)}",) + tuple(reversed(moves))
+    while step is not _START:
+        move, coords = step
         moves.append(move)
-        cur = prev
+        step = known(coords)
+    return (f"start {_coords_repr(coords)}",) + tuple(reversed(moves))
+
+
+def _coords_repr(coords) -> str:
+    return "(" + ",".join(str(c) for c in coords) + ")"
 
 
 def _obviously_effective(D: DivisorClass) -> bool:
@@ -366,22 +373,22 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     """
     s = D.surface
     if s.is_blowup_p2_like:
-        stock, derive = _is_stock_blp2, lambda c: _derive_blp2(c, s.is_del_pezzo)
+        stock, strips, plausible, param = _is_stock_blp2, _strips_blp2, _plausible_blp2, s.is_del_pezzo
     elif s.is_blowup_hirzebruch:
-        stock, derive = _is_stock_blf, lambda c: _derive_blf(c, s.e)
+        stock, strips, plausible, param = _is_stock_blf, _strips_blf, None, s.e
     else:
         raise LatticeError(f"vanishing rules are not available on {s}")
 
     if stock(D.coords):
         return VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
 
-    trail = derive(D.coords)
+    trail = _derive(D.coords, stock, strips, plausible, param)
     weyl_note = ()
     if trail is None and s.is_del_pezzo:
         for image in sorted(weyl_orbit(D), key=lambda w: w.coords):
             if image == D:
                 continue
-            trail = derive(image.coords)
+            trail = _derive(image.coords, stock, strips, plausible, param)
             if trail is not None:
                 weyl_note = (f"weyl image {image}",)
                 break
@@ -571,17 +578,6 @@ def blowup_cohomology_oracle(
     if h1 < 0:
         raise OracleError(f"inconsistent oracle sample for {D} (h1 = {h1} < 0); retry with another seed")
     return CohomologyVector(h0, h1, h2)
-
-
-def line_bundle_cohomology(
-    D: DivisorClass, *, seed: int = 0, trials: int = 3, prime: int | None = None
-) -> CohomologyVector:
-    """Best available full vector: exact on Hirzebruch, oracle on blowups of P2."""
-    if D.surface.is_hirzebruch:
-        return hirzebruch_cohomology(D)
-    if D.surface.is_blowup_p2_like:
-        return blowup_cohomology_oracle(D, seed=seed, trials=trials, prime=prime)
-    raise OracleError(f"no full cohomology computation available on {D.surface}")
 
 
 def higher_cohomology_vanishes(

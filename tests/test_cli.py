@@ -1,6 +1,15 @@
 import json
+import pathlib
+
+import pytest
 
 from rbn.cli import main
+
+# stdout and exit code of each example in the README's "Command line"
+# section, byte for byte
+README_EXAMPLES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "readme_cli.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -21,6 +30,10 @@ class TestCohom:
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+F", "--json")
         assert code == 0 and json.loads(out) == {"h0": 2, "h1": 2, "h2": 0}
+
+    def test_deep_hirzebruch_class(self, capsys):
+        code, out, _ = run(capsys, "cohom", "--surface", "F1", "--divisor", "3000E+5F")
+        assert code == 0 and out == "h0=21 h1=4483515 h2=0\n"
 
     def test_blowup_hirzebruch_refused(self, capsys):
         code, _, err = run(capsys, "cohom", "--surface", "blF2:k=1", "--divisor", "F")
@@ -185,3 +198,10 @@ class TestDeterminism:
         assert code == 2 and "3Q" in err
         code, _, err = run(capsys, "cohom", "--surface", "G2", "--divisor", "E")
         assert code == 2 and "G2" in err
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("example", README_EXAMPLES, ids=[e["argv"][0] for e in README_EXAMPLES])
+    def test_stdout_and_exit_code(self, capsys, example):
+        code, out, _ = run(capsys, *example["argv"])
+        assert (code, out) == (example["exit"], example["stdout"])

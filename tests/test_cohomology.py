@@ -14,6 +14,30 @@ BL2 = lat.blowup_p2(2)
 BL3 = lat.blowup_p2(3)
 BL5 = lat.blowup_p2(5)
 
+# (surface, class, higher verdict, all verdict, derivation trail).  The trail
+# shows the search order (strips in generator order, the first derivable
+# predecessor wins), so any change to it changes user-visible output.
+GOLDEN_TRAILS = [
+    ('blp2:k=2', '2L-E1-E2', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L')),
+    ('blp2:k=3', '4L-2E1-E2-E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E2', '+L-E1', '+L-E1', '+L')),
+    ('blp2:k=4:collinear=1,2,3', '3L-E1-E2-E3-E4', 'Zero', 'Nonzero', ('start (0,0,0,0,-1)', '+L-E3', '+L-E2', '+L-E1')),
+    ('blp2:k=2', '2L-2E1-2E2', 'Unknown', 'Unknown', ()),
+    ('blp2:k=3', '-L+E1+E2', 'Zero', 'Zero', ('stock class',)),
+    ('dp4', '4L-2E1-2E2-E3-E4-E5', 'Zero', 'Nonzero', ('start (0,0,0,0,0,-1)', '+L-E3-E4', '+L-E1-E2', '+L-E1-E2', '+L')),
+    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', 'Unknown', ('weyl image -2L+E4+E5', 'start (-2,0,0,0,1,1)')),
+    ('dp5', '5L-2E1-2E2-2E3-2E4', 'Zero', 'Nonzero', ('start (0,0,0,0,-1)', '+L-E2-E3', '+L-E1-E4', '+L-E2-E3', '+L-E1', '+L')),
+    ('dp6', '4L-2E1-2E2-2E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E1-E2', '+L-E3', '+L-E1-E2', '+L')),
+    ('dp7', '2L-2E1', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L-E1', '+E2')),
+    ('dp7', '3L-E1-E2', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L', '+L')),
+    ('blF2:k=1', 'E+2F-E1', 'Zero', 'Nonzero', ('start (0,0,-1)', '+F', '+E', '+F')),
+    ('blF2:k=2', 'E+6F-E1+E2', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+E', '+F', '+F', '+F', '+F', '+F', '+E2')),
+    ('blF3:k=2', '3E+10F+E1+E2', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+E2', '+E1', '+E1')),
+    ('blF3:k=2', 'E+4F-E1', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F')),
+    ('blF3:k=1', '2E+7F-2E1', 'Unknown', 'Nonzero', ()),
+    ('blp2:k=2', '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
+    ('blF2:k=1', '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
+]
+
 
 def D(surface, expr):
     return lat.parse_divisor(expr, surface)
@@ -37,6 +61,11 @@ class TestHirzebruchExact:
         assert coh.hirzebruch_cohomology(D(F1, "E+F")).as_tuple() == (3, 0, 0)
         assert coh.hirzebruch_cohomology(D(F2, "2E+F")).as_tuple() == (2, 2, 0)
         assert coh.hirzebruch_cohomology(D(F2, "-E+7F")).as_tuple() == (0, 0, 0)
+
+    def test_deep_class(self):
+        Dv = D(F1, "3000E+5F")
+        assert coh.hirzebruch_cohomology(Dv).as_tuple() == (21, 4483515, 0)
+        assert coh.hirzebruch_pushforward_oracle(Dv).as_tuple() == (21, 4483515, 0)
 
     def test_canonical_dual_to_structure_sheaf(self):
         for e in range(4):
@@ -126,6 +155,25 @@ class TestVanishingRules:
                 assert coh.blowup_cohomology_oracle(Dv).higher_vanishes, Dv
             if verdict.all_cohomology is Vanishing.ZERO:
                 assert coh.blowup_cohomology_oracle(Dv).as_tuple() == (0, 0, 0), Dv
+
+
+class TestDerivationTrails:
+    @pytest.mark.parametrize(
+        "spec, expr, higher, all_c, trail", GOLDEN_TRAILS, ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_TRAILS]
+    )
+    def test_pinned_trail(self, spec, expr, higher, all_c, trail):
+        verdict = coh.vanishing_by_rules(D(lat.parse_surface(spec), expr))
+        got = (str(verdict.higher_cohomology), str(verdict.all_cohomology), verdict.derivation)
+        assert got == (higher, all_c, trail)
+
+    def test_deep_blowup_plane_class(self):
+        verdict = coh.vanishing_by_rules(D(BL3, "1200L-E1-E2-E3"))
+        assert verdict.higher_cohomology is Vanishing.ZERO
+        assert verdict.derivation[-1] == "+L" and len(verdict.derivation) == 1201
+
+    def test_deep_blowup_hirzebruch_class(self):
+        verdict = coh.vanishing_by_rules(D(lat.blowup_hirzebruch(2, 1), "5E+3000F-E1"))
+        assert verdict.higher_cohomology is Vanishing.ZERO
 
 
 class TestInterpolationOracle:
