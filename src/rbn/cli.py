@@ -2,7 +2,8 @@
 
 Subcommands: cohom, chi, wbn, resolve, goodsum, oracle, curves.  Identical
 argument vectors (seeds included) produce byte-identical output.  Exit code
-0 on success, 1 when a verdict comes back Unknown, 2 on input errors.
+0 on success, 1 when a verdict comes back Unknown, 2 on input errors, 3 on
+an internal error (never a verdict).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .chern import CharacterError, chi_integer, parse_character
 from .cohomology import (
@@ -18,7 +20,7 @@ from .cohomology import (
     hirzebruch_cohomology,
     interpolation_h0,
 )
-from .decide import WBNStatus, wbn
+from .decide import VerificationError, WBNStatus, wbn
 from .goodsums import GoodSumError, delpezzo_decompose, is_good_sum
 from .lattice import (
     LatticeError,
@@ -144,7 +146,8 @@ def _cmd_goodsum(args) -> int:
     D = parse_divisor(args.c1, surface)
     gs = delpezzo_decompose(D, args.rank)
     check = is_good_sum(gs, seed=args.seed, trials=args.trials)
-    assert check.ok, f"decomposition failed its own checker: {check.failures}"
+    if not check.ok:
+        raise VerificationError(f"decomposition failed its own checker: {check.failures}")
     payload = gs.to_json_dict()
     if check.provenance:
         payload["provenance"] = list(check.provenance)
@@ -257,6 +260,10 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not an answer: keep it off exit code 1
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

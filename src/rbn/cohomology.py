@@ -35,7 +35,6 @@ from .lattice import (
     SurfaceModel,
     canonical,
     chi_line_bundle,
-    intersect,
     weyl_orbit,
 )
 
@@ -179,11 +178,14 @@ def hirzebruch_pushforward_oracle(D: DivisorClass) -> CohomologyVector:
 # reaches a class with no higher cohomology: the zero class or one of the
 # family's stock classes with no cohomology at all.  A family supplies its
 # stock test, its strip generator (candidate last moves, tried in generator
-# order; a state takes its first derivable predecessor) and an optional
-# prune rule.  Every strip lowers the state in a well-founded order, so the
-# search graph has no cycles and derivability is a property of the state
-# alone; each (family, parameter) keeps one memo of searched states, shared
-# across queries and written only once a state is resolved.
+# order; a state takes its first derivable predecessor) and a prune rule.
+# Every prune rule drops states with an exceptional coefficient >= 2: stock
+# coefficients lie in {-1, 0, 1} and no move raises one above 1, so no
+# derivation passes through such a state.  Every strip lowers the state in
+# a well-founded order, so the search graph has no cycles and derivability
+# is a property of the state alone; each (family, parameter) keeps one memo
+# of searched states, shared across queries and written only once a state
+# is resolved.
 #
 # The stock classes on a blowup of the plane are
 #   -2L + sum_I E_i,  -L + sum_I E_i,  -E_j + sum_{I, i != j} E_i.
@@ -225,16 +227,16 @@ def _strips_blp2(coords, del_pezzo: bool):
 def _plausible_blp2(coords, del_pezzo: bool) -> bool:
     """Necessary condition for derivability, used to prune the search.
 
-    Start classes carry at most one negative exceptional unit, +E_j moves
-    only raise coefficients, and every multiplicity-adding move also raises
-    the L-coefficient by one (hitting at most two points on a del Pezzo),
-    so the total multiplicity is bounded by 1 + (L-coefficient + 2) units
-    per hit.
+    No exceptional coefficient exceeds 1 (see above).  Start classes carry
+    at most one negative exceptional unit, +E_j moves only raise
+    coefficients, and every multiplicity-adding move also raises the
+    L-coefficient by one (hitting at most two points on a del Pezzo), so the
+    total multiplicity is bounded by 1 + (L-coefficient + 2) units per hit.
     """
-    ell = coords[0]
-    if ell < -2:
+    ell, tail = coords[0], coords[1:]
+    if ell < -2 or max(tail) > 1:
         return False
-    total_mult = sum(-c for c in coords[1:] if c < 0)
+    total_mult = sum(-c for c in tail if c < 0)
     per_move = 2 if del_pezzo else 1
     return total_mult <= 1 + per_move * (ell + 2)
 
@@ -270,6 +272,10 @@ def _strips_blf(coords, e: int):
         yield (a - 1, b) + tail, "+E"
 
 
+def _plausible_blf(coords, e: int) -> bool:
+    return max(coords[2:]) <= 1  # the prune shared by every family
+
+
 _START = ("start", ())
 _OPEN = object()  # not yet resolved: the state's strips must be searched
 _MEMOS: dict[tuple, dict] = {}
@@ -278,8 +284,8 @@ _MEMOS: dict[tuple, dict] = {}
 def _derive(coords, stock, strips, plausible, param) -> tuple[str, ...] | None:
     """Derivation trail (start class, then moves) of ``coords``, else None.
 
-    ``stock(c)``, ``strips(c, param)`` and ``plausible(c, param)`` (or None)
-    are the family's rules.  The memo maps each searched state to its last
+    ``stock(c)``, ``strips(c, param)`` and ``plausible(c, param)`` are the
+    family's rules.  The memo maps each searched state to its last
     (move, predecessor) step, or None when the state is not derivable.
     """
     memo = _MEMOS.setdefault((strips, param), {})
@@ -289,7 +295,7 @@ def _derive(coords, stock, strips, plausible, param) -> tuple[str, ...] | None:
         if step is _OPEN:
             if not any(c) or stock(c):
                 return _START
-            if plausible is not None and not plausible(c, param):
+            if not plausible(c, param):
                 return None
         return step
 
@@ -375,7 +381,7 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     if s.is_blowup_p2_like:
         stock, strips, plausible, param = _is_stock_blp2, _strips_blp2, _plausible_blp2, s.is_del_pezzo
     elif s.is_blowup_hirzebruch:
-        stock, strips, plausible, param = _is_stock_blf, _strips_blf, None, s.e
+        stock, strips, plausible, param = _is_stock_blf, _strips_blf, _plausible_blf, s.e
     else:
         raise LatticeError(f"vanishing rules are not available on {s}")
 
@@ -485,12 +491,13 @@ def _sample_points(surface: SurfaceModel, p: int, seed: int, trial: int) -> list
     return pts  # type: ignore[return-value]
 
 
-def _binomial_table(n: int) -> np.ndarray:
+def _binomial_table(n: int, p: int) -> np.ndarray:
+    """Binomials C(i, j) mod p for i, j <= n (exact ones leave int64 at n = 67)."""
     table = np.zeros((n + 1, n + 1), dtype=np.int64)
     for i in range(n + 1):
         table[i, 0] = 1
         for j in range(1, i + 1):
-            table[i, j] = table[i - 1, j - 1] + table[i - 1, j]
+            table[i, j] = (table[i - 1, j - 1] + table[i - 1, j]) % p
     return table
 
 
@@ -499,12 +506,13 @@ def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
 
     Columns run over the monomials x^a y^b z^(d-a-b) of total degree d,
     evaluated on the affine chart z = 1; the row for derivative order (u, v)
-    at (x0, y0) has entry C(a,u) C(b,v) x0^(a-u) y0^(b-v).
+    at (x0, y0) has entry C(a,u) C(b,v) x0^(a-u) y0^(b-v), reduced mod p.
+    Every factor is below p < 2^31, so each product fits in int64.
     """
     monos = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
     rows = sum(m * (m + 1) // 2 for m in mults)
     mat = np.zeros((rows, len(monos)), dtype=np.int64)
-    binom = _binomial_table(d)
+    binom = _binomial_table(d, p)
     r = 0
     for (x0, y0), m in zip(points, mults):
         if m <= 0:
@@ -528,7 +536,7 @@ def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int) -> int:
-    d = int(intersect(D, DivisorClass(D.surface, (1,) + (0,) * D.surface.k)))
+    d = D.coords[0]
     if d < 0:
         return 0
     # negative-multiplicity exceptional summands are fixed components
@@ -558,7 +566,7 @@ def interpolation_h0(
     """
     if not D.surface.is_blowup_p2_like:
         raise OracleError("the interpolation oracle works on blowups of the plane")
-    d = int(intersect(D, DivisorClass(D.surface, (1,) + (0,) * D.surface.k)))
+    d = D.coords[0]
     if trials < 1:
         raise OracleError("need at least one trial")
     return _interpolation_h0_cached(D, seed, trials, _resolve_prime(prime, max(d, 0)))

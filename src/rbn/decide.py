@@ -67,6 +67,10 @@ _STACK_NOTE = (
 )
 
 
+class VerificationError(Exception):
+    """An emitted witness failed re-verification; not a ValueError, so never Unknown."""
+
+
 class WBNStatus(enum.Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
@@ -126,12 +130,14 @@ class WBNVerdict:
 
 def _checked_witness(witness: WBNWitness, *, seed: int, trials: int) -> WBNWitness:
     check = is_good_sum(witness.good_sum, seed=seed, trials=trials)
-    assert check.ok and witness.bookkeeping_ok(), "emitted witness failed verification"
+    if not (check.ok and witness.bookkeeping_ok()):
+        raise VerificationError(f"emitted witness failed verification: {check.failures}")
     return witness
 
 
 def _checked_resolution(report: ResolutionReport) -> ResolutionReport:
-    assert report.feasible and report.bookkeeping_ok(), "emitted resolution failed verification"
+    if not (report.feasible and report.bookkeeping_ok()):
+        raise VerificationError("emitted resolution failed verification")
     return report
 
 
@@ -249,10 +255,7 @@ def hirzebruch_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
         return WBNVerdict(WBNStatus.HOLDS, witness=report, bogomolov_delta=delta, notes=tuple(notes))
     except InfeasibleResolutionError as exc:
         gs = hirzebruch_fiber_sum(w)
-        check = is_good_sum(gs, seed=seed, trials=trials)
-        assert check.ok and gs.chi() == 0
-        witness = WBNWitness(gs, 0, w)
-        assert witness.bookkeeping_ok()
+        witness = _checked_witness(WBNWitness(gs, 0, w), seed=seed, trials=trials)
         notes.append(f"resolution infeasible ({exc}); cohomology-free fiber sum instead")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, bogomolov_delta=delta, notes=tuple(notes))
 
@@ -290,7 +293,7 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
         )
         notes.append("rounded good sum plus general point modifications")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         notes.append(f"rounding route: {exc}")
     config = v.surface.config
     if config.kind == "collinear":

@@ -26,16 +26,17 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     SurfaceModel,
-    apply_word,
     basis_divisor,
     canonical,
     chi_line_bundle,
+    curve_coords,
     del_pezzo,
     divisor_expr,
+    form,
     intersect,
-    inverse_word,
     is_nef,
-    neg_one_curves,
+    is_nef_coords,
+    reflect,
     weyl_move_curve_to_last,
     zero_divisor,
 )
@@ -218,27 +219,6 @@ def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSu
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dp(k: int) -> SurfaceModel:
-    return del_pezzo(9 - k)
-
-
-@lru_cache(maxsize=None)
-def _curve_coords(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(c.coords for c in neg_one_curves(_dp(k)))
-
-
-def _dot(u, v) -> int:
-    val = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        val -= a * b
-    return val
-
-
-def _is_nef_raw(coords, k: int) -> bool:
-    return all(_dot(coords, c) >= 0 for c in _curve_coords(k))
-
-
 def _upshift_moves(coords, k: int):
     """Unbalance multiplicities while nef; returns (moves, fixed coords).
 
@@ -247,6 +227,7 @@ def _upshift_moves(coords, k: int):
     sum_i (D.E_i)^2 grows by at least 2 per move and is bounded by
     k (D.L)^2, which caps the iteration count.
     """
+    surface = del_pezzo(9 - k)
     moves: list[tuple[int, int]] = []
     cur = coords
     bound = k * coords[0] * coords[0]
@@ -259,7 +240,7 @@ def _upshift_moves(coords, k: int):
                 cand[i] -= 1
                 cand[j] += 1
                 cand = tuple(cand)
-                if _is_nef_raw(cand, k):
+                if is_nef_coords(surface, cand):
                     moves.append((i, j))
                     cur = cand
                     break
@@ -271,7 +252,7 @@ def _upshift_moves(coords, k: int):
         assert len(moves) <= bound, "upshift loop exceeded its potential bound"
 
 
-def _lift_summands(summands, i: int, j: int, k: int):
+def _lift_summands(summands, i: int, j: int):
     """Undo one upshift move on a good sum: some summand with
     L'.E_i > L'.E_j >= -1 absorbs E_i - E_j, keeping its anticanonical
     degree and its vanishing."""
@@ -313,10 +294,6 @@ def _two_point_summand_raw(d: int, a: int, r: int) -> tuple[int, int, int]:
     return cur
 
 
-def _subtract(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 @lru_cache(maxsize=None)
 def _decompose(k: int, coords, r: int):
     """Good-sum summands (sorted coordinate tuples) for a nef class on k points."""
@@ -325,22 +302,22 @@ def _decompose(k: int, coords, r: int):
     if k == 2:
         return _decompose_two(coords, r)
     moves, cur = _upshift_moves(coords, k)
-    surface = _dp(k)
-    D = DivisorClass(surface, cur)
-    ortho = next((C for C in neg_one_curves(surface) if intersect(D, C) == 0), None)
-    assert ortho is not None, f"upshift fixed point {D} meets every (-1)-curve positively"
-    word = weyl_move_curve_to_last(ortho)
-    Dw = apply_word(D, word)
-    assert Dw.coords[-1] == 0 and is_nef(Dw), "Weyl normalization failed"
-    sub = _decompose(k - 1, Dw.coords[:-1], r)
-    inv = inverse_word(word)
+    surface = del_pezzo(9 - k)
+    ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
+    assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
+    word = [root.coords for root in weyl_move_curve_to_last(DivisorClass(surface, ortho))]
+    for root in word:
+        cur = reflect(surface, cur, root)
+    assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
     lifted = []
-    for s in sub:
-        img = apply_word(DivisorClass(surface, s + (0,)), inv)
-        lifted.append(img.coords)
+    for summand in _decompose(k - 1, cur[:-1], r):
+        summand += (0,)
+        for root in reversed(word):
+            summand = reflect(surface, summand, root)
+        lifted.append(summand)
     summands = tuple(sorted(lifted))
     for i, j in reversed(moves):
-        summands = _lift_summands(summands, i, j, k)
+        summands = _lift_summands(summands, i, j)
     return summands
 
 
@@ -359,14 +336,14 @@ def _decompose_two(coords, r: int):
         summands = ((0, 1, 0), (1, -2, 0))  # E_1 and L - 2E_1
     else:
         M = _two_point_summand_raw(d, a, r)
-        rest = _subtract(cur, M)
-        assert _is_nef_raw(rest, 2), f"two-point summand left a non-nef remainder {rest}"
+        rest = tuple(x - y for x, y in zip(cur, M))
+        assert is_nef_coords(del_pezzo(7), rest), f"two-point summand left a non-nef remainder {rest}"
         assert 3 * M[0] + M[1] + M[2] == (3 * d - a) // r, "wrong anticanonical degree"
         summands = tuple(sorted(_decompose_two(rest, r - 1) + (M,)))
     if swapped:
         summands = tuple(sorted((s[0], s[2], s[1]) for s in summands))
     for i, j in reversed(moves):
-        summands = _lift_summands(summands, i, j, 2)
+        summands = _lift_summands(summands, i, j)
     return summands
 
 
@@ -396,7 +373,7 @@ def upshift_lift(gs: GoodSum, i: int, j: int) -> GoodSum:
         raise GoodSumError("the upshift lift lives on blowups of the plane")
     if not (1 <= i <= gs.surface.k and 1 <= j <= gs.surface.k and i != j):
         raise GoodSumError(f"bad exceptional indices ({i}, {j})")
-    summands = _lift_summands(tuple(s.coords for s in gs.summands), i, j, gs.surface.k)
+    summands = _lift_summands(tuple(s.coords for s in gs.summands), i, j)
     return GoodSum(gs.surface, gs.N, tuple(DivisorClass(gs.surface, c) for c in summands))
 
 

@@ -1,16 +1,18 @@
 """Picard lattices of rational surfaces: divisor arithmetic and cone/Weyl tools.
 
-Supported surfaces and their fixed ordered bases:
+Every fixed ordered basis is a head followed by the exceptional classes
+``E1, ..., Ek`` (``Ei.Ej = -delta_ij``, orthogonal to the head), and rank,
+basis, canonical class and intersection form are each read off the head:
 
-* Hirzebruch surface ``F_e`` (``e >= 0``): basis ``(E, F)`` with
-  ``E^2 = -e``, ``E.F = 1``, ``F^2 = 0``.
-* Blowup of the plane at ``k`` distinct points: basis ``(L, E1, ..., Ek)``
-  with ``L^2 = 1``, ``L.Ei = 0``, ``Ei.Ej = -delta_ij``.
-* Blowup of ``F_e`` (``e >= 2``) at ``k`` points off the negative section:
-  basis ``(E, F, E1, ..., Ek)``.
-* Del Pezzo surface of degree ``4 <= d <= 7``: the blowup of the plane at
-  ``9 - d`` general points, with the (-1)-curve and nef-cone machinery
-  enabled.
+* ``(L)`` with ``L^2 = 1``: blowups of the plane at ``k`` distinct points,
+  and del Pezzo surfaces of degree ``4 <= d <= 7`` (``9 - d`` general
+  points, with the (-1)-curve and nef-cone machinery enabled);
+* ``(E, F)`` with ``E^2 = -e``, ``E.F = 1``, ``F^2 = 0``: the Hirzebruch
+  surface ``F_e`` (``k = 0``) and its blowup (``e >= 2``) at ``k`` points
+  off the negative section.
+
+The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
+``curve_coords``, ``reflect``); ``DivisorClass`` wraps it and validates.
 
 All arithmetic is exact (Python integers and fractions); no floats.
 """
@@ -18,9 +20,12 @@ All arithmetic is exact (Python integers and fractions); no floats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import NamedTuple
 
 
 class LatticeError(ValueError):
@@ -54,6 +59,14 @@ class PointConfig:
 
 
 GENERAL = PointConfig()
+
+
+class _Head(NamedTuple):
+    """The basis before E1..Ek; ``gram`` holds the nonzero (i, j, value)."""
+
+    symbols: tuple[str, ...]
+    gram: tuple[tuple[int, int, int], ...]
+    canonical: tuple[int, ...]
 
 
 def collinear_config(indices) -> PointConfig:
@@ -128,21 +141,22 @@ class SurfaceModel:
             raise LatticeError("degree is defined for del Pezzo models only")
         return 9 - self.k
 
-    @property
-    def rank(self) -> int:
-        if self.is_hirzebruch:
-            return 2
+    # cached per model: ``form`` reads the head on every call, and
+    # DivisorClass reads ``rank`` on every construction
+    @cached_property
+    def _head(self) -> _Head:
         if self.is_blowup_p2_like:
-            return self.k + 1
-        return self.k + 2
+            return _Head(("L",), ((0, 0, 1),), (-3,))
+        gram = ((0, 0, -self.e), (0, 1, 1), (1, 0, 1))
+        return _Head(("E", "F"), tuple(t for t in gram if t[2]), (-2, -(self.e + 2)))
 
-    @property
+    @cached_property
+    def rank(self) -> int:
+        return len(self._head.symbols) + self.k
+
+    @cached_property
     def basis(self) -> tuple[str, ...]:
-        if self.is_hirzebruch:
-            return ("E", "F")
-        if self.is_blowup_p2_like:
-            return ("L",) + tuple(f"E{i}" for i in range(1, self.k + 1))
-        return ("E", "F") + tuple(f"E{i}" for i in range(1, self.k + 1))
+        return self._head.symbols + tuple(f"E{i}" for i in range(1, self.k + 1))
 
     def basis_index(self, symbol: str) -> int:
         try:
@@ -152,15 +166,6 @@ class SurfaceModel:
                 f"symbol {symbol!r} is not in the basis {'/'.join(self.basis)} of {self.spec()}",
                 symbol,
             ) from None
-
-    @property
-    def exceptional_indices(self) -> range:
-        """Coordinate positions of the exceptional classes E1..Ek."""
-        if self.is_blowup_p2_like:
-            return range(1, self.k + 1)
-        if self.is_blowup_hirzebruch:
-            return range(2, self.k + 2)
-        return range(0, 0)
 
     def spec(self) -> str:
         """The surface in the CLI spec-string format."""
@@ -270,21 +275,13 @@ class QDivisor(_DivisorBase):
 
     def clear_denominators(self) -> tuple[DivisorClass, int]:
         """Smallest positive m with m*self integral, and that integral class."""
-        m = 1
-        for c in self.coords:
-            m = m * c.denominator // _gcd(m, c.denominator)
+        m = math.lcm(*(c.denominator for c in self.coords))
         integral = DivisorClass(self.surface, tuple(int(c * m) for c in self.coords))
         return integral, m
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _require_same_surface(d1, d2):
-    if d1.surface != d2.surface:
+    if d1.surface is not d2.surface and d1.surface != d2.surface:
         raise LatticeError(f"divisors live on different surfaces: {d1.surface} vs {d2.surface}")
 
 
@@ -307,31 +304,26 @@ def zero_divisor(surface: SurfaceModel) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 
+def form(surface: SurfaceModel, u, v):
+    """The intersection form on coordinate tuples; exact integer or Fraction."""
+    head = surface._head
+    n = len(head.symbols)
+    val = -sum(map(mul, u[n:], v[n:]))
+    for i, j, g in head.gram:
+        val += u[i] * v[j] if g == 1 else g * u[i] * v[j]
+    return val
+
+
 def intersect(d1, d2):
     """Value of the intersection form; exact integer or Fraction."""
     _require_same_surface(d1, d2)
-    s = d1.surface
-    u, v = d1.coords, d2.coords
-    if s.is_blowup_p2_like:
-        val = u[0] * v[0]
-        for i in range(1, len(u)):
-            val -= u[i] * v[i]
-        return val
-    # Hirzebruch block (E, F), possibly followed by exceptional classes.
-    val = -s.e * u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
-    for i in range(2, len(u)):
-        val -= u[i] * v[i]
-    return val
+    return form(d1.surface, d1.coords, d2.coords)
 
 
 @lru_cache(maxsize=None)
 def canonical(surface: SurfaceModel) -> DivisorClass:
     """The canonical class in the fixed basis."""
-    if surface.is_hirzebruch:
-        return DivisorClass(surface, (-2, -(surface.e + 2)))
-    if surface.is_blowup_p2_like:
-        return DivisorClass(surface, (-3,) + (1,) * surface.k)
-    return DivisorClass(surface, (-2, -(surface.e + 2)) + (1,) * surface.k)
+    return DivisorClass(surface, surface._head.canonical + (1,) * surface.k)
 
 
 def chi_line_bundle(D: DivisorClass) -> int:
@@ -344,8 +336,8 @@ def chi_line_bundle(D: DivisorClass) -> int:
 
 
 @lru_cache(maxsize=None)
-def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """All classes of (-1)-curves on a del Pezzo model, in a fixed order.
+def curve_coords(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of the (-1)-curves on a del Pezzo model, in a fixed order.
 
     Exceptional curves first, then lines through two of the points, then the
     conic through five points when it exists.  Each class C satisfies
@@ -353,36 +345,39 @@ def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     """
     if not surface.is_del_pezzo:
         raise LatticeError("(-1)-curve enumeration is implemented for del Pezzo models")
-    k = surface.k
-    curves = [basis_divisor(surface, f"E{i}") for i in range(1, k + 1)]
-    L = basis_divisor(surface, "L")
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        curves.append(L - basis_divisor(surface, f"E{i}") - basis_divisor(surface, f"E{j}"))
-    if k >= 5:
-        for combo in itertools.combinations(range(1, k + 1), 5):
-            conic = 2 * L
-            for i in combo:
-                conic = conic - basis_divisor(surface, f"E{i}")
-            curves.append(conic)
+    points = range(1, surface.k + 1)
+    curves = [(0,) + tuple(int(i == j) for i in points) for j in points]
+    for degree, n in ((1, 2), (2, 5)):  # lines through 2 points, conics through 5
+        for hit in itertools.combinations(points, n):
+            curves.append((degree,) + tuple(-(i in hit) for i in points))
     return tuple(curves)
 
 
-@lru_cache(maxsize=None)
-def is_nef(D: DivisorClass) -> bool:
-    """Nef test against the named dual-cone generators.
+def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """All classes of (-1)-curves on a del Pezzo model (see ``curve_coords``)."""
+    return tuple(DivisorClass(surface, c) for c in curve_coords(surface))
 
-    On F_e the nef cone is spanned by F and E+eF; on a del Pezzo surface a
-    class is nef iff it meets every (-1)-curve nonnegatively.  Other models
-    are refused rather than guessed at.
+
+def is_nef_coords(surface: SurfaceModel, coords) -> bool:
+    """Nef test on coordinates against the named dual-cone generators.
+
+    On F_e the effective cone is spanned by E and F, so nef means D.E and
+    D.F >= 0 (equivalently, D lies in the cone spanned by F and E + eF); on
+    a del Pezzo surface a class is nef iff it meets every (-1)-curve
+    nonnegatively.  Other models are refused rather than guessed at.
     """
-    s = D.surface
-    if s.is_hirzebruch:
-        # the effective cone is spanned by E and F, so nef means D.E, D.F >= 0
-        # (equivalently, D lies in the cone spanned by F and E + eF)
-        return intersect(D, basis_divisor(s, "E")) >= 0 and intersect(D, basis_divisor(s, "F")) >= 0
-    if s.is_del_pezzo:
-        return all(intersect(D, C) >= 0 for C in neg_one_curves(s))
-    raise LatticeError(f"nef testing is not supported on {s}")
+    if surface.is_hirzebruch:
+        generators = ((1, 0), (0, 1))
+    elif surface.is_del_pezzo:
+        generators = curve_coords(surface)
+    else:
+        raise LatticeError(f"nef testing is not supported on {surface}")
+    return all(form(surface, coords, C) >= 0 for C in generators)
+
+
+def is_nef(D: DivisorClass) -> bool:
+    """Nef test (see ``is_nef_coords``)."""
+    return is_nef_coords(D.surface, D.coords)
 
 
 def is_effective_hirzebruch(D: DivisorClass) -> bool:
@@ -407,11 +402,17 @@ def _check_root(root: DivisorClass) -> None:
         )
 
 
+def reflect(surface: SurfaceModel, coords, root) -> tuple:
+    """Reflection s(D) = D + (D.root) root on coordinate tuples."""
+    t = form(surface, coords, root)
+    return tuple(a + t * b for a, b in zip(coords, root))
+
+
 def weyl_reflect(D: DivisorClass, root: DivisorClass) -> DivisorClass:
     """Reflection s(D) = D + (D.root) root in a (-2)-root orthogonal to K."""
     _require_same_surface(D, root)
     _check_root(root)
-    return D + intersect(D, root) * root
+    return D._like(reflect(D.surface, D.coords, root.coords))
 
 
 def transposition_root(surface: SurfaceModel, i: int, j: int) -> DivisorClass:
@@ -450,22 +451,21 @@ def weyl_move_curve_to_last(C: DivisorClass) -> tuple[DivisorClass, ...]:
     s = C.surface
     if not s.is_del_pezzo or s.k < 3:
         raise LatticeError("curve normalization needs a del Pezzo model with k >= 3")
-    if C not in neg_one_curves(s):
+    if C.coords not in curve_coords(s):
         raise LatticeError(f"{C} is not a (-1)-curve class on {s}")
     k = s.k
     word: list[DivisorClass] = []
-    cur = C
+    cur = C.coords
     while True:
-        deg = intersect(cur, basis_divisor(s, "L"))
-        hit = [i for i in range(1, k + 1) if cur.coords[i] < 0]
+        deg = cur[0]
+        hit = [i for i in range(1, k + 1) if cur[i] < 0]
         if deg == 0:
-            # cur = E_i for some i
-            i = next(i for i in range(1, k + 1) if cur.coords[i] == 1)
-            if i != k:
-                word.append(transposition_root(s, i, k))
-                cur = weyl_reflect(cur, word[-1])
-            break
-        if deg == 1:
+            # cur = E_i for some i, and a transposition finishes
+            i = cur.index(1)
+            if i == k:
+                break
+            root = transposition_root(s, i, k)
+        elif deg == 1:
             # L - E_i - E_j reflects to E_m in the root L - E_i - E_j - E_m
             i, j = hit
             m = k if k not in hit else min(x for x in range(1, k + 1) if x not in hit)
@@ -476,37 +476,39 @@ def weyl_move_curve_to_last(C: DivisorClass) -> tuple[DivisorClass, ...]:
             triple = ([k] if k in hit else [])[:1] + [i for i in hit if i != k]
             root = cremona_root(s, *sorted(triple[:3]))
         word.append(root)
-        cur = weyl_reflect(cur, root)
-    assert cur == basis_divisor(s, f"E{k}"), f"normalization of {C} failed"
+        cur = reflect(s, cur, root.coords)
+    assert cur == basis_divisor(s, f"E{k}").coords, f"normalization of {C} failed"
     return tuple(word)
 
 
 @lru_cache(maxsize=None)
-def _weyl_generators(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
+def _weyl_generators(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     gens = [transposition_root(surface, i, i + 1) for i in range(1, surface.k)]
     if surface.k >= 3:
         gens.append(cremona_root(surface, 1, 2, 3))
-    return tuple(gens)
+    for root in gens:
+        _check_root(root)
+    return tuple(root.coords for root in gens)
 
 
-@lru_cache(maxsize=None)
 def weyl_orbit(D: DivisorClass) -> frozenset[DivisorClass]:
     """The full orbit of D under the Weyl group (finite for k <= 8)."""
-    if not D.surface.is_blowup_p2_like:
+    s = D.surface
+    if not s.is_blowup_p2_like:
         raise LatticeError("Weyl orbits are computed on blowups of the plane")
-    gens = _weyl_generators(D.surface)
-    seen = {D}
-    frontier = [D]
+    gens = _weyl_generators(s)
+    seen = {D.coords}
+    frontier = [D.coords]
     while frontier:
         nxt = []
         for cur in frontier:
             for g in gens:
-                img = weyl_reflect(cur, g)
+                img = reflect(s, cur, g)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(DivisorClass(s, c) for c in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,15 @@ class TestCohom:
         code, _, err = run(capsys, "cohom", "--surface", "blF2:k=1", "--divisor", "F")
         assert code == 2 and "error:" in err
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(D):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("rbn.cli.hirzebruch_cohomology", broken)
+        code, out, err = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+F")
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback") and err.endswith("internal error: RuntimeError: boom\n")
+
 
 class TestChi:
     def test_divisor(self, capsys):

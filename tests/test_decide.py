@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -237,3 +242,54 @@ class TestVerdictHygiene:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["status"] == "Fails"
         assert payload["obstruction"]["h0_lower_bound"] == 1
+
+
+def _failing_check(gs, **kwargs):
+    return gd.GoodSumCheck(False, ("forced failure",))
+
+
+class TestVerificationGates:
+    def test_not_a_value_error(self):
+        assert not issubclass(dec.VerificationError, ValueError)
+
+    @pytest.mark.parametrize(
+        "spec, c1, r",
+        [
+            ("dp7", "2L", 3),  # nef decomposition
+            ("F1", "-2E-4F", 3),  # Hirzebruch fiber sum
+            ("blp2:k=5", "6L-4E1-2E2-2E3-2E4-2E5", 2),  # rounding, not swallowed as Unknown
+        ],
+    )
+    def test_failed_witness_raises(self, monkeypatch, spec, c1, r):
+        monkeypatch.setattr(dec, "is_good_sum", _failing_check)
+        v = ch.character_from_chi(r, D(lat.parse_surface(spec), c1), 0)
+        with pytest.raises(dec.VerificationError):
+            dec.wbn(v)
+
+    def test_failed_resolution_raises(self, monkeypatch):
+        v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
+        report = dec.blowup_resolution(v)
+        monkeypatch.setattr(dec, "blowup_resolution", lambda v: report)
+        monkeypatch.setattr(dec.ResolutionReport, "bookkeeping_ok", lambda self: False)
+        with pytest.raises(dec.VerificationError):
+            dec.blowup_p2_wbn(v)
+
+    def test_gate_survives_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from rbn import chern, decide, goodsums, lattice
+            decide.is_good_sum = lambda gs, **kw: goodsums.GoodSumCheck(False, ("forced",))
+            v = chern.character_from_chi(3, lattice.parse_divisor("2L", lattice.del_pezzo(7)), 0)
+            try:
+                decide.wbn(v)
+            except decide.VerificationError:
+                print("optimize", sys.flags.optimize, "raised")
+            """
+        )
+        src = str(pathlib.Path(dec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (out.returncode, out.stdout) == (0, "optimize 1 raised\n"), out.stderr

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -14,6 +16,10 @@ DP6 = lat.del_pezzo(6)
 DP4 = lat.del_pezzo(4)
 BL2 = lat.blowup_p2(2)
 BL5 = lat.blowup_p2(5)
+
+# golden del Pezzo decompositions and, for test_lattice, Weyl orbits; a
+# change to them changes user-visible output
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "lattice_golden.json").read_text())
 
 
 def D(surface, expr):
@@ -165,6 +171,16 @@ class TestDecompose:
         assert gs.degrees() == (4, 4)
         for s in gs.summands:
             assert coh.blowup_cohomology_oracle(s).higher_vanishes
+
+    @pytest.mark.parametrize(
+        "case",
+        GOLDEN["decompositions"],
+        ids=[f"{c['surface']}:{c['c1']}:r{c['rank']}" for c in GOLDEN["decompositions"]],
+    )
+    def test_pinned_decomposition(self, case):
+        S = lat.parse_surface(case["surface"])
+        gs = gd.delpezzo_decompose(D(S, case["c1"]), case["rank"])
+        assert [str(s) for s in gs.summands] == case["summands"]
 
     def test_non_nef_rejected(self):
         with pytest.raises(gd.GoodSumError):

@@ -1,8 +1,14 @@
+import json
+import pathlib
 import random
 
 import pytest
 
 from rbn import lattice as lat
+
+# golden Weyl orbits (size and smallest elements) and, for test_goodsums,
+# del Pezzo decompositions; a change to them changes user-visible output
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "lattice_golden.json").read_text())
 
 
 F0 = lat.hirzebruch(0)
@@ -180,6 +186,21 @@ class TestWeyl:
     def test_move_rejects_non_curves(self):
         with pytest.raises(lat.LatticeError):
             lat.weyl_move_curve_to_last(D(lat.del_pezzo(6), "L"))
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["orbits"], ids=[f"{c['surface']}:{c['class']}" for c in GOLDEN["orbits"]]
+    )
+    def test_pinned_orbit(self, case):
+        S = lat.parse_surface(case["surface"])
+        orbit = lat.weyl_orbit(D(S, case["class"]))
+        assert len(orbit) == case["size"]
+        first = sorted(orbit, key=lambda w: w.coords)[: len(case["first"])]
+        assert [str(w) for w in first] == case["first"]
+        assert all(w.surface == S for w in orbit)
+
+    def test_orbit_refused_off_plane_blowups(self):
+        with pytest.raises(lat.LatticeError):
+            lat.weyl_orbit(D(F2, "E"))
 
 
 class TestGrammar:
