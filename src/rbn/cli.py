@@ -13,7 +13,13 @@ import json
 import sys
 import traceback
 
-from .chern import CharacterError, chi_integer, parse_character
+from .chern import (
+    CharacterError,
+    character_from_chi,
+    chi_integer,
+    hirzebruch_normalize,
+    parse_character,
+)
 from .cohomology import (
     OracleError,
     blowup_cohomology_oracle,
@@ -23,6 +29,7 @@ from .cohomology import (
 from .decide import VerificationError, WBNStatus, wbn
 from .goodsums import GoodSumError, delpezzo_decompose, is_good_sum
 from .lattice import (
+    DivisorClass,
     LatticeError,
     ParseError,
     chi_line_bundle,
@@ -37,7 +44,6 @@ from .resolutions import (
     blowup_resolution,
     hirzebruch_resolution,
 )
-from .chern import character_from_chi, hirzebruch_normalize
 
 _INPUT_ERRORS = (
     ParseError,
@@ -114,8 +120,6 @@ def _wbn_sweep(args, surface) -> int:
     saw_unknown = False
     for k in range(-bound, bound + 1):
         for ell in range(-bound, bound + 1):
-            from .lattice import DivisorClass
-
             v = character_from_chi(r, DivisorClass(surface, (k, ell)), 0)
             verdict = wbn(v, seed=args.seed, trials=args.trials)
             h0 = verdict.obstruction.h0_lower_bound if verdict.obstruction else ""
@@ -129,7 +133,7 @@ def _cmd_resolve(args) -> int:
     surface = parse_surface(args.surface)
     v = parse_character(args.character, surface)
     if surface.is_hirzebruch:
-        v, dualized = hirzebruch_normalize(v)
+        v, _ = hirzebruch_normalize(v)
         report = hirzebruch_resolution(v)
     elif surface.is_blowup_p2_like:
         report = blowup_resolution(v)

@@ -16,6 +16,11 @@ Three layers, by strength of the statement:
   ``h0`` is the nullity of the fat-point interpolation matrix over a large
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
   characteristic.
+
+Verdicts ask in that order, exact, then rules, then oracle, and only
+through this module: ``certified_cohomology`` returns the vector wherever
+the first two certify it, and ``higher_cohomology_vanishes`` adds the
+oracle on blowups of the plane.
 """
 
 from __future__ import annotations
@@ -588,20 +593,31 @@ def blowup_cohomology_oracle(
     return CohomologyVector(h0, h1, h2)
 
 
+def certified_cohomology(D: DivisorClass) -> tuple[CohomologyVector | None, str]:
+    """Cohomology of O(D) where it is certified without the oracle.
+
+    Returns ``(vector, "exact")`` on Hirzebruch surfaces, ``((chi, 0, 0),
+    "rules")`` on blowups once the vanishing rules derive h1 = h2 = 0, and
+    ``(None, "undecided")`` otherwise.
+    """
+    if D.surface.is_hirzebruch:
+        return hirzebruch_cohomology(D), "exact"
+    if vanishing_by_rules(D).higher_cohomology is Vanishing.ZERO:
+        return CohomologyVector(chi_line_bundle(D), 0, 0), "rules"
+    return None, "undecided"
+
+
 def higher_cohomology_vanishes(
     D: DivisorClass, *, seed: int = 0, trials: int = 3, prime: int | None = None
 ) -> tuple[bool, str]:
-    """Rules first, oracle fallback; returns (verdict, provenance note)."""
-    s = D.surface
-    if s.is_hirzebruch:
-        vec = hirzebruch_cohomology(D)
-        return vec.higher_vanishes, "exact"
-    verdict = vanishing_by_rules(D)
-    if verdict.higher_cohomology is Vanishing.ZERO:
-        return True, "rules"
-    if verdict.higher_cohomology is Vanishing.NONZERO:
+    """Certified vector, then the rules' Nonzero, then the oracle on blowups
+    of the plane; returns (verdict, provenance note)."""
+    vec, how = certified_cohomology(D)
+    if vec is not None:
+        return vec.higher_vanishes, how
+    if vanishing_by_rules(D).higher_cohomology is Vanishing.NONZERO:
         return False, "rules"
-    if s.is_blowup_p2_like:
+    if D.surface.is_blowup_p2_like:
         vec = blowup_cohomology_oracle(D, seed=seed, trials=trials, prime=prime)
         return vec.higher_vanishes, "oracle"
     return False, "undecided"

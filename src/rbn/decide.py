@@ -25,14 +25,7 @@ from .chern import (
     line_bundle_character,
     twisted_chi,
 )
-from .cohomology import (
-    CohomologyVector,
-    Vanishing,
-    blowup_cohomology_oracle,
-    chi_line_bundle,
-    hirzebruch_cohomology,
-    vanishing_by_rules,
-)
+from .cohomology import blowup_cohomology_oracle, certified_cohomology
 from .goodsums import (
     GoodSum,
     WBNWitness,
@@ -47,6 +40,7 @@ from .lattice import (
     SurfaceModel,
     basis_divisor,
     canonical,
+    chi_line_bundle,
     divisor_expr,
     intersect,
     is_nef,
@@ -151,38 +145,31 @@ def rank_one_wbn(
 ) -> WBNVerdict:
     """Rank-one criterion: Holds iff h1 = h2 = 0 for the unique line bundle.
 
-    The witness twists by the ideal sheaf of n = chi general points.  When
-    the criterion fails with h0 <= n, Serre duality leaves h2 nonzero for
-    every twist; when h0 > n the sections survive all twists.
+    The sheaves are I_Z(c1) with chi = chi(O(c1)) - |Z|, so chi(O(c1)) < 0
+    empties the moduli space; chi(O(c1)) is the rank-one discriminant.  The
+    witness twists by the ideal sheaf of n = chi general points.  When the
+    criterion fails with h0 <= n, Serre duality leaves h2 nonzero for every
+    twist; when h0 > n the sections survive all twists.
     """
     if c1.surface != surface:
         raise LatticeError("c1 lives on a different surface")
-    vec: CohomologyVector | None = None
     notes: list[str] = [_STACK_NOTE]
-    if surface.is_hirzebruch:
-        vec = hirzebruch_cohomology(c1)
-        notes.append("exact cohomology")
+    n = chi_line_bundle(c1)
+    if n < 0:
+        expr = divisor_expr(c1)
+        notes.append(f"chi(O({expr})) = {n} < 0, so every I_Z({expr}) has chi < 0")
+        return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=Fraction(n), notes=tuple(notes))
+    vec, how = certified_cohomology(c1)
+    if vec is not None:
+        notes.append("exact cohomology" if how == "exact" else "vanishing by rules")
     elif surface.is_blowup_p2_like:
-        verdict = vanishing_by_rules(c1)
-        if verdict.higher_cohomology is Vanishing.ZERO:
-            vec = CohomologyVector(chi_line_bundle(c1), 0, 0)
-            notes.append("vanishing by rules")
-        else:
-            vec = blowup_cohomology_oracle(c1, seed=seed, trials=trials)
-            notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
+        vec = blowup_cohomology_oracle(c1, seed=seed, trials=trials)
+        notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
     else:
-        verdict = vanishing_by_rules(c1)
-        if verdict.higher_cohomology is Vanishing.ZERO:
-            vec = CohomologyVector(chi_line_bundle(c1), 0, 0)
-            notes.append("vanishing by rules")
-    if vec is None:
         return WBNVerdict(
             WBNStatus.UNKNOWN, notes=tuple(notes + ["no exact computation or oracle available"])
         )
-    n = vec.chi
     if vec.higher_vanishes:
-        if n < 0:
-            raise CharacterError("rank-one target needs chi >= 0 to reach chi = 0 by points")
         gs = GoodSum(surface, _rank_one_reference(surface), (c1,))
         target = ChernCharacter(
             1, c1, line_bundle_character(c1).ch2 - n
@@ -371,6 +358,8 @@ def delpezzo_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVer
 def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     """Dispatch on the surface family (rank one goes to the line-bundle test)."""
     if v.r == 1:
+        if chi_integer(v) != 0:
+            raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
         return rank_one_wbn(v.surface, v.c1, seed=seed, trials=trials)
     s = v.surface
     if s.is_hirzebruch:

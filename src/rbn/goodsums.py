@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chern import CharacterError, ChernCharacter, chi_integer
-from .cohomology import higher_cohomology_vanishes, hirzebruch_cohomology
+from .cohomology import certified_cohomology, higher_cohomology_vanishes
 from .lattice import (
     DivisorClass,
     LatticeError,
@@ -165,12 +165,6 @@ def prioritary_sum_check(gs: GoodSum, F: DivisorClass | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_no_higher(D: DivisorClass, seed: int, trials: int, what: str) -> None:
-    vanishes, _ = higher_cohomology_vanishes(D, seed=seed, trials=trials)
-    if not vanishes:
-        raise GoodSumError(f"{what} {divisor_expr(D)} has (or may have) higher cohomology")
-
-
 def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSum:
     """L-good sum with c1 = c1(v) by rounding the slope coefficients.
 
@@ -197,7 +191,10 @@ def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSu
     ceil_bundle = DivisorClass(
         s, (d,) + tuple(-(a + (1 if pi else 0)) for a, pi in floors)
     )
-    _check_no_higher(ceil_bundle, seed, trials, "floor/ceiling bundle")
+    if not higher_cohomology_vanishes(ceil_bundle, seed=seed, trials=trials)[0]:
+        raise GoodSumError(
+            f"floor/ceiling bundle {divisor_expr(ceil_bundle)} has (or may have) higher cohomology"
+        )
     # slots 0..p-1 carry the larger L-coefficient; ceil multiplicities go to
     # the last slots so large L pairs with small multiplicity totals.
     slot_ell = [d + 1 if t < p else d for t in range(r)]
@@ -418,7 +415,7 @@ def hirzebruch_fiber_sum(v: ChernCharacter) -> GoodSum:
     summands = [-E + (base + (1 if t < extra else 0)) * F for t in range(m)]
     summands += [-F] * (r - m)
     for D in summands:
-        assert hirzebruch_cohomology(D).as_tuple() == (0, 0, 0), divisor_expr(D)
+        assert certified_cohomology(D)[0].as_tuple() == (0, 0, 0), divisor_expr(D)
     gs = GoodSum(s, F, tuple(sorted(summands, key=lambda d: d.coords)))
     assert gs.c1() == v.c1 and gs.chi() == 0
     return gs

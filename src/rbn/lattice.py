@@ -496,6 +496,8 @@ def weyl_orbit(D: DivisorClass) -> frozenset[DivisorClass]:
     s = D.surface
     if not s.is_blowup_p2_like:
         raise LatticeError("Weyl orbits are computed on blowups of the plane")
+    if s.k >= 9:
+        raise LatticeError(f"the Weyl group of {s} is infinite, so orbits are not enumerated")
     gens = _weyl_generators(s)
     seen = {D.coords}
     frontier = [D.coords]

@@ -16,29 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .chern import (
     CharacterError,
     ChernCharacter,
     chi_integer,
     euler_pairing,
+    hirzebruch_normalize,
     line_bundle_character,
     twisted_chi,
 )
-from .cohomology import (
-    Vanishing,
-    h2_is_zero,
-    hirzebruch_cohomology,
-    vanishing_by_rules,
-    _obviously_effective,
-)
+from .cohomology import certified_cohomology, h2_is_zero
 from .lattice import (
     DivisorClass,
     SurfaceModel,
     basis_divisor,
-    canonical,
-    chi_line_bundle,
     divisor_expr,
     zero_divisor,
 )
@@ -103,79 +95,41 @@ def builtin_collection(surface: SurfaceModel) -> ExceptionalCollection:
 
 
 # ---------------------------------------------------------------------------
-# Cohomology queries used by the verification and the exponent solver
+# Verification and Hom dimensions through the certified cohomology
 # ---------------------------------------------------------------------------
-
-
-def _all_cohomology_zero(D: DivisorClass) -> tuple[bool, str]:
-    """Definitive 'every h^i vanishes' check for collection differences."""
-    s = D.surface
-    if s.is_hirzebruch:
-        vec = hirzebruch_cohomology(D)
-        return vec.as_tuple() == (0, 0, 0), f"exact {vec}"
-    verdict = vanishing_by_rules(D)
-    if verdict.all_cohomology is Vanishing.ZERO:
-        return True, "stock class"
-    if _obviously_effective(D):
-        return False, "effective class has sections"
-    if chi_line_bundle(D) != 0:
-        return False, "nonzero Euler characteristic"
-    if _obviously_effective(canonical(s) - D):
-        return False, "Serre-dual sections"
-    return False, "vanishing not certified"
-
-
-def _higher_cohomology_zero(D: DivisorClass) -> tuple[bool, str]:
-    s = D.surface
-    if s.is_hirzebruch:
-        vec = hirzebruch_cohomology(D)
-        return vec.higher_vanishes, f"exact {vec}"
-    verdict = vanishing_by_rules(D)
-    if verdict.higher_cohomology is Vanishing.ZERO:
-        return True, "derived"
-    return False, "vanishing not certified"
 
 
 def verify_strong_exceptional(coll: ExceptionalCollection):
     """Check Ext^*(A_t, A_s) = 0 for s < t and Ext^{>0}(A_s, A_t) = 0.
 
-    Returns (True, None) or (False, (s, t, reason)) for the first failing
-    ordered pair, with 0-based indices into the collection.
+    Only certified cohomology counts.  Returns (True, None) or
+    (False, (s, t, reason)) for the first failing ordered pair, with 0-based
+    indices into the collection.
     """
     bundles = coll.bundles
     for s in range(len(bundles)):
         for t in range(s + 1, len(bundles)):
-            back = bundles[s] - bundles[t]
-            ok, why = _all_cohomology_zero(back)
-            if not ok:
-                return False, (s, t, f"Ext^*({divisor_expr(bundles[t])}, {divisor_expr(bundles[s])}) != 0: {why}")
-            fwd = bundles[t] - bundles[s]
-            ok, why = _higher_cohomology_zero(fwd)
-            if not ok:
-                return False, (s, t, f"Ext^{{>0}}({divisor_expr(bundles[s])}, {divisor_expr(bundles[t])}) != 0: {why}")
+            vec, _ = certified_cohomology(bundles[s] - bundles[t])
+            if vec is None or vec.as_tuple() != (0, 0, 0):
+                return False, (s, t, f"Ext^*({divisor_expr(bundles[t])}, {divisor_expr(bundles[s])}) != 0: {vec or 'not certified'}")
+            vec, _ = certified_cohomology(bundles[t] - bundles[s])
+            if vec is None or not vec.higher_vanishes:
+                return False, (s, t, f"Ext^{{>0}}({divisor_expr(bundles[s])}, {divisor_expr(bundles[t])}) != 0: {vec or 'not certified'}")
     return True, None
 
 
-@lru_cache(maxsize=None)
 def hom_dimension(A: DivisorClass, B: DivisorClass) -> int:
-    """dim Hom(O(A), O(B)) = h0(B - A), computed exactly.
+    """dim Hom(O(A), O(B)) = h0(B - A), from the certified cohomology.
 
-    On blowups this routes through the vanishing rules plus Riemann-Roch
-    (h0 = chi once higher cohomology vanishes); differences between members
-    of the built-in collections are always rule-decidable, and anything else
-    raises rather than consulting the probabilistic oracle.
+    Differences between members of the built-in collections are always
+    certified; anything else raises rather than consulting the
+    probabilistic oracle.
     """
     D = B - A
-    if D.surface.is_hirzebruch:
-        return hirzebruch_cohomology(D).h0
-    verdict = vanishing_by_rules(D)
-    if verdict.all_cohomology is Vanishing.ZERO:
-        return 0
-    if verdict.higher_cohomology is Vanishing.ZERO:
-        chi = chi_line_bundle(D)
-        assert chi >= 0, f"derived vanishing with negative chi for {D}"
-        return chi
-    raise ResolutionError(f"hom dimension of {D} is not rule-decidable")
+    vec, _ = certified_cohomology(D)
+    if vec is None:
+        raise ResolutionError(f"hom dimension of {D} is not rule-decidable")
+    return vec.h0
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +258,6 @@ def hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
         raise ResolutionError("rank must be at least 2")
     if chi_integer(v) != 0:
         raise ResolutionError("resolutions are computed for characters with chi = 0")
-    from .chern import hirzebruch_normalize
-
     if hirzebruch_normalize(v)[1]:
         raise ResolutionError("character must be normalized (k/r >= -1) first")
     e, r = s.e, v.r
@@ -424,15 +376,10 @@ def prioritary_hypotheses_check(coll: ExceptionalCollection, F: DivisorClass) ->
     j = coll.split_index
     left = coll.bundles[:j]
     right = coll.bundles[j:]
-
-    def ext1_vanishes(D: DivisorClass) -> bool:
-        if D.surface.is_hirzebruch:
-            return hirzebruch_cohomology(D).h1 == 0
-        return vanishing_by_rules(D).higher_cohomology is Vanishing.ZERO
-
     for A in left:
         for B in right:
-            if not ext1_vanishes(B - A - F):
+            vec, _ = certified_cohomology(B - A - F)
+            if vec is None or vec.h1:
                 return False
     for A in right:
         for B in right:

@@ -81,6 +81,16 @@ class TestWbn:
         assert payload["status"] == "Fails"
         assert payload["obstruction"]["h0_lower_bound"] == 1
 
+    def test_rank_one_negative_chi_is_empty(self, capsys):
+        code, out, _ = run(capsys, "wbn", "--surface", "F1", "--character", "r=1;c1=-3E;chi=0")
+        payload = json.loads(out)
+        assert code == 0 and payload["status"] == "EmptyModuli" and payload["bogomolov_delta"] == "-5"
+        assert "obstruction" not in payload
+
+    def test_rank_one_needs_chi_zero(self, capsys):
+        code, out, err = run(capsys, "wbn", "--surface", "F1", "--character", "r=1;c1=E+2F;chi=3")
+        assert (code, out) == (2, "") and "chi(v) = 0" in err
+
     def test_unknown_exit_code(self, capsys):
         code, out, _ = run(capsys, "wbn", "--surface", "dp6", "--character", "r=2;c1=E1;chi=0")
         assert code == 1 and json.loads(out)["status"] == "Unknown"
@@ -211,6 +221,22 @@ class TestDeterminism:
 
 class TestReadmeExamples:
     @pytest.mark.parametrize("example", README_EXAMPLES, ids=[e["argv"][0] for e in README_EXAMPLES])
+    def test_stdout_and_exit_code(self, capsys, example):
+        code, out, _ = run(capsys, *example["argv"])
+        assert (code, out) == (example["exit"], example["stdout"])
+
+
+# stdout and exit code of `rbn wbn` on rank-one characters, one per
+# cohomology route: exact, rules, oracle, rules on a blown-up F_e, and Unknown
+RANK_ONE_EXAMPLES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "rank_one_cli.json").read_text()
+)
+
+
+class TestRankOneGolden:
+    @pytest.mark.parametrize(
+        "example", RANK_ONE_EXAMPLES, ids=[f"{e['argv'][2]}:{e['argv'][4]}" for e in RANK_ONE_EXAMPLES]
+    )
     def test_stdout_and_exit_code(self, capsys, example):
         code, out, _ = run(capsys, *example["argv"])
         assert (code, out) == (example["exit"], example["stdout"])

@@ -281,3 +281,27 @@ class TestOracleVector:
             vec = coh.blowup_cohomology_oracle(Dv)
             assert vec.chi == lat.chi_line_bundle(Dv)
             assert min(vec.as_tuple()) >= 0
+
+
+# (surface, class, verdict, provenance) of higher_cohomology_vanishes, at
+# least one class per route
+GOLDEN_ROUTES = [
+    ("F1", "E+2F", True, "exact"),
+    ("F2", "2E+F", False, "exact"),
+    ("blp2:k=3", "L", True, "rules"),
+    ("dp5", "-L+E1+E2", True, "rules"),
+    ("blF2:k=1", "F-E1", True, "rules"),
+    ("blp2:k=1", "3E1", False, "rules"),
+    ("blF2:k=1", "-2E-5F", False, "rules"),
+    ("blp2:k=5", "3L-2E1-E2-E3-E4-E5", True, "oracle"),
+    ("blp2:k=2", "4L-3E1-3E2", False, "oracle"),
+    ("blF2:k=1", "E", False, "undecided"),
+]
+
+
+class TestHigherCohomologyVanishes:
+    @pytest.mark.parametrize(
+        "spec, expr, vanishes, how", GOLDEN_ROUTES, ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_ROUTES]
+    )
+    def test_pinned_route(self, spec, expr, vanishes, how):
+        assert coh.higher_cohomology_vanishes(D(lat.parse_surface(spec), expr)) == (vanishes, how)

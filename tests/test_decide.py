@@ -58,8 +58,24 @@ class TestRankOne:
     def test_blowup_hirzebruch_rules_only(self):
         S = lat.blowup_hirzebruch(2, 1)
         assert dec.rank_one_wbn(S, D(S, "F")).status is WBNStatus.HOLDS
-        # no full computation available when the rules stay silent
-        assert dec.rank_one_wbn(S, D(S, "3E")).status is WBNStatus.UNKNOWN
+        # no full computation available when the rules stay silent (chi = 0)
+        assert dec.rank_one_wbn(S, D(S, "E")).status is WBNStatus.UNKNOWN
+        # chi(O(3E)) = -8: no sheaf to ask about
+        assert dec.rank_one_wbn(S, D(S, "3E")).status is WBNStatus.EMPTY_MODULI
+
+    @pytest.mark.parametrize(
+        "surface, expr, chi",
+        [(F1, "-3E", -5), (BL2, "3E1", -2), (DP5, "2L-4E1", -4), (lat.blowup_hirzebruch(2, 1), "3E", -8)],
+    )
+    def test_negative_chi_is_empty_before_any_cohomology(self, monkeypatch, surface, expr, chi):
+        def no_cohomology(*args, **kwargs):
+            raise AssertionError("cohomology computed for an empty moduli space")
+
+        monkeypatch.setattr(dec, "certified_cohomology", no_cohomology)
+        monkeypatch.setattr(dec, "blowup_cohomology_oracle", no_cohomology)
+        verdict = dec.rank_one_wbn(surface, D(surface, expr))
+        assert verdict.status is WBNStatus.EMPTY_MODULI
+        assert verdict.bogomolov_delta == chi and verdict.witness is None and verdict.obstruction is None
 
 
 class TestHirzebruch:

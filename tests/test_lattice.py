@@ -202,6 +202,18 @@ class TestWeyl:
         with pytest.raises(lat.LatticeError):
             lat.weyl_orbit(D(F2, "E"))
 
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_orbit_refused_at_nine_or_more_points(self, monkeypatch, k):
+        # the orbit is infinite there; refuse before any reflection is tried
+        def no_search(*args):
+            raise AssertionError("the orbit search started")
+
+        monkeypatch.setattr(lat, "reflect", no_search)
+        monkeypatch.setattr(lat, "_weyl_generators", no_search)
+        S = lat.blowup_p2(k)
+        with pytest.raises(lat.LatticeError, match="infinite"):
+            lat.weyl_orbit(D(S, "L"))
+
 
 class TestGrammar:
     def test_round_trip(self):
