@@ -1,8 +1,10 @@
 """Dense rank computation over a prime field F_p.
 
 The interpolation oracle reduces to the rank of small dense integer matrices
-mod p, computed by vectorized numpy Gaussian elimination.  Entries must be
-reduced mod p and p must stay below 2^31 so products fit in int64.
+mod p, computed by numpy Gaussian elimination on plain row slices: each
+pivot clears the block ``a[row+1:, col:]`` in place, where rows with a zero
+in the pivot column subtract zero.  Entries must be reduced mod p and p must
+stay below 2^31 so products fit in int64.
 """
 
 from __future__ import annotations
@@ -32,13 +34,9 @@ def modp_rank(mat: np.ndarray, p: int) -> int:
             a[[row, piv]] = a[[piv, row]]
         inv = pow(int(a[row, col]), -1, p)
         a[row, col:] = (a[row, col:] * inv) % p
-        tail = a[row + 1 :, col].nonzero()[0]
-        if tail.size:
-            rows = row + 1 + tail
-            a[np.ix_(rows, range(col, n))] = (
-                a[np.ix_(rows, range(col, n))]
-                - np.outer(a[rows, col], a[row, col:])
-            ) % p
+        below = a[row + 1 :, col:]  # a view: eliminated in place
+        below -= np.outer(below[:, 0], a[row, col:])
+        below %= p
         row += 1
     return row
 

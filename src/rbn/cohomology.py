@@ -496,14 +496,20 @@ def _sample_points(surface: SurfaceModel, p: int, seed: int, trial: int) -> list
     return pts  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=None)
 def _binomial_table(n: int, p: int) -> np.ndarray:
-    """Binomials C(i, j) mod p for i, j <= n (exact ones leave int64 at n = 67)."""
+    """Read-only binomials C(i, j) mod p for i, j <= n (exact ones leave int64 at n = 67)."""
     table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for i in range(n + 1):
-        table[i, 0] = 1
-        for j in range(1, i + 1):
-            table[i, j] = (table[i - 1, j - 1] + table[i - 1, j]) % p
+    table[:, 0] = 1
+    for i in range(1, n + 1):
+        table[i, 1 : i + 1] = (table[i - 1, :i] + table[i - 1, 1 : i + 1]) % p
+    table.flags.writeable = False  # shared by every caller through the cache
     return table
+
+
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) with i + j < n, ordered by i, then j."""
+    return np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
 
 
 def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
@@ -512,31 +518,27 @@ def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
     Columns run over the monomials x^a y^b z^(d-a-b) of total degree d,
     evaluated on the affine chart z = 1; the row for derivative order (u, v)
     at (x0, y0) has entry C(a,u) C(b,v) x0^(a-u) y0^(b-v), reduced mod p.
-    Every factor is below p < 2^31, so each product fits in int64.
+    Each point's block of rows is an outer product: with
+    X[u, a] = C(a,u) x0^(a-u) and Y[v, b] = C(b,v) y0^(b-v) mod p (zero for
+    a < u or b < v, so orders above d give zero rows), the entry is
+    X[u, a] Y[v, b] mod p.  Both factors are below p < 2^31, so each product
+    fits in int64.
     """
-    monos = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
-    rows = sum(m * (m + 1) // 2 for m in mults)
-    mat = np.zeros((rows, len(monos)), dtype=np.int64)
-    binom = _binomial_table(d, p)
-    r = 0
+    binom = _binomial_table(d, p).T  # binom[u, a] = C(a, u), zero for a < u
+    lag = np.maximum(np.arange(d + 1) - np.arange(d + 1)[:, None], 0)  # lag[u, a] = a - u, or 0
+    cols_a, cols_b = _triangle(d + 1)
+    blocks = [np.zeros((0, cols_a.size), dtype=np.int64)]  # keeps the width if no m > 0
     for (x0, y0), m in zip(points, mults):
         if m <= 0:
             continue
-        xpow = [1] * (d + 1)
-        ypow = [1] * (d + 1)
-        for t in range(1, d + 1):
-            xpow[t] = xpow[t - 1] * x0 % p
-            ypow[t] = ypow[t - 1] * y0 % p
-        for u in range(m):
-            for v in range(m - u):
-                for c, (a, b) in enumerate(monos):
-                    if a < u or b < v:
-                        continue
-                    val = binom[a, u] * xpow[a - u] % p
-                    val = val * binom[b, v] % p
-                    mat[r, c] = val * ypow[b - v] % p
-                r += 1
-    return mat
+        k = min(m, d + 1)
+        x, y = np.zeros((2, m, d + 1), dtype=np.int64)
+        for f, z0 in ((x, x0), (y, y0)):
+            powers = np.array([pow(z0, t, p) for t in range(d + 1)], dtype=np.int64)
+            f[:k] = binom[:k] * powers[lag[:k]] % p
+        rows_u, rows_v = _triangle(m)
+        blocks.append(x[rows_u][:, cols_a] * y[rows_v][:, cols_b] % p)
+    return np.concatenate(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -549,13 +551,16 @@ def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int
     ncols = (d + 1) * (d + 2) // 2
     if not any(mults):
         return ncols
-    best = None
+    if D.surface.config.kind == "explicit":
+        trials = 1  # the same points on every trial
+    best = ncols
     for trial in range(trials):
         points = _sample_points(D.surface, prime, seed, trial)
         mat = _fat_point_matrix(d, mults, points, prime)
-        null = modp_nullity(mat, prime)
-        best = null if best is None else min(best, null)
-    return int(best)
+        best = min(best, modp_nullity(mat, prime))
+        if best == max(0, ncols - len(mat)):
+            break  # no trial can go below the nullity floor
+    return best
 
 
 def interpolation_h0(

@@ -1,8 +1,11 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbn import cohomology as coh
 from rbn import lattice as lat
@@ -42,6 +45,22 @@ GOLDEN_TRAILS = [
 
 def D(surface, expr):
     return lat.parse_divisor(expr, surface)
+
+
+def fat_point_reference(d, mults, points, p):
+    """The oracle matrix from its entry formula, in Python integers."""
+    monos = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
+    return [
+        [
+            math.comb(a, u) * math.comb(b, v) * pow(x0, a - u, p) * pow(y0, b - v, p) % p
+            if a >= u and b >= v
+            else 0
+            for a, b in monos
+        ]
+        for (x0, y0), m in zip(points, mults)
+        for u in range(m)
+        for v in range(m - u)
+    ]
 
 
 class TestHirzebruchExact:
@@ -227,24 +246,82 @@ class TestInterpolationOracle:
     def test_matrix_entries_match_python_integers(self):
         # at d = 90, m = 20 exact binomials times residues overflow int64
         # (26,940 of 879,060 entries were wrong before reducing mod p)
-        p, d, m, (x0, y0) = coh.DEFAULT_ORACLE_PRIME, 90, 20, (123457, 654321)
-        mat = coh._fat_point_matrix(d, [m], [(x0, y0)], p)
-        monos = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
-        ref = [
-            [
-                math.comb(a, u) * math.comb(b, v) * pow(x0, a - u, p) * pow(y0, b - v, p) % p
-                if a >= u and b >= v
-                else 0
-                for a, b in monos
-            ]
-            for u in range(m)
-            for v in range(m - u)
-        ]
-        assert mat.tolist() == ref
+        p, d, m, point = coh.DEFAULT_ORACLE_PRIME, 90, 20, (123457, 654321)
+        assert coh._fat_point_matrix(d, [m], [point], p).tolist() == fat_point_reference(d, [m], [point], p)
 
-    def test_explicit_configuration(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(0, 30),
+        points=st.lists(
+            st.tuples(st.integers(0, coh.DEFAULT_ORACLE_PRIME - 1), st.integers(0, coh.DEFAULT_ORACLE_PRIME - 1)),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_matrix_matches_entry_formula(self, d, points, data):
+        # multiplicities up to d + 3 cover derivative orders above d (zero rows)
+        p = coh.DEFAULT_ORACLE_PRIME
+        mults = data.draw(st.lists(st.integers(0, d + 3), min_size=len(points), max_size=len(points)))
+        mat = coh._fat_point_matrix(d, mults, points, p)
+        assert mat.shape == (sum(m * (m + 1) // 2 for m in mults), (d + 1) * (d + 2) // 2)
+        assert mat.tolist() == fat_point_reference(d, mults, points, p)
+
+    def test_binomial_table_is_read_only(self):
+        table = coh._binomial_table(6, coh.DEFAULT_ORACLE_PRIME)
+        assert table[6].tolist() == [math.comb(6, j) for j in range(7)]
+        with pytest.raises(ValueError):
+            table[6, 3] = 0
+        assert coh._binomial_table(6, coh.DEFAULT_ORACLE_PRIME)[6, 3] == 20
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        collinear=st.booleans(),
+        seed=st.integers(0, 50),
+        trials=st.integers(1, 4),
+        d=st.integers(0, 6),
+        tail=st.lists(st.integers(-3, 1), min_size=6, max_size=6),
+        special=st.sets(st.integers(0, 3)),
+    )
+    @example(k=3, collinear=False, seed=0, trials=3, d=1, tail=[-1, -1, -1, 0, 0, 0], special={0, 1})
+    def test_stopping_at_the_floor_keeps_the_minimum(self, k, collinear, seed, trials, d, tail, special):
+        # the oracle's answer is the minimum nullity over every trial; the
+        # trials in `special` put all points on the line y = x, so that
+        # trials can disagree and an early stop above the floor would show
+        S = lat.blowup_p2(k, lat.collinear_config(range(1, k + 1))) if collinear and k >= 2 else lat.blowup_p2(k)
+        coords = (d,) + tuple(tail[:k])
+        p, sample = coh.DEFAULT_ORACLE_PRIME, coh._sample_points
+
+        def points(surface, prime, seed, trial):
+            pts = sample(surface, prime, seed, trial)
+            return [(i, i) for i in range(len(pts))] if trial in special else pts
+
+        mults = [max(0, -c) for c in coords[1:]]
+        expected = min(
+            coh.modp_nullity(coh._fat_point_matrix(d, mults, points(S, p, seed, t), p), p) for t in range(trials)
+        )
+        with mock.patch.object(coh, "_sample_points", points):
+            coh._interpolation_h0_cached.cache_clear()
+            try:
+                h0 = coh.interpolation_h0(lat.DivisorClass(S, coords), seed=seed, trials=trials)
+            finally:
+                coh._interpolation_h0_cached.cache_clear()  # drop answers from patched points
+        assert h0 == expected
+
+    def test_explicit_configuration(self, monkeypatch):
+        # explicit points are the same on every trial, so one matrix suffices
+        calls, nullity = [], coh.modp_nullity
+
+        def counting_nullity(mat, p):
+            calls.append(mat.shape)
+            return nullity(mat, p)
+
+        monkeypatch.setattr(coh, "modp_nullity", counting_nullity)
+        coh._interpolation_h0_cached.cache_clear()
         S = lat.blowup_p2(3, lat.explicit_config([(0, 0), (1, 0), (2, 0)]))  # collinear
-        assert coh.interpolation_h0(D(S, "L-E1-E2-E3")) == 1
+        assert coh.interpolation_h0(D(S, "L-E1-E2-E3"), trials=3) == 1
+        assert calls == [(3, 3)]
 
     def test_modulus_validation(self):
         with pytest.raises(coh.OracleError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbn import _modp
 
@@ -36,6 +38,27 @@ class TestRank:
         for inner, rows, cols in [(2, 9, 7), (5, 30, 40), (11, 25, 25)]:
             mat = random_matrix(rng, rows, inner, p) @ random_matrix(rng, inner, cols, 1000)
             assert _modp.modp_rank(mat % p, p) == reference_rank(mat, p) <= inner
+
+    @pytest.mark.parametrize("tall", [True, False], ids=["rows>cols", "rows<cols"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        short=st.integers(1, 25),
+        extra=st.integers(1, 25),
+        p=st.sampled_from([2, 3, 101, 1000003]),
+        seed=st.integers(0, 2**32 - 1),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
+        data=st.data(),
+    )
+    def test_matches_reference_on_random_matrices(self, tall, short, extra, p, seed, zero_frac, data):
+        # rank-deficient as a product through `inner` columns; sparse so that
+        # pivot columns often hold zeros below the pivot
+        rows, cols = (short + extra, short) if tall else (short, short + extra)
+        inner = data.draw(st.integers(0, short))
+        rng = np.random.default_rng(seed)
+        left = random_matrix(rng, rows, inner, p) * (rng.random((rows, inner)) >= zero_frac)
+        right = random_matrix(rng, inner, cols, p) * (rng.random((inner, cols)) >= zero_frac)
+        for mat in (random_matrix(rng, rows, cols, p) * (rng.random((rows, cols)) >= zero_frac), left @ right % p):
+            assert _modp.modp_rank(mat, p) == reference_rank(mat, p)
 
     def test_known_ranks(self):
         p = 101
