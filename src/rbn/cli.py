@@ -23,7 +23,7 @@ from .chern import (
 from .cohomology import (
     OracleError,
     blowup_cohomology_oracle,
-    hirzebruch_cohomology,
+    certified_cohomology,
     interpolation_h0,
 )
 from .decide import VerificationError, WBNStatus, wbn
@@ -66,15 +66,14 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 def _cmd_cohom(args) -> int:
     surface = parse_surface(args.surface)
     D = parse_divisor(args.divisor, surface)
-    if surface.is_hirzebruch:
-        vec = hirzebruch_cohomology(D)
-    elif surface.is_blowup_p2_like:
-        vec = blowup_cohomology_oracle(D, seed=args.seed, trials=args.trials)
-    else:
+    if surface.is_blowup_hirzebruch:
         raise LatticeError(
             f"no full cohomology computation on {surface}; the vanishing rules "
             "are available through the library API"
         )
+    vec, _ = certified_cohomology(D)
+    if vec is None:
+        vec = blowup_cohomology_oracle(D, seed=args.seed, trials=args.trials)
     _emit(
         {"h0": vec.h0, "h1": vec.h1, "h2": vec.h2},
         args.json,

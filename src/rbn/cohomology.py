@@ -1,26 +1,30 @@
 """Line-bundle cohomology: exact dimensions, vanishing rules and oracles.
 
-Three layers, by strength of the statement:
+Four routes, by strength of the statement:
 
 * Hirzebruch surfaces get exact ``(h0, h1, h2)`` in closed form from the
   base locus, cross-checkable against an independent pushforward oracle
   (the direct image of ``O(aE+bF)`` on the base splits into line bundles
   of degrees ``b - je``).
+* Blowups of the plane at k <= 8 general points (del Pezzo models
+  included) get exact ``(h0, h1, h2)`` by Cremona reduction: fixed
+  exceptional components are removed and quadratic transformations lower
+  the degree until the class is in standard form, where h0 = chi.
 * Blowups of the plane and of Hirzebruch surfaces get *sound but
   incomplete* vanishing verdicts from closure rules: starting from a stock
   of classes with no cohomology, adding an exceptional class, a line or a
   fiber under an intersection guard preserves vanishing of higher
-  cohomology.  On del Pezzo models the search also runs over Weyl images,
-  which have the same cohomology dimensions.
+  cohomology.  On del Pezzo models a class the rules do not derive is
+  answered from the Cremona vector.
 * Blowups of the plane additionally get a brute-force numerical oracle:
   ``h0`` is the nullity of the fat-point interpolation matrix over a large
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
   characteristic.
 
-Verdicts ask in that order, exact, then rules, then oracle, and only
-through this module: ``certified_cohomology`` returns the vector wherever
-the first two certify it, and ``higher_cohomology_vanishes`` adds the
-oracle on blowups of the plane.
+Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
+oracle, and only through this module: ``certified_cohomology`` returns the
+vector wherever the first three certify it, and
+``higher_cohomology_vanishes`` adds the oracle on blowups of the plane.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .lattice import (
     SurfaceModel,
     canonical,
     chi_line_bundle,
-    weyl_orbit,
 )
 
 DEFAULT_ORACLE_PRIME = 1000003
@@ -163,6 +166,50 @@ def hirzebruch_pushforward_oracle(D: DivisorClass) -> CohomologyVector:
         return CohomologyVector(0, 0, 0)
     h0, h1, h2 = _nonneg_case(-2 - a, -(e + 2) - b)
     return CohomologyVector(h2, h1, h0)
+
+
+# ---------------------------------------------------------------------------
+# Blowups of the plane at k <= 8 general points: exact cohomology
+# ---------------------------------------------------------------------------
+
+
+def _chi_plane(d: int, mults) -> int:
+    return (d + 1) * (d + 2) // 2 - sum(m * (m + 1) // 2 for m in mults)
+
+
+def _cremona_h0(coords) -> int:
+    """h0(O(dL + sum c_i E_i)) at k <= 8 general points (Nagata; Harbourne).
+
+    An exceptional curve met negatively (c_i > 0) is a fixed component, so
+    its multiplicity -c_i is raised to 0.  With multiplicities sorted and
+    padded to three points, the quadratic transformation at the three
+    largest carries the class to one with the same h0 on a blowup at other
+    general points; while d < m1+m2+m3 it lowers d by the excess, so the
+    loop ends within d + 1 steps.  A class in standard form
+    (d >= m1+m2+m3, all m_i >= 0) is nef, and a nef class on a del Pezzo
+    surface has no higher cohomology (D - K is ample), so h0 = chi there;
+    d < 0 leaves no sections.
+    """
+    d = coords[0]
+    mults = [max(0, -c) for c in coords[1:]] + [0, 0, 0]
+    while d >= 0:
+        mults.sort(reverse=True)
+        excess = mults[0] + mults[1] + mults[2] - d
+        if excess <= 0:
+            return max(0, _chi_plane(d, mults))
+        d -= excess
+        mults[:3] = [max(0, m - excess) for m in mults[:3]]
+    return 0
+
+
+def _cremona_vector(coords) -> CohomologyVector:
+    """Exact (h0, h1, h2): h2 is h0(K - D) by Serre duality, h1 closes chi."""
+    h0 = _cremona_h0(coords)
+    h2 = _cremona_h0((-3 - coords[0],) + tuple(1 - c for c in coords[1:]))
+    return CohomologyVector(h0, h0 + h2 - _chi_plane(coords[0], [-c for c in coords[1:]]), h2)
+
+
+_CREMONA_NOTE = "exact cohomology by Cremona reduction"
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +424,11 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     """Sufficient vanishing rules on blowups; never asserts a false Zero.
 
     ``all_cohomology`` is ZERO only for the stock classes themselves;
-    ``higher_cohomology`` is ZERO when a closure derivation exists (searched
-    over Weyl images on del Pezzo models).  NONZERO answers are emitted only
-    for cheap sound certificates (negative Euler characteristic, or an
-    obviously effective class/Serre dual).
+    ``higher_cohomology`` is ZERO when a closure derivation exists.  NONZERO
+    answers are emitted only for cheap sound certificates (negative Euler
+    characteristic, or an obviously effective class/Serre dual).  On del
+    Pezzo models a class with no derivation is answered from its exact
+    Cremona vector instead: ZERO when h1 = h2 = 0, else NONZERO.
     """
     s = D.surface
     if s.is_blowup_p2_like:
@@ -394,15 +442,11 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
         return VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
 
     trail = _derive(D.coords, stock, strips, plausible, param)
-    weyl_note = ()
+    exact = None
     if trail is None and s.is_del_pezzo:
-        for image in sorted(weyl_orbit(D), key=lambda w: w.coords):
-            if image == D:
-                continue
-            trail = _derive(image.coords, stock, strips, plausible, param)
-            if trail is not None:
-                weyl_note = (f"weyl image {image}",)
-                break
+        exact = _cremona_vector(D.coords)
+        if exact.higher_vanishes:
+            trail = (_CREMONA_NOTE,)
 
     chi = chi_line_bundle(D)
     K = canonical(s)
@@ -410,7 +454,7 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
         all_c = Vanishing.UNKNOWN
         if _obviously_effective(D) or chi > 0:
             all_c = Vanishing.NONZERO  # h0 = chi > 0 once higher vanishes
-        return VanishingVerdict(Vanishing.ZERO, all_c, weyl_note + trail)
+        return VanishingVerdict(Vanishing.ZERO, all_c, trail)
 
     higher = Vanishing.UNKNOWN
     notes: tuple[str, ...] = ()
@@ -418,6 +462,8 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
         higher, notes = Vanishing.NONZERO, ("chi < 0 forces h1 > 0",)
     elif _obviously_effective(K - D):
         higher, notes = Vanishing.NONZERO, ("K - D effective forces h2 > 0",)
+    elif exact is not None:
+        higher, notes = Vanishing.NONZERO, (_CREMONA_NOTE,)
     all_c = Vanishing.NONZERO if (higher is Vanishing.NONZERO or _obviously_effective(D)) else Vanishing.UNKNOWN
     return VanishingVerdict(higher, all_c, notes)
 
@@ -601,12 +647,16 @@ def blowup_cohomology_oracle(
 def certified_cohomology(D: DivisorClass) -> tuple[CohomologyVector | None, str]:
     """Cohomology of O(D) where it is certified without the oracle.
 
-    Returns ``(vector, "exact")`` on Hirzebruch surfaces, ``((chi, 0, 0),
-    "rules")`` on blowups once the vanishing rules derive h1 = h2 = 0, and
-    ``(None, "undecided")`` otherwise.
+    Returns ``(vector, "exact")`` on Hirzebruch surfaces and on blowups of
+    the plane at k <= 8 general points (Cremona reduction, before any rule
+    search), ``((chi, 0, 0), "rules")`` on other blowups once the vanishing
+    rules derive h1 = h2 = 0, and ``(None, "undecided")`` otherwise.
     """
-    if D.surface.is_hirzebruch:
+    s = D.surface
+    if s.is_hirzebruch:
         return hirzebruch_cohomology(D), "exact"
+    if s.is_blowup_p2_like and s.config.kind == "general" and s.k <= 8:
+        return _cremona_vector(D.coords), "exact"
     if vanishing_by_rules(D).higher_cohomology is Vanishing.ZERO:
         return CohomologyVector(chi_line_bundle(D), 0, 0), "rules"
     return None, "undecided"

@@ -115,10 +115,12 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
     """Verify both goodness conditions, naming any offender.
 
     Condition (1), no higher cohomology, is decided exactly on Hirzebruch
-    surfaces and by the vanishing rules with an oracle fallback on blowups
-    of the plane; a summand that is clean for the oracle but not derivable
-    by rules is accepted with a provenance note.  Condition (2) bounds the
-    pairwise N-degree gaps by 1.
+    surfaces and on blowups of the plane at k <= 8 general points (del
+    Pezzo models included), and elsewhere by the vanishing rules with an
+    oracle fallback on blowups of the plane; a summand that is clean for
+    the oracle but not derivable by rules (collinear or explicit points,
+    or k >= 9) is accepted with a provenance note.  Condition (2) bounds
+    the pairwise N-degree gaps by 1.
     """
     K = canonical(gs.surface)
     F = fiber_class(gs.surface)

@@ -39,11 +39,37 @@ class TestCohom:
         code, _, err = run(capsys, "cohom", "--surface", "blF2:k=1", "--divisor", "F")
         assert code == 2 and "error:" in err
 
+    # bytes the oracle printed for these classes before certified vectors
+    # (exact on general points, rule-derived elsewhere) came first
+    @pytest.mark.parametrize(
+        "surface, divisor, expected",
+        [
+            ("blp2:k=5", "3L-2E1-E2-E3-E4-E5", "h0=3 h1=0 h2=0\n"),
+            ("blp2:k=5", "4L-2E1-2E2-2E3-2E4-2E5", "h0=1 h1=1 h2=0\n"),
+            ("blp2:k=5", "-4L+E1", "h0=0 h1=0 h2=3\n"),
+            ("blp2:k=4:collinear=1,2,3,4", "2L-E1-E2", "h0=4 h1=0 h2=0\n"),
+            ("blp2:k=9", "3L-E1-E2-E3-E4", "h0=6 h1=0 h2=0\n"),
+        ],
+    )
+    def test_certified_vectors_skip_the_oracle(self, capsys, monkeypatch, surface, divisor, expected):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("rbn cohom reached the oracle on a certified class")
+
+        monkeypatch.setattr("rbn.cli.blowup_cohomology_oracle", no_oracle)
+        code, out, _ = run(capsys, "cohom", "--surface", surface, f"--divisor={divisor}")
+        assert (code, out) == (0, expected)
+
+    def test_collinear_points_keep_the_oracle(self, capsys):
+        code, out, _ = run(
+            capsys, "cohom", "--surface", "blp2:k=4:collinear=1,2,3,4", "--divisor", "2L-E1-E2-E3-E4"
+        )
+        assert (code, out) == (0, "h0=3 h1=1 h2=0\n")
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(D):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("rbn.cli.hirzebruch_cohomology", broken)
+        monkeypatch.setattr("rbn.cli.certified_cohomology", broken)
         code, out, err = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+F")
         assert (code, out) == (3, "")
         assert err.startswith("Traceback") and err.endswith("internal error: RuntimeError: boom\n")

@@ -28,7 +28,7 @@ GOLDEN_TRAILS = [
     ('blp2:k=2', '2L-2E1-2E2', 'Unknown', 'Unknown', ()),
     ('blp2:k=3', '-L+E1+E2', 'Zero', 'Zero', ('stock class',)),
     ('dp4', '4L-2E1-2E2-E3-E4-E5', 'Zero', 'Nonzero', ('start (0,0,0,0,0,-1)', '+L-E3-E4', '+L-E1-E2', '+L-E1-E2', '+L')),
-    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', 'Unknown', ('weyl image -2L+E4+E5', 'start (-2,0,0,0,1,1)')),
+    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', 'Unknown', ('exact cohomology by Cremona reduction',)),
     ('dp5', '5L-2E1-2E2-2E3-2E4', 'Zero', 'Nonzero', ('start (0,0,0,0,-1)', '+L-E2-E3', '+L-E1-E4', '+L-E2-E3', '+L-E1', '+L')),
     ('dp6', '4L-2E1-2E2-2E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E1-E2', '+L-E3', '+L-E1-E2', '+L')),
     ('dp7', '2L-2E1', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L-E1', '+E2')),
@@ -130,8 +130,9 @@ class TestVanishingRules:
             assert verdict.higher_cohomology is Vanishing.ZERO, expr
 
     def test_weyl_invariant_verdicts_on_del_pezzo(self):
-        # reflections preserve line-bundle cohomology, and the del Pezzo
-        # search tries the whole orbit, so Zero verdicts are orbit-constant
+        # reflections preserve line-bundle cohomology, and a del Pezzo class
+        # without a derivation is answered from its exact vector, so Zero
+        # verdicts are orbit-constant
         S = lat.del_pezzo(6)
         rng = random.Random(17)
         roots = [D(S, "E1-E2"), D(S, "E2-E3"), D(S, "L-E1-E2-E3")]
@@ -203,6 +204,78 @@ class TestDerivationTrails:
         verdict = coh.vanishing_by_rules(D(lat.parse_surface(spec), expr))
         assert verdict.higher_cohomology is Vanishing.UNKNOWN and verdict.derivation == ()
         assert sum(len(memo) for memo in coh._MEMOS.values()) == before
+
+    def test_del_pezzo_class_with_h1_skips_the_weyl_orbit(self, monkeypatch):
+        # h1(8L+E1+E2+2E4) = 1 on dp4, so no derivation exists; a search of
+        # every Weyl image never ended and grew the memo without bound
+        def no_orbit(D):
+            raise AssertionError("the verdict path enumerated a Weyl orbit")
+
+        monkeypatch.setattr(coh, "weyl_orbit", no_orbit, raising=False)
+        before = sum(len(memo) for memo in coh._MEMOS.values())
+        verdict = coh.vanishing_by_rules(D(lat.del_pezzo(4), "8L+E1+E2+2E4"))
+        assert verdict == coh.VanishingVerdict(
+            Vanishing.NONZERO, Vanishing.NONZERO, ("exact cohomology by Cremona reduction",)
+        )
+        assert sum(len(memo) for memo in coh._MEMOS.values()) == before
+
+
+# blowups of the plane at k <= 8 general points, the del Pezzo models included
+GENERAL_MODELS = [lat.blowup_p2(k) for k in range(1, 9)] + [lat.del_pezzo(deg) for deg in range(4, 8)]
+
+
+def general_classes(d, tail):
+    """Classes on GENERAL_MODELS with L-coefficient and E-coefficients drawn from ``d`` and ``tail``."""
+    return st.sampled_from(GENERAL_MODELS).flatmap(
+        lambda S: st.builds(
+            lambda head, rest: lat.DivisorClass(S, (head,) + tuple(rest)),
+            d,
+            st.lists(tail, min_size=S.k, max_size=S.k),
+        )
+    )
+
+
+class TestCremonaExact:
+    def test_worked_values(self):
+        assert coh._cremona_vector((8, 1, 1, 0, 2, 0)).as_tuple() == (45, 1, 0)  # 8L+E1+E2+2E4 on dp4
+        assert coh._cremona_vector((4, -2, -2, -2, -2, -2)).as_tuple() == (1, 1, 0)  # doubled conic
+        assert coh._cremona_vector((2, -2, -2)).as_tuple() == (1, 1, 0)  # doubled line
+        assert coh._cremona_vector((1, -1, -1, -1, -1)).as_tuple() == (0, 1, 0)  # no line through 4 points
+        assert coh._cremona_vector((-3, 1, 1, 1, 1, 1, 1, 1, 1)).as_tuple() == (0, 0, 1)  # K on 8 points
+
+    @settings(max_examples=200, deadline=None)
+    @given(Dv=general_classes(st.integers(-3, 14), st.integers(-6, 1)))
+    def test_matches_the_oracle(self, Dv):
+        assert coh.certified_cohomology(Dv) == (coh.blowup_cohomology_oracle(Dv), "exact")
+
+    @settings(max_examples=200, deadline=None)
+    @given(Dv=general_classes(st.integers(-1000, 1000), st.integers(-1000, 1000)))
+    def test_serre_duality(self, Dv):
+        vec, _ = coh.certified_cohomology(Dv)
+        dual, _ = coh.certified_cohomology(lat.canonical(Dv.surface) - Dv)
+        assert dual.as_tuple() == (vec.h2, vec.h1, vec.h0)
+        assert vec.chi == lat.chi_line_bundle(Dv) and min(vec.as_tuple()) >= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(Dv=general_classes(st.integers(-1000, 1000), st.integers(-1000, 1000)))
+    def test_weyl_invariance(self, Dv):
+        S = Dv.surface
+        vec = coh._cremona_vector(Dv.coords)
+        for root in lat._weyl_generators(S):
+            assert coh._cremona_vector(lat.reflect(S, Dv.coords, root)) == vec, root
+
+    @settings(max_examples=100, deadline=None)
+    @given(Dv=general_classes(st.integers(-3, 14), st.integers(-6, 1)))
+    def test_no_rule_search_or_oracle(self, Dv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("general points reached the rules or the oracle")
+
+        with mock.patch.multiple(
+            coh, vanishing_by_rules=unreachable, _derive=unreachable, _interpolation_h0_cached=unreachable
+        ):
+            vec, how = coh.certified_cohomology(Dv)
+            assert how == "exact"
+            assert coh.higher_cohomology_vanishes(Dv) == (vec.higher_vanishes, "exact")
 
 
 class TestInterpolationOracle:
@@ -361,17 +434,24 @@ class TestOracleVector:
 
 
 # (surface, class, verdict, provenance) of higher_cohomology_vanishes, at
-# least one class per route
+# least one class per route; general points at k <= 8 and del Pezzo models
+# are exact, so the rules and the oracle are pinned on collinear points and
+# at k = 9
 GOLDEN_ROUTES = [
     ("F1", "E+2F", True, "exact"),
     ("F2", "2E+F", False, "exact"),
-    ("blp2:k=3", "L", True, "rules"),
-    ("dp5", "-L+E1+E2", True, "rules"),
+    ("blp2:k=3", "L", True, "exact"),
+    ("dp5", "-L+E1+E2", True, "exact"),
+    ("blp2:k=1", "3E1", False, "exact"),
+    ("blp2:k=5", "3L-2E1-E2-E3-E4-E5", True, "exact"),
+    ("blp2:k=2", "4L-3E1-3E2", False, "exact"),
+    ("dp6", "2L-2E1-2E2", False, "exact"),
+    ("blp2:k=4:collinear=1,2,3,4", "L", True, "rules"),
     ("blF2:k=1", "F-E1", True, "rules"),
-    ("blp2:k=1", "3E1", False, "rules"),
+    ("blp2:k=9", "3E1", False, "rules"),
     ("blF2:k=1", "-2E-5F", False, "rules"),
-    ("blp2:k=5", "3L-2E1-E2-E3-E4-E5", True, "oracle"),
-    ("blp2:k=2", "4L-3E1-3E2", False, "oracle"),
+    ("blp2:k=9", "3L-2E1-E2-E3-E4-E5", True, "oracle"),
+    ("blp2:k=4:collinear=1,2,3,4", "2L-E1-E2-E3-E4", False, "oracle"),
     ("blF2:k=1", "E", False, "undecided"),
 ]
 

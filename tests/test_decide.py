@@ -132,7 +132,7 @@ class TestBlowupP2:
 
     def test_rounding_route(self):
         # delta - sum alpha = -3 blocks the resolution, but the floor/ceiling
-        # bundle 3L-2E1-E2-..-E5 is oracle-clean and rounding succeeds
+        # bundle 3L-2E1-E2-..-E5 has no higher cohomology and rounding succeeds
         S = lat.blowup_p2(5)
         v = ch.character_from_chi(2, D(S, "6L-4E1-2E2-2E3-2E4-2E5"), 0)
         verdict = dec.blowup_p2_wbn(v)

@@ -51,6 +51,18 @@ class TestIsGoodSum:
         check = gd.is_good_sum(gs)
         assert not check.ok and any("higher cohomology" in f for f in check.failures)
 
+    @pytest.mark.parametrize(
+        "spec, provenance",
+        [
+            ("blp2:k=5", ()),  # exact on general points
+            ("blp2:k=9", ("summand 3L-2E1-E2-E3-E4-E5: oracle-clean, not rule-derivable",)),
+        ],
+    )
+    def test_oracle_provenance_only_off_general_points(self, spec, provenance):
+        S = lat.parse_surface(spec)
+        gs = gd.GoodSum(S, D(S, "L"), (D(S, "3L-2E1-E2-E3-E4-E5"),))
+        assert gd.is_good_sum(gs) == gd.GoodSumCheck(True, (), provenance)
+
     def test_reference_hypothesis_enforced(self):
         # N = E1 is not nef, and N = 0 fails -N.(F+K) >= 2
         with pytest.raises(gd.GoodSumError):
