@@ -14,8 +14,8 @@ Four routes, by strength of the statement:
   incomplete* vanishing verdicts from closure rules: starting from a stock
   of classes with no cohomology, adding an exceptional class, a line or a
   fiber under an intersection guard preserves vanishing of higher
-  cohomology.  On del Pezzo models a class the rules do not derive is
-  answered from the Cremona vector.
+  cohomology.  On k <= 8 general points ``vanishing_by_rules`` answers
+  from the Cremona vector instead.
 * Blowups of the plane additionally get a brute-force numerical oracle:
   ``h0`` is the nullity of the fat-point interpolation matrix over a large
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
@@ -116,7 +116,6 @@ def _hirz_h0(e: int, a: int, b: int) -> int:
     return _chi_hirzebruch(e, a, b)
 
 
-@lru_cache(maxsize=None)
 def _hirz_vector(e: int, a: int, b: int) -> tuple[int, int, int]:
     if a <= -2:
         h0, h1, h2 = _hirz_vector(e, -2 - a, -(e + 2) - b)  # Serre duality
@@ -177,6 +176,11 @@ def _chi_plane(d: int, mults) -> int:
     return (d + 1) * (d + 2) // 2 - sum(m * (m + 1) // 2 for m in mults)
 
 
+def _has_cremona_vector(s: SurfaceModel) -> bool:
+    """Blowups of the plane at k <= 8 general points, del Pezzo models included."""
+    return s.is_blowup_p2_like and s.config.kind == "general" and s.k <= 8
+
+
 def _cremona_h0(coords) -> int:
     """h0(O(dL + sum c_i E_i)) at k <= 8 general points (Nagata; Harbourne).
 
@@ -222,8 +226,9 @@ _CREMONA_NOTE = "exact cohomology by Cremona reduction"
 # bundle of degree >= -1 on a rational curve).  On a blowup of the plane at
 # arbitrary distinct points this gives the moves +E_j, +L and +(L - E_i):
 # a general member of the pencil of lines through one point misses the other
-# points regardless of their position.  On a del Pezzo model (points in
-# general position) lines through two of the points are available as well.
+# points regardless of their position.  The engine serves only surfaces
+# with no exact algorithm: blowups of the plane at collinear or explicit
+# points or at k >= 9 points, and blowups of Hirzebruch surfaces.
 #
 # One engine, ``_derive``, serves every family.  It walks the moves
 # backwards from the target with an explicit stack and accepts when it
@@ -252,7 +257,7 @@ def _is_stock_blp2(coords) -> bool:
     return False
 
 
-def _strips_blp2(coords, del_pezzo: bool):
+def _strips_blp2(coords, _):
     """Candidate last moves of a derivation ending at ``coords``."""
     k = len(coords) - 1
     ell, tail = coords[0], coords[1:]
@@ -265,32 +270,22 @@ def _strips_blp2(coords, del_pezzo: bool):
             # un-apply +(L - E_i); the guard is (T - C).C = T.C >= -1
             if ell + tail[i] >= -1:
                 yield (ell - 1,) + tail[:i] + (tail[i] + 1,) + tail[i + 1 :], f"+L-E{i + 1}"
-        if del_pezzo:
-            for i in range(k):
-                for j in range(i + 1, k):
-                    # un-apply +(L - E_i - E_j); guard T.C + 1 >= 0
-                    if ell + tail[i] + tail[j] >= -1:
-                        lst = list(tail)
-                        lst[i] += 1
-                        lst[j] += 1
-                        yield (ell - 1,) + tuple(lst), f"+L-E{i + 1}-E{j + 1}"
 
 
-def _plausible_blp2(coords, del_pezzo: bool) -> bool:
+def _plausible_blp2(coords, _) -> bool:
     """Necessary condition for derivability, used to prune the search.
 
     No exceptional coefficient exceeds 1 (see above).  Start classes carry
     at most one negative exceptional unit, +E_j moves only raise
-    coefficients, and every multiplicity-adding move also raises the
-    L-coefficient by one (hitting at most two points on a del Pezzo), so the
-    total multiplicity is bounded by 1 + (L-coefficient + 2) units per hit.
+    coefficients, and the one multiplicity-adding move, +(L - E_i), also
+    raises the L-coefficient by one, so the total multiplicity is at most
+    1 + (L-coefficient + 2).
     """
     ell, tail = coords[0], coords[1:]
     if ell < -2 or max(tail) > 1:
         return False
     total_mult = sum(-c for c in tail if c < 0)
-    per_move = 2 if del_pezzo else 1
-    return total_mult <= 1 + per_move * (ell + 2)
+    return total_mult <= 1 + (ell + 2)
 
 
 # Blowup of a Hirzebruch surface: same idea with coordinates (a, b, c_1..c_k)
@@ -337,7 +332,8 @@ def _derive(coords, stock, strips, plausible, param) -> tuple[str, ...] | None:
     """Derivation trail (start class, then moves) of ``coords``, else None.
 
     ``stock(c)``, ``strips(c, param)`` and ``plausible(c, param)`` are the
-    family's rules.  The memo maps each searched state to its last
+    family's rules; ``param`` is e on blowups of F_e and None on blowups of
+    the plane.  The memo maps each searched state to its last
     (move, predecessor) step, or None when the state is not derivable.
     """
     memo = _MEMOS.setdefault((strips, param), {})
@@ -423,16 +419,23 @@ def h2_is_zero(D: DivisorClass) -> bool:
 def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     """Sufficient vanishing rules on blowups; never asserts a false Zero.
 
-    ``all_cohomology`` is ZERO only for the stock classes themselves;
-    ``higher_cohomology`` is ZERO when a closure derivation exists.  NONZERO
-    answers are emitted only for cheap sound certificates (negative Euler
-    characteristic, or an obviously effective class/Serre dual).  On del
-    Pezzo models a class with no derivation is answered from its exact
-    Cremona vector instead: ZERO when h1 = h2 = 0, else NONZERO.
+    On k <= 8 general points (del Pezzo models included) the verdict is
+    exact, read off the Cremona vector: ``higher_cohomology`` is ZERO iff
+    h1 = h2 = 0 and ``all_cohomology`` ZERO iff the vector is zero, else
+    NONZERO.  Elsewhere ``all_cohomology`` is ZERO only for the stock
+    classes themselves; ``higher_cohomology`` is ZERO when a closure
+    derivation exists.  NONZERO answers are emitted only for cheap sound
+    certificates (negative Euler characteristic, or an obviously effective
+    class/Serre dual).
     """
     s = D.surface
+    if _has_cremona_vector(s):
+        vec = _cremona_vector(D.coords)
+        higher = Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO
+        all_c = Vanishing.ZERO if vec.as_tuple() == (0, 0, 0) else Vanishing.NONZERO
+        return VanishingVerdict(higher, all_c, (_CREMONA_NOTE,))
     if s.is_blowup_p2_like:
-        stock, strips, plausible, param = _is_stock_blp2, _strips_blp2, _plausible_blp2, s.is_del_pezzo
+        stock, strips, plausible, param = _is_stock_blp2, _strips_blp2, _plausible_blp2, None
     elif s.is_blowup_hirzebruch:
         stock, strips, plausible, param = _is_stock_blf, _strips_blf, _plausible_blf, s.e
     else:
@@ -442,12 +445,6 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
         return VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
 
     trail = _derive(D.coords, stock, strips, plausible, param)
-    exact = None
-    if trail is None and s.is_del_pezzo:
-        exact = _cremona_vector(D.coords)
-        if exact.higher_vanishes:
-            trail = (_CREMONA_NOTE,)
-
     chi = chi_line_bundle(D)
     K = canonical(s)
     if trail is not None:
@@ -462,8 +459,6 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
         higher, notes = Vanishing.NONZERO, ("chi < 0 forces h1 > 0",)
     elif _obviously_effective(K - D):
         higher, notes = Vanishing.NONZERO, ("K - D effective forces h2 > 0",)
-    elif exact is not None:
-        higher, notes = Vanishing.NONZERO, (_CREMONA_NOTE,)
     all_c = Vanishing.NONZERO if (higher is Vanishing.NONZERO or _obviously_effective(D)) else Vanishing.UNKNOWN
     return VanishingVerdict(higher, all_c, notes)
 
@@ -655,7 +650,7 @@ def certified_cohomology(D: DivisorClass) -> tuple[CohomologyVector | None, str]
     s = D.surface
     if s.is_hirzebruch:
         return hirzebruch_cohomology(D), "exact"
-    if s.is_blowup_p2_like and s.config.kind == "general" and s.k <= 8:
+    if _has_cremona_vector(s):
         return _cremona_vector(D.coords), "exact"
     if vanishing_by_rules(D).higher_cohomology is Vanishing.ZERO:
         return CohomologyVector(chi_line_bundle(D), 0, 0), "rules"

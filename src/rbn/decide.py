@@ -275,9 +275,8 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
     except ResolutionError as exc:
         notes.append(f"resolution route: {exc}")
     try:
-        witness = _checked_witness(
-            wbn_witness_via_rounding(v, seed=seed, trials=trials), seed=seed, trials=trials
-        )
+        gs = rounding_sum(v, seed=seed, trials=trials)
+        witness = _checked_witness(WBNWitness(gs, gs.chi(), v), seed=seed, trials=trials)
         notes.append("rounded good sum plus general point modifications")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
     except ValueError as exc:
@@ -305,14 +304,6 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
                 notes=tuple(notes),
             )
     return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
-
-
-def wbn_witness_via_rounding(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNWitness:
-    gs = rounding_sum(v, seed=seed, trials=trials)
-    n = gs.chi()
-    witness = WBNWitness(gs, n, v)
-    assert witness.bookkeeping_ok()
-    return witness
 
 
 def blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:

@@ -298,49 +298,39 @@ def _decompose(k: int, coords, r: int):
     """Good-sum summands (sorted coordinate tuples) for a nef class on k points."""
     if r == 1:
         return (coords,)
-    if k == 2:
-        return _decompose_two(coords, r)
     moves, cur = _upshift_moves(coords, k)
-    surface = del_pezzo(9 - k)
-    ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
-    assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
-    word = [root.coords for root in weyl_move_curve_to_last(DivisorClass(surface, ortho))]
-    for root in word:
-        cur = reflect(surface, cur, root)
-    assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
-    lifted = []
-    for summand in _decompose(k - 1, cur[:-1], r):
-        summand += (0,)
-        for root in reversed(word):
-            summand = reflect(surface, summand, root)
-        lifted.append(summand)
-    summands = tuple(sorted(lifted))
-    for i, j in reversed(moves):
-        summands = _lift_summands(summands, i, j)
-    return summands
-
-
-@lru_cache(maxsize=None)
-def _decompose_two(coords, r: int):
-    if r == 1:
-        return (coords,)
-    moves, cur = _upshift_moves(coords, 2)
-    m1, m2 = -cur[1], -cur[2]
-    assert min(m1, m2) == 0, f"two-point upshift fixed point {cur} has no orthogonal E_i"
-    swapped = m2 != 0
-    if swapped:
-        cur = (cur[0], cur[2], cur[1])
-    d, a = cur[0], -cur[1]
-    if r == 2 and (d, a) == (1, 1):
-        summands = ((0, 1, 0), (1, -2, 0))  # E_1 and L - 2E_1
+    if k == 2:
+        m1, m2 = -cur[1], -cur[2]
+        assert min(m1, m2) == 0, f"two-point upshift fixed point {cur} has no orthogonal E_i"
+        swapped = m2 != 0
+        if swapped:
+            cur = (cur[0], cur[2], cur[1])
+        d, a = cur[0], -cur[1]
+        if r == 2 and (d, a) == (1, 1):
+            summands = ((0, 1, 0), (1, -2, 0))  # E_1 and L - 2E_1
+        else:
+            M = _two_point_summand_raw(d, a, r)
+            rest = tuple(x - y for x, y in zip(cur, M))
+            assert is_nef_coords(del_pezzo(7), rest), f"two-point summand left a non-nef remainder {rest}"
+            assert 3 * M[0] + M[1] + M[2] == (3 * d - a) // r, "wrong anticanonical degree"
+            summands = tuple(sorted(_decompose(2, rest, r - 1) + (M,)))
+        if swapped:
+            summands = tuple(sorted((s[0], s[2], s[1]) for s in summands))
     else:
-        M = _two_point_summand_raw(d, a, r)
-        rest = tuple(x - y for x, y in zip(cur, M))
-        assert is_nef_coords(del_pezzo(7), rest), f"two-point summand left a non-nef remainder {rest}"
-        assert 3 * M[0] + M[1] + M[2] == (3 * d - a) // r, "wrong anticanonical degree"
-        summands = tuple(sorted(_decompose_two(rest, r - 1) + (M,)))
-    if swapped:
-        summands = tuple(sorted((s[0], s[2], s[1]) for s in summands))
+        surface = del_pezzo(9 - k)
+        ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
+        assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
+        word = [root.coords for root in weyl_move_curve_to_last(DivisorClass(surface, ortho))]
+        for root in word:
+            cur = reflect(surface, cur, root)
+        assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
+        lifted = []
+        for summand in _decompose(k - 1, cur[:-1], r):
+            summand += (0,)
+            for root in reversed(word):
+                summand = reflect(surface, summand, root)
+            lifted.append(summand)
+        summands = tuple(sorted(lifted))
     for i, j in reversed(moves):
         summands = _lift_summands(summands, i, j)
     return summands

@@ -17,28 +17,37 @@ F2 = lat.hirzebruch(2)
 BL2 = lat.blowup_p2(2)
 BL3 = lat.blowup_p2(3)
 BL5 = lat.blowup_p2(5)
+COL2 = "blp2:k=2:collinear=1,2"
+COL3 = "blp2:k=3:collinear=1,2,3"
+CREMONA = ("exact cohomology by Cremona reduction",)
 
 # (surface, class, higher verdict, all verdict, derivation trail).  The trail
 # shows the search order (strips in generator order, the first derivable
-# predecessor wins), so any change to it changes user-visible output.
+# predecessor wins), so any change to it changes user-visible output.  The
+# rule engine runs only where no exact algorithm exists; on k <= 8 general
+# points, del Pezzo models included, the verdict is read off the Cremona
+# vector.
 GOLDEN_TRAILS = [
-    ('blp2:k=2', '2L-E1-E2', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L')),
-    ('blp2:k=3', '4L-2E1-E2-E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E2', '+L-E1', '+L-E1', '+L')),
+    (COL2, '2L-E1-E2', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L')),
+    (COL3, '4L-2E1-E2-E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E2', '+L-E1', '+L-E1', '+L')),
     ('blp2:k=4:collinear=1,2,3', '3L-E1-E2-E3-E4', 'Zero', 'Nonzero', ('start (0,0,0,0,-1)', '+L-E3', '+L-E2', '+L-E1')),
-    ('blp2:k=2', '2L-2E1-2E2', 'Unknown', 'Unknown', ()),
-    ('blp2:k=3', '-L+E1+E2', 'Zero', 'Zero', ('stock class',)),
-    ('dp4', '4L-2E1-2E2-E3-E4-E5', 'Zero', 'Nonzero', ('start (0,0,0,0,0,-1)', '+L-E3-E4', '+L-E1-E2', '+L-E1-E2', '+L')),
-    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', 'Unknown', ('exact cohomology by Cremona reduction',)),
-    ('dp5', '5L-2E1-2E2-2E3-2E4', 'Zero', 'Nonzero', ('start (0,0,0,0,-1)', '+L-E2-E3', '+L-E1-E4', '+L-E2-E3', '+L-E1', '+L')),
-    ('dp6', '4L-2E1-2E2-2E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E1-E2', '+L-E3', '+L-E1-E2', '+L')),
-    ('dp7', '2L-2E1', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L-E1', '+E2')),
-    ('dp7', '3L-E1-E2', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L', '+L')),
+    (COL2, '2L-2E1-2E2', 'Unknown', 'Unknown', ()),
+    (COL3, '-L+E1+E2', 'Zero', 'Zero', ('stock class',)),
+    ('dp4', '4L-2E1-2E2-E3-E4-E5', 'Zero', 'Nonzero', CREMONA),
+    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', 'Zero', CREMONA),  # vector (0, 0, 0)
+    ('dp5', '5L-2E1-2E2-2E3-2E4', 'Zero', 'Nonzero', CREMONA),
+    ('dp6', '4L-2E1-2E2-2E3', 'Zero', 'Nonzero', CREMONA),
+    ('dp7', '2L-2E1', 'Zero', 'Nonzero', CREMONA),
+    ('dp7', '3L-E1-E2', 'Zero', 'Nonzero', CREMONA),
+    ('dp4', '8L-3E1-3E2-3E3-E4', 'Zero', 'Nonzero', CREMONA),  # vector (26, 0, 0)
+    ('blp2:k=5', '8L-3E1-3E2-3E3-E4', 'Zero', 'Nonzero', CREMONA),  # dp4 under another name
+    ('blp2:k=2', '2L-2E1-2E2', 'Nonzero', 'Nonzero', CREMONA),  # vector (1, 1, 0)
     ('blF2:k=1', 'E+2F-E1', 'Zero', 'Nonzero', ('start (0,0,-1)', '+F', '+E', '+F')),
     ('blF2:k=2', 'E+6F-E1+E2', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+E', '+F', '+F', '+F', '+F', '+F', '+E2')),
     ('blF3:k=2', '3E+10F+E1+E2', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+E2', '+E1', '+E1')),
     ('blF3:k=2', 'E+4F-E1', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F')),
     ('blF3:k=1', '2E+7F-2E1', 'Unknown', 'Nonzero', ()),
-    ('blp2:k=2', '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
+    (COL2, '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
     ('blF2:k=1', '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
 ]
 
@@ -169,13 +178,16 @@ class TestVanishingRules:
             coh.vanishing_by_rules(D(F2, "E"))
 
     def test_soundness_against_oracle_small_box(self):
-        for coords in itertools.product(range(-2, 5), range(-3, 2), range(-3, 2)):
-            Dv = lat.DivisorClass(BL2, coords)
-            verdict = coh.vanishing_by_rules(Dv)
-            if verdict.higher_cohomology is Vanishing.ZERO:
-                assert coh.blowup_cohomology_oracle(Dv).higher_vanishes, Dv
-            if verdict.all_cohomology is Vanishing.ZERO:
-                assert coh.blowup_cohomology_oracle(Dv).as_tuple() == (0, 0, 0), Dv
+        # exact on general points; the collinear surface keeps the rules
+        # cross-checked against the oracle
+        for S in (BL2, lat.parse_surface(COL3)):
+            for coords in itertools.product(range(-2, 5), *[range(-3, 2)] * S.k):
+                Dv = lat.DivisorClass(S, coords)
+                verdict = coh.vanishing_by_rules(Dv)
+                if verdict.higher_cohomology is Vanishing.ZERO:
+                    assert coh.blowup_cohomology_oracle(Dv).higher_vanishes, Dv
+                if verdict.all_cohomology is Vanishing.ZERO:
+                    assert coh.blowup_cohomology_oracle(Dv).as_tuple() == (0, 0, 0), Dv
 
 
 class TestDerivationTrails:
@@ -188,7 +200,7 @@ class TestDerivationTrails:
         assert got == (higher, all_c, trail)
 
     def test_deep_blowup_plane_class(self):
-        verdict = coh.vanishing_by_rules(D(BL3, "1200L-E1-E2-E3"))
+        verdict = coh.vanishing_by_rules(D(lat.parse_surface(COL3), "1200L-E1-E2-E3"))
         assert verdict.higher_cohomology is Vanishing.ZERO
         assert verdict.derivation[-1] == "+L" and len(verdict.derivation) == 1201
 
@@ -196,7 +208,7 @@ class TestDerivationTrails:
         verdict = coh.vanishing_by_rules(D(lat.blowup_hirzebruch(2, 1), "5E+3000F-E1"))
         assert verdict.higher_cohomology is Vanishing.ZERO
 
-    @pytest.mark.parametrize("spec, expr", [("blp2:k=5", "8L+E1+E2+2E4"), ("blF2:k=2", "3E+9F+2E1")])
+    @pytest.mark.parametrize("spec, expr", [("blp2:k=5:collinear=1,2,3", "8L+E1+E2+2E4"), ("blF2:k=2", "3E+9F+2E1")])
     def test_exceptional_coefficient_two_is_not_searched(self, spec, expr):
         # no move raises an exceptional coefficient above 1, so the search
         # stops at once instead of filling the memo (40,056 and 110 states)
@@ -214,10 +226,17 @@ class TestDerivationTrails:
         monkeypatch.setattr(coh, "weyl_orbit", no_orbit, raising=False)
         before = sum(len(memo) for memo in coh._MEMOS.values())
         verdict = coh.vanishing_by_rules(D(lat.del_pezzo(4), "8L+E1+E2+2E4"))
-        assert verdict == coh.VanishingVerdict(
-            Vanishing.NONZERO, Vanishing.NONZERO, ("exact cohomology by Cremona reduction",)
-        )
+        assert verdict == coh.VanishingVerdict(Vanishing.NONZERO, Vanishing.NONZERO, CREMONA)
         assert sum(len(memo) for memo in coh._MEMOS.values()) == before
+
+    def test_one_memo_family_on_blowups_of_the_plane(self):
+        # general points, del Pezzo models, collinear points and k = 9 in one
+        # sweep: only the last two reach the search, through one memo
+        surfaces = [BL3, lat.del_pezzo(5), lat.parse_surface(COL3), lat.parse_surface("blp2:k=9")]
+        for S in surfaces:
+            for coords in itertools.product(range(-1, 4), *[range(-2, 2)] * 3):
+                coh.vanishing_by_rules.__wrapped__(lat.DivisorClass(S, coords + (0,) * (S.k - 3)))
+        assert [key for key in coh._MEMOS if key[0] is coh._strips_blp2] == [(coh._strips_blp2, None)]
 
 
 # blowups of the plane at k <= 8 general points, the del Pezzo models included
@@ -263,6 +282,22 @@ class TestCremonaExact:
         vec = coh._cremona_vector(Dv.coords)
         for root in lat._weyl_generators(S):
             assert coh._cremona_vector(lat.reflect(S, Dv.coords, root)) == vec, root
+
+    @settings(max_examples=200, deadline=None)
+    @given(Dv=general_classes(st.integers(-6, 14), st.integers(-6, 2)))
+    def test_rule_verdicts_read_the_vector(self, Dv):
+        # vanishing_by_rules answers from the exact vector, never the search
+        def unreachable(*args, **kwargs):
+            raise AssertionError("general points reached the rule search or the oracle")
+
+        vec, _ = coh.certified_cohomology(Dv)
+        expected = coh.VanishingVerdict(
+            Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO,
+            Vanishing.ZERO if vec.as_tuple() == (0, 0, 0) else Vanishing.NONZERO,
+            CREMONA,
+        )
+        with mock.patch.multiple(coh, _derive=unreachable, _interpolation_h0_cached=unreachable):
+            assert coh.vanishing_by_rules.__wrapped__(Dv) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(Dv=general_classes(st.integers(-3, 14), st.integers(-6, 1)))

@@ -52,3 +52,42 @@ def test_every_imported_name_is_used(path):
     tree = _tree(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _references(path, *, own_bodies):
+    """Identifiers a module references: names, attributes, imported names,
+    keyword arguments and identifier strings (as in ``monkeypatch.setattr``).
+
+    With ``own_bodies``, a reference inside a module-level definition of
+    the same name (a recursive call) is left out.
+    """
+    for top in _tree(path).body:
+        owner = getattr(top, "name", None) if own_bodies else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.keyword):
+                name = node.arg
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != owner:
+                yield name
+
+
+def test_every_definition_is_referenced():
+    tests = sorted(SRC.parent.parent.joinpath("tests").glob("*.py"))
+    used = {name for path in MODULES for name in _references(path, own_bodies=True)}
+    used.update(name for path in tests for name in _references(path, own_bodies=False))
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert [name for name in defined if name.split(":")[1] not in used] == []
