@@ -468,6 +468,7 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)  # a process uses a few moduli: the default, an override, explicit ones
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -548,9 +549,13 @@ def _binomial_table(n: int, p: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=128)  # one entry per degree or multiplicity bound in use
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, j) with i + j < n, ordered by i, then j."""
-    return np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    """Read-only pairs (i, j) with i + j < n, ordered by i, then j."""
+    pairs = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    for a in pairs:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return pairs
 
 
 def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .lattice import (
     canonical,
     chi_line_bundle,
     curve_coords,
+    curve_word,
     del_pezzo,
     divisor_expr,
     form,
@@ -37,7 +38,6 @@ from .lattice import (
     is_nef,
     is_nef_coords,
     reflect,
-    weyl_move_curve_to_last,
     zero_divisor,
 )
 
@@ -222,32 +222,42 @@ def _upshift_moves(coords, k: int):
     """Unbalance multiplicities while nef; returns (moves, fixed coords).
 
     Each move (i, j) replaces D by D - E_i + E_j for the first ordered pair
-    with D.E_i >= D.E_j whose image stays nef.  The potential
-    sum_i (D.E_i)^2 grows by at least 2 per move and is bounded by
-    k (D.L)^2, which caps the iteration count.
+    with D.E_i >= D.E_j whose image stays nef.  With m_i = D.E_i, a move
+    raises m_i by one, lowers m_j by one and keeps their sum, so from a nef
+    class the conic condition cannot change and every line condition through
+    neither or both of i, j still holds; the image is nef iff m_j >= 1 and
+    m_i + 1 + m_l <= d for every l other than i and j (see
+    ``lattice.is_nef_coords``).  A class that is not nef has no nef image of
+    this kind and is returned unmoved.  The potential sum_i m_i^2 grows by
+    at least 2 per move and is bounded by k (D.L)^2, which caps the
+    iteration count.
     """
-    surface = del_pezzo(9 - k)
     moves: list[tuple[int, int]] = []
-    cur = coords
-    bound = k * coords[0] * coords[0]
+    if not is_nef_coords(del_pezzo(9 - k), coords):
+        return moves, coords
+    d = coords[0]
+    m = [0] + [-c for c in coords[1:]]  # m[i] = D.E_i, 1-based
+    points = range(1, k + 1)
+    bound = k * d * d
     while True:
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if i == j or -cur[i] < -cur[j]:
+        top = sorted(points, key=m.__getitem__, reverse=True)[:3]
+        for i in points:
+            for j in points:
+                if i == j or m[i] < m[j] or m[j] < 1:
                     continue
-                cand = list(cur)
-                cand[i] -= 1
-                cand[j] += 1
-                cand = tuple(cand)
-                if is_nef_coords(surface, cand):
-                    moves.append((i, j))
-                    cur = cand
+                # the largest m_l off {i, j}; with none (k = 2), m_j - 1 turns
+                # the test into the line condition m_i + m_j <= d, which holds
+                rest = next((m[x] for x in top if x != i and x != j), m[j] - 1)
+                if m[i] + 1 + rest <= d:
                     break
             else:
                 continue
             break
         else:
-            return moves, cur
+            return moves, (d,) + tuple(-x for x in m[1:])
+        m[i] += 1
+        m[j] -= 1
+        moves.append((i, j))
         assert len(moves) <= bound, "upshift loop exceeded its potential bound"
 
 
@@ -320,7 +330,7 @@ def _decompose(k: int, coords, r: int):
         surface = del_pezzo(9 - k)
         ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
         assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
-        word = [root.coords for root in weyl_move_curve_to_last(DivisorClass(surface, ortho))]
+        word = curve_word(surface, ortho)
         for root in word:
             cur = reflect(surface, cur, root)
         assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"

@@ -12,7 +12,21 @@ basis, canonical class and intersection form are each read off the head:
   off the negative section.
 
 The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
-``curve_coords``, ``reflect``); ``DivisorClass`` wraps it and validates.
+``curve_coords``, ``reflect``); ``DivisorClass`` wraps it.  Construction
+validates (length and integer coordinates) at the public entry points:
+``DivisorClass(...)``, ``divisor``, ``parse_divisor``, ``basis_divisor``,
+``QDivisor.clear_denominators``, scalar multiples and arithmetic that mixes
+types.  Sums, differences and negatives of two integral classes on one
+surface, and reflections of an integral class in an integral root, are ints
+of the right length by construction and are wrapped unchecked.
+
+On a del Pezzo model the nef cone is cut out by the (-1)-curves, and these
+come in three families (Harbourne 1986), so with the multiplicities
+``m_i = -c_i`` sorted decreasingly, ``dL - sum m_i E_i`` is nef iff
+
+* ``m_k >= 0`` (the exceptional curves ``E_i``),
+* ``d >= m_1 + m_2`` (the lines ``L - E_i - E_j``),
+* ``2d >= m_1 + ... + m_5`` when ``k = 5`` (the conic ``2L - E_1 - ... - E_5``).
 
 All arithmetic is exact (Python integers and fractions); no floats.
 """
@@ -24,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 
@@ -196,6 +210,7 @@ def blowup_hirzebruch(e: int, k: int) -> SurfaceModel:
     return SurfaceModel("blowup_hirzebruch", e=e, k=k)
 
 
+@lru_cache(maxsize=4)  # one model per degree 4..7, so its cached head is reused
 def del_pezzo(degree: int) -> SurfaceModel:
     if not 4 <= degree <= 7:
         raise LatticeError("del Pezzo surfaces are supported in degrees 4..7")
@@ -210,22 +225,28 @@ def del_pezzo(degree: int) -> SurfaceModel:
 class _DivisorBase:
     __slots__ = ()
 
-    def _like(self, coords):
+    def _like(self, coords, other=None):
+        """A class of this type on this surface; ``other`` is the second
+        operand, if any.  A sum, difference or reflection of two integral
+        classes, or the negative of one, skips the check (see the module
+        docstring)."""
+        if type(self) is DivisorClass and (other is None or type(other) is DivisorClass):
+            return _integral(self.surface, tuple(coords))
         return type(self)(self.surface, tuple(coords))
 
     def __add__(self, other):
         _require_same_surface(self, other)
-        return self._like(a + b for a, b in zip(self.coords, other.coords))
+        return self._like(map(add, self.coords, other.coords), other)
 
     def __sub__(self, other):
         _require_same_surface(self, other)
-        return self._like(a - b for a, b in zip(self.coords, other.coords))
+        return self._like(map(sub, self.coords, other.coords), other)
 
     def __neg__(self):
-        return self._like(-a for a in self.coords)
+        return self._like(map(neg, self.coords))
 
     def __mul__(self, scalar):
-        return self._like(scalar * a for a in self.coords)
+        return type(self)(self.surface, tuple(scalar * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -278,6 +299,14 @@ class QDivisor(_DivisorBase):
         m = math.lcm(*(c.denominator for c in self.coords))
         integral = DivisorClass(self.surface, tuple(int(c * m) for c in self.coords))
         return integral, m
+
+
+def _integral(surface: SurfaceModel, coords: tuple) -> DivisorClass:
+    """Wrap coordinates known to be ``surface.rank`` ints, without the check."""
+    D = object.__new__(DivisorClass)
+    object.__setattr__(D, "surface", surface)  # as the frozen dataclass's __init__ does,
+    object.__setattr__(D, "coords", coords)  # which keeps the compact instance layout
+    return D
 
 
 def _require_same_surface(d1, d2):
@@ -359,20 +388,24 @@ def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
 
 
 def is_nef_coords(surface: SurfaceModel, coords) -> bool:
-    """Nef test on coordinates against the named dual-cone generators.
+    """Nef test on coordinates.
 
     On F_e the effective cone is spanned by E and F, so nef means D.E and
-    D.F >= 0 (equivalently, D lies in the cone spanned by F and E + eF); on
-    a del Pezzo surface a class is nef iff it meets every (-1)-curve
-    nonnegatively.  Other models are refused rather than guessed at.
+    D.F >= 0 (equivalently, D lies in the cone spanned by F and E + eF).
+    On a del Pezzo model a class is nef iff it meets every (-1)-curve
+    nonnegatively; with the multiplicities m_i = -c_i sorted decreasingly,
+    the exceptional curves give m_k >= 0, the lines through two points give
+    d >= m_1 + m_2, and on five points the conic gives 2d >= m_1 + ... + m_5
+    (the three families of ``curve_coords``).  Other models are refused
+    rather than guessed at.
     """
     if surface.is_hirzebruch:
-        generators = ((1, 0), (0, 1))
-    elif surface.is_del_pezzo:
-        generators = curve_coords(surface)
-    else:
+        return all(form(surface, coords, C) >= 0 for C in ((1, 0), (0, 1)))
+    if not surface.is_del_pezzo:
         raise LatticeError(f"nef testing is not supported on {surface}")
-    return all(form(surface, coords, C) >= 0 for C in generators)
+    d = coords[0]
+    m = sorted((-c for c in coords[1:]), reverse=True)
+    return m[-1] >= 0 and d >= m[0] + m[1] and (surface.k != 5 or 2 * d >= sum(m))
 
 
 def is_nef(D: DivisorClass) -> bool:
@@ -412,7 +445,7 @@ def weyl_reflect(D: DivisorClass, root: DivisorClass) -> DivisorClass:
     """Reflection s(D) = D + (D.root) root in a (-2)-root orthogonal to K."""
     _require_same_surface(D, root)
     _check_root(root)
-    return D._like(reflect(D.surface, D.coords, root.coords))
+    return D._like(reflect(D.surface, D.coords, root.coords), root)
 
 
 def transposition_root(surface: SurfaceModel, i: int, j: int) -> DivisorClass:
@@ -453,9 +486,17 @@ def weyl_move_curve_to_last(C: DivisorClass) -> tuple[DivisorClass, ...]:
         raise LatticeError("curve normalization needs a del Pezzo model with k >= 3")
     if C.coords not in curve_coords(s):
         raise LatticeError(f"{C} is not a (-1)-curve class on {s}")
-    k = s.k
-    word: list[DivisorClass] = []
-    cur = C.coords
+    return tuple(DivisorClass(s, root) for root in curve_word(s, C.coords))
+
+
+# one entry per (-1)-curve of a del Pezzo model: at most 3 + 6 + 10 + 16
+@lru_cache(maxsize=35)
+def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The roots of ``weyl_move_curve_to_last`` as coordinate tuples, for a
+    (-1)-curve ``curve`` of ``curve_coords(surface)`` (k >= 3)."""
+    k = surface.k
+    word: list[tuple[int, ...]] = []
+    cur = curve
     while True:
         deg = cur[0]
         hit = [i for i in range(1, k + 1) if cur[i] < 0]
@@ -464,20 +505,20 @@ def weyl_move_curve_to_last(C: DivisorClass) -> tuple[DivisorClass, ...]:
             i = cur.index(1)
             if i == k:
                 break
-            root = transposition_root(s, i, k)
+            root = transposition_root(surface, i, k)
         elif deg == 1:
             # L - E_i - E_j reflects to E_m in the root L - E_i - E_j - E_m
             i, j = hit
             m = k if k not in hit else min(x for x in range(1, k + 1) if x not in hit)
-            root = cremona_root(s, i, j, m)
+            root = cremona_root(surface, i, j, m)
         else:
             # the conic hits five points; a root on three of them (keeping
             # E_k inside so the leftover line misses it) drops the degree
             triple = ([k] if k in hit else [])[:1] + [i for i in hit if i != k]
-            root = cremona_root(s, *sorted(triple[:3]))
-        word.append(root)
-        cur = reflect(s, cur, root.coords)
-    assert cur == basis_divisor(s, f"E{k}").coords, f"normalization of {C} failed"
+            root = cremona_root(surface, *sorted(triple[:3]))
+        word.append(root.coords)
+        cur = reflect(surface, cur, root.coords)
+    assert cur == basis_divisor(surface, f"E{k}").coords, f"normalization of {curve} failed"
     return tuple(word)
 
 

@@ -116,16 +116,25 @@ class TestHirzebruchExact:
 
 
 class TestVanishingRules:
+    # each test keeps its general-point class (answered from the Cremona
+    # vector) and adds a collinear one, which only the rule engine answers
     def test_stock_class(self):
         verdict = coh.vanishing_by_rules(D(BL3, "-L+E1+E2"))
         assert verdict.all_cohomology is Vanishing.ZERO
         assert verdict.higher_cohomology is Vanishing.ZERO
+        verdict = coh.vanishing_by_rules(D(lat.parse_surface(COL3), "-L+E1+E2"))
+        assert verdict == coh.VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
 
     def test_derived_class(self):
         verdict = coh.vanishing_by_rules(D(BL2, "2L-E1-E2"))
         assert verdict.higher_cohomology is Vanishing.ZERO
         assert verdict.derivation  # a concrete trail is recorded
         assert coh.blowup_cohomology_oracle(D(BL2, "2L-E1-E2")).as_tuple() == (4, 0, 0)
+        collinear = D(lat.parse_surface(COL3), "2L-E1-E2")
+        verdict = coh.vanishing_by_rules(collinear)
+        assert verdict.higher_cohomology is Vanishing.ZERO
+        assert verdict.derivation[0].startswith("start ") and verdict.derivation != CREMONA
+        assert coh.blowup_cohomology_oracle(collinear).as_tuple() == (4, 0, 0)
 
     def test_blowup_hirzebruch_stock(self):
         S = lat.blowup_hirzebruch(2, 1)
@@ -160,18 +169,24 @@ class TestVanishingRules:
 
     def test_unknown_is_honest(self):
         # a class with h1 != 0 must never be claimed Zero
-        verdict = coh.vanishing_by_rules(D(BL2, "2L-2E1-2E2"))
-        assert verdict.higher_cohomology is not Vanishing.ZERO
-        assert coh.blowup_cohomology_oracle(D(BL2, "2L-2E1-2E2")).h1 == 1
+        for S in (BL2, lat.parse_surface(COL3)):
+            verdict = coh.vanishing_by_rules(D(S, "2L-2E1-2E2"))
+            assert verdict.higher_cohomology is not Vanishing.ZERO
+            assert coh.blowup_cohomology_oracle(D(S, "2L-2E1-2E2")).h1 == 1
+        assert coh.vanishing_by_rules(D(lat.parse_surface(COL3), "2L-2E1-2E2")).derivation == ()
 
     def test_nonzero_certificates(self):
-        assert (
-            coh.vanishing_by_rules(D(BL2, "2L-3E1-E2")).higher_cohomology
-            is Vanishing.NONZERO
-        )  # chi = -1 forces h1
-        assert (
-            coh.vanishing_by_rules(D(BL2, "-4L")).higher_cohomology is Vanishing.NONZERO
-        )  # K - D = L + E1 + E2 is effective, so h2 > 0
+        for S in (BL2, lat.parse_surface(COL3)):
+            assert (
+                coh.vanishing_by_rules(D(S, "2L-3E1-E2")).higher_cohomology
+                is Vanishing.NONZERO
+            )  # chi = -1 forces h1
+            assert (
+                coh.vanishing_by_rules(D(S, "-4L")).higher_cohomology is Vanishing.NONZERO
+            )  # K - D = L + E1 + E2 (+ E3) is effective, so h2 > 0
+        collinear = lat.parse_surface(COL3)
+        assert coh.vanishing_by_rules(D(collinear, "2L-3E1-E2")).derivation == ("chi < 0 forces h1 > 0",)
+        assert coh.vanishing_by_rules(D(collinear, "-4L")).derivation == ("K - D effective forces h2 > 0",)
 
     def test_hirzebruch_refused(self):
         with pytest.raises(lat.LatticeError):

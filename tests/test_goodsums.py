@@ -168,6 +168,53 @@ class TestTwoPointSummand:
                     assert vec.higher_vanishes, (d, a, r, M)
 
 
+def reference_upshift_moves(coords, k):
+    """The full-candidate loop: build each candidate D - E_i + E_j and test
+    it for nefness from scratch (the incremental test must match it)."""
+    surface = lat.del_pezzo(9 - k)
+    moves = []
+    cur = coords
+    while True:
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                if i == j or -cur[i] < -cur[j]:
+                    continue
+                cand = list(cur)
+                cand[i] -= 1
+                cand[j] += 1
+                cand = tuple(cand)
+                if lat.is_nef_coords(surface, cand):
+                    moves.append((i, j))
+                    cur = cand
+                    break
+            else:
+                continue
+            break
+        else:
+            return moves, cur
+
+
+class TestUpshiftMoves:
+    def test_incremental_matches_full_candidate_loop(self):
+        checked = 0
+        for degree in (4, 5, 6, 7):
+            S = lat.del_pezzo(degree)
+            for d in range(9):
+                for ms in itertools.product(range(d + 1), repeat=S.k):
+                    coords = (d,) + tuple(-m for m in ms)
+                    if lat.is_nef_coords(S, coords):
+                        got = gd._upshift_moves(coords, S.k)
+                        assert got == reference_upshift_moves(coords, S.k), coords
+                        checked += 1
+        assert checked > 10_000
+
+    def test_non_nef_class_is_not_moved(self):
+        # fails only the conic condition, which no move can mend, while the
+        # two-multiplicity test alone would accept the move (1, 2)
+        coords = (7, -3, -3, -3, -3, -3)
+        assert gd._upshift_moves(coords, 5) == ([], coords) == reference_upshift_moves(coords, 5)
+
+
 class TestDecompose:
     def test_reference_decomposition_of_twice_the_line(self):
         gs = gd.delpezzo_decompose(D(DP7, "2L"), 3)

@@ -1,8 +1,15 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbn import lattice as lat
 
@@ -117,6 +124,29 @@ class TestNefAndEffective:
         with pytest.raises(lat.LatticeError):
             lat.is_nef(D(BL2, "L"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(4, 7).flatmap(
+            lambda degree: st.tuples(
+                st.just(degree),
+                st.lists(st.integers(-1000, 1000), min_size=10 - degree, max_size=10 - degree),
+            )
+        )
+    )
+    @example((7, [5, -3, -2]))  # d = m1 + m2
+    @example((7, [5, -3, -3]))  # d = m1 + m2 - 1
+    @example((4, [5, -2, -2, -2, -2, -2]))  # 2d = m1 + ... + m5
+    @example((4, [5, -2, -2, -2, -2, -3]))  # 2d = m1 + ... + m5 - 1
+    @example((6, [3, -1, 1, -1]))  # m2 = -1
+    @example((5, [1000, 1, -500, -500, 0]))  # m1 = -1 at large coordinates
+    def test_closed_form_matches_curve_test(self, case):
+        # the reference: meet every (-1)-curve of the three families nonnegatively
+        degree, coords = case
+        S = lat.del_pezzo(degree)
+        coords = tuple(coords)
+        reference = all(lat.form(S, coords, C) >= 0 for C in lat.curve_coords(S))
+        assert lat.is_nef_coords(S, coords) == reference
+
     def test_effectivity_on_hirzebruch(self):
         assert lat.is_effective_hirzebruch(D(F3, "2E+F"))
         assert not lat.is_effective_hirzebruch(D(F0, "-E+5F"))
@@ -182,6 +212,19 @@ class TestWeyl:
                 assert lat.apply_word(C, word) == target
                 # the inverse word undoes the normalization
                 assert lat.apply_word(target, lat.inverse_word(word)) == C
+
+    def test_cached_curve_word_reaches_last_exceptional(self):
+        lat.curve_word.cache_clear()
+        for degree in (4, 5, 6):
+            S = lat.del_pezzo(degree)
+            target = lat.basis_divisor(S, f"E{S.k}").coords
+            for C in lat.curve_coords(S):
+                cur = C
+                for root in lat.curve_word(S, C):
+                    cur = lat.reflect(S, cur, root)
+                assert cur == target, C
+                assert lat.curve_word(S, C) is lat.curve_word(S, C)  # computed once
+        assert lat.curve_word.cache_info().currsize == 6 + 10 + 16
 
     def test_move_rejects_non_curves(self):
         with pytest.raises(lat.LatticeError):
@@ -260,9 +303,63 @@ class TestQDivisor:
         integral, m = q.clear_denominators()
         assert m == 6 and integral == D(BL2, "3L-2E1")
 
+    def test_integral_arithmetic_stays_integral(self):
+        a, b = D(DP5, "3L-E1-2E2"), D(DP5, "L-E3")
+        for got, want in ((a + b, "4L-E1-2E2-E3"), (a - b, "2L-E1-2E2+E3"), (-a, "-3L+E1+2E2")):
+            assert got == D(DP5, want) and type(got) is lat.DivisorClass
+            assert all(type(c) is int for c in got.coords) and hash(got) == hash(D(DP5, want))
+        reflected = lat.weyl_reflect(a, D(DP5, "E1-E2"))
+        assert reflected == D(DP5, "3L-2E1-E2") and type(reflected) is lat.DivisorClass
+
     def test_mixed_intersection(self):
         from fractions import Fraction
 
         q = D(F2, "E+2F").as_q() * Fraction(1, 2)
         assert lat.intersect(q, D(F2, "E").as_q()) == 0
         assert lat.intersect(q, D(F2, "F").as_q()) == Fraction(1, 2)
+
+
+# each public way in must still refuse malformed coordinates; the checks are
+# raises, not asserts, so ``python -O`` keeps them
+BOUNDARY_CASES = {
+    "short": "lattice.DivisorClass(lattice.blowup_p2(2), (1, 0))",
+    "long": "lattice.DivisorClass(lattice.blowup_p2(2), (1, 0, 0, 0))",
+    "float": "lattice.DivisorClass(lattice.blowup_p2(2), (1.0, 0, 0))",
+    "fraction": "lattice.DivisorClass(lattice.blowup_p2(2), (Fraction(1, 2), 0, 0))",
+    "half_scalar": "lattice.parse_divisor('2L-E1', lattice.blowup_p2(2)) * Fraction(1, 2)",
+    "mixed_sum": (
+        "lattice.parse_divisor('2L-E1', lattice.blowup_p2(2))"
+        " + lattice.QDivisor(lattice.blowup_p2(2), (Fraction(1, 2), 0, 0))"
+    ),
+}
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+    def test_refused(self, name):
+        with pytest.raises(lat.LatticeError):
+            eval(BOUNDARY_CASES[name], {"lattice": lat, "Fraction": Fraction})
+
+    def test_refused_in_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+            from rbn import lattice
+            cases = sys.argv[1:]
+            for expr in cases:
+                try:
+                    eval(expr)
+                except lattice.LatticeError:
+                    continue
+                print("accepted", expr)
+            print("optimize", sys.flags.optimize, "refused", len(cases))
+            """
+        )
+        src = str(pathlib.Path(lat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        cases = [BOUNDARY_CASES[name] for name in sorted(BOUNDARY_CASES)]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script, *cases], capture_output=True, text=True, env=env
+        )
+        assert (out.returncode, out.stdout) == (0, f"optimize 1 refused {len(cases)}\n"), out.stderr
