@@ -19,7 +19,9 @@ Four routes, by strength of the statement:
 * Blowups of the plane additionally get a brute-force numerical oracle:
   ``h0`` is the nullity of the fat-point interpolation matrix over a large
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
-  characteristic.
+  characteristic.  Samples are taken in a projective frame: up to three
+  of the heaviest points sit at the coordinate points, where they only
+  remove monomial columns, and the other points give the rows.
 
 Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
 oracle, and only through this module: ``certified_cohomology`` returns the
@@ -279,13 +281,16 @@ def _plausible_blp2(coords, _) -> bool:
     at most one negative exceptional unit, +E_j moves only raise
     coefficients, and the one multiplicity-adding move, +(L - E_i), also
     raises the L-coefficient by one, so the total multiplicity is at most
-    1 + (L-coefficient + 2).
+    1 + (L-coefficient + 2).  A derivation holds at any distinct points, so
+    a derivable class has h1 = h2 = 0 and chi = h0 >= 0 there.
     """
     ell, tail = coords[0], coords[1:]
     if ell < -2 or max(tail) > 1:
         return False
     total_mult = sum(-c for c in tail if c < 0)
-    return total_mult <= 1 + (ell + 2)
+    if total_mult > 1 + (ell + 2):
+        return False
+    return (ell + 1) * (ell + 2) // 2 >= sum(c * (c - 1) // 2 for c in tail)
 
 
 # Blowup of a Hirzebruch surface: same idea with coordinates (a, b, c_1..c_k)
@@ -504,8 +509,47 @@ def _resolve_prime(prime: int | None, degree: int) -> int:
     return prime
 
 
-def _sample_points(surface: SurfaceModel, p: int, seed: int, trial: int) -> list[tuple[int, int]]:
-    """Deterministic distinct affine points over F_p for one oracle trial."""
+def _frame(surface: SurfaceModel, mults) -> tuple[int, ...]:
+    """Indices of the points placed at [0:0:1], [1:0:0] and [0:1:0], in that order.
+
+    PGL3 moves any three non-collinear points to the coordinate points, so a
+    sample with points there is still a configuration of the surface's type.
+    Points are taken heaviest first, ties by index: the three heaviest of
+    general points; on collinear points the two heaviest listed ones (their
+    line is then y = 0) and the heaviest unlisted one, if any.  Explicit
+    points keep their coordinates: the frame is empty.
+    """
+    config = surface.config
+    order = sorted(range(surface.k), key=lambda i: (-mults[i], i))
+    if config.kind == "general":
+        return tuple(order[:3])
+    if config.kind == "collinear":
+        on_line = [i for i in order if i + 1 in config.collinear]
+        off_line = [i for i in order if i + 1 not in config.collinear]
+        return tuple(on_line[:2] + off_line[:1])
+    return ()
+
+
+def _frame_columns(d: int, frame_mults) -> np.ndarray:
+    """Mask of the monomials of ``_triangle(d + 1)`` left free by the frame.
+
+    At a coordinate point a multiplicity condition kills single monomials:
+    x^a y^b z^c vanishes to order a + b at [0:0:1], b + c = d - a at
+    [1:0:0] and a + c = d - b at [0:1:0], so a point of multiplicity m
+    there kills the monomials of order < m and imposes nothing else.
+    """
+    m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
+    cols_a, cols_b = _triangle(d + 1)
+    return (cols_a + cols_b >= m0) & (cols_a <= d - mx) & (cols_b <= d - my)
+
+
+def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) -> list[tuple[int, int]]:
+    """Deterministic distinct affine points over F_p, one per point outside ``frame``.
+
+    The points come in index order and avoid the frame's (0, 0): general
+    points are uniform, listed collinear points lie on the frame's line
+    y = 0 and unlisted points off it.  Explicit points are reduced mod p.
+    """
     config = surface.config
     if config.kind == "explicit":
         pts = [(x % p, y % p) for x, y in config.points]
@@ -513,32 +557,25 @@ def _sample_points(surface: SurfaceModel, p: int, seed: int, trial: int) -> list
             raise OracleError("explicit points collide after reduction mod p")
         return pts
     rng = random.Random(f"{seed}:{trial}:{surface.k}:{p}")
-    pts: list[tuple[int, int] | None] = [None] * surface.k
-    used: set[tuple[int, int]] = set()
-    if config.kind == "collinear":
-        slope, offset = rng.randrange(1, p), rng.randrange(p)
-        xs: set[int] = set()
-        for i in config.collinear:
-            x = rng.randrange(p)
-            while x in xs:
-                x = rng.randrange(p)
-            xs.add(x)
-            pt = (x, (slope * x + offset) % p)
-            pts[i - 1] = pt
-            used.add(pt)
+    y_low = 1 if config.kind == "collinear" else 0
+    pts: list[tuple[int, int]] = []
+    used = {(0, 0)}
     for i in range(surface.k):
-        if pts[i] is not None:
+        if i in frame:
             continue
         while True:
-            pt = (rng.randrange(p), rng.randrange(p))
+            if i + 1 in config.collinear:
+                pt = (rng.randrange(1, p), 0)
+            else:
+                pt = (rng.randrange(p), rng.randrange(y_low, p))
             if pt not in used:
-                pts[i] = pt
-                used.add(pt)
                 break
-    return pts  # type: ignore[return-value]
+        pts.append(pt)
+        used.add(pt)
+    return pts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # one entry per degree and modulus in use
 def _binomial_table(n: int, p: int) -> np.ndarray:
     """Read-only binomials C(i, j) mod p for i, j <= n (exact ones leave int64 at n = 67)."""
     table = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -587,24 +624,27 @@ def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 13)  # one benchmark pass makes at most about 1,720 calls
 def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int) -> int:
     d = D.coords[0]
     if d < 0:
         return 0
     # negative-multiplicity exceptional summands are fixed components
     mults = [max(0, -c) for c in D.coords[1:]]
-    ncols = (d + 1) * (d + 2) // 2
-    if not any(mults):
-        return ncols
+    frame = _frame(D.surface, mults)
+    keep = _frame_columns(d, [mults[i] for i in frame])
+    kept = int(np.count_nonzero(keep))
+    rest = [m for i, m in enumerate(mults) if i not in frame]
+    if kept == 0 or not any(rest):
+        return kept
     if D.surface.config.kind == "explicit":
         trials = 1  # the same points on every trial
-    best = ncols
+    best = kept
     for trial in range(trials):
-        points = _sample_points(D.surface, prime, seed, trial)
-        mat = _fat_point_matrix(d, mults, points, prime)
+        points = _sample_points(D.surface, frame, prime, seed, trial)
+        mat = _fat_point_matrix(d, rest, points, prime)[:, keep]
         best = min(best, modp_nullity(mat, prime))
-        if best == max(0, ncols - len(mat)):
+        if best == max(0, kept - len(mat)):
             break  # no trial can go below the nullity floor
     return best
 
@@ -616,9 +656,14 @@ def interpolation_h0(
 
     Sections of O(dL - sum a_i E_i) are degree-d plane curves with a point of
     multiplicity a_i at each p_i; over a large prime field the count of
-    independent ones is the nullity of the Taylor-condition matrix.  The
-    minimum over trials is reported, since special positions only enlarge the
-    space.
+    independent ones is the nullity of the Taylor-condition matrix.  Each
+    trial places the frame of ``_frame`` at the coordinate points, which
+    drops the monomials they kill, and samples the other points as rows;
+    with no other point of positive multiplicity the count of kept
+    monomials is the answer, so general k <= 3 needs no matrix.  Every
+    sample is a configuration of the surface's type, so by semicontinuity
+    each value bounds the generic h0 from above; the minimum over trials
+    is reported.
     """
     if not D.surface.is_blowup_p2_like:
         raise OracleError("the interpolation oracle works on blowups of the plane")
@@ -633,8 +678,10 @@ def blowup_cohomology_oracle(
 ) -> CohomologyVector:
     """Full cohomology vector from two interpolations and Riemann-Roch.
 
-    h2 is h0 of the Serre-dual class K - D (computed on the same sampled
-    points), and h1 closes the Euler characteristic.
+    h2 is h0 of the Serre-dual class K - D, and h1 closes the Euler
+    characteristic.  The two interpolations may place their frames at
+    different points, which loses nothing: D and K - D have degrees d and
+    -3 - d, so at most one of them is sampled at all.
     """
     h0 = interpolation_h0(D, seed=seed, trials=trials, prime=prime)
     h2 = interpolation_h0(canonical(D.surface) - D, seed=seed, trials=trials, prime=prime)
