@@ -14,8 +14,9 @@ Four routes, by strength of the statement:
   incomplete* vanishing verdicts from closure rules: starting from a stock
   of classes with no cohomology, adding an exceptional class, a line or a
   fiber under an intersection guard preserves vanishing of higher
-  cohomology.  On k <= 8 general points ``vanishing_by_rules`` answers
-  from the Cremona vector instead.
+  cohomology.  The classes the rules reach have a closed form, and a
+  greedy walk back from a class records its derivation.  On k <= 8 general
+  points ``vanishing_by_rules`` answers from the Cremona vector instead.
 * Blowups of the plane additionally get a brute-force numerical oracle:
   ``h0`` is the nullity of the fat-point interpolation matrix over a large
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
@@ -232,22 +233,28 @@ _CREMONA_NOTE = "exact cohomology by Cremona reduction"
 # with no exact algorithm: blowups of the plane at collinear or explicit
 # points or at k >= 9 points, and blowups of Hirzebruch surfaces.
 #
-# One engine, ``_derive``, serves every family.  It walks the moves
-# backwards from the target with an explicit stack and accepts when it
-# reaches a class with no higher cohomology: the zero class or one of the
-# family's stock classes with no cohomology at all.  A family supplies its
-# stock test, its strip generator (candidate last moves, tried in generator
-# order; a state takes its first derivable predecessor) and a prune rule.
-# Every prune rule drops states with an exceptional coefficient >= 2: stock
-# coefficients lie in {-1, 0, 1} and no move raises one above 1, so no
-# derivation passes through such a state.  Every strip lowers the state in
-# a well-founded order, so the search graph has no cycles and derivability
-# is a property of the state alone; each (family, parameter) keeps one memo
-# of searched states, shared across queries and written only once a state
-# is resolved.
+# One engine, ``_derive``, serves every family.  A family supplies its
+# stock test, its strip generator (candidate last moves, in generator
+# order) and its derivability test.  Every move's guard reads only the head
+# coordinates and one exceptional coefficient, so derivability (a
+# derivation from the zero class or a stock class exists) has a closed
+# form, proved below for each family.  The engine tests it on the target,
+# then walks back from it, taking at each state the first strip whose
+# predecessor is derivable, until it reaches the zero class or a stock
+# class.  Every strip lowers the state in a well-founded order (the head
+# never rises and a strip lowers an exceptional coefficient only down to
+# -1), so the walk ends.
 #
-# The stock classes on a blowup of the plane are
+# Blowup of the plane: state (l, c_1..c_k), m_i = -c_i for c_i < 0.  The
+# stock classes are
 #   -2L + sum_I E_i,  -L + sum_I E_i,  -E_j + sum_{I, i != j} E_i.
+# A state is derivable iff max c <= 1 and either l >= -1 and
+# sum m <= l + 1, or l = -2 and every c_i >= 0.  Necessity: the zero class
+# and the stock classes satisfy it, and every move keeps it: +L raises l,
+# +(L - E_i) raises l and sum m by at most 1, +E_j never raises sum m, and
+# no move lifts a coefficient above 1.  Sufficiency: strip +E_j on each
+# c_j = 1, then +(L - E_i) on each c_i < 0 (its guard l + c_i >= -1 holds
+# because m_i <= sum m <= l + 1), then +L down to a stock class.
 
 
 def _is_stock_blp2(coords) -> bool:
@@ -274,30 +281,29 @@ def _strips_blp2(coords, _):
                 yield (ell - 1,) + tail[:i] + (tail[i] + 1,) + tail[i + 1 :], f"+L-E{i + 1}"
 
 
-def _plausible_blp2(coords, _) -> bool:
-    """Necessary condition for derivability, used to prune the search.
-
-    No exceptional coefficient exceeds 1 (see above).  Start classes carry
-    at most one negative exceptional unit, +E_j moves only raise
-    coefficients, and the one multiplicity-adding move, +(L - E_i), also
-    raises the L-coefficient by one, so the total multiplicity is at most
-    1 + (L-coefficient + 2).  A derivation holds at any distinct points, so
-    a derivable class has h1 = h2 = 0 and chi = h0 >= 0 there.
-    """
+def _derivable_blp2(coords, _) -> bool:
+    """The closed form above; with every c_i <= 1, sum m = count(1) - sum c."""
     ell, tail = coords[0], coords[1:]
-    if ell < -2 or max(tail) > 1:
+    if max(tail) > 1:
         return False
-    total_mult = sum(-c for c in tail if c < 0)
-    if total_mult > 1 + (ell + 2):
-        return False
-    return (ell + 1) * (ell + 2) // 2 >= sum(c * (c - 1) // 2 for c in tail)
+    if ell >= -1:
+        return tail.count(1) - sum(tail) <= ell + 1
+    return ell == -2 and min(tail) >= 0
 
 
 # Blowup of a Hirzebruch surface: same idea with coordinates (a, b, c_1..c_k)
 # for aE + bF + sum c_i E_i.  The stock classes with no cohomology are
 # -E + mF + sum_I E_i (any m), -F + sum_I E_i and -E_j + sum_{I, i!=j} E_i;
 # the closure move adds a rational curve C under the guard C.D >= -C^2 - 1,
-# applied here for C in {F, E, E_j}.
+# applied here for C in {F, E, E_j}.  No move adds multiplicity, so a state
+# is derivable iff every c_i lies in {-1, 0, 1} with at most one -1, either
+# a = -1 and no c_i = -1 or a >= 0 and b >= ae - 1, and b >= 0 when some
+# c_i = -1.  Necessity: the zero class and the stock classes satisfy it;
+# +E_j raises a coefficient <= 0, +F raises b under the guard a >= -1, and
+# +E reaches (a, b) only under its guard b >= ae - 1.  Sufficiency: strip
+# +E_j on each c_j = 1, then +E down to a = 0 (the guard holds and the
+# bound on b only weakens), then +F down to b = -1, or to b = 0 when some
+# c_i = -1: a stock class.
 
 
 def _is_stock_blf(coords) -> bool:
@@ -324,69 +330,37 @@ def _strips_blf(coords, e: int):
         yield (a - 1, b) + tail, "+E"
 
 
-def _plausible_blf(coords, e: int) -> bool:
-    return max(coords[2:]) <= 1  # the prune shared by every family
+def _derivable_blf(coords, e: int) -> bool:
+    """The closed form above."""
+    a, b, tail = coords[0], coords[1], coords[2:]
+    negative = tail.count(-1)
+    if max(tail) > 1 or min(tail) < -1 or negative > 1:
+        return False
+    if a == -1:
+        return not negative
+    return a >= 0 and b >= a * e - 1 and (b >= 0 or not negative)
 
 
-_START = ("start", ())
-_OPEN = object()  # not yet resolved: the state's strips must be searched
-_MEMOS: dict[tuple, dict] = {}
-
-
-def _derive(coords, stock, strips, plausible, param) -> tuple[str, ...] | None:
+def _derive(coords, stock, strips, derivable, param) -> tuple[str, ...] | None:
     """Derivation trail (start class, then moves) of ``coords``, else None.
 
-    ``stock(c)``, ``strips(c, param)`` and ``plausible(c, param)`` are the
+    ``stock(c)``, ``strips(c, param)`` and ``derivable(c, param)`` are the
     family's rules; ``param`` is e on blowups of F_e and None on blowups of
-    the plane.  The memo maps each searched state to its last
-    (move, predecessor) step, or None when the state is not derivable.
+    the plane.  Each step un-applies a legal move, so a returned trail is a
+    derivation whatever ``derivable`` says; a derivable state with no
+    derivable predecessor would prove the closed form wrong, and raises.
     """
-    memo = _MEMOS.setdefault((strips, param), {})
-
-    def known(c):
-        step = memo.get(c, _OPEN)
-        if step is _OPEN:
-            if not any(c) or stock(c):
-                return _START
-            if not plausible(c, param):
-                return None
-        return step
-
-    step = known(coords)
-    if step is _OPEN:
-        # frames are [state, remaining strips, move under test]
-        stack = [[coords, strips(coords, param), None]]
-        while stack:
-            frame = stack[-1]
-            step = None
-            for pred, move in frame[1]:
-                pred_step = known(pred)
-                if pred_step is _OPEN:
-                    frame[2] = move
-                    stack.append([pred, strips(pred, param), None])
-                    step = _OPEN
-                    break
-                if pred_step is not None:
-                    step = (move, pred)
-                    break
-            if step is _OPEN:
-                continue
-            # frame resolved; a derivable state resolves its parent as well
-            state = frame[0]
-            while True:
-                memo[state] = step
-                stack.pop()
-                if step is None or not stack:
-                    break
-                parent = stack[-1]
-                step, state = (parent[2], state), parent[0]
-    if step is None:
+    if not derivable(coords, param):
         return None
     moves = []
-    while step is not _START:
-        move, coords = step
+    while any(coords) and not stock(coords):
+        for pred, move in strips(coords, param):
+            if derivable(pred, param):
+                break
+        else:
+            raise RuntimeError(f"derivable state {_coords_repr(coords)} has no derivable predecessor")
         moves.append(move)
-        step = known(coords)
+        coords = pred
     return (f"start {_coords_repr(coords)}",) + tuple(reversed(moves))
 
 
@@ -420,7 +394,6 @@ def h2_is_zero(D: DivisorClass) -> bool:
     return D.coords[0] >= -1
 
 
-@lru_cache(maxsize=None)
 def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     """Sufficient vanishing rules on blowups; never asserts a false Zero.
 
@@ -428,10 +401,13 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     exact, read off the Cremona vector: ``higher_cohomology`` is ZERO iff
     h1 = h2 = 0 and ``all_cohomology`` ZERO iff the vector is zero, else
     NONZERO.  Elsewhere ``all_cohomology`` is ZERO only for the stock
-    classes themselves; ``higher_cohomology`` is ZERO when a closure
-    derivation exists.  NONZERO answers are emitted only for cheap sound
-    certificates (negative Euler characteristic, or an obviously effective
-    class/Serre dual).
+    classes themselves; ``higher_cohomology`` is ZERO exactly when a closure
+    derivation exists, decided by the family's closed form, and the
+    derivation found by the greedy walk of ``_derive`` is returned.  NONZERO
+    answers are emitted only for cheap sound certificates (negative Euler
+    characteristic, or an obviously effective class/Serre dual).  Nothing is
+    cached: a call costs one closed-form test and, for a derivable class,
+    one walk along its trail.
     """
     s = D.surface
     if _has_cremona_vector(s):
@@ -440,18 +416,17 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
         all_c = Vanishing.ZERO if vec.as_tuple() == (0, 0, 0) else Vanishing.NONZERO
         return VanishingVerdict(higher, all_c, (_CREMONA_NOTE,))
     if s.is_blowup_p2_like:
-        stock, strips, plausible, param = _is_stock_blp2, _strips_blp2, _plausible_blp2, None
+        stock, strips, derivable, param = _is_stock_blp2, _strips_blp2, _derivable_blp2, None
     elif s.is_blowup_hirzebruch:
-        stock, strips, plausible, param = _is_stock_blf, _strips_blf, _plausible_blf, s.e
+        stock, strips, derivable, param = _is_stock_blf, _strips_blf, _derivable_blf, s.e
     else:
         raise LatticeError(f"vanishing rules are not available on {s}")
 
     if stock(D.coords):
         return VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
 
-    trail = _derive(D.coords, stock, strips, plausible, param)
+    trail = _derive(D.coords, stock, strips, derivable, param)
     chi = chi_line_bundle(D)
-    K = canonical(s)
     if trail is not None:
         all_c = Vanishing.UNKNOWN
         if _obviously_effective(D) or chi > 0:
@@ -462,7 +437,7 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
     notes: tuple[str, ...] = ()
     if chi < 0:
         higher, notes = Vanishing.NONZERO, ("chi < 0 forces h1 > 0",)
-    elif _obviously_effective(K - D):
+    elif _obviously_effective(canonical(s) - D):
         higher, notes = Vanishing.NONZERO, ("K - D effective forces h2 > 0",)
     all_c = Vanishing.NONZERO if (higher is Vanishing.NONZERO or _obviously_effective(D)) else Vanishing.UNKNOWN
     return VanishingVerdict(higher, all_c, notes)

@@ -87,6 +87,8 @@ def collinear_config(indices) -> PointConfig:
     idx = tuple(sorted(int(i) for i in indices))
     if len(idx) < 2 or len(set(idx)) != len(idx):
         raise LatticeError("collinear configuration needs at least two distinct indices")
+    if idx[0] < 1:
+        raise LatticeError("collinear indices count the points from 1")
     return PointConfig("collinear", collinear=idx)
 
 
@@ -114,7 +116,9 @@ class SurfaceModel:
             if self.k < 1:
                 raise LatticeError("blowup of the plane needs at least one point")
             if self.config.kind == "collinear" and (
-                not self.config.collinear or max(self.config.collinear) > self.k
+                not self.config.collinear
+                or min(self.config.collinear) < 1
+                or max(self.config.collinear) > self.k
             ):
                 raise LatticeError("collinear indices out of range")
             if self.config.kind == "explicit" and len(self.config.points) != self.k:

@@ -39,6 +39,11 @@ class TestCohom:
         code, _, err = run(capsys, "cohom", "--surface", "blF2:k=1", "--divisor", "F")
         assert code == 2 and "error:" in err
 
+    def test_collinear_index_zero_refused(self, capsys):
+        # collinear indices count the points from 1
+        code, out, err = run(capsys, "cohom", "--surface", "blp2:k=3:collinear=0,1", "--divisor", "L-E1-E2")
+        assert (code, out) == (2, "") and "error:" in err
+
     # bytes the oracle printed for these classes before certified vectors
     # (exact on general points, rule-derived elsewhere) came first
     @pytest.mark.parametrize(

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -112,6 +117,81 @@ def reference_interpolation_h0(Dv, seed, trials, p):
         coh.modp_nullity(coh._fat_point_matrix(d, mults, reference_sample_points(Dv.surface, p, seed, t), p), p)
         for t in range(trials)
     )
+
+
+def reference_plausible_blp2(coords, _):
+    """The search's prune on blowups of the plane: a necessary condition."""
+    ell, tail = coords[0], coords[1:]
+    if ell < -2 or max(tail) > 1 or sum(-c for c in tail if c < 0) > 1 + (ell + 2):
+        return False
+    return (ell + 1) * (ell + 2) // 2 >= sum(c * (c - 1) // 2 for c in tail)
+
+
+def reference_plausible_blf(coords, e):
+    return max(coords[2:]) <= 1
+
+
+def reference_derive(coords, stock, strips, plausible, param, memo):
+    """The depth-first rule search the closed forms replaced: a state takes
+    its first derivable predecessor in strip order, found with an explicit
+    stack and a memo of resolved states (state -> (move, predecessor), or
+    None when not derivable)."""
+    start, open_ = ("start", ()), object()
+
+    def known(c):
+        step = memo.get(c, open_)
+        if step is open_:
+            if not any(c) or stock(c):
+                return start
+            if not plausible(c, param):
+                return None
+        return step
+
+    step = known(coords)
+    if step is open_:
+        stack = [[coords, strips(coords, param), None]]
+        while stack:
+            frame = stack[-1]
+            step = None
+            for pred, move in frame[1]:
+                pred_step = known(pred)
+                if pred_step is open_:
+                    frame[2] = move
+                    stack.append([pred, strips(pred, param), None])
+                    step = open_
+                    break
+                if pred_step is not None:
+                    step = (move, pred)
+                    break
+            if step is open_:
+                continue
+            state = frame[0]
+            while True:
+                memo[state] = step
+                stack.pop()
+                if step is None or not stack:
+                    break
+                parent = stack[-1]
+                step, state = (parent[2], state), parent[0]
+    if step is None:
+        return None
+    moves = []
+    while step is not start:
+        move, coords = step
+        moves.append(move)
+        step = known(coords)
+    return (f"start {coh._coords_repr(coords)}",) + tuple(reversed(moves))
+
+
+BLP2_RULES = (coh._is_stock_blp2, coh._strips_blp2)
+BLF_RULES = (coh._is_stock_blf, coh._strips_blf)
+
+
+def engines_agree(coords, rules, derivable, plausible, param, memo):
+    """Closed-form derivability and the greedy trail against the search."""
+    expected = reference_derive(coords, *rules, plausible, param, memo)
+    assert derivable(coords, param) == (expected is not None), coords
+    assert coh._derive(coords, *rules, derivable, param) == expected, coords
 
 
 class TestHirzebruchExact:
@@ -267,46 +347,122 @@ class TestDerivationTrails:
 
     @pytest.mark.parametrize("spec, expr", [("blp2:k=5:collinear=1,2,3", "8L+E1+E2+2E4"), ("blF2:k=2", "3E+9F+2E1")])
     def test_exceptional_coefficient_two_is_not_searched(self, spec, expr):
-        # no move raises an exceptional coefficient above 1, so the search
-        # stops at once instead of filling the memo (40,056 and 110 states)
-        before = sum(len(memo) for memo in coh._MEMOS.values())
-        verdict = coh.vanishing_by_rules(D(lat.parse_surface(spec), expr))
+        # no move raises an exceptional coefficient above 1, so the closed
+        # form refuses the class before any strip is generated
+        def no_strips(*args):
+            raise AssertionError("a class with coefficient 2 reached the strips")
+
+        with mock.patch.multiple(coh, _strips_blp2=no_strips, _strips_blf=no_strips):
+            verdict = coh.vanishing_by_rules(D(lat.parse_surface(spec), expr))
         assert verdict.higher_cohomology is Vanishing.UNKNOWN and verdict.derivation == ()
-        assert sum(len(memo) for memo in coh._MEMOS.values()) == before
 
     def test_del_pezzo_class_with_h1_skips_the_weyl_orbit(self, monkeypatch):
         # h1(8L+E1+E2+2E4) = 1 on dp4, so no derivation exists; a search of
-        # every Weyl image never ended and grew the memo without bound
+        # every Weyl image never ended
         def no_orbit(D):
             raise AssertionError("the verdict path enumerated a Weyl orbit")
 
         monkeypatch.setattr(coh, "weyl_orbit", no_orbit, raising=False)
-        before = sum(len(memo) for memo in coh._MEMOS.values())
         verdict = coh.vanishing_by_rules(D(lat.del_pezzo(4), "8L+E1+E2+2E4"))
         assert verdict == coh.VanishingVerdict(Vanishing.NONZERO, Vanishing.NONZERO, CREMONA)
-        assert sum(len(memo) for memo in coh._MEMOS.values()) == before
 
     def test_one_memo_family_on_blowups_of_the_plane(self):
         # general points, del Pezzo models, collinear points and k = 9 in one
-        # sweep: only the last two reach the search, through one memo
-        surfaces = [BL3, lat.del_pezzo(5), lat.parse_surface(COL3), lat.parse_surface("blp2:k=9")]
-        for S in surfaces:
-            for coords in itertools.product(range(-1, 4), *[range(-2, 2)] * 3):
-                coh.vanishing_by_rules.__wrapped__(lat.DivisorClass(S, coords + (0,) * (S.k - 3)))
-        assert [key for key in coh._MEMOS if key[0] is coh._strips_blp2] == [(coh._strips_blp2, None)]
+        # sweep: only the last two reach the rule engine, with one family of
+        # rules (the engine keeps no memo)
+        reached, derive = [], coh._derive
 
-    @pytest.mark.parametrize("k, ells, coeffs", [(3, range(-2, 8), range(-4, 2)), (4, range(-2, 6), range(-3, 2))])
+        def recording(coords, stock, strips, derivable, param):
+            reached.append((len(coords), stock, strips, derivable, param))
+            return derive(coords, stock, strips, derivable, param)
+
+        with mock.patch.object(coh, "_derive", recording):
+            for S in [BL3, lat.del_pezzo(5), lat.parse_surface(COL3), lat.parse_surface("blp2:k=9")]:
+                for coords in itertools.product(range(-1, 4), *[range(-2, 2)] * 3):
+                    coh.vanishing_by_rules(lat.DivisorClass(S, coords + (0,) * (S.k - 3)))
+        assert {r[0] for r in reached} == {4, 10}  # collinear k = 3 and k = 9 only
+        assert {r[1:] for r in reached} == {BLP2_RULES + (coh._derivable_blp2, None)}
+
+    @pytest.mark.parametrize(
+        "k, ells, coeffs",
+        [(3, range(-3, 8), range(-4, 3)), (4, range(-3, 6), range(-3, 3)), (1, range(-4, 12), range(-7, 3)),
+         (5, range(-3, 5), range(-2, 3))],
+    )
     def test_chi_prune_keeps_every_derivable_state(self, k, ells, coeffs):
-        # the prune may drop only states with no derivation, so trails cannot
-        # change; derivability is searched here without the chi condition
-        def without_chi(coords, _):
-            ell, tail = coords[0], coords[1:]
-            return ell >= -2 and max(tail) <= 1 and sum(-c for c in tail if c < 0) <= 1 + (ell + 2)
+        # the search with its chi prune is the reference: on every state of
+        # the box the closed form agrees with it on derivability, and the
+        # greedy walk returns the same trail
+        memo = {}
+        for coords in itertools.product(ells, *[coeffs] * k):
+            engines_agree(coords, BLP2_RULES, coh._derivable_blp2, reference_plausible_blp2, None, memo)
 
-        with mock.patch.dict(coh._MEMOS, clear=True):
-            for coords in itertools.product(ells, *[coeffs] * k):
-                if coh._derive(coords, coh._is_stock_blp2, coh._strips_blp2, without_chi, None) is not None:
-                    assert not any(coords) or coh._is_stock_blp2(coords) or coh._plausible_blp2(coords, None), coords
+    @pytest.mark.parametrize("e, k", [(0, 1), (1, 2), (2, 2), (3, 3)])
+    def test_blowup_hirzebruch_engine_matches_the_reference(self, e, k):
+        memo = {}
+        for coords in itertools.product(range(-3, 5), range(-4, 11), *[range(-2, 3)] * k):
+            engines_agree(coords, BLF_RULES, coh._derivable_blf, reference_plausible_blf, e, memo)
+
+    def test_random_trails_match_the_reference(self):
+        rng = random.Random(20)
+        memos = {}
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                coords = (rng.randint(-3, 25),) + tuple(rng.choice((-2, -1, -1, 0, 0, 1, 1, 2)) for _ in range(rng.randint(1, 7)))
+                rules, derivable, plausible, param = BLP2_RULES, coh._derivable_blp2, reference_plausible_blp2, None
+            else:
+                param = rng.randint(0, 4)
+                coords = (rng.randint(-2, 10), rng.randint(-3, 40)) + tuple(rng.choice((-2, -1, 0, 0, 1, 1)) for _ in range(rng.randint(1, 4)))
+                rules, derivable, plausible = BLF_RULES, coh._derivable_blf, reference_plausible_blf
+            engines_agree(coords, rules, derivable, plausible, param, memos.setdefault((rules, param), {}))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_trail_replays_forward(self, data):
+        # start at the trail's start class, check every move's guard
+        # C.D >= -C^2 - 1 and land on the target, at coordinates up to 500
+        S = lat.parse_surface(data.draw(st.sampled_from([COL3, "blp2:k=4:collinear=1,2,3", "blp2:k=9", "blF2:k=2", "blF3:k=3"])))
+        head = [st.integers(-3, 500)] if S.is_blowup_p2_like else [st.integers(-2, 60), st.integers(-3, 500)]
+        coords = tuple(data.draw(h) for h in head) + tuple(
+            data.draw(st.lists(st.sampled_from([-2, -1, -1, 0, 0, 1, 1]), min_size=S.k, max_size=S.k))
+        )
+        verdict = coh.vanishing_by_rules(lat.DivisorClass(S, coords))
+        stock = coh._is_stock_blp2 if S.is_blowup_p2_like else coh._is_stock_blf
+        if verdict.higher_cohomology is not Vanishing.ZERO or verdict.derivation == ("stock class",):
+            assert (verdict.derivation == ("stock class",)) == stock(coords)
+            return
+        first, *moves = verdict.derivation
+        state = tuple(int(c) for c in first.removeprefix("start (").removesuffix(")").split(","))
+        assert not any(state) or stock(state)
+        for move in moves:
+            C = lat.parse_divisor(move[1:], S).coords
+            assert lat.form(S, C, state) >= -lat.form(S, C, C) - 1, (verdict.derivation, move, state)
+            state = tuple(x + y for x, y in zip(state, C))
+        assert state == coords
+
+    def test_wrong_closed_form_raises_under_optimization(self):
+        # a closed form that admits a class with no derivation must crash the
+        # walk, never return a trail, and python -O must not change that
+        script = textwrap.dedent(
+            """
+            from rbn import cli, cohomology, lattice
+            cohomology._derivable_blp2 = lambda coords, _: True
+            S = lattice.parse_surface("blp2:k=3:collinear=1,2,3")
+            try:
+                trail = cohomology.vanishing_by_rules(lattice.parse_divisor("2L-2E1-2E2", S)).derivation
+            except RuntimeError as exc:
+                print("raised:", exc)
+            else:
+                print("returned", trail)
+            print("exit", cli.main(["cohom", "--surface", S.spec(), "--divisor", "2L-2E1-2E2"]))
+            """
+        )
+        src = str(pathlib.Path(coh.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert out.stdout == (
+            "raised: derivable state (-2,-2,-2,-1) has no derivable predecessor\nexit 3\n"
+        ), out.stderr
 
 
 # blowups of the plane at k <= 8 general points, the del Pezzo models included
@@ -367,7 +523,7 @@ class TestCremonaExact:
             CREMONA,
         )
         with mock.patch.multiple(coh, _derive=unreachable, _interpolation_h0_cached=unreachable):
-            assert coh.vanishing_by_rules.__wrapped__(Dv) == expected
+            assert coh.vanishing_by_rules(Dv) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(Dv=general_classes(st.integers(-3, 14), st.integers(-6, 1)))

@@ -331,6 +331,9 @@ BOUNDARY_CASES = {
         "lattice.parse_divisor('2L-E1', lattice.blowup_p2(2))"
         " + lattice.QDivisor(lattice.blowup_p2(2), (Fraction(1, 2), 0, 0))"
     ),
+    # collinear indices count the points from 1, so 0 and below name no point
+    "collinear_zero": "lattice.collinear_config([0, 1])",
+    "collinear_negative": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(-1, 2)))",
 }
 
 
