@@ -1,9 +1,14 @@
-"""Chern characters of positive rank: slopes, pairings, duals, Bogomolov.
+"""Chern characters of positive rank: pairings, duals, discriminants, Bogomolov.
 
 A character is the triple (r, c1, ch2) with r >= 1, c1 an integral divisor
 class and ch2 a rational with denominator dividing 2.  The Euler
 characteristic is chi = r - c1.K/2 + ch2; every construction here is exact,
 and helpers that must produce integers raise instead of rounding.
+
+The total slope nu = c1/r is never formed: a slope inequality such as
+nu.E >= -1 is tested as c1.E >= -r, multiplied through by r > 0.  The
+fractions left are ch2 and what is computed from it (chi, Euler pairings,
+the discriminant).
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     ParseError,
-    QDivisor,
     SurfaceModel,
     canonical,
     chi_line_bundle,
@@ -46,13 +50,10 @@ class ChernCharacter:
     def surface(self) -> SurfaceModel:
         return self.c1.surface
 
-    def nu(self) -> QDivisor:
-        """Total slope c1 / r."""
-        return QDivisor(self.surface, tuple(Fraction(c, self.r) for c in self.c1.coords))
-
     def discriminant(self) -> Fraction:
-        nu = self.nu()
-        return Fraction(intersect(nu, nu), 2) - Fraction(self.ch2, self.r)
+        """nu^2/2 - ch2/r for the slope nu = c1/r, as (c1^2 - 2r ch2) / (2r^2)."""
+        twice_ch2 = (2 * self.ch2).numerator
+        return Fraction(intersect(self.c1, self.c1) - self.r * twice_ch2, 2 * self.r * self.r)
 
     def __str__(self) -> str:
         return f"r={self.r};c1={divisor_expr(self.c1)};ch2={self.ch2}"
@@ -128,7 +129,8 @@ def hirzebruch_normalize(v: ChernCharacter) -> tuple[ChernCharacter, bool]:
 
     On the boundary k/r = -1 the representative with l/r >= -1 - e/2 is
     taken.  Exactly one of v, v^D satisfies this outside the self-dual
-    boundary point, where both agree.
+    boundary point, where both agree.  Multiplied through by r (and by 2r
+    on the boundary), the test is k > -r, or k = -r and 2l >= -(2 + e) r.
     """
     if not v.surface.is_hirzebruch:
         raise CharacterError("normalization is a Hirzebruch-surface operation")
@@ -138,12 +140,7 @@ def hirzebruch_normalize(v: ChernCharacter) -> tuple[ChernCharacter, bool]:
 
     def ok(w: ChernCharacter) -> bool:
         k, ell = w.c1.coords
-        kr = Fraction(k, w.r)
-        if kr > -1:
-            return True
-        if kr < -1:
-            return False
-        return Fraction(ell, w.r) >= -1 - Fraction(e, 2)
+        return k > -w.r or (k == -w.r and 2 * ell >= -(2 + e) * w.r)
 
     if ok(v):
         return v, False

@@ -175,6 +175,10 @@ def rank_one_wbn(
             1, c1, line_bundle_character(c1).ch2 - n
         )
         witness = WBNWitness(gs, n, target)
+        # the cohomology above is the check on the line bundle; is_good_sum
+        # cannot certify the reference N = F on blowups of F_e
+        if not witness.bookkeeping_ok():
+            raise VerificationError("emitted rank-one witness failed verification")
         notes.append(f"line bundle O({divisor_expr(c1)}) twisted down at {n} general points")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
     if vec.h0 > n:
@@ -225,8 +229,7 @@ def hirzebruch_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
         notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
         return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=delta, notes=tuple(notes))
     E = basis_divisor(w.surface, "E")
-    nu_dot_e = intersect(w.nu(), E.as_q())
-    if nu_dot_e < -1:
+    if intersect(w.c1, E) < -w.r:  # nu.E < -1
         bound = twisted_chi(w, -E)
         pairing = euler_pairing(line_bundle_character(E), w)
         assert pairing == bound and bound >= 1
@@ -289,9 +292,9 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
         for i in idx:
             C = C - basis_divisor(s, f"E{i}")
         pairing = euler_pairing(line_bundle_character(C), v)
-        gap = Fraction(intersect(v.c1, C), v.r)  # delta - sum of collinear alphas
-        if gap < -1:
-            assert pairing == v.r * (-gap - 1) and pairing > 0
+        gap = intersect(v.c1, C)  # r (delta - sum of collinear alphas)
+        if gap < -v.r:
+            assert pairing == -gap - v.r and pairing > 0
             notes.append(
                 "collinear points: the line through them pairs positively, "
                 "forcing sections on every semistable sheaf (needs mu(v).H > -2L.H)"
@@ -380,6 +383,6 @@ def obstruction_certificate(
         raise CharacterError(f"non-integral pairing {pairing}; malformed character")
     if H is not None:
         K = canonical(v.surface)
-        if intersect(v.nu(), H.as_q()) <= intersect((K + C).as_q(), H.as_q()):
+        if intersect(v.c1, H) <= v.r * intersect(K + C, H):  # nu.H <= (K+C).H
             return None
     return Obstruction(curve=C, chi_pairing=int(pairing), h0_lower_bound=int(pairing))

@@ -14,11 +14,10 @@ basis, canonical class and intersection form are each read off the head:
 The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
 ``curve_coords``, ``reflect``); ``DivisorClass`` wraps it.  Construction
 validates (length and integer coordinates) at the public entry points:
-``DivisorClass(...)``, ``divisor``, ``parse_divisor``, ``basis_divisor``,
-``QDivisor.clear_denominators``, scalar multiples and arithmetic that mixes
-types.  Sums, differences and negatives of two integral classes on one
-surface, and reflections of an integral class in an integral root, are ints
-of the right length by construction and are wrapped unchecked.
+``DivisorClass(...)``, ``divisor``, ``parse_divisor``, ``basis_divisor`` and
+scalar multiples.  Sums, differences and negatives of classes on one
+surface, and reflections of a class in a root, are ints of the right length
+by construction and are wrapped unchecked.
 
 On a del Pezzo model the nef cone is cut out by the (-1)-curves, and these
 come in three families (Harbourne 1986), so with the multiplicities
@@ -28,15 +27,15 @@ come in three families (Harbourne 1986), so with the multiplicities
 * ``d >= m_1 + m_2`` (the lines ``L - E_i - E_j``),
 * ``2d >= m_1 + ... + m_5`` when ``k = 5`` (the conic ``2L - E_1 - ... - E_5``).
 
-All arithmetic is exact (Python integers and fractions); no floats.
+All arithmetic is on Python integers.  There is one divisor type: a slope
+c1/r is never formed, because every slope inequality callers need is an
+integer inequality on (r, c1) once multiplied through by r > 0.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, neg, sub
 from typing import NamedTuple
@@ -226,47 +225,8 @@ def del_pezzo(degree: int) -> SurfaceModel:
 # ---------------------------------------------------------------------------
 
 
-class _DivisorBase:
-    __slots__ = ()
-
-    def _like(self, coords, other=None):
-        """A class of this type on this surface; ``other`` is the second
-        operand, if any.  A sum, difference or reflection of two integral
-        classes, or the negative of one, skips the check (see the module
-        docstring)."""
-        if type(self) is DivisorClass and (other is None or type(other) is DivisorClass):
-            return _integral(self.surface, tuple(coords))
-        return type(self)(self.surface, tuple(coords))
-
-    def __add__(self, other):
-        _require_same_surface(self, other)
-        return self._like(map(add, self.coords, other.coords), other)
-
-    def __sub__(self, other):
-        _require_same_surface(self, other)
-        return self._like(map(sub, self.coords, other.coords), other)
-
-    def __neg__(self):
-        return self._like(map(neg, self.coords))
-
-    def __mul__(self, scalar):
-        return type(self)(self.surface, tuple(scalar * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def dot(self, other):
-        return intersect(self, other)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def __str__(self) -> str:
-        return divisor_expr(self)
-
-
 @dataclass(frozen=True)
-class DivisorClass(_DivisorBase):
+class DivisorClass:
     """An integral divisor class, as a coordinate vector in the fixed basis."""
 
     surface: SurfaceModel
@@ -280,29 +240,30 @@ class DivisorClass(_DivisorBase):
         if not all(isinstance(c, int) for c in self.coords):
             raise LatticeError("divisor coordinates must be integers")
 
-    def as_q(self) -> "QDivisor":
-        return QDivisor(self.surface, tuple(Fraction(c) for c in self.coords))
+    # sums, differences and negatives of integral classes on one surface are
+    # ints of the right length, so they skip the check (see the module docstring)
+    def __add__(self, other):
+        _require_same_surface(self, other)
+        return _integral(self.surface, tuple(map(add, self.coords, other.coords)))
 
+    def __sub__(self, other):
+        _require_same_surface(self, other)
+        return _integral(self.surface, tuple(map(sub, self.coords, other.coords)))
 
-@dataclass(frozen=True)
-class QDivisor(_DivisorBase):
-    """A divisor class with rational coordinates (total slopes live here)."""
+    def __neg__(self):
+        return _integral(self.surface, tuple(map(neg, self.coords)))
 
-    surface: SurfaceModel
-    coords: tuple[Fraction, ...]
+    def __mul__(self, scalar):
+        return DivisorClass(self.surface, tuple(scalar * a for a in self.coords))
 
-    def __post_init__(self):
-        if len(self.coords) != self.surface.rank:
-            raise LatticeError(
-                f"expected {self.surface.rank} coordinates on {self.surface}, got {len(self.coords)}"
-            )
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+    __rmul__ = __mul__
 
-    def clear_denominators(self) -> tuple[DivisorClass, int]:
-        """Smallest positive m with m*self integral, and that integral class."""
-        m = math.lcm(*(c.denominator for c in self.coords))
-        integral = DivisorClass(self.surface, tuple(int(c * m) for c in self.coords))
-        return integral, m
+    @property
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self.coords)
+
+    def __str__(self) -> str:
+        return divisor_expr(self)
 
 
 def _integral(surface: SurfaceModel, coords: tuple) -> DivisorClass:
@@ -337,8 +298,8 @@ def zero_divisor(surface: SurfaceModel) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 
-def form(surface: SurfaceModel, u, v):
-    """The intersection form on coordinate tuples; exact integer or Fraction."""
+def form(surface: SurfaceModel, u, v) -> int:
+    """The intersection form on integer coordinate tuples."""
     head = surface._head
     n = len(head.symbols)
     val = -sum(map(mul, u[n:], v[n:]))
@@ -347,8 +308,8 @@ def form(surface: SurfaceModel, u, v):
     return val
 
 
-def intersect(d1, d2):
-    """Value of the intersection form; exact integer or Fraction."""
+def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
+    """Value of the intersection form."""
     _require_same_surface(d1, d2)
     return form(d1.surface, d1.coords, d2.coords)
 
@@ -361,11 +322,10 @@ def canonical(surface: SurfaceModel) -> DivisorClass:
 
 def chi_line_bundle(D: DivisorClass) -> int:
     """Euler characteristic of O(D) by Riemann-Roch: 1 + (D^2 - D.K)/2."""
-    K = canonical(D.surface)
-    val = Fraction(2 + intersect(D, D) - intersect(D, K), 2)
-    if val.denominator != 1:
+    twice = 2 + intersect(D, D) - intersect(D, canonical(D.surface))
+    if twice % 2:
         raise LatticeError(f"non-integral Euler characteristic for {D}")
-    return int(val)
+    return twice // 2
 
 
 @lru_cache(maxsize=None)
@@ -449,7 +409,7 @@ def weyl_reflect(D: DivisorClass, root: DivisorClass) -> DivisorClass:
     """Reflection s(D) = D + (D.root) root in a (-2)-root orthogonal to K."""
     _require_same_surface(D, root)
     _check_root(root)
-    return D._like(reflect(D.surface, D.coords, root.coords), root)
+    return _integral(D.surface, reflect(D.surface, D.coords, root.coords))
 
 
 def transposition_root(surface: SurfaceModel, i: int, j: int) -> DivisorClass:
@@ -464,18 +424,6 @@ def cremona_root(surface: SurfaceModel, i: int, j: int, m: int) -> DivisorClass:
         - basis_divisor(surface, f"E{j}")
         - basis_divisor(surface, f"E{m}")
     )
-
-
-def apply_word(D: DivisorClass, word) -> DivisorClass:
-    """Apply a sequence of reflections, first root first."""
-    for root in word:
-        D = weyl_reflect(D, root)
-    return D
-
-
-def inverse_word(word):
-    """Each reflection is an involution, so the inverse word is the reverse."""
-    return tuple(reversed(tuple(word)))
 
 
 def weyl_move_curve_to_last(C: DivisorClass) -> tuple[DivisorClass, ...]:
@@ -604,7 +552,7 @@ def parse_divisor(text: str, surface: SurfaceModel) -> DivisorClass:
     return DivisorClass(surface, tuple(coords))
 
 
-def divisor_expr(D) -> str:
+def divisor_expr(D: DivisorClass) -> str:
     """Render a divisor class back into the expression grammar."""
     parts = []
     for coeff, sym in zip(D.coords, D.surface.basis):

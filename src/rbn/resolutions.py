@@ -283,11 +283,6 @@ def hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     return report
 
 
-def _slope_data(v: ChernCharacter) -> tuple[Fraction, list[Fraction]]:
-    nu = v.nu().coords
-    return nu[0], [-c for c in nu[1:]]
-
-
 def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
     """Closed-form resolution on a blowup of the plane.
 
@@ -296,6 +291,11 @@ def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
     a = r (delta - sum alpha_i + 1), c_i = r alpha_i and
     b = | r + a - sum c_i |; O(-L) moves to the kernel side exactly when
     delta - 2 sum alpha_i + 2 is negative.
+
+    With c1 = l L - sum m_i E_i, so delta = l/r and alpha_i = m_i/r, the
+    hypotheses are l >= 0, m_i >= 0 and l - sum m_i >= -r, and the
+    exponents are a = l - sum m_i + r and c_i = m_i.  Messages print the
+    slope values.
     """
     s = v.surface
     if not s.is_blowup_p2_like:
@@ -304,23 +304,22 @@ def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
         raise ResolutionError("rank must be at least 2")
     if chi_integer(v) != 0:
         raise ResolutionError("resolutions are computed for characters with chi = 0")
-    delta, alphas = _slope_data(v)
-    if delta < 0:
-        raise ResolutionError(f"hypothesis delta >= 0 fails: delta = {delta}")
-    for i, alpha in enumerate(alphas, start=1):
-        if alpha < 0:
-            raise ResolutionError(f"hypothesis alpha_{i} >= 0 fails: alpha_{i} = {alpha}")
-    if delta - sum(alphas) < -1:
-        raise ResolutionError(
-            f"hypothesis delta - sum alpha_i >= -1 fails: {delta - sum(alphas)}"
-        )
     r = v.r
-    a = _as_int(r * (delta - sum(alphas) + 1), "exponent a")
-    cs = [_as_int(r * alpha, f"exponent c_{i}") for i, alpha in enumerate(alphas, start=1)]
-    b_signed = r + a - sum(cs)  # equals r (delta - 2 sum alpha_i + 2)
+    ell = v.c1.coords[0]
+    ms = [-c for c in v.c1.coords[1:]]
+    if ell < 0:
+        raise ResolutionError(f"hypothesis delta >= 0 fails: delta = {Fraction(ell, r)}")
+    for i, m in enumerate(ms, start=1):
+        if m < 0:
+            raise ResolutionError(f"hypothesis alpha_{i} >= 0 fails: alpha_{i} = {Fraction(m, r)}")
+    total = sum(ms)
+    if ell - total < -r:
+        raise ResolutionError(f"hypothesis delta - sum alpha_i >= -1 fails: {Fraction(ell - total, r)}")
+    a = ell - total + r
+    b_signed = r + a - total  # equals r (delta - 2 sum alpha_i + 2)
     form = "eqfirst" if b_signed >= 0 else "eqsecond"
     coll = builtin_collection(s).with_split(1 if b_signed >= 0 else 2)
-    report = ResolutionReport(coll, (a, abs(b_signed), *cs), v, form=form)
+    report = ResolutionReport(coll, (a, abs(b_signed), *ms), v, form=form)
     assert report.feasible and report.bookkeeping_ok(), f"bookkeeping failed for {v}"
     return report
 
@@ -334,6 +333,12 @@ def blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     a = r (beta - (e-1) alpha - sum alpha_i + 1) on O(-E-(e+1)F),
     b = r (beta - e alpha - sum alpha_i + 1) on O(-E-eF),
     c = r (alpha - sum alpha_i + 1) on O(-F) and d_i = r alpha_i on O(-E_i).
+
+    With c1 = A E + B F - sum d_i E_i, so alpha = A/r, beta = B/r and
+    alpha_i = d_i/r, the hypotheses are d_i >= 0, A - sum d_i >= -r and
+    B - sum d_i + r >= max((e-1) A, e A), and the exponents are
+    a = B - (e-1) A - sum d_i + r, b = B - e A - sum d_i + r,
+    c = A - sum d_i + r and d_i.  Messages print the slope values.
     """
     s = v.surface
     if not s.is_blowup_hirzebruch:
@@ -343,26 +348,25 @@ def blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     if chi_integer(v) != 0:
         raise ResolutionError("resolutions are computed for characters with chi = 0")
     e, r = s.e, v.r
-    nu = v.nu().coords
-    alpha, beta = nu[0], nu[1]
-    alphas = [-c for c in nu[2:]]
-    for i, ai in enumerate(alphas, start=1):
-        if ai < 0:
-            raise ResolutionError(f"hypothesis alpha_{i} >= 0 fails: alpha_{i} = {ai}")
-    if alpha - sum(alphas) < -1:
+    A, B = v.c1.coords[:2]
+    ds = [-c for c in v.c1.coords[2:]]
+    for i, d in enumerate(ds, start=1):
+        if d < 0:
+            raise ResolutionError(f"hypothesis alpha_{i} >= 0 fails: alpha_{i} = {Fraction(d, r)}")
+    total = sum(ds)
+    if A - total < -r:
         raise ResolutionError(
-            f"hypothesis alpha - sum alpha_i >= -1 fails: {alpha - sum(alphas)}"
+            f"hypothesis alpha - sum alpha_i >= -1 fails: {Fraction(A - total, r)}"
         )
-    bound = max((e - 1) * alpha, e * alpha)
-    if beta - sum(alphas) + 1 < bound:
+    bound = max((e - 1) * A, e * A)
+    if B - total + r < bound:
         raise ResolutionError(
             f"hypothesis beta - sum alpha_i + 1 >= max((e-1)alpha, e alpha) fails: "
-            f"{beta - sum(alphas) + 1} < {bound}"
+            f"{Fraction(B - total + r, r)} < {Fraction(bound, r)}"
         )
-    a = _as_int(r * (beta - (e - 1) * alpha - sum(alphas) + 1), "exponent a")
-    b = _as_int(r * (beta - e * alpha - sum(alphas) + 1), "exponent b")
-    c = _as_int(r * (alpha - sum(alphas) + 1), "exponent c")
-    ds = [_as_int(r * ai, f"exponent d_{i}") for i, ai in enumerate(alphas, start=1)]
+    a = B - (e - 1) * A - total + r
+    b = B - e * A - total + r
+    c = A - total + r
     report = ResolutionReport(builtin_collection(s), (a, b, c, *ds), v)
     assert report.feasible and report.bookkeeping_ok(), f"bookkeeping failed for {v}"
     return report

@@ -138,6 +138,17 @@ class TestWbn:
         assert fields["status"] == payload["status"]
         assert json.loads(fields["obstruction"]) == payload["obstruction"]
 
+    def test_resolution_note_prints_the_slope(self, capsys):
+        # the hypotheses are integer tests; the note prints delta = l/r
+        code, out, _ = run(
+            capsys, "wbn", "--surface", "blp2:k=2", "--character", "r=2;c1=-L;chi=0", "--text"
+        )
+        fields = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert code == 1 and fields["status"] == "Unknown"
+        assert "resolution route: hypothesis delta >= 0 fails: delta = -1/2" in json.loads(
+            fields["notes"]
+        )
+
     def test_sweep_csv(self, capsys):
         code, out, _ = run(
             capsys, "wbn", "--surface", "F1", "--sweep", "--rank", "2", "--bound", "1"
@@ -173,6 +184,15 @@ class TestResolveGoodsumOracleCurves:
             capsys, "resolve", "--surface", "blp2:k=2", "--character", "r=2;c1=2L+E1;chi=0"
         )
         assert code == 2 and "alpha_1" in err
+
+    def test_resolve_hypothesis_error_prints_slopes(self, capsys):
+        code, out, err = run(
+            capsys, "resolve", "--surface", "blF2:k=1", "--character", "r=2;c1=E-2F-E1;chi=0"
+        )
+        assert (code, out) == (2, "")
+        assert err.strip().endswith(
+            "hypothesis beta - sum alpha_i + 1 >= max((e-1)alpha, e alpha) fails: -1/2 < 1"
+        )
 
     def test_goodsum(self, capsys):
         code, out, _ = run(capsys, "goodsum", "--surface", "dp7", "--rank", "3", "--c1", "2L")

@@ -290,6 +290,14 @@ class TestVerificationGates:
         with pytest.raises(dec.VerificationError):
             dec.blowup_p2_wbn(v)
 
+    @pytest.mark.parametrize("spec, c1", [("F2", "F"), ("dp5", "L"), ("blF2:k=1", "F-E1")])
+    def test_failed_rank_one_witness_raises(self, monkeypatch, spec, c1):
+        S = lat.parse_surface(spec)
+        assert dec.rank_one_wbn(S, D(S, c1)).status is WBNStatus.HOLDS
+        monkeypatch.setattr(gd.WBNWitness, "bookkeeping_ok", lambda self: False)
+        with pytest.raises(dec.VerificationError):
+            dec.rank_one_wbn(S, D(S, c1))
+
     def test_gate_survives_optimized_mode(self):
         script = textwrap.dedent(
             """
@@ -301,6 +309,12 @@ class TestVerificationGates:
                 decide.wbn(v)
             except decide.VerificationError:
                 print("optimize", sys.flags.optimize, "raised")
+            goodsums.WBNWitness.bookkeeping_ok = lambda self: False
+            F2 = lattice.hirzebruch(2)
+            try:
+                decide.rank_one_wbn(F2, lattice.parse_divisor("F", F2))
+            except decide.VerificationError:
+                print("rank one raised")
             """
         )
         src = str(pathlib.Path(dec.__file__).resolve().parents[1])
@@ -308,4 +322,4 @@ class TestVerificationGates:
         out = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
         )
-        assert (out.returncode, out.stdout) == (0, "optimize 1 raised\n"), out.stderr
+        assert (out.returncode, out.stdout) == (0, "optimize 1 raised\nrank one raised\n"), out.stderr

@@ -91,3 +91,16 @@ def test_every_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
     assert [name for name in defined if name.split(":")[1] not in used] == []
+
+
+# the slope hypotheses are integer inequalities, so the lattice core and the
+# cohomology kernels work on integers alone
+@pytest.mark.parametrize("name", ["lattice.py", "cohomology.py", "_modp.py"])
+def test_integer_modules_import_no_fractions(name):
+    modules = [
+        module
+        for node in ast.walk(_tree(SRC / name))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+    ]
+    assert "fractions" not in modules

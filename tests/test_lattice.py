@@ -31,6 +31,13 @@ def D(surface, expr):
     return lat.parse_divisor(expr, surface)
 
 
+def apply_word(D, word):
+    """Reflect D in each root of the word in turn, first root first."""
+    for root in word:
+        D = lat.weyl_reflect(D, root)
+    return D
+
+
 class TestIntersect:
     def test_hirzebruch_section_against_nef_generator(self):
         assert lat.intersect(D(F2, "E"), D(F2, "E+2F")) == 0
@@ -197,11 +204,11 @@ class TestWeyl:
         word = lat.weyl_move_curve_to_last(D(S3, "E1"))
         assert [str(w) for w in word] == ["E1-E3"]
         word = lat.weyl_move_curve_to_last(D(S3, "L-E1-E2"))
-        assert lat.apply_word(D(S3, "L-E1-E2"), word) == D(S3, "E3")
+        assert apply_word(D(S3, "L-E1-E2"), word) == D(S3, "E3")
         S5 = lat.del_pezzo(4)
         conic = D(S5, "2L-E1-E2-E3-E4-E5")
         word = lat.weyl_move_curve_to_last(conic)
-        assert lat.apply_word(conic, word) == D(S5, "E5")
+        assert apply_word(conic, word) == D(S5, "E5")
 
     def test_move_curve_to_last_exhaustive(self):
         for degree in (4, 5, 6):
@@ -209,9 +216,9 @@ class TestWeyl:
             target = lat.basis_divisor(S, f"E{S.k}")
             for C in lat.neg_one_curves(S):
                 word = lat.weyl_move_curve_to_last(C)
-                assert lat.apply_word(C, word) == target
-                # the inverse word undoes the normalization
-                assert lat.apply_word(target, lat.inverse_word(word)) == C
+                assert apply_word(C, word) == target
+                # each reflection is an involution, so the reversed word undoes it
+                assert apply_word(target, reversed(word)) == C
 
     def test_cached_curve_word_reaches_last_exceptional(self):
         lat.curve_word.cache_clear()
@@ -297,12 +304,7 @@ class TestGrammar:
             lat.parse_surface("blF1:k=2")  # blowups of F_e assume e >= 2
 
 
-class TestQDivisor:
-    def test_clear_denominators(self):
-        q = D(BL2, "3L-2E1").as_q() * __import__("fractions").Fraction(1, 6)
-        integral, m = q.clear_denominators()
-        assert m == 6 and integral == D(BL2, "3L-2E1")
-
+class TestDivisorArithmetic:
     def test_integral_arithmetic_stays_integral(self):
         a, b = D(DP5, "3L-E1-2E2"), D(DP5, "L-E3")
         for got, want in ((a + b, "4L-E1-2E2-E3"), (a - b, "2L-E1-2E2+E3"), (-a, "-3L+E1+2E2")):
@@ -310,13 +312,6 @@ class TestQDivisor:
             assert all(type(c) is int for c in got.coords) and hash(got) == hash(D(DP5, want))
         reflected = lat.weyl_reflect(a, D(DP5, "E1-E2"))
         assert reflected == D(DP5, "3L-2E1-E2") and type(reflected) is lat.DivisorClass
-
-    def test_mixed_intersection(self):
-        from fractions import Fraction
-
-        q = D(F2, "E+2F").as_q() * Fraction(1, 2)
-        assert lat.intersect(q, D(F2, "E").as_q()) == 0
-        assert lat.intersect(q, D(F2, "F").as_q()) == Fraction(1, 2)
 
 
 # each public way in must still refuse malformed coordinates; the checks are
@@ -327,10 +322,6 @@ BOUNDARY_CASES = {
     "float": "lattice.DivisorClass(lattice.blowup_p2(2), (1.0, 0, 0))",
     "fraction": "lattice.DivisorClass(lattice.blowup_p2(2), (Fraction(1, 2), 0, 0))",
     "half_scalar": "lattice.parse_divisor('2L-E1', lattice.blowup_p2(2)) * Fraction(1, 2)",
-    "mixed_sum": (
-        "lattice.parse_divisor('2L-E1', lattice.blowup_p2(2))"
-        " + lattice.QDivisor(lattice.blowup_p2(2), (Fraction(1, 2), 0, 0))"
-    ),
     # collinear indices count the points from 1, so 0 and below name no point
     "collinear_zero": "lattice.collinear_config([0, 1])",
     "collinear_negative": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(-1, 2)))",
