@@ -21,9 +21,8 @@ from .chern import (
     ChernCharacter,
     chi_integer,
     euler_pairing,
-    hirzebruch_normalize,
+    hirzebruch_core,
     line_bundle_character,
-    twisted_chi,
 )
 from .cohomology import blowup_cohomology_oracle, certified_cohomology
 from .goodsums import (
@@ -49,6 +48,7 @@ from .resolutions import (
     InfeasibleResolutionError,
     ResolutionError,
     ResolutionReport,
+    VerificationError,
     blowup_hirzebruch_resolution,
     blowup_resolution,
     hirzebruch_resolution,
@@ -59,10 +59,6 @@ _STACK_NOTE = (
     "F-prioritary sheaves; for semistable moduli assume a polarization H "
     "with H.(K+F) < 0"
 )
-
-
-class VerificationError(Exception):
-    """An emitted witness failed re-verification; not a ValueError, so never Unknown."""
 
 
 class WBNStatus(enum.Enum):
@@ -129,12 +125,6 @@ def _checked_witness(witness: WBNWitness, *, seed: int, trials: int) -> WBNWitne
     return witness
 
 
-def _checked_resolution(report: ResolutionReport) -> ResolutionReport:
-    if not (report.feasible and report.bookkeeping_ok()):
-        raise VerificationError("emitted resolution failed verification")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Rank one
 # ---------------------------------------------------------------------------
@@ -171,9 +161,7 @@ def rank_one_wbn(
         )
     if vec.higher_vanishes:
         gs = GoodSum(surface, _rank_one_reference(surface), (c1,))
-        target = ChernCharacter(
-            1, c1, line_bundle_character(c1).ch2 - n
-        )
+        target = ChernCharacter.from_twice_ch2(1, c1, intersect(c1, c1) - 2 * n)
         witness = WBNWitness(gs, n, target)
         # the cohomology above is the check on the line bundle; is_good_sum
         # cannot certify the reference N = F on blowups of F_e
@@ -212,36 +200,38 @@ def hirzebruch_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
     twists of O(-1,-1) on F_0, or a cohomology-free fiber sum in the few
     low-e characters whose resolution exponent would be negative (no
     semistable sheaf exists there, but the prioritary stack still carries a
-    cohomology-free member).
+    cohomology-free member).  The three tests are the integer signs of
+    ``hirzebruch_core``; a Holds witness is verified once where it is built.
     """
-    if not v.surface.is_hirzebruch:
+    s = v.surface
+    if not s.is_hirzebruch:
         raise CharacterError("hirzebruch_wbn expects a Hirzebruch model")
-    if v.r < 2:
+    r = v.r
+    if r < 2:
         raise CharacterError("use rank_one_wbn for rank-one intents")
     if chi_integer(v) != 0:
         raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
-    w, dualized = hirzebruch_normalize(v)
+    dualized, k, ell, t, disc, (_, b, _) = hirzebruch_core(s.e, r, *v.c1.coords, v.twice_ch2)
     notes = [_STACK_NOTE]
     if dualized:
         notes.append("input replaced by its Serre dual (birational moduli)")
-    delta = w.discriminant()
-    if delta < 0:
+    delta = Fraction(disc, 2 * r * r)
+    if disc < 0:
         notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
         return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=delta, notes=tuple(notes))
-    E = basis_divisor(w.surface, "E")
-    if intersect(w.c1, E) < -w.r:  # nu.E < -1
-        bound = twisted_chi(w, -E)
-        pairing = euler_pairing(line_bundle_character(E), w)
-        assert pairing == bound and bound >= 1
+    w = ChernCharacter.from_twice_ch2(r, DivisorClass(s, (k, ell)), t) if dualized else v
+    if b < 0:  # nu.E < -1
+        E = DivisorClass(s, (1, 0))
+        assert euler_pairing(line_bundle_character(E), w) == -b
         notes.append("nu.E < -1: twisting down by the negative section keeps chi positive")
         return WBNVerdict(
             WBNStatus.FAILS,
-            obstruction=Obstruction(curve=E, chi_pairing=int(pairing), h0_lower_bound=bound),
+            obstruction=Obstruction(curve=E, chi_pairing=-b, h0_lower_bound=-b),
             bogomolov_delta=delta,
             notes=tuple(notes),
         )
     try:
-        report = _checked_resolution(hirzebruch_resolution(w))
+        report = hirzebruch_resolution(w)
         return WBNVerdict(WBNStatus.HOLDS, witness=report, bogomolov_delta=delta, notes=tuple(notes))
     except InfeasibleResolutionError as exc:
         gs = hirzebruch_fiber_sum(w)
@@ -272,7 +262,7 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
         raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     notes = [_STACK_NOTE]
     try:
-        report = _checked_resolution(blowup_resolution(v))
+        report = blowup_resolution(v)
         notes.append("two-term resolution by the stock collection")
         return WBNVerdict(WBNStatus.HOLDS, witness=report, notes=tuple(notes))
     except ResolutionError as exc:
@@ -319,7 +309,7 @@ def blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     notes = [_STACK_NOTE]
     try:
-        report = _checked_resolution(blowup_hirzebruch_resolution(v))
+        report = blowup_hirzebruch_resolution(v)
         notes.append("two-term resolution by the stock collection")
         return WBNVerdict(WBNStatus.HOLDS, witness=report, notes=tuple(notes))
     except ResolutionError as exc:

@@ -86,9 +86,8 @@ class GoodSum:
         return total
 
     def character(self) -> ChernCharacter:
-        c1 = self.c1()
-        ch2 = sum(Fraction(intersect(D, D), 2) for D in self.summands)
-        return ChernCharacter(self.rank, c1, ch2)
+        twice_ch2 = sum(intersect(D, D) for D in self.summands)
+        return ChernCharacter.from_twice_ch2(self.rank, self.c1(), twice_ch2)
 
     def chi(self) -> int:
         return sum(chi_line_bundle(D) for D in self.summands)
@@ -447,7 +446,7 @@ class WBNWitness:
             and self.modifications >= 0
             and sum_char.r == self.target.r
             and sum_char.c1 == self.target.c1
-            and sum_char.ch2 - self.modifications == self.target.ch2
+            and sum_char.twice_ch2 - 2 * self.modifications == self.target.twice_ch2
         )
 
     def to_json_dict(self) -> dict:

@@ -167,6 +167,12 @@ class SurfaceModel:
         gram = ((0, 0, -self.e), (0, 1, 1), (1, 0, 1))
         return _Head(("E", "F"), tuple(t for t in gram if t[2]), (-2, -(self.e + 2)))
 
+    # K per model rather than in a module-level cache keyed by the model,
+    # so reading it costs no hash of the dataclass
+    @cached_property
+    def _canonical(self) -> "DivisorClass":
+        return DivisorClass(self, self._head.canonical + (1,) * self.k)
+
     @cached_property
     def rank(self) -> int:
         return len(self._head.symbols) + self.k
@@ -314,10 +320,9 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return form(d1.surface, d1.coords, d2.coords)
 
 
-@lru_cache(maxsize=None)
 def canonical(surface: SurfaceModel) -> DivisorClass:
     """The canonical class in the fixed basis."""
-    return DivisorClass(surface, surface._head.canonical + (1,) * surface.k)
+    return surface._canonical
 
 
 def chi_line_bundle(D: DivisorClass) -> int:

@@ -10,21 +10,28 @@ the collection.  The closed forms below specialize this to the built-in
 collections on Hirzebruch surfaces, blowups of the plane and blowups of
 Hirzebruch surfaces; `solve_exponents` recomputes the same integers from the
 pairing recurrences, giving an independent derivation.
+
+Every report a closed form returns has passed one verification,
+``verify_report``: the exponents are nonnegative and the alternating sum of
+the exponent-weighted bundle characters equals the target, compared on the
+integers (r, c1, 2 ch2).  It raises ``VerificationError``, not an
+``assert``, so it survives ``python -O``, and the verdicts of ``decide``
+and the ``rbn resolve`` command both get it from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .chern import (
     CharacterError,
     ChernCharacter,
     chi_integer,
     euler_pairing,
-    hirzebruch_normalize,
+    hirzebruch_core,
     line_bundle_character,
-    twisted_chi,
 )
 from .cohomology import certified_cohomology, h2_is_zero
 from .lattice import (
@@ -32,6 +39,7 @@ from .lattice import (
     SurfaceModel,
     basis_divisor,
     divisor_expr,
+    form,
     zero_divisor,
 )
 
@@ -42,6 +50,10 @@ class ResolutionError(ValueError):
 
 class InfeasibleResolutionError(ResolutionError):
     """A required exponent came out negative, so no such resolution exists."""
+
+
+class VerificationError(Exception):
+    """An emitted witness failed re-verification; not a ValueError, so never Unknown."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,15 @@ class ExceptionalCollection:
     def with_split(self, j: int) -> "ExceptionalCollection":
         return ExceptionalCollection(self.surface, self.bundles, j)
 
+    @cached_property
+    def _characters(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(c1 coordinates, 2 ch2 = A^2) of each resolving bundle O(A)."""
+        s = self.surface
+        return tuple((A.coords, form(s, A.coords, A.coords)) for A in self.resolving)
 
+
+# a handful of surfaces per session; each model's collection is built once
+@lru_cache(maxsize=16)
 def builtin_collection(surface: SurfaceModel) -> ExceptionalCollection:
     """The stock strong exceptional collection of the surface family.
 
@@ -165,30 +185,34 @@ class ResolutionReport:
         j = self.collection.split_index
         return tuple(zip(self.collection.resolving[j:], self.exponents[j:]))
 
-    def cokernel_character(self) -> ChernCharacter:
-        """Alternating sum of the exponent-weighted bundle characters."""
+    def _cokernel(self) -> tuple[int, tuple[int, ...], int]:
+        """(r, c1 coordinates, 2 ch2) of the alternating sum, on integers."""
+        s = self.collection.surface
         if self.direct_sum is not None:
             D, mult = self.direct_sum
-            ch = line_bundle_character(D)
-            return ChernCharacter(mult * ch.r, mult * ch.c1, mult * ch.ch2)
-        r = 0
-        c1 = zero_divisor(self.collection.surface)
-        ch2 = Fraction(0)
-        for bundle, count in self.right():
-            ch = line_bundle_character(bundle)
+            return mult, tuple(mult * a for a in D.coords), mult * form(s, D.coords, D.coords)
+        r, c1, twice = 0, (0,) * s.rank, 0
+        j = self.collection.split_index
+        terms = zip(self.collection._characters, self.exponents)
+        for i, ((coords, square), count) in enumerate(terms):
+            if i < j:  # kernel side
+                count = -count
             r += count
-            c1 = c1 + count * ch.c1
-            ch2 += count * ch.ch2
-        for bundle, count in self.left():
-            ch = line_bundle_character(bundle)
-            r -= count
-            c1 = c1 - count * ch.c1
-            ch2 -= count * ch.ch2
-        return ChernCharacter(r, c1, ch2)
+            c1 = tuple(a + count * b for a, b in zip(c1, coords))
+            twice += count * square
+        return r, c1, twice
+
+    def cokernel_character(self) -> ChernCharacter:
+        """Alternating sum of the exponent-weighted bundle characters."""
+        r, c1, twice = self._cokernel()
+        return ChernCharacter.from_twice_ch2(r, DivisorClass(self.collection.surface, c1), twice)
 
     def bookkeeping_ok(self) -> bool:
-        v = self.cokernel_character()
-        return (v.r, v.c1, v.ch2) == (self.target.r, self.target.c1, self.target.ch2)
+        """The cokernel character equals the target, compared on integers."""
+        v = self.target
+        if v.surface != self.collection.surface:
+            return False
+        return self._cokernel() == (v.r, v.c1.coords, v.twice_ch2)
 
     def to_json_dict(self) -> dict:
         out: dict = {"collection": [divisor_expr(b) for b in self.collection.bundles]}
@@ -210,7 +234,6 @@ class ResolutionReport:
 
 
 def _as_int(x: Fraction, what: str) -> int:
-    x = Fraction(x)
     if x.denominator != 1:
         raise CharacterError(f"{what} is not integral: {x}")
     return int(x)
@@ -242,14 +265,23 @@ def solve_exponents(v: ChernCharacter, coll: ExceptionalCollection) -> Resolutio
     return ResolutionReport(coll, tuple(exps), v)
 
 
+def verify_report(report: ResolutionReport) -> ResolutionReport:
+    """The one check of an emitted report: nonnegative exponents and integer
+    bookkeeping.  Raises ``VerificationError``, so ``python -O`` keeps it."""
+    if not (report.feasible and report.bookkeeping_ok()):
+        raise VerificationError(f"emitted resolution failed verification for {report.target}")
+    return report
+
+
 def hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     """Closed-form resolution on F_e for a normalized character with chi = 0.
 
     Exponents: a = l - ke + k + r on O(-E-(e+1)F), b = -chi(E(-E)) on
-    O(-E-eF), c = k + r on O(-F).  The rank-r twist of O(-1,-1) on F_0
-    (k = l = -r) is returned as a direct sum instead.  Negative b means the
-    section-obstruction regime; negative a only happens for e <= 1 pockets
-    where no semistable sheaf exists, and both raise.
+    O(-E-eF), c = k + r on O(-F), read off ``hirzebruch_core``.  The rank-r
+    twist of O(-1,-1) on F_0 (k = l = -r) is returned as a direct sum
+    instead.  Negative b means the section-obstruction regime; negative a
+    only happens for e <= 1 pockets where no semistable sheaf exists, and
+    both raise.
     """
     s = v.surface
     if not s.is_hirzebruch:
@@ -258,29 +290,25 @@ def hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
         raise ResolutionError("rank must be at least 2")
     if chi_integer(v) != 0:
         raise ResolutionError("resolutions are computed for characters with chi = 0")
-    if hirzebruch_normalize(v)[1]:
-        raise ResolutionError("character must be normalized (k/r >= -1) first")
-    e, r = s.e, v.r
+    r = v.r
     k, ell = v.c1.coords
-    coll = builtin_collection(s)
-    if e == 0 and k == -r and ell == -r:
-        E, F = basis_divisor(s, "E"), basis_divisor(s, "F")
-        report = ResolutionReport(coll, (0, 0, 0), v, form="direct-sum", direct_sum=(-E - F, r))
-        assert report.bookkeeping_ok()
-        return report
-    b = -twisted_chi(v, -basis_divisor(s, "E"))
+    dualized, _, _, _, _, (a, b, c) = hirzebruch_core(s.e, r, k, ell, v.twice_ch2)
+    if dualized:
+        raise ResolutionError("character must be normalized (k/r >= -1) first")
+    if s.e == 0 and k == -r and ell == -r:
+        minus_e_f = DivisorClass(s, (-1, -1))
+        report = ResolutionReport(
+            builtin_collection(s), (0, 0, 0), v, form="direct-sum", direct_sum=(minus_e_f, r)
+        )
+        return verify_report(report)
     if b < 0:
         raise ResolutionError(f"chi(E(-E)) = {-b} > 0: sections obstruct the resolution")
-    a = ell - k * e + k + r
-    c = k + r
     if a < 0 or c < 0:
         raise InfeasibleResolutionError(
             f"exponents (a, b, c) = ({a}, {b}, {c}) include a negative entry; "
             "no semistable sheaf has this character"
         )
-    report = ResolutionReport(coll, (a, b, c), v)
-    assert report.bookkeeping_ok(), f"exponent bookkeeping failed for {v}"
-    return report
+    return verify_report(ResolutionReport(builtin_collection(s), (a, b, c), v))
 
 
 def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
@@ -319,9 +347,7 @@ def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
     b_signed = r + a - total  # equals r (delta - 2 sum alpha_i + 2)
     form = "eqfirst" if b_signed >= 0 else "eqsecond"
     coll = builtin_collection(s).with_split(1 if b_signed >= 0 else 2)
-    report = ResolutionReport(coll, (a, abs(b_signed), *ms), v, form=form)
-    assert report.feasible and report.bookkeeping_ok(), f"bookkeeping failed for {v}"
-    return report
+    return verify_report(ResolutionReport(coll, (a, abs(b_signed), *ms), v, form=form))
 
 
 def blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
@@ -367,9 +393,7 @@ def blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     a = B - (e - 1) * A - total + r
     b = B - e * A - total + r
     c = A - total + r
-    report = ResolutionReport(builtin_collection(s), (a, b, c, *ds), v)
-    assert report.feasible and report.bookkeeping_ok(), f"bookkeeping failed for {v}"
-    return report
+    return verify_report(ResolutionReport(builtin_collection(s), (a, b, c, *ds), v))
 
 
 def prioritary_hypotheses_check(coll: ExceptionalCollection, F: DivisorClass) -> bool:

@@ -1,8 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from rbn import cli
 from rbn.cli import main
 
 # stdout and exit code of each example in the README's "Command line"
@@ -193,6 +198,34 @@ class TestResolveGoodsumOracleCurves:
         assert err.strip().endswith(
             "hypothesis beta - sum alpha_i + 1 >= max((e-1)alpha, e alpha) fails: -1/2 < 1"
         )
+
+    @pytest.mark.parametrize(
+        "surface, character",
+        [
+            ("F1", "r=2;c1=E+F;chi=0"),
+            ("blp2:k=2", "r=2;c1=2L-E1-E2;chi=0"),
+            ("blF2:k=1", "r=2;c1=E+3F-E1;chi=0"),
+        ],
+    )
+    def test_resolve_unverified_report_exits_3_under_optimize(self, surface, character):
+        # the report's bookkeeping check is a raise, not an assert
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from rbn import cli, resolutions
+            resolutions.ResolutionReport.bookkeeping_ok = lambda self: False
+            sys.exit(cli.main(["resolve", "--surface", "{surface}", "--character", "{character}"]))
+            """
+        )
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (out.returncode, out.stdout) == (3, "")
+        assert "internal error: VerificationError: emitted resolution failed verification" in out.stderr
 
     def test_goodsum(self, capsys):
         code, out, _ = run(capsys, "goodsum", "--surface", "dp7", "--rank", "3", "--c1", "2L")

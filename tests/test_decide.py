@@ -283,12 +283,50 @@ class TestVerificationGates:
             dec.wbn(v)
 
     def test_failed_resolution_raises(self, monkeypatch):
+        # the report is verified where it is built; VerificationError is no
+        # ResolutionError, so the rounding route cannot swallow it
         v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
-        report = dec.blowup_resolution(v)
-        monkeypatch.setattr(dec, "blowup_resolution", lambda v: report)
         monkeypatch.setattr(dec.ResolutionReport, "bookkeeping_ok", lambda self: False)
         with pytest.raises(dec.VerificationError):
             dec.blowup_p2_wbn(v)
+
+    # a resolution witness on each family that has one: F_e (resolution, and
+    # the direct sum on F_0, also reached through the Serre dual), blF_e
+    RESOLUTION_HOLDS = [
+        ("F1", "E+F", 2),
+        ("F3", "2E+5F", 3),
+        ("F2", "-5E-9F", 3),  # dualized first
+        ("F0", "-2E-2F", 2),  # direct sum of O(-1,-1)
+        ("blF2:k=1", "E+3F-E1", 2),
+        ("blp2:k=2", "2L-E1-E2", 2),
+    ]
+
+    @pytest.mark.parametrize("spec, c1, r", RESOLUTION_HOLDS)
+    def test_failed_resolution_raises_on_every_family(self, monkeypatch, spec, c1, r):
+        v = ch.character_from_chi(r, D(lat.parse_surface(spec), c1), 0)
+        verdict = dec.wbn(v)
+        assert verdict.status is WBNStatus.HOLDS
+        assert isinstance(verdict.witness, dec.ResolutionReport)
+        monkeypatch.setattr(dec.ResolutionReport, "bookkeeping_ok", lambda self: False)
+        with pytest.raises(dec.VerificationError):
+            dec.wbn(v)
+
+    @pytest.mark.parametrize("spec, c1, r", RESOLUTION_HOLDS)
+    def test_each_holds_is_checked_once(self, monkeypatch, spec, c1, r):
+        v = ch.character_from_chi(r, D(lat.parse_surface(spec), c1), 0)
+        calls = []
+        original = dec.ResolutionReport.bookkeeping_ok
+        monkeypatch.setattr(
+            dec.ResolutionReport, "bookkeeping_ok", lambda self: calls.append(self) or original(self)
+        )
+        monkeypatch.setattr(
+            dec.ResolutionReport,
+            "cokernel_character",
+            lambda self: pytest.fail("a verdict built a cokernel character"),
+        )
+        verdict = dec.wbn(v)
+        assert verdict.status is WBNStatus.HOLDS
+        assert calls == [verdict.witness]
 
     @pytest.mark.parametrize("spec, c1", [("F2", "F"), ("dp5", "L"), ("blF2:k=1", "F-E1")])
     def test_failed_rank_one_witness_raises(self, monkeypatch, spec, c1):
@@ -315,6 +353,13 @@ class TestVerificationGates:
                 decide.rank_one_wbn(F2, lattice.parse_divisor("F", F2))
             except decide.VerificationError:
                 print("rank one raised")
+            decide.ResolutionReport.bookkeeping_ok = lambda self: False
+            for spec, c1 in (("F1", "E+F"), ("F0", "-2E-2F"), ("blF2:k=1", "E+3F-E1")):
+                S = lattice.parse_surface(spec)
+                try:
+                    decide.wbn(chern.character_from_chi(2, lattice.parse_divisor(c1, S), 0))
+                except decide.VerificationError:
+                    print(spec, "raised")
             """
         )
         src = str(pathlib.Path(dec.__file__).resolve().parents[1])
@@ -322,4 +367,5 @@ class TestVerificationGates:
         out = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
         )
-        assert (out.returncode, out.stdout) == (0, "optimize 1 raised\nrank one raised\n"), out.stderr
+        expected = "optimize 1 raised\nrank one raised\nF1 raised\nF0 raised\nblF2:k=1 raised\n"
+        assert (out.returncode, out.stdout) == (0, expected), out.stderr

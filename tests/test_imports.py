@@ -93,9 +93,11 @@ def test_every_definition_is_referenced():
     assert [name for name in defined if name.split(":")[1] not in used] == []
 
 
-# the slope hypotheses are integer inequalities, so the lattice core and the
-# cohomology kernels work on integers alone
-@pytest.mark.parametrize("name", ["lattice.py", "cohomology.py", "_modp.py"])
+# the slope hypotheses are integer inequalities and ch2 is carried as the
+# integer 2 ch2, so the lattice core, the cohomology kernels and the command
+# line work on integers alone (Fractions are built in chern, resolutions,
+# decide and goodsums, and only where a public value or a message has one)
+@pytest.mark.parametrize("name", ["lattice.py", "cohomology.py", "_modp.py", "cli.py", "__init__.py"])
 def test_integer_modules_import_no_fractions(name):
     modules = [
         module
