@@ -120,6 +120,8 @@ class TestBlowupResolution:
         report = res.blowup_resolution(v)
         assert report.form == "eqfirst" and report.exponents == (2, 2, 1, 1)
         assert report.collection.split_index == 1
+        # the unchanged split reuses the cached stock collection
+        assert report.collection is res.builtin_collection(BL2)
 
     def test_second_form(self):
         v = ch.character_from_chi(2, D(BL2, "2L-2E1-2E2"), 0)
