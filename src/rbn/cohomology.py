@@ -22,7 +22,11 @@ Four routes, by strength of the statement:
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
   characteristic.  Samples are taken in a projective frame: up to three
   of the heaviest points sit at the coordinate points, where they only
-  remove monomial columns, and the other points give the rows.
+  remove monomial columns, and the other points give the rows.  When every
+  sampled point of positive multiplicity lies on the line of a collinear
+  configuration, the nullity is counted in closed form instead, layer by
+  layer of monomials (Hermite interpolation), so that value does not
+  depend on the seed, the trials or the prime.
 
 Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
 oracle, and only through this module: ``certified_cohomology`` returns the
@@ -599,7 +603,26 @@ def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-@lru_cache(maxsize=1 << 13)  # one benchmark pass makes at most about 1,720 calls
+def _line_h0(d: int, frame_mults, line_mults) -> int:
+    """Nullity of the framed matrix when every sampled point lies on y = 0.
+
+    The row of order (u, v) at (x0, 0) has entry C(a,u) x0^(a-u) [b = v],
+    so the rows split by the y-degree b of the kept monomials x^a y^b, which
+    run over b <= d - my and lo_b <= a <= hi_b (see ``_frame_columns``).  On
+    layer b a point of multiplicity m imposes the Hasse derivatives of order
+    < m - b in x; at distinct nonzero x0, where x^lo_b is a unit, these are
+    independent Hermite conditions on a polynomial of degree <= hi_b - lo_b
+    (Chinese remainders), over every F_p.  So each layer's nullity is its
+    width less its conditions, or 0.
+    """
+    m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
+    return sum(
+        max(0, min(d - b, d - mx) - max(0, m0 - b) + 1 - sum(max(0, m - b) for m in line_mults))
+        for b in range(d - my + 1)
+    )
+
+
+@lru_cache(maxsize=1 << 13)  # one benchmark pass makes at most about 1,770 calls
 def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int) -> int:
     d = D.coords[0]
     if d < 0:
@@ -607,12 +630,18 @@ def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int
     # negative-multiplicity exceptional summands are fixed components
     mults = [max(0, -c) for c in D.coords[1:]]
     frame = _frame(D.surface, mults)
-    keep = _frame_columns(d, [mults[i] for i in frame])
-    kept = int(np.count_nonzero(keep))
+    frame_mults = [mults[i] for i in frame]
     rest = [m for i, m in enumerate(mults) if i not in frame]
+    config = D.surface.config
+    if config.kind == "collinear" and all(
+        i + 1 in config.collinear for i, m in enumerate(mults) if m and i not in frame
+    ):
+        return _line_h0(d, frame_mults, rest)  # any off-line point with m > 0 is at [0:1:0]
+    keep = _frame_columns(d, frame_mults)
+    kept = int(np.count_nonzero(keep))
     if kept == 0 or not any(rest):
         return kept
-    if D.surface.config.kind == "explicit":
+    if config.kind == "explicit":
         trials = 1  # the same points on every trial
     best = kept
     for trial in range(trials):
@@ -638,7 +667,10 @@ def interpolation_h0(
     monomials is the answer, so general k <= 3 needs no matrix.  Every
     sample is a configuration of the surface's type, so by semicontinuity
     each value bounds the generic h0 from above; the minimum over trials
-    is reported.
+    is reported.  On collinear points, when every sampled point of positive
+    multiplicity lies on the line (the frame holds any other), the nullity
+    is counted by ``_line_h0`` without a sample or a matrix; that value is
+    the same for every seed, number of trials and prime.
     """
     if not D.surface.is_blowup_p2_like:
         raise OracleError("the interpolation oracle works on blowups of the plane")

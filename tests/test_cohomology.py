@@ -620,18 +620,24 @@ class TestInterpolationOracle:
     )
     @example(k=6, collinear=False, seed=0, trials=2, d=2, tail=[-1] * 6, special={0})
     @example(k=6, collinear=False, seed=0, trials=3, d=2, tail=[-1] * 6, special={0, 1})
+    @example(k=4, collinear=True, seed=0, trials=1, d=1, tail=[-1] * 6, special={0})
     def test_stopping_at_the_floor_keeps_the_minimum(self, k, collinear, seed, trials, d, tail, special):
         # the oracle's answer is the minimum framed nullity over every trial;
         # the trials in `special` put the points outside the frame on the
         # line y = x, which also passes through the frame's (0, 0), so that
         # trials can disagree and an early stop above the floor would show
         # (on six points a conic through the frame's three and three on that
-        # line is forced to contain it)
-        S = lat.blowup_p2(k, lat.collinear_config(range(1, k + 1))) if collinear and k >= 2 else lat.blowup_p2(k)
+        # line is forced to contain it).  On the collinear models every point
+        # is listed, so every sampled point lies on the frame's line y = 0:
+        # those classes are counted, the sampler is never consulted, and the
+        # count is the nullity at the real sample of every trial
+        line_only = collinear and k >= 2
+        S = lat.blowup_p2(k, lat.collinear_config(range(1, k + 1))) if line_only else lat.blowup_p2(k)
         coords = (d,) + tuple(tail[:k])
-        p, sample = coh.DEFAULT_ORACLE_PRIME, coh._sample_points
+        p, sample, consulted = coh.DEFAULT_ORACLE_PRIME, coh._sample_points, []
 
         def points(surface, frame, prime, seed, trial):
+            consulted.append(trial)
             pts = sample(surface, frame, prime, seed, trial)
             return [(i + 1, i + 1) for i in range(len(pts))] if trial in special else pts
 
@@ -639,17 +645,81 @@ class TestInterpolationOracle:
         frame = coh._frame(S, mults)
         keep = coh._frame_columns(d, [mults[i] for i in frame])
         rest = [m for i, m in enumerate(mults) if i not in frame]
-        expected = min(
-            coh.modp_nullity(coh._fat_point_matrix(d, rest, points(S, frame, p, seed, t), p)[:, keep], p)
-            for t in range(trials)
-        )
+
+        def nullities(sampler):
+            return [
+                coh.modp_nullity(coh._fat_point_matrix(d, rest, sampler(S, frame, p, seed, t), p)[:, keep], p)
+                for t in range(trials)
+            ]
+
+        expected = nullities(sample) if line_only else nullities(points)
+        consulted.clear()
         with mock.patch.object(coh, "_sample_points", points):
             coh._interpolation_h0_cached.cache_clear()
             try:
                 h0 = coh.interpolation_h0(lat.DivisorClass(S, coords), seed=seed, trials=trials)
             finally:
                 coh._interpolation_h0_cached.cache_clear()  # drop answers from patched points
-        assert h0 == expected
+        if line_only:
+            assert consulted == [] and set(expected) == {h0}
+        else:
+            assert h0 == min(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(2, 10),
+        data=st.data(),
+        seed=st.integers(0, 50),
+        trials=st.integers(1, 4),
+        d=st.integers(0, 14),
+        prime=st.sampled_from([1009, 100003, 1000003, 2147483647]),
+    )
+    def test_points_on_the_line_are_counted(self, k, data, seed, trials, d, prime):
+        # every sampled point of positive multiplicity on the line: at most
+        # one unlisted point is heavy, and the frame puts it at [0:1:0]; the
+        # count is the framed nullity at the real sample of every trial
+        listed = data.draw(st.sets(st.integers(1, k), min_size=2))
+        unlisted = [i for i in range(k) if i + 1 not in listed]
+        heavy = data.draw(st.sampled_from(unlisted)) if unlisted else None
+        tail = [
+            data.draw(st.integers(-5, 1) if i + 1 in listed or i == heavy else st.integers(0, 1))
+            for i in range(k)
+        ]
+        S = lat.blowup_p2(k, lat.collinear_config(listed))
+        mults = [max(0, -c) for c in tail]
+        frame = coh._frame(S, mults)
+        keep = coh._frame_columns(d, [mults[i] for i in frame])
+        rest = [m for i, m in enumerate(mults) if i not in frame]
+        nullities = {
+            coh.modp_nullity(
+                coh._fat_point_matrix(d, rest, coh._sample_points(S, frame, prime, seed, t), prime)[:, keep], prime
+            )
+            for t in range(trials)
+        }
+        assert nullities == {coh.interpolation_h0(lat.DivisorClass(S, (d, *tail)), seed=seed, trials=trials, prime=prime)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=st.sampled_from(
+            ["blp2:k=3:collinear=1,2,3", "blp2:k=5:collinear=1,2,3,4", "blp2:k=7:collinear=2,4,6,7,1,3",
+             "blp2:k=9:collinear=1,2,3,4,5,6,7,8,9"]
+        ),
+        d=st.integers(-3, 12),
+        tail=st.lists(st.integers(-5, 1), min_size=9, max_size=9),
+    )
+    def test_points_on_the_line_need_no_matrix(self, spec, d, tail):
+        # at most one unlisted point, which the frame places at [0:1:0], so
+        # every sampled point lies on the line and h0 is counted
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a class with every sampled point on the line built a matrix")
+
+        S = lat.parse_surface(spec)
+        Dv = lat.DivisorClass(S, (d,) + tuple(tail[: S.k]))
+        with mock.patch.multiple(
+            coh, modp_nullity=unreachable, _fat_point_matrix=unreachable, _sample_points=unreachable
+        ):
+            h0 = coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+        assert h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
 
     def test_frame_kills_monomials(self):
         # a point of multiplicity m at (0, 0) has Taylor rows that are nonzero

@@ -328,6 +328,15 @@ class TestVerificationGates:
         assert verdict.status is WBNStatus.HOLDS
         assert calls == [verdict.witness]
 
+    def test_each_del_pezzo_holds_is_checked_once(self, monkeypatch):
+        v = ch.character_from_chi(3, D(DP7, "2L"), 0)
+        calls = []
+        original = gd.WBNWitness.bookkeeping_ok
+        monkeypatch.setattr(gd.WBNWitness, "bookkeeping_ok", lambda self: calls.append(self) or original(self))
+        verdict = dec.wbn(v)
+        assert verdict.status is WBNStatus.HOLDS
+        assert calls == [verdict.witness]
+
     @pytest.mark.parametrize("spec, c1", [("F2", "F"), ("dp5", "L"), ("blF2:k=1", "F-E1")])
     def test_failed_rank_one_witness_raises(self, monkeypatch, spec, c1):
         S = lat.parse_surface(spec)
