@@ -26,7 +26,13 @@ Four routes, by strength of the statement:
   sampled point of positive multiplicity lies on the line of a collinear
   configuration, the nullity is counted in closed form instead, layer by
   layer of monomials (Hermite interpolation), so that value does not
-  depend on the seed, the trials or the prime.
+  depend on the seed, the trials or the prime.  Each trial's nullity bounds
+  the generic h0 from above, and the minimum over the trials is reported;
+  the trials stop early once one meets a value no trial can go below:
+  the nullity floor (columns less rows), or on k <= 8 general or collinear
+  points a proven lower bound on h0 at every configuration (the Cremona h0,
+  or the collinear negative-curve loop).  So stopping never changes the
+  minimum, and a trial below the bound raises, since it would disprove it.
 
 Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
 oracle, and only through this module: ``certified_cohomology`` returns the
@@ -51,6 +57,8 @@ from .lattice import (
     SurfaceModel,
     canonical,
     chi_line_bundle,
+    form,
+    neg_one_classes,
 )
 
 DEFAULT_ORACLE_PRIME = 1000003
@@ -622,6 +630,47 @@ def _line_h0(d: int, frame_mults, line_mults) -> int:
     )
 
 
+def _collinear_h0_bound(s: SurfaceModel, coords) -> int:
+    """A lower bound for h0(O(D)) on the plane blown up at k <= 8 points,
+    the collinear ones on a line, in every such configuration over every field.
+
+    The class l' = L - sum_{i collinear} E_i is effective (the line's strict
+    transform plus the E_j of any other point on it), and so is every
+    (-1)-class C of ``neg_one_classes``: chi(C) = 1, and h2(C) = h0(K - C)
+    = 0 because K - C meets the moving line class L negatively.  So
+    h0(D) >= h0(D - C) for each of them.  While D meets l' or a (-1)-class
+    C with C.l' >= 0 negatively (the E_i are among them; a class with
+    C.l' < 0 contains l'), the loop subtracts that class; each step lowers
+    d or a positive c_i, so the loop ends.  It returns 0 once d < 0, and
+    otherwise max(0, chi), which is at most h0 since h2 = 0 at d >= -2.
+    By Harbourne (1997, "Anticanonical rational surfaces") the value is the
+    generic h0 itself; only the bound is used.
+    """
+    line = (1,) + tuple(-(i in s.config.collinear) for i in range(1, s.k + 1))
+    curves = [line] + [C for C in neg_one_classes(s.k) if form(s, C, line) >= 0]
+    while coords[0] >= 0:
+        C = next((C for C in curves if form(s, coords, C) < 0), None)
+        if C is None:
+            return max(0, _chi_plane(coords[0], [-c for c in coords[1:]]))
+        coords = tuple(a - b for a, b in zip(coords, C))
+    return 0
+
+
+def _h0_lower_bound(D: DivisorClass) -> int:
+    """A lower bound for h0(O(D)) at every configuration of the surface's type.
+
+    On k <= 8 general points it is the generic h0 of ``_cremona_h0``, which
+    every configuration reaches or exceeds (semicontinuity); on k <= 8
+    collinear points it is ``_collinear_h0_bound``; elsewhere it is 0.
+    """
+    s = D.surface
+    if _has_cremona_vector(s):
+        return _cremona_h0(D.coords)
+    if s.config.kind == "collinear" and s.k <= 8:
+        return _collinear_h0_bound(s, D.coords)
+    return 0
+
+
 @lru_cache(maxsize=1 << 13)  # one benchmark pass makes at most about 1,770 calls
 def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int) -> int:
     d = D.coords[0]
@@ -643,13 +692,20 @@ def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int
         return kept
     if config.kind == "explicit":
         trials = 1  # the same points on every trial
-    best = kept
+    best, bound = kept, None
     for trial in range(trials):
         points = _sample_points(D.surface, frame, prime, seed, trial)
         mat = _fat_point_matrix(d, rest, points, prime)[:, keep]
-        best = min(best, modp_nullity(mat, prime))
+        nullity = modp_nullity(mat, prime)
+        best = min(best, nullity)
         if best == max(0, kept - len(mat)):
             break  # no trial can go below the nullity floor
+        if bound is None:
+            bound = _h0_lower_bound(D)
+        if nullity < bound:
+            raise RuntimeError(f"sample nullity {nullity} of {D} on {D.surface} is below the proven bound {bound}")
+        if best == bound:
+            break  # nor below the proven lower bound on h0
     return best
 
 
@@ -667,7 +723,13 @@ def interpolation_h0(
     monomials is the answer, so general k <= 3 needs no matrix.  Every
     sample is a configuration of the surface's type, so by semicontinuity
     each value bounds the generic h0 from above; the minimum over trials
-    is reported.  On collinear points, when every sampled point of positive
+    is reported.  The trials stop once one reaches the nullity floor
+    max(0, columns - rows) or ``_h0_lower_bound``, a lower bound on h0 at
+    every configuration of the surface's type (the generic h0 on k <= 8
+    general points, the negative-curve loop on k <= 8 collinear points, 0
+    elsewhere).  No trial can go below either, so stopping keeps the
+    minimum; a trial below the bound raises ``RuntimeError``, also under
+    ``python -O``.  On collinear points, when every sampled point of positive
     multiplicity lies on the line (the frame holds any other), the nullity
     is counted by ``_line_h0`` without a sample or a matrix; that value is
     the same for every seed, number of trials and prime.
@@ -688,7 +750,9 @@ def blowup_cohomology_oracle(
     h2 is h0 of the Serre-dual class K - D, and h1 closes the Euler
     characteristic.  The two interpolations may place their frames at
     different points, which loses nothing: D and K - D have degrees d and
-    -3 - d, so at most one of them is sampled at all.
+    -3 - d, so at most one of them is sampled at all.  Each stops its
+    trials early only where no further trial could lower its minimum (see
+    ``interpolation_h0``), so the vector is the one all trials would give.
     """
     h0 = interpolation_h0(D, seed=seed, trials=trials, prime=prime)
     h2 = interpolation_h0(canonical(D.surface) - D, seed=seed, trials=trials, prime=prime)

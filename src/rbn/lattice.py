@@ -12,7 +12,8 @@ basis, canonical class and intersection form are each read off the head:
   off the negative section.
 
 The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
-``curve_coords``, ``reflect``); ``DivisorClass`` wraps it.  Construction
+``neg_one_classes``, ``curve_coords``, ``reflect``); ``DivisorClass`` wraps
+it.  Construction
 validates (length and integer coordinates) at the public entry points:
 ``DivisorClass(...)``, ``divisor``, ``parse_divisor``, ``basis_divisor`` and
 scalar multiples.  Sums, differences and negatives of classes on one
@@ -172,6 +173,19 @@ class SurfaceModel:
     @cached_property
     def _canonical(self) -> "DivisorClass":
         return DivisorClass(self, self._head.canonical + (1,) * self.k)
+
+    # hashed once per model: every DivisorClass used as a key hashes its
+    # surface, and the generated hash would rehash the fields and the config
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.e, self.k, self.config))
+
+    def __getstate__(self):
+        # str hashes are salted per process, so the cached hash is not pickled
+        return {key: val for key, val in self.__dict__.items() if key != "_hash"}
 
     @cached_property
     def rank(self) -> int:
@@ -333,22 +347,53 @@ def chi_line_bundle(D: DivisorClass) -> int:
     return twice // 2
 
 
-@lru_cache(maxsize=None)
+# The (-1)-classes dL - sum m_i E_i (C^2 = -1, -K.C = 1) of the plane blown up
+# at k <= 8 general points, by type: the degree d, then the multiplicity m and
+# count n of the points of each of at most two groups.  E_i is the type with
+# d = 0 and one point of multiplicity -1.
+_NEG_ONE_TYPES = (
+    (0, (-1, 1), (0, 0)),  # exceptional curves
+    (1, (1, 2), (0, 0)),  # lines through two points
+    (2, (1, 5), (0, 0)),  # conics through five
+    (3, (2, 1), (1, 6)),  # cubics double at one point, through six more
+    (4, (2, 3), (1, 5)),
+    (5, (2, 6), (1, 2)),
+    (6, (3, 1), (2, 7)),
+)
+
+
+@lru_cache(maxsize=8)  # one table per k = 1..8
+def neg_one_classes(k: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of the (-1)-classes on the plane blown up at k <= 8 points.
+
+    Types in the order of ``_NEG_ONE_TYPES``, and within a type the points
+    of each group as ``itertools.combinations`` yields them: exceptional
+    curves first, then lines through two points, then conics through five,
+    and so on.  At general points these are the (-1)-curves; at k = 2..8
+    there are 3/6/10/16/27/56/240 of them.
+    """
+    if not 1 <= k <= 8:
+        raise LatticeError(f"(-1)-classes are tabulated for 1 <= k <= 8, not k = {k}")
+    classes = []
+    for degree, (m1, n1), (m2, n2) in _NEG_ONE_TYPES:
+        for first in itertools.combinations(range(k), n1):
+            for second in itertools.combinations([i for i in range(k) if i not in first], n2):
+                tail = tuple(-m1 if i in first else -m2 if i in second else 0 for i in range(k))
+                classes.append((degree,) + tail)
+    return tuple(classes)
+
+
 def curve_coords(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     """Coordinates of the (-1)-curves on a del Pezzo model, in a fixed order.
 
     Exceptional curves first, then lines through two of the points, then the
-    conic through five points when it exists.  Each class C satisfies
-    C^2 = -1 and -K.C = 1; in degrees 7/6/5/4 there are 3/6/10/16 of them.
+    conic through five points when it exists (``neg_one_classes``).  Each
+    class C satisfies C^2 = -1 and -K.C = 1; in degrees 7/6/5/4 there are
+    3/6/10/16 of them.
     """
     if not surface.is_del_pezzo:
         raise LatticeError("(-1)-curve enumeration is implemented for del Pezzo models")
-    points = range(1, surface.k + 1)
-    curves = [(0,) + tuple(int(i == j) for i in points) for j in points]
-    for degree, n in ((1, 2), (2, 5)):  # lines through 2 points, conics through 5
-        for hit in itertools.combinations(points, n):
-            curves.append((degree,) + tuple(-(i in hit) for i in points))
-    return tuple(curves)
+    return neg_one_classes(surface.k)
 
 
 def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
@@ -479,7 +524,9 @@ def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int
     return tuple(word)
 
 
-@lru_cache(maxsize=None)
+# one entry per model whose orbits are enumerated: the eight blp2:k <= 8 and
+# the four del Pezzo models fit, and orbits are rare outside the tests
+@lru_cache(maxsize=16)
 def _weyl_generators(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
     gens = [transposition_root(surface, i, i + 1) for i in range(1, surface.k)]
     if surface.k >= 3:

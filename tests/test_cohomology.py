@@ -625,9 +625,11 @@ class TestInterpolationOracle:
         # the oracle's answer is the minimum framed nullity over every trial;
         # the trials in `special` put the points outside the frame on the
         # line y = x, which also passes through the frame's (0, 0), so that
-        # trials can disagree and an early stop above the floor would show
-        # (on six points a conic through the frame's three and three on that
-        # line is forced to contain it).  On the collinear models every point
+        # trials can disagree (on six points a conic through the frame's
+        # three and three on that line is forced to contain it).  The loop
+        # stops at the nullity floor or at the proven lower bound on h0,
+        # which no configuration goes below; a stop above both would show
+        # as an answer above the minimum.  On the collinear models every point
         # is listed, so every sampled point lies on the frame's line y = 0:
         # those classes are counted, the sampler is never consulted, and the
         # count is the nullity at the real sample of every trial
@@ -720,6 +722,90 @@ class TestInterpolationOracle:
         ):
             h0 = coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
         assert h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        data=st.data(),
+        seed=st.integers(0, 50),
+        d=st.integers(0, 12),
+        prime=st.sampled_from([1009, 100003, 1000003, 2147483647]),
+    )
+    def test_lower_bound_is_below_every_sample(self, k, data, seed, d, prime):
+        # the second stopping value bounds h0 from below at every
+        # configuration of the surface's type, so no trial goes below it;
+        # an empty `listed` stands for general points
+        listed = data.draw(st.just(set()) | st.sets(st.integers(1, k), min_size=2)) if k >= 2 else set()
+        S = lat.blowup_p2(k, lat.collinear_config(listed)) if listed else lat.blowup_p2(k)
+        tail = data.draw(st.lists(st.integers(-5, 1), min_size=k, max_size=k))
+        mults = [max(0, -c) for c in tail]
+        frame = coh._frame(S, mults)
+        keep = coh._frame_columns(d, [mults[i] for i in frame])
+        rest = [m for i, m in enumerate(mults) if i not in frame]
+        bound = coh._h0_lower_bound(lat.DivisorClass(S, (d, *tail)))
+        for trial in range(3):
+            points = coh._sample_points(S, frame, prime, seed, trial)
+            assert bound <= coh.modp_nullity(coh._fat_point_matrix(d, rest, points, prime)[:, keep], prime)
+
+    def test_collinear_bound_meets_the_oracle(self):
+        # on k <= 8 collinear points the bound is Harbourne's h0, so it equals
+        # the oracle's minimum, also on the classes with h1 > 0 (h2 = 0 at
+        # d >= 0); the unframed reference runs every trial, with no stop
+        rng, special = random.Random(14), 0
+        for _ in range(300):
+            k = rng.randint(3, 8)
+            S = lat.blowup_p2(k, lat.collinear_config(rng.sample(range(1, k + 1), rng.randint(3, k))))
+            d = rng.randint(0, 14)
+            top = max(1, round(1.3 * d / math.sqrt(k)))
+            Dv = lat.DivisorClass(S, (d,) + tuple(rng.randint(-top, 1) for _ in range(k)))
+            h0 = coh.interpolation_h0(Dv)
+            assert coh._h0_lower_bound(Dv) == h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+            special += h0 > lat.chi_line_bundle(Dv)
+        assert special >= 90
+
+    @pytest.mark.parametrize(
+        "spec, expr, h0",
+        [("blp2:k=6", "6L-3E1-3E2-3E4-3E5-2E6", 2), ("blp2:k=5:collinear=1,2,3", "7L-3E1-3E2-3E3-4E4-3E5", 3)],
+    )
+    def test_special_class_stops_at_the_bound(self, monkeypatch, spec, expr, h0):
+        # h1 > 0, so the first trial misses the nullity floor; it meets the
+        # proven lower bound instead, and the other two trials are skipped
+        calls, nullity = [], coh.modp_nullity
+        monkeypatch.setattr(coh, "modp_nullity", lambda mat, p: calls.append(mat.shape) or nullity(mat, p))
+        Dv = D(lat.parse_surface(spec), expr)
+        assert coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME) == h0
+        assert len(calls) == 1 and calls[0][1] - calls[0][0] < h0
+        assert h0 > lat.chi_line_bundle(Dv) and h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+
+    def test_sample_below_the_bound_raises_under_optimization(self):
+        # a trial below the proven bound disproves it: the oracle raises, not
+        # returns, python -O must not change that, and the CLI exits 3
+        script = textwrap.dedent(
+            """
+            from rbn import cli, cohomology, lattice
+            bound = cohomology._h0_lower_bound
+            cohomology._h0_lower_bound = lambda D: bound(D) + 1
+            for spec, expr in (("blp2:k=6", "6L-3E1-3E2-3E4-3E5-2E6"),
+                               ("blp2:k=5:collinear=1,2,3", "7L-3E1-3E2-3E3-4E4-3E5")):
+                S = lattice.parse_surface(spec)
+                try:
+                    h0 = cohomology.interpolation_h0(lattice.parse_divisor(expr, S))
+                except RuntimeError as exc:
+                    print("raised:", exc)
+                else:
+                    print("returned", h0)
+            print("exit", cli.main(["cohom", "--surface", spec, "--divisor", expr]))
+            """
+        )
+        src = str(pathlib.Path(coh.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert out.stdout == (
+            "raised: sample nullity 2 of 6L-3E1-3E2-3E4-3E5-2E6 on blp2:k=6 is below the proven bound 3\n"
+            "raised: sample nullity 3 of 7L-3E1-3E2-3E3-4E4-3E5 on blp2:k=5:collinear=1,2,3 is below the proven bound 4\n"
+            "exit 3\n"
+        ), out.stderr
 
     def test_frame_kills_monomials(self):
         # a point of multiplicity m at (0, 0) has Taylor rows that are nonzero

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -119,6 +120,37 @@ class TestNegOneCurves:
     def test_refused_off_del_pezzo(self):
         with pytest.raises(lat.LatticeError):
             lat.neg_one_curves(BL2)
+
+    def test_del_pezzo_order(self):
+        # exceptional curves, then lines, then the conic: the orthogonal-curve
+        # pick of the del Pezzo decomposition reads this order
+        assert [str(C) for C in lat.neg_one_curves(lat.del_pezzo(6))] == [
+            "E1", "E2", "E3", "L-E1-E2", "L-E1-E3", "L-E2-E3"
+        ]
+        for degree in range(4, 8):
+            assert lat.curve_coords(lat.del_pezzo(degree)) is lat.neg_one_classes(9 - degree)
+        assert lat.neg_one_classes(5)[-1] == (2, -1, -1, -1, -1, -1)
+
+    @pytest.mark.parametrize("k,count", [(1, 1), (2, 3), (3, 6), (4, 10), (5, 16), (6, 27), (7, 56), (8, 240)])
+    def test_table_counts_and_numerics(self, k, count):
+        S = lat.blowup_p2(k)
+        K = lat.canonical(S).coords
+        table = lat.neg_one_classes(k)
+        assert len(table) == len(set(table)) == count
+        for C in table:
+            assert lat.form(S, C, C) == -1 and lat.form(S, C, K) == -1
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_table_is_the_orbit_of_an_exceptional_curve(self, k):
+        S = lat.blowup_p2(k)
+        orbit = {C.coords for C in lat.weyl_orbit(lat.basis_divisor(S, f"E{k}"))}
+        missing = {(1, -1, -1)} if k == 2 else set()  # the Weyl group of two points has no Cremona root
+        assert orbit | missing == set(lat.neg_one_classes(k)) and not orbit & missing
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_table_refused_outside_one_to_eight(self, k):
+        with pytest.raises(lat.LatticeError):
+            lat.neg_one_classes(k)
 
 
 class TestNefAndEffective:
@@ -312,6 +344,37 @@ class TestDivisorArithmetic:
             assert all(type(c) is int for c in got.coords) and hash(got) == hash(D(DP5, want))
         reflected = lat.weyl_reflect(a, D(DP5, "E1-E2"))
         assert reflected == D(DP5, "3L-2E1-E2") and type(reflected) is lat.DivisorClass
+
+
+class TestSurfaceHash:
+    def test_hash_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lat.PointConfig, "__hash__", lambda self: calls.append(self) or 7)
+        S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3]))
+        keys = {lat.DivisorClass(S, (d, 0, 0, 0, 0)) for d in range(5)}
+        assert len(keys) == 5 and hash(S) == hash(S) and calls == [S.config]
+
+    def test_pickled_model_hashes_in_another_process(self):
+        # str hashes are salted per process, so a cached hash must not travel
+        S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3]))
+        hash(S)
+        T = pickle.loads(pickle.dumps(S))
+        assert "_hash" not in T.__dict__ and T == S and hash(T) == hash(S)
+        assert S != lat.blowup_p2(4, lat.collinear_config([1, 2]))
+        script = textwrap.dedent(
+            """
+            import pickle, sys
+            from rbn import lattice
+            T = pickle.loads(bytes.fromhex(sys.argv[1]))
+            print(hash(T) == hash(lattice.parse_surface(T.spec())))
+            """
+        )
+        src = str(pathlib.Path(lat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(hash(S) % 1000 + 1)}
+        out = subprocess.run(
+            [sys.executable, "-c", script, pickle.dumps(S).hex()], capture_output=True, text=True, env=env
+        )
+        assert out.stdout == "True\n", out.stderr
 
 
 # each public way in must still refuse malformed coordinates; the checks are
