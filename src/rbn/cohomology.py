@@ -26,7 +26,15 @@ Four routes, by strength of the statement:
   sampled point of positive multiplicity lies on the line of a collinear
   configuration, the nullity is counted in closed form instead, layer by
   layer of monomials (Hermite interpolation), so that value does not
-  depend on the seed, the trials or the prime.  Each trial's nullity bounds
+  depend on the seed, the trials or the prime.  Otherwise each sample is
+  Cremona-reduced before it is eliminated: on collinear points the line
+  is removed while D meets it negatively, and then quadratic
+  transformations at triples of sampled points whose multiplicities sum
+  above the degree lower the class.  Each step is an isomorphism of the
+  surface blown up at that very sample, and each clamp or line removal
+  drops a fixed component, so the reduced class has the same h0 there
+  over every F_p: the value is the framed nullity of the sample, from a
+  smaller matrix or none.  Each trial's nullity bounds
   the generic h0 from above, and the minimum over the trials is reported;
   the trials stop early once one meets a value no trial can go below:
   the nullity floor (columns less rows), or on k <= 8 general or collinear
@@ -43,6 +51,7 @@ vector wherever the first three certify it, and
 from __future__ import annotations
 
 import enum
+import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -671,6 +680,122 @@ def _h0_lower_bound(D: DivisorClass) -> int:
     return 0
 
 
+def _dot(u, v, p: int) -> int:
+    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % p
+
+
+def _join(u, v, p: int) -> tuple[int, int, int]:
+    """The line through two points of P^2(F_p), as a cross product."""
+    return (
+        (u[1] * v[2] - u[2] * v[1]) % p,
+        (u[2] * v[0] - u[0] * v[2]) % p,
+        (u[0] * v[1] - u[1] * v[0]) % p,
+    )
+
+
+def _cremona_centres(pts, d: int, p: int):
+    """The heaviest triple of ``pts`` (sorted heaviest first) whose
+    multiplicities sum above d and at which a quadratic transformation
+    centred there is an isomorphism of the blowup: its points are not
+    collinear and no other point lies on the three lines through them.
+    Returns the triple's positions and its lines (bc, ca, ab), or None.
+    """
+    n = len(pts)
+    if n < 3 or pts[0][0] + pts[1][0] + pts[2][0] <= d:
+        return None
+    triples = sorted(
+        (t for t in itertools.combinations(range(n), 3) if pts[t[0]][0] + pts[t[1]][0] + pts[t[2]][0] > d),
+        key=lambda t: -(pts[t[0]][0] + pts[t[1]][0] + pts[t[2]][0]),
+    )  # stable: ties keep the heaviest-first order
+    for t in triples:
+        a, b, c = (pts[j][2] for j in t)
+        lines = (_join(b, c, p), _join(c, a, p), _join(a, b, p))
+        if _dot(lines[0], a, p) and not any(
+            _dot(line, pts[j][2], p) == 0 for j in range(n) if j not in t for line in lines
+        ):
+            return t, lines
+    return None
+
+
+_FRAME_POINTS = ((0, 0, 1), (1, 0, 0), (0, 1, 0))  # where ``_frame`` puts its points, in order
+
+
+def _reduce_sample(d: int, mults, frame, points, p: int, listed):
+    """Cremona-reduce one sample; the reduced class framed as
+    ``(d, frame_mults, rest, points)``, or None for the unreduced one.
+
+    The sampled points of positive multiplicity are kept in projective
+    coordinates over F_p (points of multiplicity 0 impose nothing).  On a
+    collinear model (``listed`` holds the 0-based indices on the line), the
+    line l' = L - sum_listed E_i is removed first while D.l' < 0: the
+    listed points lie on y = 0 and the others off it, so l' is the class
+    of that line's strict transform, an irreducible curve, hence a fixed
+    component.  Then, while some triple qualifies (``_cremona_centres``),
+    the heaviest one is moved to the coordinate points and
+    (x:y:z) -> (yz:xz:xy) is applied.  That is an isomorphism of the
+    surface blown up at this very sample onto the blowup at the image
+    points, carrying D to d' = 2d - m_a - m_b - m_c with m'_a = d - m_b - m_c
+    at the image of the line bc; a negative m'_a makes that exceptional
+    curve a fixed component, so it is clamped to 0.  Each step keeps the
+    value, so it is the framed nullity of the unreduced class at the same
+    sample, over every F_p.  Every step lowers d.  The result is framed at its heaviest
+    qualifying triple.  A sample that takes no step, or whose reduced
+    class has three or more points and no qualifying triple, returns None.
+    """
+    where = dict(zip(frame, _FRAME_POINTS))
+    where.update(zip((i for i in range(len(mults)) if i not in where), ((x, y, 1) for x, y in points)))
+    pts = [(m, i, where[i]) for i, m in enumerate(mults) if m]
+    start = d
+    while d >= 0 and d < sum(m for m, i, _ in pts if i in listed):
+        d -= 1
+        pts = [(m - (i in listed), i, P) for m, i, P in pts if m > (i in listed)]
+    while d >= 0:
+        pts.sort(key=lambda t: (-t[0], t[1]))
+        found = _cremona_centres(pts, d, p)
+        if found is None:
+            break
+        t, lines = found
+        ma, mb, mc = (pts[j][0] for j in t)
+        moved = [(max(0, d - mb - mc), pts[t[0]][1], (1, 0, 0)),
+                 (max(0, d - mc - ma), pts[t[1]][1], (0, 1, 0)),
+                 (max(0, d - ma - mb), pts[t[2]][1], (0, 0, 1))]
+        for j, (m, i, P) in enumerate(pts):
+            if j not in t:
+                x, y, z = (_dot(line, P, p) for line in lines)
+                moved.append((m, i, (y * z % p, x * z % p, x * y % p)))
+        d = 2 * d - ma - mb - mc
+        pts = [q for q in moved if q[0]]
+    if d == start:
+        return None
+    if d < 0:
+        return d, [], [], []
+    if len(pts) < 3:
+        return d, [m for m, _, _ in pts], [], []  # any two points frame
+    found = _cremona_centres(pts, -1, p)
+    if found is None:
+        return None
+    t, (bc, ca, ab) = found
+    rest, affine = [], []
+    for j, (m, _, P) in enumerate(pts):
+        if j not in t:
+            z = pow(_dot(ab, P, p), -1, p)  # nonzero: P is off the line ab
+            rest.append(m)
+            affine.append((_dot(bc, P, p) * z % p, _dot(ca, P, p) * z % p))
+    # a, b, c go to [1:0:0], [0:1:0], [0:0:1]; the frame lists [0:0:1] first
+    return d, [pts[t[2]][0], pts[t[0]][0], pts[t[1]][0]], rest, affine
+
+
+def _framed_nullity(d: int, frame_mults, rest, points, p: int) -> int:
+    """Nullity of the framed matrix: the frame's points at the coordinate
+    points, ``rest`` at the affine ``points``."""
+    if d < 0:
+        return 0
+    keep = _frame_columns(d, frame_mults)
+    if not any(rest):
+        return int(np.count_nonzero(keep))
+    return modp_nullity(_fat_point_matrix(d, rest, points, p)[:, keep], p)
+
+
 @lru_cache(maxsize=1 << 13)  # one benchmark pass makes at most about 1,770 calls
 def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int) -> int:
     d = D.coords[0]
@@ -692,13 +817,15 @@ def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int
         return kept
     if config.kind == "explicit":
         trials = 1  # the same points on every trial
+    listed = {i - 1 for i in config.collinear} if config.kind == "collinear" else set()
+    floor = max(0, kept - sum(m * (m + 1) // 2 for m in rest))  # columns less rows
     best, bound = kept, None
     for trial in range(trials):
         points = _sample_points(D.surface, frame, prime, seed, trial)
-        mat = _fat_point_matrix(d, rest, points, prime)[:, keep]
-        nullity = modp_nullity(mat, prime)
+        sample = (d, frame_mults, rest, points)
+        nullity = _framed_nullity(*(_reduce_sample(d, mults, frame, points, prime, listed) or sample), prime)
         best = min(best, nullity)
-        if best == max(0, kept - len(mat)):
+        if best == floor:
             break  # no trial can go below the nullity floor
         if bound is None:
             bound = _h0_lower_bound(D)
@@ -720,7 +847,14 @@ def interpolation_h0(
     trial places the frame of ``_frame`` at the coordinate points, which
     drops the monomials they kill, and samples the other points as rows;
     with no other point of positive multiplicity the count of kept
-    monomials is the answer, so general k <= 3 needs no matrix.  Every
+    monomials is the answer, so general k <= 3 needs no matrix.  Before it
+    eliminates, each sample is Cremona-reduced (``_reduce_sample``): the
+    collinear line is removed while D meets it negatively, then quadratic
+    transformations centred at sampled triples whose multiplicities sum
+    above d lower the degree.  Each step is an isomorphism of the surface
+    blown up at that sample, so the value is exactly the sample's framed
+    nullity, over every F_p; a sample that takes no step, or that cannot
+    be framed afterwards, builds the framed matrix as it is.  Every
     sample is a configuration of the surface's type, so by semicontinuity
     each value bounds the generic h0 from above; the minimum over trials
     is reported.  The trials stop once one reaches the nullity floor
@@ -751,8 +885,10 @@ def blowup_cohomology_oracle(
     characteristic.  The two interpolations may place their frames at
     different points, which loses nothing: D and K - D have degrees d and
     -3 - d, so at most one of them is sampled at all.  Each stops its
-    trials early only where no further trial could lower its minimum (see
-    ``interpolation_h0``), so the vector is the one all trials would give.
+    trials early only where no further trial could lower its minimum, and
+    each Cremona-reduces its samples, which keeps every sample's value (see
+    ``interpolation_h0``), so the vector is the one all trials of the
+    unreduced framed matrices would give.
     """
     h0 = interpolation_h0(D, seed=seed, trials=trials, prime=prime)
     h2 = interpolation_h0(canonical(D.surface) - D, seed=seed, trials=trials, prime=prime)

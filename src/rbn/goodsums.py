@@ -302,6 +302,52 @@ def _two_point_summand_raw(d: int, a: int, r: int) -> tuple[int, int, int]:
     return cur
 
 
+# up to this rank the two-point steps recurse through the memo of
+# ``_decompose``, so low-rank remainders shared between queries are memo
+# hits (the delpezzo_goodsums benchmark's ranks 1-5); above it they run in a
+# loop, so a high rank costs no recursion depth
+_MEMO_RANK = 16
+
+
+def _decompose_two_point(coords, r: int):
+    """Good-sum summands for a nef class on the two-point surface.
+
+    Each rank step unbalances the class, swaps E_1 and E_2 if E_1 is the
+    one it meets, and splits off one summand of the right anticanonical
+    degree.  The steps' moves, swaps and summands go on a stack until the
+    rank left is at most ``_MEMO_RANK``, which ``_decompose`` finishes;
+    then the steps are undone in reverse.
+    """
+    surface, stack, summands = del_pezzo(7), [], None
+    while summands is None:
+        moves, cur = _upshift_moves(coords, 2)
+        m1, m2 = -cur[1], -cur[2]
+        assert min(m1, m2) == 0, f"two-point upshift fixed point {cur} has no orthogonal E_i"
+        swapped = m2 != 0
+        if swapped:
+            cur = (cur[0], cur[2], cur[1])
+        d, a = cur[0], -cur[1]
+        if r == 2 and (d, a) == (1, 1):
+            stack.append((moves, swapped, (1, -2, 0)))
+            summands = ((0, 1, 0),)  # E_1 and L - 2E_1
+            break
+        M = _two_point_summand_raw(d, a, r)
+        coords = tuple(x - y for x, y in zip(cur, M))
+        assert is_nef_coords(surface, coords), f"two-point summand left a non-nef remainder {coords}"
+        assert 3 * M[0] + M[1] + M[2] == (3 * d - a) // r, "wrong anticanonical degree"
+        stack.append((moves, swapped, M))
+        r -= 1
+        if r <= _MEMO_RANK:
+            summands = _decompose(2, coords, r)
+    for moves, swapped, M in reversed(stack):
+        summands = tuple(sorted(summands + (M,)))
+        if swapped:
+            summands = tuple(sorted((s[0], s[2], s[1]) for s in summands))
+        for i, j in reversed(moves):
+            summands = _lift_summands(summands, i, j)
+    return summands
+
+
 # one delpezzo_goodsums benchmark pass leaves about 2,100 entries; criterion 5
 # makes 67,980 top-level calls, and at this bound misses rise from 67,980 to
 # 75,000 while its time stays the same
@@ -310,39 +356,23 @@ def _decompose(k: int, coords, r: int):
     """Good-sum summands (sorted coordinate tuples) for a nef class on k points."""
     if r == 1:
         return (coords,)
-    moves, cur = _upshift_moves(coords, k)
     if k == 2:
-        m1, m2 = -cur[1], -cur[2]
-        assert min(m1, m2) == 0, f"two-point upshift fixed point {cur} has no orthogonal E_i"
-        swapped = m2 != 0
-        if swapped:
-            cur = (cur[0], cur[2], cur[1])
-        d, a = cur[0], -cur[1]
-        if r == 2 and (d, a) == (1, 1):
-            summands = ((0, 1, 0), (1, -2, 0))  # E_1 and L - 2E_1
-        else:
-            M = _two_point_summand_raw(d, a, r)
-            rest = tuple(x - y for x, y in zip(cur, M))
-            assert is_nef_coords(del_pezzo(7), rest), f"two-point summand left a non-nef remainder {rest}"
-            assert 3 * M[0] + M[1] + M[2] == (3 * d - a) // r, "wrong anticanonical degree"
-            summands = tuple(sorted(_decompose(2, rest, r - 1) + (M,)))
-        if swapped:
-            summands = tuple(sorted((s[0], s[2], s[1]) for s in summands))
-    else:
-        surface = del_pezzo(9 - k)
-        ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
-        assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
-        word = curve_word(surface, ortho)
-        for root in word:
-            cur = reflect(surface, cur, root)
-        assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
-        lifted = []
-        for summand in _decompose(k - 1, cur[:-1], r):
-            summand += (0,)
-            for root in reversed(word):
-                summand = reflect(surface, summand, root)
-            lifted.append(summand)
-        summands = tuple(sorted(lifted))
+        return _decompose_two_point(coords, r)
+    moves, cur = _upshift_moves(coords, k)
+    surface = del_pezzo(9 - k)
+    ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
+    assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
+    word = curve_word(surface, ortho)
+    for root in word:
+        cur = reflect(surface, cur, root)
+    assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
+    lifted = []
+    for summand in _decompose(k - 1, cur[:-1], r):
+        summand += (0,)
+        for root in reversed(word):
+            summand = reflect(surface, summand, root)
+        lifted.append(summand)
+    summands = tuple(sorted(lifted))
     for i, j in reversed(moves):
         summands = _lift_summands(summands, i, j)
     return summands

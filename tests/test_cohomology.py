@@ -768,14 +768,110 @@ class TestInterpolationOracle:
         [("blp2:k=6", "6L-3E1-3E2-3E4-3E5-2E6", 2), ("blp2:k=5:collinear=1,2,3", "7L-3E1-3E2-3E3-4E4-3E5", 3)],
     )
     def test_special_class_stops_at_the_bound(self, monkeypatch, spec, expr, h0):
-        # h1 > 0, so the first trial misses the nullity floor; it meets the
-        # proven lower bound instead, and the other two trials are skipped
-        calls, nullity = [], coh.modp_nullity
-        monkeypatch.setattr(coh, "modp_nullity", lambda mat, p: calls.append(mat.shape) or nullity(mat, p))
+        # h1 > 0, so the first trial misses the nullity floor (columns less
+        # rows of the framed matrix); it meets the proven lower bound
+        # instead, and the other two trials are never sampled
+        calls, sample = [], coh._sample_points
+        monkeypatch.setattr(coh, "_sample_points", lambda *args: calls.append(args[-1]) or sample(*args))
         Dv = D(lat.parse_surface(spec), expr)
         assert coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME) == h0
-        assert len(calls) == 1 and calls[0][1] - calls[0][0] < h0
+        mults = [max(0, -c) for c in Dv.coords[1:]]
+        frame = coh._frame(Dv.surface, mults)
+        keep = coh._frame_columns(Dv.coords[0], [mults[i] for i in frame])
+        rows = sum(m * (m + 1) // 2 for i, m in enumerate(mults) if i not in frame)
+        assert calls == [0] and np.count_nonzero(keep) - rows < h0
         assert h0 > lat.chi_line_bundle(Dv) and h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 10),
+        data=st.data(),
+        seed=st.integers(0, 50),
+        trials=st.integers(1, 3),
+        d=st.integers(0, 14),
+        prime=st.sampled_from([1009, 100003, 1000003, 2147483647]),
+    )
+    def test_reduced_sample_keeps_the_framed_nullity(self, k, data, seed, trials, d, prime):
+        # each quadratic transformation is an isomorphism of the surface
+        # blown up at the sample, and each clamp or line removal drops a
+        # fixed component, so the reduced value is the framed nullity at the
+        # real sample of every trial; an empty `listed` stands for general
+        # points
+        listed = data.draw(st.just(set()) | st.sets(st.integers(1, k), min_size=2)) if k >= 2 else set()
+        S = lat.blowup_p2(k, lat.collinear_config(listed)) if listed else lat.blowup_p2(k)
+        tail = data.draw(st.lists(st.integers(-6, 1), min_size=k, max_size=k))
+        mults = [max(0, -c) for c in tail]
+        frame = coh._frame(S, mults)
+        frame_mults = [mults[i] for i in frame]
+        keep = coh._frame_columns(d, frame_mults)
+        rest = [m for i, m in enumerate(mults) if i not in frame]
+        nullities = []
+        for trial in range(trials):
+            points = coh._sample_points(S, frame, prime, seed, trial)
+            nullities.append(coh.modp_nullity(coh._fat_point_matrix(d, rest, points, prime)[:, keep], prime))
+            reduced = coh._reduce_sample(d, mults, frame, points, prime, {i - 1 for i in listed})
+            assert coh._framed_nullity(*(reduced or (d, frame_mults, rest, points)), prime) == nullities[-1]
+        h0 = coh.interpolation_h0(lat.DivisorClass(S, (d, *tail)), seed=seed, trials=trials, prime=prime)
+        assert h0 == min(nullities)
+
+    @pytest.mark.parametrize(
+        "spec, expr",
+        [("blp2:k=6", "6L-3E1-3E2-3E4-3E5-2E6"), ("blp2:k=5:collinear=1,2,3", "7L-3E1-3E2-3E3-4E4-3E5"),
+         ("blp2:k=6", "12L-3E1-5E2-5E3-E4-3E5-3E6"), ("blp2:k=6:collinear=1,2,3", "14L-5E1-3E2-4E3-7E4-7E5-6E6"),
+         ("blp2:k=10", "12L-5E1-4E2-4E3-4E4-3E5-3E6-3E7-3E8-2E9-2E10"),
+         ("blp2:k=8:collinear=1,2,3,4,5", "9L-3E1-3E2-3E3-2E4-2E5-3E6-3E7-3E8")],
+    )
+    def test_reduction_steps_keep_the_framed_nullity(self, spec, expr):
+        # classes whose samples take a step: the reduced value is the framed
+        # nullity at each sample, with a smaller matrix or none
+        Dv = D(lat.parse_surface(spec), expr)
+        d, mults = Dv.coords[0], [max(0, -c) for c in Dv.coords[1:]]
+        listed = {i - 1 for i in Dv.surface.config.collinear}
+        frame = coh._frame(Dv.surface, mults)
+        keep = coh._frame_columns(d, [mults[i] for i in frame])
+        rest = [m for i, m in enumerate(mults) if i not in frame]
+        for prime in (1009, coh.DEFAULT_ORACLE_PRIME):
+            for trial in range(3):
+                points = coh._sample_points(Dv.surface, frame, prime, 0, trial)
+                reduced = coh._reduce_sample(d, mults, frame, points, prime, listed)
+                assert reduced is not None and sum(m * (m + 1) // 2 for m in reduced[2]) < sum(
+                    m * (m + 1) // 2 for m in rest
+                )
+                expected = coh.modp_nullity(coh._fat_point_matrix(d, rest, points, prime)[:, keep], prime)
+                assert coh._framed_nullity(*reduced, prime) == expected
+
+    @pytest.mark.parametrize(
+        "spec, expr, moved",
+        [
+            # the fourth point on x = 0, the line through the centres at
+            # [0:0:1] and [0:1:0]: every triple is collinear or has a point
+            # on one of its lines
+            ("blp2:k=4", "2L-E1-E2-E3-E4", {3: (0, 5)}),
+            # the heavy off-line points at [0:1:0] and on x = 0 are collinear
+            # with the listed point at [0:0:1], and x = 0 blocks every other
+            # triple whose multiplicities sum above d
+            ("blp2:k=5:collinear=1,2,3", "4L-E1-E2-E3-2E4-2E5", {4: (0, 7)}),
+        ],
+    )
+    def test_degenerate_sample_falls_back(self, spec, expr, moved):
+        # a sample with no triple to transform at builds the unreduced framed matrix
+        S = lat.parse_surface(spec)
+        Dv = D(S, expr)
+        d, mults = Dv.coords[0], [max(0, -c) for c in Dv.coords[1:]]
+        frame = coh._frame(S, mults)
+        keep = coh._frame_columns(d, [mults[i] for i in frame])
+        rest = [m for i, m in enumerate(mults) if i not in frame]
+        sample = coh._sample_points
+        others = [i for i in range(S.k) if i not in frame]
+
+        def points(surface, frame, prime, seed, trial):
+            return [moved.get(i, pt) for i, pt in zip(others, sample(surface, frame, prime, seed, trial))]
+
+        pts = points(S, frame, coh.DEFAULT_ORACLE_PRIME, 0, 0)
+        assert coh._reduce_sample(d, mults, frame, pts, coh.DEFAULT_ORACLE_PRIME, {i - 1 for i in S.config.collinear}) is None
+        expected = coh.modp_nullity(coh._fat_point_matrix(d, rest, pts, coh.DEFAULT_ORACLE_PRIME)[:, keep], coh.DEFAULT_ORACLE_PRIME)
+        with mock.patch.object(coh, "_sample_points", points):
+            assert coh._interpolation_h0_cached.__wrapped__(Dv, 0, 1, coh.DEFAULT_ORACLE_PRIME) == expected
 
     def test_sample_below_the_bound_raises_under_optimization(self):
         # a trial below the proven bound disproves it: the oracle raises, not

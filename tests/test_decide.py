@@ -199,6 +199,15 @@ class TestDelPezzo:
         assert dec.wbn(v).status is WBNStatus.HOLDS
 
 
+    def test_high_rank_witness(self):
+        # rank 1000 on the two-point surface: one summand per rank step,
+        # with no recursion
+        v = ch.character_from_chi(1000, D(DP7, "5000L-1666E1-1666E2"), 0)
+        verdict = dec.wbn(v)
+        assert verdict.status is WBNStatus.HOLDS
+        gs = verdict.witness.good_sum
+        assert gs.rank == 1000 and gs.c1() == v.c1 and gd.is_good_sum(gs).ok
+
 class TestObstructionCertificate:
     def test_negative_section_reproduces_twisted_chi(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)

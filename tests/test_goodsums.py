@@ -4,6 +4,8 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbn import chern as ch
 from rbn import cohomology as coh
@@ -279,6 +281,18 @@ class TestDecompose:
             assert max(degrees) - min(degrees) <= 1
 
 
+    @pytest.mark.parametrize(
+        "spec, expr, r",
+        [("dp7", "6000L-2000E1-2000E2", 1200), ("dp7", "5001L-1667E1", 1000), ("dp4", "4000L-1000E1-900E2-800E3-700E4-600E5", 1000)],
+    )
+    def test_high_rank_needs_no_recursion_depth(self, spec, expr, r):
+        # the two-point surface splits off one summand per rank step; a rank
+        # of 1000 or more must not reach Python's recursion limit
+        S = lat.parse_surface(spec)
+        gs = gd.delpezzo_decompose(D(S, expr), r)
+        assert gs.rank == r and gs.c1() == D(S, expr)
+        assert gd.is_good_sum(gs).ok
+
 class TestHirzebruchFiberSum:
     def test_quadric_special_case(self):
         v = ch.character_from_chi(2, D(lat.hirzebruch(0), "-2E-2F"), 0)
@@ -323,3 +337,49 @@ class TestWitness:
         v = ch.character_from_chi(2, D(DP7, "2L"), 1)
         with pytest.raises(ch.CharacterError):
             gd.wbn_witness(v)
+
+
+class TestWitnessBookkeepingAtLargeCoordinates:
+    # the witness bookkeeping of the fiber sum and of the rounding sum at
+    # large coordinates, with c1 and chi recomputed here from the summands'
+    # coordinates
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=st.integers(0, 10), r=st.integers(1, 1000), data=st.data())
+    def test_fiber_sum(self, e, r, data):
+        k = -data.draw(st.integers(1, r))
+        ell = data.draw(st.integers(-10**6, 10**6))
+        v = ch.character_from_chi(r, lat.DivisorClass(lat.hirzebruch(e), (k, ell)), 0)
+        gs = gd.hirzebruch_fiber_sum(v)
+        w = gd.WBNWitness(gs, gs.chi(), v)
+        assert w.bookkeeping_ok() and gs.rank == r
+        coords = [s.coords for s in gs.summands]
+        assert tuple(map(sum, zip(*coords))) == (k, ell)
+        # chi(aE + bF) = (a + 1)(b + 1) - e a(a + 1)/2 on F_e, with E^2 = -e
+        assert sum((a + 1) * (b + 1) - e * a * (a + 1) // 2 for a, b in coords) == 0 == w.modifications
+        assert sum(2 * a * b - e * a * a for a, b in coords) == v.twice_ch2
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 8), r=st.integers(2, 1000), d=st.integers(0, 2000), data=st.data())
+    def test_rounding_sum(self, k, r, d, data):
+        # c1 = (dr + p)L - sum (a_i r + p_i)E_i with p > 0, so the rounding
+        # splits; the ceiling multiplicities sum to at most d + 1, so the
+        # ceiling bundle is rule-derivable and has no higher cohomology
+        p = data.draw(st.integers(1, r - 1))
+        ceil = data.draw(st.lists(st.integers(0, (d + 1) // k), min_size=k, max_size=k))
+        rems = [data.draw(st.integers(0, r - 1)) if c else 0 for c in ceil]
+        a = [c - (q > 0) for c, q in zip(ceil, rems)]
+        S = lat.blowup_p2(k)
+        c1 = (d * r + p,) + tuple(-(x * r + q) for x, q in zip(a, rems))
+        v = ch.character_from_chi(r, lat.DivisorClass(S, c1), 0)
+        gs = gd.rounding_sum(v)
+        w = gd.WBNWitness(gs, gs.chi(), v)
+        assert w.bookkeeping_ok() and gs.rank == r
+        coords = [s.coords for s in gs.summands]
+        assert tuple(map(sum, zip(*coords))) == c1
+        assert sorted(c[0] for c in coords) == [d] * (r - p) + [d + 1] * p
+        for i, (x, q) in enumerate(zip(a, rems), start=1):
+            assert sorted(-c[i] for c in coords) == [x] * (r - q) + [x + 1] * q
+        # chi(dL + sum c_i E_i) = (d + 1)(d + 2)/2 - sum c_i(c_i - 1)/2
+        chi = sum((c[0] + 1) * (c[0] + 2) // 2 - sum(x * (x - 1) // 2 for x in c[1:]) for c in coords)
+        assert chi == w.modifications >= 0
