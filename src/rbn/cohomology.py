@@ -390,11 +390,9 @@ def _coords_repr(coords) -> str:
 
 
 def _obviously_effective(D: DivisorClass) -> bool:
-    """Cheap sufficient test for h0 > 0 (a manifest sum of effective classes)."""
-    s = D.surface
-    if s.is_hirzebruch:
-        return D.coords[0] >= 0 and D.coords[1] >= 0
-    if s.is_blowup_p2_like:
+    """Cheap sufficient test for h0 > 0 (a manifest sum of effective classes)
+    on a blowup of the plane or of F_e."""
+    if D.surface.is_blowup_p2_like:
         ell, tail = D.coords[0], D.coords[1:]
         need = sum(-c for c in tail if c < 0)  # one line per point multiplicity
         return ell >= need
@@ -495,7 +493,11 @@ def _is_prime(n: int) -> bool:
 
 def _resolve_prime(prime: int | None, degree: int) -> int:
     if prime is None:
-        prime = int(os.environ.get(ORACLE_PRIME_ENV, DEFAULT_ORACLE_PRIME))
+        raw = os.environ.get(ORACLE_PRIME_ENV, str(DEFAULT_ORACLE_PRIME))
+        try:
+            prime = int(raw)
+        except ValueError:
+            raise OracleError(f"{ORACLE_PRIME_ENV}={raw!r} is not an integer") from None
     if not _is_prime(prime):
         raise OracleError(f"oracle modulus {prime} is not prime")
     if prime <= max(degree, 1000):
@@ -796,9 +798,46 @@ def _framed_nullity(d: int, frame_mults, rest, points, p: int) -> int:
     return modp_nullity(_fat_point_matrix(d, rest, points, p)[:, keep], p)
 
 
-@lru_cache(maxsize=1 << 13)  # one benchmark pass makes at most about 1,770 calls
-def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int) -> int:
+def interpolation_h0(
+    D: DivisorClass, *, seed: int = 0, trials: int = 3, prime: int | None = None
+) -> int:
+    """Brute-force h0 on a blowup of the plane via fat-point interpolation.
+
+    Sections of O(dL - sum a_i E_i) are degree-d plane curves with a point of
+    multiplicity a_i at each p_i; over a large prime field the count of
+    independent ones is the nullity of the Taylor-condition matrix.  Each
+    trial places the frame of ``_frame`` at the coordinate points, which
+    drops the monomials they kill, and samples the other points as rows;
+    with no other point of positive multiplicity the count of kept
+    monomials is the answer, so general k <= 3 needs no matrix.  Before it
+    eliminates, each sample is Cremona-reduced (``_reduce_sample``): the
+    collinear line is removed while D meets it negatively, then quadratic
+    transformations centred at sampled triples whose multiplicities sum
+    above d lower the degree.  Each step is an isomorphism of the surface
+    blown up at that sample, so the value is exactly the sample's framed
+    nullity, over every F_p; a sample that takes no step, or that cannot
+    be framed afterwards, builds the framed matrix as it is.  Every
+    sample is a configuration of the surface's type, so by semicontinuity
+    each value bounds the generic h0 from above; the minimum over trials
+    is reported.  The trials stop once one reaches the nullity floor
+    max(0, columns - rows) or ``_h0_lower_bound``, a lower bound on h0 at
+    every configuration of the surface's type (the generic h0 on k <= 8
+    general points, the negative-curve loop on k <= 8 collinear points, 0
+    elsewhere).  No trial can go below either, so stopping keeps the
+    minimum; a trial below the bound raises ``RuntimeError``, also under
+    ``python -O``.  On collinear points, when every sampled point of positive
+    multiplicity lies on the line (the frame holds any other), the nullity
+    is counted by ``_line_h0`` without a sample or a matrix; that value is
+    the same for every seed, number of trials and prime.  Nothing is
+    cached: each trial's points are seeded by (seed, trial, k, prime), so
+    a repeated call recomputes the same value.
+    """
+    if not D.surface.is_blowup_p2_like:
+        raise OracleError("the interpolation oracle works on blowups of the plane")
+    if trials < 1:
+        raise OracleError("need at least one trial")
     d = D.coords[0]
+    prime = _resolve_prime(prime, max(d, 0))
     if d < 0:
         return 0
     # negative-multiplicity exceptional summands are fixed components
@@ -834,46 +873,6 @@ def _interpolation_h0_cached(D: DivisorClass, seed: int, trials: int, prime: int
         if best == bound:
             break  # nor below the proven lower bound on h0
     return best
-
-
-def interpolation_h0(
-    D: DivisorClass, *, seed: int = 0, trials: int = 3, prime: int | None = None
-) -> int:
-    """Brute-force h0 on a blowup of the plane via fat-point interpolation.
-
-    Sections of O(dL - sum a_i E_i) are degree-d plane curves with a point of
-    multiplicity a_i at each p_i; over a large prime field the count of
-    independent ones is the nullity of the Taylor-condition matrix.  Each
-    trial places the frame of ``_frame`` at the coordinate points, which
-    drops the monomials they kill, and samples the other points as rows;
-    with no other point of positive multiplicity the count of kept
-    monomials is the answer, so general k <= 3 needs no matrix.  Before it
-    eliminates, each sample is Cremona-reduced (``_reduce_sample``): the
-    collinear line is removed while D meets it negatively, then quadratic
-    transformations centred at sampled triples whose multiplicities sum
-    above d lower the degree.  Each step is an isomorphism of the surface
-    blown up at that sample, so the value is exactly the sample's framed
-    nullity, over every F_p; a sample that takes no step, or that cannot
-    be framed afterwards, builds the framed matrix as it is.  Every
-    sample is a configuration of the surface's type, so by semicontinuity
-    each value bounds the generic h0 from above; the minimum over trials
-    is reported.  The trials stop once one reaches the nullity floor
-    max(0, columns - rows) or ``_h0_lower_bound``, a lower bound on h0 at
-    every configuration of the surface's type (the generic h0 on k <= 8
-    general points, the negative-curve loop on k <= 8 collinear points, 0
-    elsewhere).  No trial can go below either, so stopping keeps the
-    minimum; a trial below the bound raises ``RuntimeError``, also under
-    ``python -O``.  On collinear points, when every sampled point of positive
-    multiplicity lies on the line (the frame holds any other), the nullity
-    is counted by ``_line_h0`` without a sample or a matrix; that value is
-    the same for every seed, number of trials and prime.
-    """
-    if not D.surface.is_blowup_p2_like:
-        raise OracleError("the interpolation oracle works on blowups of the plane")
-    d = D.coords[0]
-    if trials < 1:
-        raise OracleError("need at least one trial")
-    return _interpolation_h0_cached(D, seed, trials, _resolve_prime(prime, max(d, 0)))
 
 
 def blowup_cohomology_oracle(

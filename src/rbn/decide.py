@@ -118,7 +118,7 @@ class WBNVerdict:
         return out
 
 
-def _checked_witness(witness: WBNWitness, *, seed: int, trials: int) -> WBNWitness:
+def _checked_witness(witness: WBNWitness, *, seed: int = 0, trials: int = 3) -> WBNWitness:
     check = is_good_sum(witness.good_sum, seed=seed, trials=trials)
     if not (check.ok and witness.bookkeeping_ok()):
         raise VerificationError(f"emitted witness failed verification: {check.failures}")
@@ -191,7 +191,7 @@ def _rank_one_reference(surface: SurfaceModel) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 
-def hirzebruch_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
+def hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     """Complete verdict for rank >= 2, chi = 0 characters on F_e.
 
     After normalizing by Serre duality: a negative discriminant empties the
@@ -235,7 +235,7 @@ def hirzebruch_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
         return WBNVerdict(WBNStatus.HOLDS, witness=report, bogomolov_delta=delta, notes=tuple(notes))
     except InfeasibleResolutionError as exc:
         gs = hirzebruch_fiber_sum(w)
-        witness = _checked_witness(WBNWitness(gs, 0, w), seed=seed, trials=trials)
+        witness = _checked_witness(WBNWitness(gs, 0, w))
         notes.append(f"resolution infeasible ({exc}); cohomology-free fiber sum instead")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, bogomolov_delta=delta, notes=tuple(notes))
 
@@ -276,26 +276,19 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
         notes.append(f"rounding route: {exc}")
     config = v.surface.config
     if config.kind == "collinear":
-        idx = config.collinear
         s = v.surface
         C = basis_divisor(s, "L")
-        for i in idx:
+        for i in config.collinear:
             C = C - basis_divisor(s, f"E{i}")
-        pairing = euler_pairing(line_bundle_character(C), v)
-        gap = intersect(v.c1, C)  # r (delta - sum of collinear alphas)
-        if gap < -v.r:
-            assert pairing == -gap - v.r and pairing > 0
+        # chi(O(-C)) = 0, so chi(O(C), v) = -c1.C - r: positive exactly when
+        # r (delta - sum of collinear alphas) = c1.C < -r
+        obstruction = obstruction_certificate(v, C)
+        if obstruction is not None:
             notes.append(
                 "collinear points: the line through them pairs positively, "
                 "forcing sections on every semistable sheaf (needs mu(v).H > -2L.H)"
             )
-            return WBNVerdict(
-                WBNStatus.FAILS,
-                obstruction=Obstruction(
-                    curve=C, chi_pairing=int(pairing), h0_lower_bound=int(pairing)
-                ),
-                notes=tuple(notes),
-            )
+            return WBNVerdict(WBNStatus.FAILS, obstruction=obstruction, notes=tuple(notes))
     return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
 
 
@@ -317,7 +310,7 @@ def blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
 
 
-def delpezzo_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
+def delpezzo_wbn(v: ChernCharacter) -> WBNVerdict:
     """Nef first Chern class on a degree 4..7 del Pezzo surface: Holds.
 
     The witness is an anticanonically good sum with chi(sum) general point
@@ -334,7 +327,7 @@ def delpezzo_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVer
     if not is_nef(v.c1):
         notes.append(f"{divisor_expr(v.c1)} is not nef; the nef-decomposition route is silent")
         return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
-    witness = _checked_witness(wbn_witness(v, seed=seed, trials=trials), seed=seed, trials=trials)
+    witness = _checked_witness(wbn_witness(v))
     notes.append("anticanonically good sum plus general point modifications")
     return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
 
@@ -347,9 +340,9 @@ def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
         return rank_one_wbn(v.surface, v.c1, seed=seed, trials=trials)
     s = v.surface
     if s.is_hirzebruch:
-        return hirzebruch_wbn(v, seed=seed, trials=trials)
+        return hirzebruch_wbn(v)
     if s.is_del_pezzo:
-        return delpezzo_wbn(v, seed=seed, trials=trials)
+        return delpezzo_wbn(v)
     if s.is_blowup_p2_like:
         return blowup_p2_wbn(v, seed=seed, trials=trials)
     return blowup_hirzebruch_wbn(v)

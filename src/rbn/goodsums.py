@@ -398,27 +398,6 @@ def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
     return gs
 
 
-def upshift_lift(gs: GoodSum, i: int, j: int) -> GoodSum:
-    """Lift a good sum for D' = D - E_i + E_j to one for D (one move undone)."""
-    if not gs.surface.is_blowup_p2_like:
-        raise GoodSumError("the upshift lift lives on blowups of the plane")
-    if not (1 <= i <= gs.surface.k and 1 <= j <= gs.surface.k and i != j):
-        raise GoodSumError(f"bad exceptional indices ({i}, {j})")
-    summands = _lift_summands(tuple(s.coords for s in gs.summands), i, j)
-    return GoodSum(gs.surface, gs.N, tuple(DivisorClass(gs.surface, c) for c in summands))
-
-
-def two_point_summand(D: DivisorClass, r: int) -> DivisorClass:
-    """The split-off summand for D = dL - aE_1 on a two-point del Pezzo model."""
-    s = D.surface
-    if not (s.is_del_pezzo and s.k == 2):
-        raise GoodSumError("two_point_summand expects the two-point del Pezzo model")
-    if D.coords[2] != 0:
-        raise GoodSumError("expected a class of the form dL - aE_1 (zero E_2 part)")
-    M = _two_point_summand_raw(D.coords[0], -D.coords[1], r)
-    return DivisorClass(s, M)
-
-
 # ---------------------------------------------------------------------------
 # Hirzebruch direct sums with no cohomology (fiber-good)
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ basis, canonical class and intersection form are each read off the head:
   off the negative section.
 
 The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
-``neg_one_classes``, ``curve_coords``, ``reflect``); ``DivisorClass`` wraps
-it.  Construction
-validates (length and integer coordinates) at the public entry points:
-``DivisorClass(...)``, ``divisor``, ``parse_divisor``, ``basis_divisor`` and
-scalar multiples.  Sums, differences and negatives of classes on one
-surface, and reflections of a class in a root, are ints of the right length
-by construction and are wrapped unchecked.
+``neg_one_classes``, ``curve_coords``, ``reflect``, ``curve_word``);
+``DivisorClass`` wraps it.  Of the Weyl group of a blowup of the plane the
+library uses reflections in single roots and ``curve_word``, the word that
+carries a (-1)-curve of a del Pezzo model to the last exceptional class.
+Construction validates (length and integer coordinates) at the public
+entry points: ``DivisorClass(...)``, ``divisor``, ``parse_divisor``,
+``basis_divisor`` and scalar multiples.  Sums, differences and negatives
+of classes on one surface, and reflections of a class in a root, are ints
+of the right length by construction and are wrapped unchecked.
 
 On a del Pezzo model the nef cone is cut out by the (-1)-curves, and these
 come in three families (Harbourne 1986), so with the multiplicities
@@ -427,13 +429,6 @@ def is_nef(D: DivisorClass) -> bool:
     return is_nef_coords(D.surface, D.coords)
 
 
-def is_effective_hirzebruch(D: DivisorClass) -> bool:
-    """Effectivity on F_e: aE + bF is effective iff a >= 0 and b >= 0."""
-    if not D.surface.is_hirzebruch:
-        raise LatticeError("effectivity test is for Hirzebruch surfaces")
-    return D.coords[0] >= 0 and D.coords[1] >= 0
-
-
 # ---------------------------------------------------------------------------
 # Weyl group action on blowups of the plane
 # ---------------------------------------------------------------------------
@@ -476,26 +471,17 @@ def cremona_root(surface: SurfaceModel, i: int, j: int, m: int) -> DivisorClass:
     )
 
 
-def weyl_move_curve_to_last(C: DivisorClass) -> tuple[DivisorClass, ...]:
-    """A reflection word w with w(C) = E_k, for a (-1)-class C on a del Pezzo.
-
-    Greedy Cremona reduction on the curve's degree: a conic class drops to a
-    line class, a line class to an exceptional one, and a transposition
-    finishes.  Needs at least three exceptional classes.
-    """
-    s = C.surface
-    if not s.is_del_pezzo or s.k < 3:
-        raise LatticeError("curve normalization needs a del Pezzo model with k >= 3")
-    if C.coords not in curve_coords(s):
-        raise LatticeError(f"{C} is not a (-1)-curve class on {s}")
-    return tuple(DivisorClass(s, root) for root in curve_word(s, C.coords))
-
-
 # one entry per (-1)-curve of a del Pezzo model: at most 3 + 6 + 10 + 16
 @lru_cache(maxsize=35)
 def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The roots of ``weyl_move_curve_to_last`` as coordinate tuples, for a
-    (-1)-curve ``curve`` of ``curve_coords(surface)`` (k >= 3)."""
+    """A reflection word w with w(C) = E_k, as root coordinate tuples, for a
+    (-1)-curve C = ``curve`` of ``curve_coords(surface)`` on a del Pezzo
+    model with k >= 3.
+
+    Greedy Cremona reduction on the curve's degree: a conic class drops to a
+    line class, a line class to an exceptional one, and a transposition
+    finishes.  The caller passes a class of that table.
+    """
     k = surface.k
     word: list[tuple[int, ...]] = []
     cur = curve
@@ -522,40 +508,6 @@ def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int
         cur = reflect(surface, cur, root.coords)
     assert cur == basis_divisor(surface, f"E{k}").coords, f"normalization of {curve} failed"
     return tuple(word)
-
-
-# one entry per model whose orbits are enumerated: the eight blp2:k <= 8 and
-# the four del Pezzo models fit, and orbits are rare outside the tests
-@lru_cache(maxsize=16)
-def _weyl_generators(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
-    gens = [transposition_root(surface, i, i + 1) for i in range(1, surface.k)]
-    if surface.k >= 3:
-        gens.append(cremona_root(surface, 1, 2, 3))
-    for root in gens:
-        _check_root(root)
-    return tuple(root.coords for root in gens)
-
-
-def weyl_orbit(D: DivisorClass) -> frozenset[DivisorClass]:
-    """The full orbit of D under the Weyl group (finite for k <= 8)."""
-    s = D.surface
-    if not s.is_blowup_p2_like:
-        raise LatticeError("Weyl orbits are computed on blowups of the plane")
-    if s.k >= 9:
-        raise LatticeError(f"the Weyl group of {s} is infinite, so orbits are not enumerated")
-    gens = _weyl_generators(s)
-    seen = {D.coords}
-    frontier = [D.coords]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in gens:
-                img = reflect(s, cur, g)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(DivisorClass(s, c) for c in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,16 @@ class TestResolveGoodsumOracleCurves:
         )
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_oracle_malformed_prime_variable(self, capsys, monkeypatch, value):
+        # a bad value in the environment is an input error, not a bug
+        monkeypatch.setenv("RBN_ORACLE_PRIME", value)
+        code, out, err = run(
+            capsys, "oracle", "h0", "--surface", "blp2:k=4:collinear=1,2,3,4", "--divisor", "L-E1-E2-E3-E4"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: RBN_ORACLE_PRIME={value!r} is not an integer\n"
+
     def test_curves(self, capsys):
         code, out, _ = run(capsys, "curves", "--surface", "dp4")
         assert code == 0
@@ -295,6 +305,11 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+        # a collinear class that no certified route decides, so both runs sample the oracle
+        argv = ["cohom", "--surface", "blp2:k=6:collinear=1,2,3", "--divisor", "14L-5E1-3E2-4E3-7E4-7E5-6E6"]
+        _, first, _ = run(capsys, *argv)
+        _, second, _ = run(capsys, *argv)
+        assert first == second == "h0=12 h1=0 h2=0\n"
 
     def test_parse_error_shows_fragment(self, capsys):
         code, _, err = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+3Q")

@@ -17,6 +17,8 @@ from rbn import cohomology as coh
 from rbn import lattice as lat
 from rbn.cohomology import Vanishing
 
+from test_lattice import weyl_generators
+
 
 F1 = lat.hirzebruch(1)
 F2 = lat.hirzebruch(2)
@@ -506,7 +508,7 @@ class TestCremonaExact:
     def test_weyl_invariance(self, Dv):
         S = Dv.surface
         vec = coh._cremona_vector(Dv.coords)
-        for root in lat._weyl_generators(S):
+        for root in weyl_generators(S):
             assert coh._cremona_vector(lat.reflect(S, Dv.coords, root)) == vec, root
 
     @settings(max_examples=200, deadline=None)
@@ -522,7 +524,7 @@ class TestCremonaExact:
             Vanishing.ZERO if vec.as_tuple() == (0, 0, 0) else Vanishing.NONZERO,
             CREMONA,
         )
-        with mock.patch.multiple(coh, _derive=unreachable, _interpolation_h0_cached=unreachable):
+        with mock.patch.multiple(coh, _derive=unreachable, interpolation_h0=unreachable):
             assert coh.vanishing_by_rules(Dv) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -532,7 +534,7 @@ class TestCremonaExact:
             raise AssertionError("general points reached the rules or the oracle")
 
         with mock.patch.multiple(
-            coh, vanishing_by_rules=unreachable, _derive=unreachable, _interpolation_h0_cached=unreachable
+            coh, vanishing_by_rules=unreachable, _derive=unreachable, interpolation_h0=unreachable
         ):
             vec, how = coh.certified_cohomology(Dv)
             assert how == "exact"
@@ -657,11 +659,7 @@ class TestInterpolationOracle:
         expected = nullities(sample) if line_only else nullities(points)
         consulted.clear()
         with mock.patch.object(coh, "_sample_points", points):
-            coh._interpolation_h0_cached.cache_clear()
-            try:
-                h0 = coh.interpolation_h0(lat.DivisorClass(S, coords), seed=seed, trials=trials)
-            finally:
-                coh._interpolation_h0_cached.cache_clear()  # drop answers from patched points
+            h0 = coh.interpolation_h0(lat.DivisorClass(S, coords), seed=seed, trials=trials)
         if line_only:
             assert consulted == [] and set(expected) == {h0}
         else:
@@ -720,7 +718,7 @@ class TestInterpolationOracle:
         with mock.patch.multiple(
             coh, modp_nullity=unreachable, _fat_point_matrix=unreachable, _sample_points=unreachable
         ):
-            h0 = coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+            h0 = coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME)
         assert h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
 
     @settings(max_examples=150, deadline=None)
@@ -774,7 +772,7 @@ class TestInterpolationOracle:
         calls, sample = [], coh._sample_points
         monkeypatch.setattr(coh, "_sample_points", lambda *args: calls.append(args[-1]) or sample(*args))
         Dv = D(lat.parse_surface(spec), expr)
-        assert coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME) == h0
+        assert coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME) == h0
         mults = [max(0, -c) for c in Dv.coords[1:]]
         frame = coh._frame(Dv.surface, mults)
         keep = coh._frame_columns(Dv.coords[0], [mults[i] for i in frame])
@@ -871,7 +869,7 @@ class TestInterpolationOracle:
         assert coh._reduce_sample(d, mults, frame, pts, coh.DEFAULT_ORACLE_PRIME, {i - 1 for i in S.config.collinear}) is None
         expected = coh.modp_nullity(coh._fat_point_matrix(d, rest, pts, coh.DEFAULT_ORACLE_PRIME)[:, keep], coh.DEFAULT_ORACLE_PRIME)
         with mock.patch.object(coh, "_sample_points", points):
-            assert coh._interpolation_h0_cached.__wrapped__(Dv, 0, 1, coh.DEFAULT_ORACLE_PRIME) == expected
+            assert coh.interpolation_h0(Dv, seed=0, trials=1, prime=coh.DEFAULT_ORACLE_PRIME) == expected
 
     def test_sample_below_the_bound_raises_under_optimization(self):
         # a trial below the proven bound disproves it: the oracle raises, not
@@ -984,7 +982,7 @@ class TestInterpolationOracle:
         S = lat.parse_surface(spec)
         Dv = lat.DivisorClass(S, (d,) + tuple(tail[: S.k]))
         with mock.patch.multiple(coh, modp_nullity=unreachable, _sample_points=unreachable):
-            h0 = coh._interpolation_h0_cached.__wrapped__(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
+            h0 = coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME)
         assert h0 == coh._cremona_h0(Dv.coords)
 
     def test_explicit_configuration(self, monkeypatch):
@@ -996,10 +994,26 @@ class TestInterpolationOracle:
             return nullity(mat, p)
 
         monkeypatch.setattr(coh, "modp_nullity", counting_nullity)
-        coh._interpolation_h0_cached.cache_clear()
         S = lat.blowup_p2(3, lat.explicit_config([(0, 0), (1, 0), (2, 0)]))  # collinear
         assert coh.interpolation_h0(D(S, "L-E1-E2-E3"), trials=3) == 1
         assert calls == [(3, 3)]
+
+    @pytest.mark.parametrize(
+        "surface, expr",
+        [
+            (BL5, "4L-2E1-2E2-2E3-2E4-2E5"),  # general points
+            (lat.parse_surface("blp2:k=5:collinear=1,2,3,4"), "4L-2E1-2E2-E3-E4-E5"),  # every heavy point on the line
+            (lat.parse_surface("blp2:k=6:collinear=1,2,3"), "14L-5E1-3E2-4E3-7E4-7E5-6E6"),  # two off it
+            (lat.parse_surface("blp2:k=9"), "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9"),
+            (lat.blowup_p2(4, lat.explicit_config([(0, 0), (1, 0), (2, 3), (5, 7)])), "3L-2E1-E2-E3-E4"),
+        ],
+        ids=["general", "on-the-line", "off-the-line", "k=9", "explicit"],
+    )
+    def test_repeated_calls_agree(self, surface, expr):
+        # nothing is cached: a repeated call draws the same seeded samples
+        Dv = D(surface, expr)
+        assert coh.interpolation_h0(Dv, seed=3) == coh.interpolation_h0(Dv, seed=3)
+        assert coh.blowup_cohomology_oracle(Dv, seed=3) == coh.blowup_cohomology_oracle(Dv, seed=3)
 
     def test_modulus_validation(self):
         with pytest.raises(coh.OracleError):

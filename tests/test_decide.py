@@ -148,6 +148,20 @@ class TestBlowupP2:
         assert verdict.obstruction.curve == D(S, "L-E1-E2-E3-E4")
         assert verdict.obstruction.h0_lower_bound == 4
 
+    def test_collinear_obstruction_boundary(self):
+        # chi(O(C), v) = -c1.C - r for the line C = L-E1-E2-E3-E4, so it
+        # obstructs at c1.C = -r - 1 and not at c1.C = -r
+        S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3, 4]))
+        C = D(S, "L-E1-E2-E3-E4")
+        v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-4E4"), 0)
+        assert lat.intersect(v.c1, C) == -3
+        verdict = dec.blowup_p2_wbn(v)
+        assert verdict.status is WBNStatus.FAILS
+        assert verdict.obstruction == dec.Obstruction(curve=C, chi_pairing=1, h0_lower_bound=1)
+        v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-3E4"), 0)
+        assert lat.intersect(v.c1, C) == -2
+        assert dec.blowup_p2_wbn(v).status is WBNStatus.UNKNOWN
+
     def test_unknown_default(self):
         # slope gap -3/2 < -1 blocks the resolution, the floor/ceiling bundle
         # L-2E1-E2 has chi < 0, and the configuration is general: Unknown

@@ -118,41 +118,45 @@ class TestRoundingSum:
             gd.rounding_sum(ch.character_from_chi(2, D(BL2, "4L-3E1-3E2"), 0))
 
 
+def lift(surface, exprs, i, j):
+    """``_lift_summands`` on the coordinates of the summands ``exprs``, read
+    back as expressions."""
+    lifted = gd._lift_summands(tuple(D(surface, e).coords for e in exprs), i, j)
+    return [str(lat.DivisorClass(surface, c)) for c in lifted]
+
+
 class TestUpshiftLift:
     def test_worked_lift(self):
-        gs = anticanonical_sum(DP7, "L-E1", "L-E1")
-        lifted = gd.upshift_lift(gs, 1, 2)
-        assert set(map(str, lifted.summands)) == {"L-E1", "L-E2"}
-        assert gd.is_good_sum(lifted).ok
+        lifted = lift(DP7, ["L-E1", "L-E1"], 1, 2)
+        assert set(lifted) == {"L-E1", "L-E2"}
+        assert gd.is_good_sum(anticanonical_sum(DP7, *lifted)).ok
 
     def test_symmetric_summand_never_chosen(self):
         # the 2L summand is symmetric in (1, 2); only L-E1 is eligible
-        gs = anticanonical_sum(DP6, "2L-E1-E2-E3", "L-E1")
-        lifted = gd.upshift_lift(gs, 1, 2)
-        assert set(map(str, lifted.summands)) == {"2L-E1-E2-E3", "L-E2"}
+        lifted = lift(DP6, ["2L-E1-E2-E3", "L-E1"], 1, 2)
+        assert set(lifted) == {"2L-E1-E2-E3", "L-E2"}
 
     def test_anticanonical_degree_preserved(self):
         gs = anticanonical_sum(DP7, "L-E1", "2L-2E1")
-        lifted = gd.upshift_lift(gs, 1, 2)
+        lifted = anticanonical_sum(DP7, *lift(DP7, ["L-E1", "2L-2E1"], 1, 2))
         assert sorted(lifted.degrees()) == sorted(gs.degrees())
 
     def test_no_eligible_summand_errors(self):
-        gs = anticanonical_sum(DP7, "L-E1-E2")
         with pytest.raises(lat.LatticeError):
-            gd.upshift_lift(gs, 1, 2)
+            lift(DP7, ["L-E1-E2"], 1, 2)
 
 
 class TestTwoPointSummand:
     def test_worked_example(self):
-        M = gd.two_point_summand(D(DP7, "3L-E1"), 2)
-        assert M == D(DP7, "L+E1")
+        M = gd._two_point_summand_raw(3, 1, 2)  # 3L-E1
+        assert M == D(DP7, "L+E1").coords
 
     def test_trivial_when_degree_small(self):
-        assert gd.two_point_summand(D(DP7, "L-E1"), 4) == lat.zero_divisor(DP7)
+        assert gd._two_point_summand_raw(1, 1, 4) == lat.zero_divisor(DP7).coords  # L-E1
 
     def test_special_case_refused(self):
         with pytest.raises(gd.GoodSumError):
-            gd.two_point_summand(D(DP7, "L-E1"), 2)
+            gd._two_point_summand_raw(1, 1, 2)  # L-E1
 
     def test_postconditions_exhaustive(self):
         mK = -lat.canonical(DP7)
@@ -162,7 +166,7 @@ class TestTwoPointSummand:
                     if r == 2 and (d, a) == (1, 1):
                         continue
                     Dv = lat.DivisorClass(DP7, (d, -a, 0))
-                    M = gd.two_point_summand(Dv, r)
+                    M = lat.DivisorClass(DP7, gd._two_point_summand_raw(d, a, r))
                     m = (3 * d - a) // r
                     assert lat.intersect(M, mK) == m
                     assert lat.is_nef(Dv - M)

@@ -54,6 +54,41 @@ def test_every_imported_name_is_used(path):
     assert [name for name in _imported_names(tree) if name not in used] == []
 
 
+def _cache_decorators(tree):
+    """(function name, decorator) of each ``lru_cache`` or ``cache`` decorator."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                    yield node.name, dec
+
+
+def _maxsize(dec):
+    """The positive integer a cache decorator passes as its maxsize, else None.
+
+    Integer constant expressions such as ``1 << 13`` count; a bare
+    decorator, None or a computed value does not.
+    """
+    if not isinstance(dec, ast.Call):
+        return None
+    sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+    allowed = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    if len(sizes) != 1 or not all(isinstance(node, allowed) for node in ast.walk(sizes[0])):
+        return None
+    value = eval(compile(ast.Expression(sizes[0]), "<maxsize>", "eval"))
+    return value if type(value) is int and value > 0 else None
+
+
+def test_every_cache_is_bounded():
+    # a module-level cache lives as long as the process, so each one states
+    # an integer bound
+    caches = [
+        (path.name, name, _maxsize(dec)) for path in MODULES for name, dec in _cache_decorators(_tree(path))
+    ]
+    assert caches and [cache for cache in caches if cache[2] is None] == []
+
+
 def _references(path, *, own_bodies):
     """Identifiers a module references: names, attributes, imported names,
     keyword arguments and identifier strings (as in ``monkeypatch.setattr``).
