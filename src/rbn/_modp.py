@@ -1,49 +1,35 @@
 """Dense rank computation over a prime field F_p.
 
 The interpolation oracle reduces to the rank of small dense integer matrices
-mod p, computed by numpy Gaussian elimination on plain row slices: each
-pivot clears the block ``a[row+1:, col:]`` in place, where rows with a zero
-in the pivot column subtract zero.  Entries must be reduced mod p and p must
-stay below 2^31 so products fit in int64.
+mod p, given as lists of equal-length rows of Python ints and eliminated row
+by row: each row is reduced against the pivot rows kept so far, leading
+column first, and becomes a new pivot row if anything is left.  Python ints
+do not overflow, so any prime p works.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-MAX_PRIME = 1 << 31
-
-
-def modp_rank(mat: np.ndarray, p: int) -> int:
+def modp_rank(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over F_p."""
-    if not 1 < p < MAX_PRIME:
-        raise ValueError(f"modulus {p} out of the supported range (2, 2^31)")
-    if mat.size == 0:
-        return 0
-    a = np.mod(np.asarray(mat, dtype=np.int64), p)  # a fresh array, eliminated in place
-    m, n = a.shape
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        pivots = np.nonzero(a[row:, col])[0]
-        if pivots.size == 0:
-            continue
-        piv = row + int(pivots[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row, col:] = (a[row, col:] * inv) % p
-        below = a[row + 1 :, col:]  # a view: eliminated in place
-        below -= np.outer(below[:, 0], a[row, col:])
-        below %= p
-        row += 1
-    return row
+    if p < 2:
+        raise ValueError(f"modulus {p} is below 2")
+    pivots: dict[int, list[int]] = {}  # leading column -> the row from there on, leading entry 1
+    for row in rows:
+        row = [x % p for x in row]
+        for col in range(len(row)):
+            f = row[col]
+            if not f:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(f, -1, p)
+                pivots[col] = [x * inv % p for x in row[col:]]
+                break
+            row[col:] = [(x - f * y) % p for x, y in zip(row[col:], pivot)]
+    return len(pivots)
 
 
-def modp_nullity(mat: np.ndarray, p: int) -> int:
-    """Dimension of the right kernel of mat over F_p."""
-    mat = np.asarray(mat, dtype=np.int64)
-    if mat.size == 0:
-        return mat.shape[1] if mat.ndim == 2 else 0
-    return mat.shape[1] - modp_rank(mat, p)
+def modp_nullity(rows: list[list[int]], p: int) -> int:
+    """Dimension of the right kernel over F_p of a matrix with at least one row."""
+    return len(rows[0]) - modp_rank(rows, p)

@@ -219,7 +219,12 @@ def parse_character(text: str, surface: SurfaceModel) -> ChernCharacter:
         key, sep, value = part.partition("=")
         if not sep:
             raise ParseError("expected key=value fields separated by ';'", part)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("r", "c1", "chi", "ch2"):
+            raise ParseError(f"unknown key {key!r}: the keys are r, c1, chi and ch2", part)
+        if key in fields:
+            raise ParseError(f"key {key!r} given twice", part)
+        fields[key] = value.strip()
     missing = {"r", "c1"} - fields.keys()
     if missing:
         raise ParseError(f"character literal is missing {sorted(missing)}", text)

@@ -114,6 +114,8 @@ def _wbn_sweep(args, surface) -> int:
     r = args.rank
     if r < 2:
         raise CharacterError("--sweep needs --rank at least 2")
+    if args.bound < 0:
+        raise CharacterError("--sweep needs --bound at least 0")
     bound = args.bound * r
     print("k,l,status,h0_lower_bound,delta")
     saw_unknown = False

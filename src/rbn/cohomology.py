@@ -34,13 +34,15 @@ Four routes, by strength of the statement:
   surface blown up at that very sample, and each clamp or line removal
   drops a fixed component, so the reduced class has the same h0 there
   over every F_p: the value is the framed nullity of the sample, from a
-  smaller matrix or none.  Each trial's nullity bounds
-  the generic h0 from above, and the minimum over the trials is reported;
-  the trials stop early once one meets a value no trial can go below:
-  the nullity floor (columns less rows), or on k <= 8 general or collinear
-  points a proven lower bound on h0 at every configuration (the Cremona h0,
-  or the collinear negative-curve loop).  So stopping never changes the
-  minimum, and a trial below the bound raises, since it would disprove it.
+  smaller matrix or none.  A matrix is a list of rows of Python ints with a
+  column per kept monomial, eliminated row by row mod p (``_modp``).  Each
+  trial's nullity bounds the generic h0 from above, and the minimum over
+  the trials is reported; the trials stop early once one meets a value no
+  trial can go below: the nullity floor (columns less rows), or on k <= 8
+  general or collinear points a proven lower bound on h0 at every
+  configuration (the Cremona h0, or the collinear negative-curve loop).
+  So stopping never changes the minimum, and a trial below the bound
+  raises, since it would disprove it.
 
 Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
 oracle, and only through this module: ``certified_cohomology`` returns the
@@ -52,12 +54,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from ._modp import modp_nullity
 from .lattice import (
@@ -502,8 +503,8 @@ def _resolve_prime(prime: int | None, degree: int) -> int:
         raise OracleError(f"oracle modulus {prime} is not prime")
     if prime <= max(degree, 1000):
         raise OracleError(f"oracle modulus {prime} too small for degree {degree}")
-    if prime >= 1 << 31:
-        raise OracleError(f"oracle modulus {prime} too large for int64 kernels")
+    if prime >= 1 << 31:  # any cap below 3.3e24 keeps _is_prime exact; this one keeps --prime as it was
+        raise OracleError(f"oracle modulus {prime} is not below 2^31")
     return prime
 
 
@@ -528,8 +529,9 @@ def _frame(surface: SurfaceModel, mults) -> tuple[int, ...]:
     return ()
 
 
-def _frame_columns(d: int, frame_mults) -> np.ndarray:
-    """Mask of the monomials of ``_triangle(d + 1)`` left free by the frame.
+def _frame_columns(d: int, frame_mults) -> list[tuple[int, int]]:
+    """The monomials x^a y^b z^(d-a-b) left free by the frame, as pairs (a, b)
+    ordered by a, then b.
 
     At a coordinate point a multiplicity condition kills single monomials:
     x^a y^b z^c vanishes to order a + b at [0:0:1], b + c = d - a at
@@ -537,8 +539,7 @@ def _frame_columns(d: int, frame_mults) -> np.ndarray:
     there kills the monomials of order < m and imposes nothing else.
     """
     m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
-    cols_a, cols_b = _triangle(d + 1)
-    return (cols_a + cols_b >= m0) & (cols_a <= d - mx) & (cols_b <= d - my)
+    return [(a, b) for a in range(d - mx + 1) for b in range(max(0, m0 - a), min(d - a, d - my) + 1)]
 
 
 def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) -> list[tuple[int, int]]:
@@ -573,53 +574,25 @@ def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) 
     return pts
 
 
-@lru_cache(maxsize=128)  # one entry per degree and modulus in use
-def _binomial_table(n: int, p: int) -> np.ndarray:
-    """Read-only binomials C(i, j) mod p for i, j <= n (exact ones leave int64 at n = 67)."""
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for i in range(1, n + 1):
-        table[i, 1 : i + 1] = (table[i - 1, :i] + table[i - 1, 1 : i + 1]) % p
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
-@lru_cache(maxsize=128)  # one entry per degree or multiplicity bound in use
-def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only pairs (i, j) with i + j < n, ordered by i, then j."""
-    pairs = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
-    for a in pairs:
-        a.flags.writeable = False  # shared by every caller through the cache
-    return pairs
-
-
-def _fat_point_matrix(d: int, mults, points, p: int) -> np.ndarray:
+def _fat_point_matrix(d: int, mults, points, p: int, cols) -> list[list[int]]:
     """Rows impose vanishing of all Taylor coefficients of order < mult.
 
-    Columns run over the monomials x^a y^b z^(d-a-b) of total degree d,
-    evaluated on the affine chart z = 1; the row for derivative order (u, v)
-    at (x0, y0) has entry C(a,u) C(b,v) x0^(a-u) y0^(b-v), reduced mod p.
-    Each point's block of rows is an outer product: with
-    X[u, a] = C(a,u) x0^(a-u) and Y[v, b] = C(b,v) y0^(b-v) mod p (zero for
+    Columns run over the monomials x^a y^b z^(d-a-b) of ``cols``, pairs
+    (a, b) of total degree a + b <= d, evaluated on the affine chart z = 1;
+    the row for derivative order (u, v) at (x0, y0) has entry
+    C(a,u) C(b,v) x0^(a-u) y0^(b-v), reduced mod p.  With
+    X[u][a] = C(a,u) x0^(a-u) and Y[v][b] = C(b,v) y0^(b-v) mod p (zero for
     a < u or b < v, so orders above d give zero rows), the entry is
-    X[u, a] Y[v, b] mod p.  Both factors are below p < 2^31, so each product
-    fits in int64.
+    X[u][a] Y[v][b] mod p.
     """
-    binom = _binomial_table(d, p).T  # binom[u, a] = C(a, u), zero for a < u
-    lag = np.maximum(np.arange(d + 1) - np.arange(d + 1)[:, None], 0)  # lag[u, a] = a - u, or 0
-    cols_a, cols_b = _triangle(d + 1)
-    blocks = [np.zeros((0, cols_a.size), dtype=np.int64)]  # keeps the width if no m > 0
+    rows = []
     for (x0, y0), m in zip(points, mults):
-        if m <= 0:
-            continue
-        k = min(m, d + 1)
-        x, y = np.zeros((2, m, d + 1), dtype=np.int64)
-        for f, z0 in ((x, x0), (y, y0)):
-            powers = np.array([pow(z0, t, p) for t in range(d + 1)], dtype=np.int64)
-            f[:k] = binom[:k] * powers[lag[:k]] % p
-        rows_u, rows_v = _triangle(m)
-        blocks.append(x[rows_u][:, cols_a] * y[rows_v][:, cols_b] % p)
-    return np.concatenate(blocks)
+        x, y = (
+            [[math.comb(a, u) * pow(z0, a - u, p) % p if a >= u else 0 for a in range(d + 1)] for u in range(m)]
+            for z0 in (x0, y0)
+        )
+        rows += ([xu[a] * yv[b] % p for a, b in cols] for u, xu in enumerate(x) for yv in y[: m - u])
+    return rows
 
 
 def _line_h0(d: int, frame_mults, line_mults) -> int:
@@ -792,10 +765,10 @@ def _framed_nullity(d: int, frame_mults, rest, points, p: int) -> int:
     points, ``rest`` at the affine ``points``."""
     if d < 0:
         return 0
-    keep = _frame_columns(d, frame_mults)
+    cols = _frame_columns(d, frame_mults)
     if not any(rest):
-        return int(np.count_nonzero(keep))
-    return modp_nullity(_fat_point_matrix(d, rest, points, p)[:, keep], p)
+        return len(cols)
+    return modp_nullity(_fat_point_matrix(d, rest, points, p, cols), p)
 
 
 def interpolation_h0(
@@ -850,8 +823,7 @@ def interpolation_h0(
         i + 1 in config.collinear for i, m in enumerate(mults) if m and i not in frame
     ):
         return _line_h0(d, frame_mults, rest)  # any off-line point with m > 0 is at [0:1:0]
-    keep = _frame_columns(d, frame_mults)
-    kept = int(np.count_nonzero(keep))
+    kept = len(_frame_columns(d, frame_mults))
     if kept == 0 or not any(rest):
         return kept
     if config.kind == "explicit":

@@ -96,6 +96,16 @@ class TestChi:
         )
         assert code == 0 and out == "0\n"
 
+    @pytest.mark.parametrize(
+        "character, key",
+        [("r=2;c1=E;chi=0;ch3=5", "unknown key 'ch3'"), ("r=2;r=3;c1=E;chi=0", "key 'r' given twice")],
+        ids=["unknown", "repeated"],
+    )
+    def test_character_key_refused(self, capsys, character, key):
+        # an unknown key was ignored and a repeated one silently overwritten
+        code, out, err = run(capsys, "chi", "--surface", "F0", "--character", character)
+        assert (code, out) == (2, "") and key in err
+
 
 class TestWbn:
     def test_holds_json(self, capsys):
@@ -164,6 +174,13 @@ class TestWbn:
         assert len(lines) == 1 + 5 * 5
         statuses = {line.split(",")[2] for line in lines[1:]}
         assert statuses <= {"Holds", "Fails", "EmptyModuli"}
+
+    def test_sweep_bound(self, capsys):
+        # a negative bound printed a bare header and exited 0; bound 0 sweeps (0, 0)
+        code, out, err = run(capsys, "wbn", "--surface", "F0", "--sweep", "--bound", "-1")
+        assert (code, out) == (2, "") and "--bound" in err
+        code, out, _ = run(capsys, "wbn", "--surface", "F0", "--sweep", "--bound", "0")
+        assert (code, out) == (0, "k,l,status,h0_lower_bound,delta\n0,0,Holds,,1\n")
 
 
 class TestResolveGoodsumOracleCurves:
@@ -273,6 +290,14 @@ class TestResolveGoodsumOracleCurves:
             capsys, "oracle", "h0", "--surface", "blp2:k=2", "--divisor", "L", "--prime", "10"
         )
         assert code == 2 and "error:" in err
+
+    def test_oracle_prime_cap(self, capsys):
+        # 2147483659 is the first prime above 2^31, and the modulus stays below 2^31
+        argv = ["oracle", "cohom", "--surface", "blp2:k=5", "--divisor", "4L-2E1-2E2-2E3-2E4-2E5"]
+        code, out, err = run(capsys, *argv, "--prime", "2147483659")
+        assert (code, out) == (2, "") and err == "error: oracle modulus 2147483659 is not below 2^31\n"
+        code, out, _ = run(capsys, *argv, "--prime", "2147483647")
+        assert (code, out) == (0, "h0=1 h1=1 h2=0\n")
 
     @pytest.mark.parametrize("value", ["abc", ""])
     def test_oracle_malformed_prime_variable(self, capsys, monkeypatch, value):

@@ -1,7 +1,11 @@
 """Import hygiene of the library modules, checked on their syntax trees."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -87,6 +91,47 @@ def test_every_cache_is_bounded():
         (path.name, name, _maxsize(dec)) for path in MODULES for name, dec in _cache_decorators(_tree(path))
     ]
     assert caches and [cache for cache in caches if cache[2] is None] == []
+
+
+def _imported_modules(tree):
+    """Top-level package of each absolute import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+
+
+def test_no_module_imports_numpy():
+    # the oracle's matrices are lists of Python ints, so the library runs
+    # without numpy
+    imports = [(path.name, module) for path in MODULES for module in _imported_modules(_tree(path))]
+    assert imports and [name for name, module in imports if module == "numpy"] == []
+
+
+def test_cli_runs_leave_numpy_unloaded():
+    # a Hirzebruch query, and an oracle query that eliminates at least one
+    # matrix, in a fresh interpreter
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from rbn import cli, cohomology
+        calls, nullity = [], cohomology.modp_nullity
+        cohomology.modp_nullity = lambda rows, p: calls.append(len(rows)) or nullity(rows, p)
+        for argv in (["cohom", "--surface", "F2", "--divisor", "2E+F"],
+                     ["oracle", "cohom", "--surface", "blp2:k=5", "--divisor", "5L-2E1-2E2-E3-E4-E5"]):
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(code, len(calls), "numpy" in sys.modules)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}
+    )
+    code, matrices, numpy = zip(*(line.split() for line in out.stdout.splitlines()))
+    assert code == ("0", "0") and matrices[0] == "0" and int(matrices[1]) > 0, out.stderr
+    assert numpy == ("False", "False")
 
 
 def _references(path, *, own_bodies):
