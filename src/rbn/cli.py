@@ -111,12 +111,13 @@ def _wbn_sweep(args, surface) -> int:
     """CSV sweep over integral (k, l) with |k|, |l| <= bound * rank, chi = 0."""
     if not surface.is_hirzebruch:
         raise LatticeError("--sweep is implemented for Hirzebruch surfaces")
-    r = args.rank
+    r = 2 if args.rank is None else args.rank
+    bound = 4 if args.bound is None else args.bound
     if r < 2:
         raise CharacterError("--sweep needs --rank at least 2")
-    if args.bound < 0:
+    if bound < 0:
         raise CharacterError("--sweep needs --bound at least 0")
-    bound = args.bound * r
+    bound *= r
     print("k,l,status,h0_lower_bound,delta")
     saw_unknown = False
     for k in range(-bound, bound + 1):
@@ -219,10 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wbn", help="weak Brill-Noether verdict for a character")
     add_common(p)
-    p.add_argument("--character", help="character literal (required unless --sweep)")
-    p.add_argument("--sweep", action="store_true", help="CSV sweep over c1 (Hirzebruch)")
-    p.add_argument("--rank", type=int, default=2, help="rank for --sweep")
-    p.add_argument("--bound", type=int, default=4, help="|k|,|l| <= bound*rank for --sweep")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--character", help="character literal")
+    group.add_argument("--sweep", action="store_true", help="CSV sweep over c1 (Hirzebruch)")
+    p.add_argument("--rank", type=int, help="rank for --sweep (default 2)")
+    p.add_argument("--bound", type=int, help="|k|,|l| <= bound*rank for --sweep (default 4)")
     p.add_argument("--text", action="store_true", help="key=value lines instead of JSON")
     p.set_defaults(func=_cmd_wbn)
 
@@ -258,8 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "wbn" and not args.sweep and not args.character:
-        parser.error("wbn needs --character (or --sweep)")
+    if args.command == "wbn" and not args.sweep and (args.rank, args.bound) != (None, None):
+        parser.error("--rank and --bound apply to --sweep only")
+    if getattr(args, "trials", 1) < 1:
+        parser.error("argument --trials: must be at least 1")
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -38,7 +38,6 @@ from .lattice import (
     is_nef,
     is_nef_coords,
     reflect,
-    zero_divisor,
 )
 
 
@@ -51,7 +50,7 @@ def fiber_class(surface: SurfaceModel) -> DivisorClass:
     if surface.is_hirzebruch or surface.is_blowup_hirzebruch:
         return basis_divisor(surface, "F")
     if surface.is_blowup_p2_like:
-        return basis_divisor(surface, "L") - basis_divisor(surface, "E1")
+        return DivisorClass(surface, (1, -1) + (0,) * (surface.k - 1))
     raise LatticeError(f"no fiber class on {surface}")
 
 
@@ -75,25 +74,29 @@ class GoodSum:
     N: DivisorClass
     summands: tuple[DivisorClass, ...]
 
+    # the sums below read coordinates alone, so every class must live on the surface
+    def __post_init__(self):
+        for D in (self.N, *self.summands):
+            if D.surface is not self.surface and D.surface != self.surface:
+                raise LatticeError(f"divisors live on different surfaces: {D.surface} vs {self.surface}")
+
     @property
     def rank(self) -> int:
         return len(self.summands)
 
     def c1(self) -> DivisorClass:
-        total = zero_divisor(self.surface)
-        for D in self.summands:
-            total = total + D
-        return total
+        rows = [(0,) * self.surface.rank] + [D.coords for D in self.summands]
+        return DivisorClass(self.surface, tuple(map(sum, zip(*rows))))
 
     def character(self) -> ChernCharacter:
-        twice_ch2 = sum(intersect(D, D) for D in self.summands)
+        twice_ch2 = sum(form(self.surface, D.coords, D.coords) for D in self.summands)
         return ChernCharacter.from_twice_ch2(self.rank, self.c1(), twice_ch2)
 
     def chi(self) -> int:
         return sum(chi_line_bundle(D) for D in self.summands)
 
     def degrees(self) -> tuple:
-        return tuple(intersect(self.N, D) for D in self.summands)
+        return tuple(form(self.surface, self.N.coords, D.coords) for D in self.summands)
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,14 +124,13 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
     or k >= 9) is accepted with a provenance note.  Condition (2) bounds
     the pairwise N-degree gaps by 1.
     """
-    K = canonical(gs.surface)
-    F = fiber_class(gs.surface)
+    s, N = gs.surface, gs.N.coords
     _certify_nef_reference(gs.N)
-    if -intersect(gs.N, F + K) < 2:
-        raise GoodSumError(f"reference divisor fails -N.(F+K) >= 2 on {gs.surface}")
+    if -(form(s, N, fiber_class(s).coords) + form(s, N, canonical(s).coords)) < 2:
+        raise GoodSumError(f"reference divisor fails -N.(F+K) >= 2 on {s}")
     failures: list[str] = []
     provenance: list[str] = []
-    for D in sorted(set(gs.summands), key=lambda d: d.coords):
+    for _, D in sorted({D.coords: D for D in gs.summands}.items()):
         vanishes, how = higher_cohomology_vanishes(D, seed=seed, trials=trials)
         if not vanishes:
             failures.append(f"summand {divisor_expr(D)} has (or may have) higher cohomology")
@@ -156,9 +158,7 @@ def prioritary_sum_check(gs: GoodSum, F: DivisorClass | None = None) -> bool:
         F = fiber_class(gs.surface)
     bound = -intersect(gs.N, F + canonical(gs.surface))
     degrees = gs.degrees()
-    if len(degrees) <= 1:
-        return True
-    return max(degrees) - min(degrees) < bound
+    return len(degrees) <= 1 or max(degrees) - min(degrees) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -180,34 +180,23 @@ def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSu
     if not s.is_blowup_p2_like:
         raise GoodSumError("rounding builds sums on blowups of the plane")
     r = v.r
-    ell = intersect(v.c1, basis_divisor(s, "L"))
+    ell, mults = v.c1.coords[0], [-c for c in v.c1.coords[1:]]  # c1.L and the c1.E_i
     if ell < 0:
         raise GoodSumError(f"hypothesis delta >= 0 fails: delta = {Fraction(ell, r)}")
-    mults = [intersect(v.c1, basis_divisor(s, f"E{i}")) for i in range(1, s.k + 1)]
     for i, m in enumerate(mults, start=1):
         if m < 0:
             raise GoodSumError(f"hypothesis alpha_{i} >= 0 fails: alpha_{i} = {Fraction(m, r)}")
     d, p = divmod(ell, r)
     floors = [divmod(m, r) for m in mults]
-    ceil_bundle = DivisorClass(
-        s, (d,) + tuple(-(a + (1 if pi else 0)) for a, pi in floors)
-    )
+    ceil_bundle = DivisorClass(s, (d,) + tuple(-(a + (pi > 0)) for a, pi in floors))
     if not higher_cohomology_vanishes(ceil_bundle, seed=seed, trials=trials)[0]:
         raise GoodSumError(
             f"floor/ceiling bundle {divisor_expr(ceil_bundle)} has (or may have) higher cohomology"
         )
     # slots 0..p-1 carry the larger L-coefficient; ceil multiplicities go to
     # the last slots so large L pairs with small multiplicity totals.
-    slot_ell = [d + 1 if t < p else d for t in range(r)]
-    slot_mults = [[a for a, _ in floors] for _ in range(r)]
-    for i, (_, pi) in enumerate(floors):
-        for t in range(r - pi, r):
-            slot_mults[t][i] += 1
-    slot_divisors = [
-        DivisorClass(s, (slot_ell[t],) + tuple(-m for m in slot_mults[t])) for t in range(r)
-    ]
-    summands = tuple(sorted(slot_divisors, key=lambda D: D.coords))
-    gs = GoodSum(s, basis_divisor(s, "L"), summands)
+    slots = [(d + (t < p),) + tuple(-(a + (t >= r - pi)) for a, pi in floors) for t in range(r)]
+    gs = GoodSum(s, basis_divisor(s, "L"), tuple(DivisorClass(s, c) for c in sorted(slots)))
     assert gs.c1() == v.c1, "rounding produced the wrong first Chern class"
     return gs
 
@@ -239,14 +228,15 @@ def _upshift_moves(coords, k: int):
     points = range(1, k + 1)
     bound = k * d * d
     while True:
-        top = sorted(points, key=m.__getitem__, reverse=True)[:3]
+        # the indices of the three largest m_l, so rest below is the largest
+        # m_l off {i, j}; at k = 2 that is m_0 = 0, and m_i + 1 <= d holds, as
+        # the line condition gives m_i + m_j <= d
+        a, b, c = (sorted(points, key=m.__getitem__, reverse=True) + [0])[:3]
         for i in points:
             for j in points:
                 if i == j or m[i] < m[j] or m[j] < 1:
                     continue
-                # the largest m_l off {i, j}; with none (k = 2), m_j - 1 turns
-                # the test into the line condition m_i + m_j <= d, which holds
-                rest = next((m[x] for x in top if x != i and x != j), m[j] - 1)
+                rest = m[a] if a != i and a != j else m[b] if b != i and b != j else m[c]
                 if m[i] + 1 + rest <= d:
                     break
             else:
@@ -260,22 +250,22 @@ def _upshift_moves(coords, k: int):
         assert len(moves) <= bound, "upshift loop exceeded its potential bound"
 
 
-def _lift_summands(summands, i: int, j: int):
-    """Undo one upshift move on a good sum: some summand with
-    L'.E_i > L'.E_j >= -1 absorbs E_i - E_j, keeping its anticanonical
-    degree and its vanishing."""
-    for idx, s in enumerate(summands):
-        mult_i, mult_j = -s[i], -s[j]
-        if mult_i > mult_j >= -1:
+def _lift_summands(tally: dict, i: int, j: int) -> None:
+    """Undo one upshift move on a good sum held as {class: count}: one copy
+    of the first class in sorted order with L'.E_i > L'.E_j >= -1 absorbs
+    E_i - E_j, keeping its anticanonical degree and its vanishing."""
+    for s in sorted(tally):
+        if -s[i] > -s[j] >= -1:
+            tally[s] -= 1
+            if not tally[s]:
+                del tally[s]
             repl = list(s)
             repl[i] += 1
             repl[j] -= 1
-            out = list(summands)
-            out[idx] = tuple(repl)
-            return tuple(sorted(out))
-    raise LatticeError(
-        f"no summand eligible for the upshift lift ({i}, {j}); input sum was not good"
-    )
+            lifted = tuple(repl)
+            tally[lifted] = tally.get(lifted, 0) + 1
+            return
+    raise LatticeError(f"no summand eligible for the upshift lift ({i}, {j}); input sum was not good")
 
 
 def _two_point_summand_raw(d: int, a: int, r: int) -> tuple[int, int, int]:
@@ -286,8 +276,6 @@ def _two_point_summand_raw(d: int, a: int, r: int) -> tuple[int, int, int]:
     if r == 2 and (d, a) == (1, 1):
         raise GoodSumError("the case r = 2, D = L - E_1 splits directly as (L-2E_1) + E_1")
     m = (3 * d - a) // r
-    if m == 0:
-        return (0, 0, 0)
     s, t = divmod(m, 3)
     basic = ((s, 0, 0), (s, 1, 0), (s, 1, 1))[t]
     if t == 2 and a == 0:
@@ -310,16 +298,16 @@ _MEMO_RANK = 16
 
 
 def _decompose_two_point(coords, r: int):
-    """Good-sum summands for a nef class on the two-point surface.
+    """Good-sum counts for a nef class on the two-point surface.
 
     Each rank step unbalances the class, swaps E_1 and E_2 if E_1 is the
     one it meets, and splits off one summand of the right anticanonical
     degree.  The steps' moves, swaps and summands go on a stack until the
     rank left is at most ``_MEMO_RANK``, which ``_decompose`` finishes;
-    then the steps are undone in reverse.
+    then the steps are undone in reverse, on the distinct classes only.
     """
-    surface, stack, summands = del_pezzo(7), [], None
-    while summands is None:
+    surface, stack, tally = del_pezzo(7), [], None
+    while tally is None:
         moves, cur = _upshift_moves(coords, 2)
         m1, m2 = -cur[1], -cur[2]
         assert min(m1, m2) == 0, f"two-point upshift fixed point {cur} has no orthogonal E_i"
@@ -329,7 +317,7 @@ def _decompose_two_point(coords, r: int):
         d, a = cur[0], -cur[1]
         if r == 2 and (d, a) == (1, 1):
             stack.append((moves, swapped, (1, -2, 0)))
-            summands = ((0, 1, 0),)  # E_1 and L - 2E_1
+            tally = {(0, 1, 0): 1}  # E_1 and L - 2E_1
             break
         M = _two_point_summand_raw(d, a, r)
         coords = tuple(x - y for x, y in zip(cur, M))
@@ -338,24 +326,24 @@ def _decompose_two_point(coords, r: int):
         stack.append((moves, swapped, M))
         r -= 1
         if r <= _MEMO_RANK:
-            summands = _decompose(2, coords, r)
+            tally = dict(_decompose(2, coords, r))
     for moves, swapped, M in reversed(stack):
-        summands = tuple(sorted(summands + (M,)))
+        tally[M] = tally.get(M, 0) + 1
         if swapped:
-            summands = tuple(sorted((s[0], s[2], s[1]) for s in summands))
+            tally = {(s[0], s[2], s[1]): n for s, n in tally.items()}
         for i, j in reversed(moves):
-            summands = _lift_summands(summands, i, j)
-    return summands
+            _lift_summands(tally, i, j)
+    return tuple(sorted(tally.items()))
 
 
-# one delpezzo_goodsums benchmark pass leaves about 2,100 entries; criterion 5
-# makes 67,980 top-level calls, and at this bound misses rise from 67,980 to
-# 75,000 while its time stays the same
+# entries are counts, a few pairs at any rank; a delpezzo_goodsums pass (seed
+# 1, pass 0) keeps all its 2,105 misses and hits 1,010 times; criterion 5's
+# 67,980 top-level calls miss 75,000 times and hit 54,289 times at this bound
 @lru_cache(maxsize=1 << 12)
 def _decompose(k: int, coords, r: int):
-    """Good-sum summands (sorted coordinate tuples) for a nef class on k points."""
+    """Good-sum counts, sorted (coords, multiplicity) pairs, of a nef class on k points."""
     if r == 1:
-        return (coords,)
+        return ((coords, 1),)
     if k == 2:
         return _decompose_two_point(coords, r)
     moves, cur = _upshift_moves(coords, k)
@@ -366,16 +354,15 @@ def _decompose(k: int, coords, r: int):
     for root in word:
         cur = reflect(surface, cur, root)
     assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
-    lifted = []
-    for summand in _decompose(k - 1, cur[:-1], r):
+    tally = {}
+    for summand, n in _decompose(k - 1, cur[:-1], r):
         summand += (0,)
         for root in reversed(word):
             summand = reflect(surface, summand, root)
-        lifted.append(summand)
-    summands = tuple(sorted(lifted))
+        tally[summand] = n
     for i, j in reversed(moves):
-        summands = _lift_summands(summands, i, j)
-    return summands
+        _lift_summands(tally, i, j)
+    return tuple(sorted(tally.items()))
 
 
 def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
@@ -392,10 +379,14 @@ def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
         raise GoodSumError("rank must be at least 1")
     if not is_nef(D):
         raise GoodSumError(f"{divisor_expr(D)} is not nef on {s}")
-    summands = _decompose(s.k, D.coords, r)
-    gs = GoodSum(s, -canonical(s), tuple(DivisorClass(s, c) for c in summands))
-    assert gs.c1() == D, "decomposition lost the first Chern class"
-    return gs
+    counts = _decompose(s.k, D.coords, r)
+    flat = [c for c, n in counts for _ in range(n)]
+    # a raise, not an assert: is_good_sum does not check c1, so under
+    # python -O a wrong sum would otherwise be printed
+    if len(flat) != r or tuple(map(sum, zip(*flat))) != D.coords:
+        raise RuntimeError(f"decomposition of {divisor_expr(D)} at rank {r} lost its first Chern class or rank")
+    summands = tuple(x for c, n in counts for x in (DivisorClass(s, c),) * n)
+    return GoodSum(s, -canonical(s), summands)
 
 
 # ---------------------------------------------------------------------------

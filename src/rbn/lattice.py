@@ -447,7 +447,7 @@ def _check_root(root: DivisorClass) -> None:
 def reflect(surface: SurfaceModel, coords, root) -> tuple:
     """Reflection s(D) = D + (D.root) root on coordinate tuples."""
     t = form(surface, coords, root)
-    return tuple(a + t * b for a, b in zip(coords, root))
+    return tuple(a + t * b for a, b in zip(coords, root)) if t else tuple(coords)
 
 
 def weyl_reflect(D: DivisorClass, root: DivisorClass) -> DivisorClass:

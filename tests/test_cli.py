@@ -23,6 +23,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_parse_error(capsys, *argv):
+    """Exit code, stdout and stderr of an argument vector the parser refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohom", "--surface", "dp7", "--divisor", "3L-E1"],
+        ["cohom", "--surface", "blp2:k=4:collinear=1,2,3,4", "--divisor", "2L-E1-E2-E3-E4"],
+        ["wbn", "--surface", "dp7", "--character", "r=3;c1=2L;chi=0"],
+        ["wbn", "--surface", "F1", "--sweep", "--bound", "0"],
+        ["goodsum", "--surface", "dp7", "--rank", "3", "--c1", "2L"],
+        ["oracle", "h0", "--surface", "blp2:k=2", "--divisor", "L"],
+        ["oracle", "cohom", "--surface", "blp2:k=2", "--divisor", "L"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_below_one_refused(capsys, argv, trials):
+    # whichever route would answer, a trial count below 1 is an input error
+    code, out, err = run_parse_error(capsys, *argv, "--trials", trials)
+    assert (code, out) == (2, "") and "--trials: must be at least 1" in err
+
+
 class TestCohom:
     def test_hirzebruch_text(self, capsys):
         code, out, _ = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+F")
@@ -182,6 +210,26 @@ class TestWbn:
         code, out, _ = run(capsys, "wbn", "--surface", "F0", "--sweep", "--bound", "0")
         assert (code, out) == (0, "k,l,status,h0_lower_bound,delta\n0,0,Holds,,1\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--character", "r=2;c1=E;chi=0", "--rank", "7"], "apply to --sweep only"),
+            (["--character", "r=2;c1=E;chi=0", "--bound", "-3", "--text"], "apply to --sweep only"),
+            (["--sweep", "--character", "r=2;c1=E;chi=0", "--bound", "0"], "not allowed with argument"),
+            (["--rank", "3"], "one of the arguments --character --sweep is required"),
+        ],
+    )
+    def test_flags_of_the_other_mode_refused(self, capsys, flags, message):
+        # the first three printed the rank-2 verdict or the sweep and exited 0
+        code, out, err = run_parse_error(capsys, "wbn", "--surface", "F0", *flags)
+        assert (code, out) == (2, "") and message in err
+
+    def test_sweep_defaults_unchanged(self, capsys):
+        # --rank 2 and --bound 4 are the defaults of --sweep
+        _, default, _ = run(capsys, "wbn", "--surface", "F1", "--sweep")
+        _, explicit, _ = run(capsys, "wbn", "--surface", "F1", "--sweep", "--rank", "2", "--bound", "4")
+        assert default == explicit and len(default.splitlines()) == 1 + 17 * 17
+
 
 class TestResolveGoodsumOracleCurves:
     def test_resolve(self, capsys):
@@ -250,6 +298,32 @@ class TestResolveGoodsumOracleCurves:
         payload = json.loads(out)
         assert payload["surface"] == "dp7" and payload["N"] == "3L-E1-E2"
         assert sorted(payload["summands"]) == ["E1+E2", "L-E1", "L-E2"]
+
+    @pytest.mark.parametrize(
+        "counts",
+        ["((coords, r),)", "((coords, 1),)"],  # r copies of c1; the right c1 at rank 1
+        ids=["c1", "rank"],
+    )
+    def test_goodsum_wrong_decomposition_exits_3_under_optimize(self, counts):
+        # the c1 and rank check is a raise, not an assert: is_good_sum does
+        # not check c1, so the wrong sum would otherwise be printed
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from rbn import cli, goodsums
+            goodsums._decompose = lambda k, coords, r: {counts}
+            sys.exit(cli.main(["goodsum", "--surface", "dp7", "--rank", "3", "--c1", "2L"]))
+            """
+        )
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (out.returncode, out.stdout) == (3, "")
+        assert "internal error: RuntimeError: decomposition of 2L at rank 3 lost its first Chern" in out.stderr
 
     def test_goodsum_rejects_non_nef(self, capsys):
         code, _, err = run(capsys, "goodsum", "--surface", "dp7", "--rank", "2", "--c1", "E1")

@@ -65,6 +65,14 @@ class TestIsGoodSum:
         gs = gd.GoodSum(S, D(S, "L"), (D(S, "3L-2E1-E2-E3-E4-E5"),))
         assert gd.is_good_sum(gs) == gd.GoodSumCheck(True, (), provenance)
 
+    def test_classes_on_another_surface_refused(self):
+        # the sums read coordinates alone, so a class of another surface is
+        # refused when the sum is built
+        with pytest.raises(lat.LatticeError, match="different surfaces"):
+            gd.GoodSum(DP7, -lat.canonical(DP7), (D(DP7, "L"), D(BL2, "L")))
+        with pytest.raises(lat.LatticeError, match="different surfaces"):
+            gd.GoodSum(DP7, D(BL2, "L"), (D(DP7, "L"),))
+
     def test_reference_hypothesis_enforced(self):
         # N = E1 is not nef, and N = 0 fails -N.(F+K) >= 2
         with pytest.raises(gd.GoodSumError):
@@ -118,32 +126,73 @@ class TestRoundingSum:
             gd.rounding_sum(ch.character_from_chi(2, D(BL2, "4L-3E1-3E2"), 0))
 
 
-def lift(surface, exprs, i, j):
-    """``_lift_summands`` on the coordinates of the summands ``exprs``, read
-    back as expressions."""
-    lifted = gd._lift_summands(tuple(D(surface, e).coords for e in exprs), i, j)
-    return [str(lat.DivisorClass(surface, c)) for c in lifted]
+def lift(surface, counts, i, j):
+    """``_lift_summands`` on a tally of (expression, count) pairs, read back
+    as pairs in the sorted order of the classes."""
+    tally = {D(surface, e).coords: n for e, n in counts}
+    gd._lift_summands(tally, i, j)
+    return [(str(lat.DivisorClass(surface, c)), n) for c, n in sorted(tally.items())]
+
+
+def expand(counts):
+    return [e for e, n in counts for _ in range(n)]
+
+
+def reference_lift(summands, i, j):
+    """The lift on a sorted tuple of summands, one entry per copy: the first
+    eligible summand absorbs E_i - E_j."""
+    for idx, s in enumerate(summands):
+        if -s[i] > -s[j] >= -1:
+            out = list(summands)
+            out[idx] = tuple(x + (p == i) - (p == j) for p, x in enumerate(s))
+            return tuple(sorted(out))
+    raise lat.LatticeError("no eligible summand")
 
 
 class TestUpshiftLift:
     def test_worked_lift(self):
-        lifted = lift(DP7, ["L-E1", "L-E1"], 1, 2)
-        assert set(lifted) == {"L-E1", "L-E2"}
-        assert gd.is_good_sum(anticanonical_sum(DP7, *lifted)).ok
+        lifted = lift(DP7, [("L-E1", 2)], 1, 2)
+        assert lifted == [("L-E1", 1), ("L-E2", 1)]
+        assert gd.is_good_sum(anticanonical_sum(DP7, *expand(lifted))).ok
 
     def test_symmetric_summand_never_chosen(self):
         # the 2L summand is symmetric in (1, 2); only L-E1 is eligible
-        lifted = lift(DP6, ["2L-E1-E2-E3", "L-E1"], 1, 2)
-        assert set(lifted) == {"2L-E1-E2-E3", "L-E2"}
+        lifted = lift(DP6, [("2L-E1-E2-E3", 1), ("L-E1", 1)], 1, 2)
+        assert lifted == [("L-E2", 1), ("2L-E1-E2-E3", 1)]
 
     def test_anticanonical_degree_preserved(self):
-        gs = anticanonical_sum(DP7, "L-E1", "2L-2E1")
-        lifted = anticanonical_sum(DP7, *lift(DP7, ["L-E1", "2L-2E1"], 1, 2))
+        counts = [("L-E1", 1), ("2L-2E1", 1)]
+        gs = anticanonical_sum(DP7, *expand(counts))
+        lifted = anticanonical_sum(DP7, *expand(lift(DP7, counts, 1, 2)))
         assert sorted(lifted.degrees()) == sorted(gs.degrees())
 
     def test_no_eligible_summand_errors(self):
         with pytest.raises(lat.LatticeError):
-            lift(DP7, ["L-E1-E2"], 1, 2)
+            lift(DP7, [("L-E1-E2", 3)], 1, 2)
+
+    def test_one_unit_of_the_first_eligible_class_moves(self):
+        # both classes are eligible; one copy of the first, L-E1, moves
+        lifted = lift(DP7, [("L-E1", 3), ("2L-2E1", 2)], 1, 2)
+        assert lifted == [("L-E1", 2), ("L-E2", 1), ("2L-2E1", 2)]
+
+    def test_counts_match_the_lift_of_the_expanded_sum(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            k = rng.choice((2, 3, 4, 5))
+            classes = {(rng.randrange(0, 4),) + tuple(rng.randrange(-3, 2) for _ in range(k)) for _ in range(3)}
+            counts = tuple(sorted((c, rng.randrange(1, 4)) for c in classes))
+            i, j = rng.sample(range(1, k + 1), 2)
+            summands = tuple(c for c, n in counts for _ in range(n))
+            tally = dict(counts)
+            try:
+                want = reference_lift(summands, i, j)
+            except lat.LatticeError:
+                with pytest.raises(lat.LatticeError):
+                    gd._lift_summands(tally, i, j)
+                continue
+            gd._lift_summands(tally, i, j)
+            assert [c for c, n in sorted(tally.items()) for _ in range(n)] == list(want)
+            assert 0 not in tally.values()
 
 
 class TestTwoPointSummand:
@@ -246,6 +295,19 @@ class TestDecompose:
         S = lat.parse_surface(case["surface"])
         gs = gd.delpezzo_decompose(D(S, case["c1"]), case["rank"])
         assert [str(s) for s in gs.summands] == case["summands"]
+
+    @pytest.mark.parametrize(
+        "case",
+        GOLDEN["high_rank_decompositions"],
+        ids=[f"{c['surface']}:{c['c1']}:r{c['rank']}" for c in GOLDEN["high_rank_decompositions"]],
+    )
+    def test_pinned_high_rank_decomposition(self, case):
+        # above _MEMO_RANK the two-point steps run in a loop; the sums are
+        # pinned as (summand, count) runs in the emitted order
+        S = lat.parse_surface(case["surface"])
+        gs = gd.delpezzo_decompose(D(S, case["c1"]), case["rank"])
+        runs = [[str(s), len(list(g))] for s, g in itertools.groupby(gs.summands)]
+        assert runs == case["summands"]
 
     def test_non_nef_rejected(self):
         with pytest.raises(gd.GoodSumError):
