@@ -23,8 +23,8 @@ from .chern import (
 from .cohomology import (
     OracleError,
     blowup_cohomology_oracle,
-    certified_cohomology,
     interpolation_h0,
+    line_bundle_cohomology,
 )
 from .decide import VerificationError, WBNStatus, wbn
 from .goodsums import GoodSumError, delpezzo_decompose, is_good_sum
@@ -71,9 +71,7 @@ def _cmd_cohom(args) -> int:
             f"no full cohomology computation on {surface}; the vanishing rules "
             "are available through the library API"
         )
-    vec, _ = certified_cohomology(D)
-    if vec is None:
-        vec = blowup_cohomology_oracle(D, seed=args.seed, trials=args.trials)
+    vec, _ = line_bundle_cohomology(D, seed=args.seed, trials=args.trials)
     _emit(
         {"h0": vec.h0, "h1": vec.h1, "h2": vec.h2},
         args.json,
@@ -93,6 +91,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_wbn(args) -> int:
+    if not args.sweep and (args.rank, args.bound) != (None, None):
+        args.parser.error("--rank and --bound apply to --sweep only")
     surface = parse_surface(args.surface)
     if args.sweep:
         return _wbn_sweep(args, surface)
@@ -185,6 +185,16 @@ def _cmd_curves(args) -> int:
     return 0
 
 
+def _trials(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbn",
@@ -202,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--surface", required=True, help="surface spec string")
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-            p.add_argument("--trials", type=int, default=3, help="oracle trials (default 3)")
+            p.add_argument("--trials", type=_trials, default=3, help="oracle trials (default 3)")
 
     p = sub.add_parser("cohom", help="cohomology vector of a line bundle")
     add_common(p)
@@ -226,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, help="rank for --sweep (default 2)")
     p.add_argument("--bound", type=int, help="|k|,|l| <= bound*rank for --sweep (default 4)")
     p.add_argument("--text", action="store_true", help="key=value lines instead of JSON")
-    p.set_defaults(func=_cmd_wbn)
+    p.set_defaults(func=_cmd_wbn, parser=p)
 
     p = sub.add_parser("resolve", help="two-term resolution report for a character")
     add_common(p, seeded=False)
@@ -260,10 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "wbn" and not args.sweep and (args.rank, args.bound) != (None, None):
-        parser.error("--rank and --bound apply to --sweep only")
-    if getattr(args, "trials", 1) < 1:
-        parser.error("argument --trials: must be at least 1")
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

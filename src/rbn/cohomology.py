@@ -45,9 +45,13 @@ Four routes, by strength of the statement:
   raises, since it would disprove it.
 
 Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
-oracle, and only through this module: ``certified_cohomology`` returns the
-vector wherever the first three certify it, and
-``higher_cohomology_vanishes`` adds the oracle on blowups of the plane.
+oracle, and only this module picks the route, through three entry points.
+``certified_cohomology`` returns the vector wherever the first three
+certify it and never calls the oracle.  ``line_bundle_cohomology`` adds
+the oracle on blowups of the plane and says which route answered.
+``higher_cohomology_vanishes`` asks it only after the rules' Nonzero, so a
+class the rules show to have higher cohomology (chi < 0, or K - D
+effective) never reaches the oracle.
 """
 
 from __future__ import annotations
@@ -891,17 +895,25 @@ def certified_cohomology(D: DivisorClass) -> tuple[CohomologyVector | None, str]
     return None, "undecided"
 
 
-def higher_cohomology_vanishes(
-    D: DivisorClass, *, seed: int = 0, trials: int = 3, prime: int | None = None
-) -> tuple[bool, str]:
-    """Certified vector, then the rules' Nonzero, then the oracle on blowups
-    of the plane; returns (verdict, provenance note)."""
+def line_bundle_cohomology(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> tuple[CohomologyVector | None, str]:
+    """Cohomology of O(D) by the strongest route available.
+
+    The certified vector of ``certified_cohomology`` (``"exact"`` or
+    ``"rules"``), else on blowups of the plane the oracle's upper bounds
+    (``"oracle"``), else ``(None, "undecided")``.
+    """
     vec, how = certified_cohomology(D)
-    if vec is not None:
-        return vec.higher_vanishes, how
-    if vanishing_by_rules(D).higher_cohomology is Vanishing.NONZERO:
-        return False, "rules"
-    if D.surface.is_blowup_p2_like:
-        vec = blowup_cohomology_oracle(D, seed=seed, trials=trials, prime=prime)
-        return vec.higher_vanishes, "oracle"
-    return False, "undecided"
+    if vec is None and D.surface.is_blowup_p2_like:
+        return blowup_cohomology_oracle(D, seed=seed, trials=trials), "oracle"
+    return vec, how
+
+
+def higher_cohomology_vanishes(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> tuple[bool, str]:
+    """``line_bundle_cohomology`` with the rules' Nonzero before the oracle;
+    returns (verdict, provenance note)."""
+    vec, how = certified_cohomology(D)
+    if vec is None:
+        if vanishing_by_rules(D).higher_cohomology is Vanishing.NONZERO:
+            return False, "rules"
+        vec, how = line_bundle_cohomology(D, seed=seed, trials=trials)
+    return vec is not None and vec.higher_vanishes, how

@@ -24,14 +24,14 @@ from .chern import (
     hirzebruch_core,
     line_bundle_character,
 )
-from .cohomology import blowup_cohomology_oracle, certified_cohomology
+from .cohomology import line_bundle_cohomology
 from .goodsums import (
     GoodSum,
     WBNWitness,
+    delpezzo_decompose,
     hirzebruch_fiber_sum,
     is_good_sum,
     rounding_sum,
-    wbn_witness,
 )
 from .lattice import (
     DivisorClass,
@@ -118,8 +118,10 @@ class WBNVerdict:
         return out
 
 
-def _checked_witness(witness: WBNWitness, *, seed: int = 0, trials: int = 3) -> WBNWitness:
-    check = is_good_sum(witness.good_sum, seed=seed, trials=trials)
+def _checked_witness(gs: GoodSum, v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNWitness:
+    """The good sum with chi(sum) point modifications towards v, checked once."""
+    witness = WBNWitness(gs, gs.chi(), v)
+    check = is_good_sum(gs, seed=seed, trials=trials)
     if not (check.ok and witness.bookkeeping_ok()):
         raise VerificationError(f"emitted witness failed verification: {check.failures}")
     return witness
@@ -130,9 +132,7 @@ def _checked_witness(witness: WBNWitness, *, seed: int = 0, trials: int = 3) -> 
 # ---------------------------------------------------------------------------
 
 
-def rank_one_wbn(
-    surface: SurfaceModel, c1: DivisorClass, *, seed: int = 0, trials: int = 3
-) -> WBNVerdict:
+def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     """Rank-one criterion: Holds iff h1 = h2 = 0 for the unique line bundle.
 
     The sheaves are I_Z(c1) with chi = chi(O(c1)) - |Z|, so chi(O(c1)) < 0
@@ -141,26 +141,23 @@ def rank_one_wbn(
     criterion fails with h0 <= n, Serre duality leaves h2 nonzero for every
     twist; when h0 > n the sections survive all twists.
     """
-    if c1.surface != surface:
-        raise LatticeError("c1 lives on a different surface")
     notes: list[str] = [_STACK_NOTE]
     n = chi_line_bundle(c1)
     if n < 0:
         expr = divisor_expr(c1)
         notes.append(f"chi(O({expr})) = {n} < 0, so every I_Z({expr}) has chi < 0")
         return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=Fraction(n), notes=tuple(notes))
-    vec, how = certified_cohomology(c1)
-    if vec is not None:
-        notes.append("exact cohomology" if how == "exact" else "vanishing by rules")
-    elif surface.is_blowup_p2_like:
-        vec = blowup_cohomology_oracle(c1, seed=seed, trials=trials)
-        notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
-    else:
+    vec, how = line_bundle_cohomology(c1, seed=seed, trials=trials)
+    if vec is None:
         return WBNVerdict(
             WBNStatus.UNKNOWN, notes=tuple(notes + ["no exact computation or oracle available"])
         )
+    if how == "oracle":
+        notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
+    else:
+        notes.append("exact cohomology" if how == "exact" else "vanishing by rules")
     if vec.higher_vanishes:
-        gs = GoodSum(surface, _rank_one_reference(surface), (c1,))
+        gs = GoodSum(c1.surface, _rank_one_reference(c1.surface), (c1,))
         target = ChernCharacter.from_twice_ch2(1, c1, intersect(c1, c1) - 2 * n)
         witness = WBNWitness(gs, n, target)
         # the cohomology above is the check on the line bundle; is_good_sum
@@ -234,8 +231,7 @@ def hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         report = hirzebruch_resolution(w)
         return WBNVerdict(WBNStatus.HOLDS, witness=report, bogomolov_delta=delta, notes=tuple(notes))
     except InfeasibleResolutionError as exc:
-        gs = hirzebruch_fiber_sum(w)
-        witness = _checked_witness(WBNWitness(gs, 0, w))
+        witness = _checked_witness(hirzebruch_fiber_sum(w), w)
         notes.append(f"resolution infeasible ({exc}); cohomology-free fiber sum instead")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, bogomolov_delta=delta, notes=tuple(notes))
 
@@ -269,7 +265,7 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
         notes.append(f"resolution route: {exc}")
     try:
         gs = rounding_sum(v, seed=seed, trials=trials)
-        witness = _checked_witness(WBNWitness(gs, gs.chi(), v), seed=seed, trials=trials)
+        witness = _checked_witness(gs, v, seed=seed, trials=trials)
         notes.append("rounded good sum plus general point modifications")
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
     except ValueError as exc:
@@ -327,7 +323,7 @@ def delpezzo_wbn(v: ChernCharacter) -> WBNVerdict:
     if not is_nef(v.c1):
         notes.append(f"{divisor_expr(v.c1)} is not nef; the nef-decomposition route is silent")
         return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
-    witness = _checked_witness(wbn_witness(v))
+    witness = _checked_witness(delpezzo_decompose(v.c1, v.r), v)
     notes.append("anticanonically good sum plus general point modifications")
     return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
 
@@ -337,7 +333,7 @@ def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     if v.r == 1:
         if chi_integer(v) != 0:
             raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
-        return rank_one_wbn(v.surface, v.c1, seed=seed, trials=trials)
+        return rank_one_wbn(v.c1, seed=seed, trials=trials)
     s = v.surface
     if s.is_hirzebruch:
         return hirzebruch_wbn(v)

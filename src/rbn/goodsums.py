@@ -29,7 +29,6 @@ from .lattice import (
     basis_divisor,
     canonical,
     chi_line_bundle,
-    curve_coords,
     curve_word,
     del_pezzo,
     divisor_expr,
@@ -37,6 +36,7 @@ from .lattice import (
     intersect,
     is_nef,
     is_nef_coords,
+    neg_one_classes,
     reflect,
 )
 
@@ -348,7 +348,7 @@ def _decompose(k: int, coords, r: int):
         return _decompose_two_point(coords, r)
     moves, cur = _upshift_moves(coords, k)
     surface = del_pezzo(9 - k)
-    ortho = next((C for C in curve_coords(surface) if form(surface, cur, C) == 0), None)
+    ortho = next((C for C in neg_one_classes(k) if form(surface, cur, C) == 0), None)
     assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
     word = curve_word(surface, ortho)
     for root in word:
@@ -461,27 +461,3 @@ class WBNWitness:
             "ch2": str(self.target.ch2),
         }
         return out
-
-
-def wbn_witness(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNWitness:
-    """Constructive witness for chi = 0 characters with decomposable c1.
-
-    Del Pezzo models take the nef-decomposition route with N = -K; other
-    blowups of the plane take the rounding route with N = L.  The returned
-    sum satisfies r/c1 bookkeeping exactly and chi(sum) counts the general
-    point modifications needed to reach the target character.  The witness
-    is not checked here: ``WBNWitness.bookkeeping_ok`` tests it, and
-    ``decide`` runs that test once, raising, before a verdict uses it.
-    """
-    if chi_integer(v) != 0:
-        raise CharacterError("witnesses exist only for characters with chi = 0")
-    s = v.surface
-    if s.is_del_pezzo:
-        gs = delpezzo_decompose(v.c1, v.r)
-    elif s.is_blowup_p2_like:
-        gs = rounding_sum(v, seed=seed, trials=trials)
-    elif s.is_hirzebruch:
-        gs = hirzebruch_fiber_sum(v)
-    else:
-        raise GoodSumError(f"no witness construction on {s}")
-    return WBNWitness(gs, gs.chi(), v)

@@ -12,7 +12,7 @@ basis, canonical class and intersection form are each read off the head:
   off the negative section.
 
 The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
-``neg_one_classes``, ``curve_coords``, ``reflect``, ``curve_word``);
+``neg_one_classes``, ``reflect``, ``curve_word``);
 ``DivisorClass`` wraps it.  Of the Weyl group of a blowup of the plane the
 library uses reflections in single roots and ``curve_word``, the word that
 carries a (-1)-curve of a del Pezzo model to the last exceptional class.
@@ -385,22 +385,16 @@ def neg_one_classes(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def curve_coords(surface: SurfaceModel) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of the (-1)-curves on a del Pezzo model, in a fixed order.
+def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """The (-1)-curves of a del Pezzo model, in the order of ``neg_one_classes``.
 
     Exceptional curves first, then lines through two of the points, then the
-    conic through five points when it exists (``neg_one_classes``).  Each
-    class C satisfies C^2 = -1 and -K.C = 1; in degrees 7/6/5/4 there are
-    3/6/10/16 of them.
+    conic through five points when it exists.  Each class C satisfies
+    C^2 = -1 and -K.C = 1; in degrees 7/6/5/4 there are 3/6/10/16 of them.
     """
     if not surface.is_del_pezzo:
         raise LatticeError("(-1)-curve enumeration is implemented for del Pezzo models")
-    return neg_one_classes(surface.k)
-
-
-def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """All classes of (-1)-curves on a del Pezzo model (see ``curve_coords``)."""
-    return tuple(DivisorClass(surface, c) for c in curve_coords(surface))
+    return tuple(DivisorClass(surface, c) for c in neg_one_classes(surface.k))
 
 
 def is_nef_coords(surface: SurfaceModel, coords) -> bool:
@@ -412,7 +406,7 @@ def is_nef_coords(surface: SurfaceModel, coords) -> bool:
     nonnegatively; with the multiplicities m_i = -c_i sorted decreasingly,
     the exceptional curves give m_k >= 0, the lines through two points give
     d >= m_1 + m_2, and on five points the conic gives 2d >= m_1 + ... + m_5
-    (the three families of ``curve_coords``).  Other models are refused
+    (the three families of ``neg_one_classes``).  Other models are refused
     rather than guessed at.
     """
     if surface.is_hirzebruch:
@@ -475,7 +469,7 @@ def cremona_root(surface: SurfaceModel, i: int, j: int, m: int) -> DivisorClass:
 @lru_cache(maxsize=35)
 def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """A reflection word w with w(C) = E_k, as root coordinate tuples, for a
-    (-1)-curve C = ``curve`` of ``curve_coords(surface)`` on a del Pezzo
+    (-1)-curve C = ``curve`` of ``neg_one_classes(surface.k)`` on a del Pezzo
     model with k >= 3.
 
     Greedy Cremona reduction on the curve's degree: a conic class drops to a
@@ -606,6 +600,8 @@ def _parse_surface(text: str) -> SurfaceModel:
         config = GENERAL
         for field in fields[2:]:
             if field.startswith("collinear="):
+                if config is not GENERAL:
+                    raise ParseError("option 'collinear' given twice", field)
                 try:
                     config = collinear_config(int(i) for i in field[10:].split(","))
                 except (ValueError, LatticeError) as exc:

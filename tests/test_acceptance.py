@@ -289,7 +289,8 @@ def test_criterion_6_witness_bookkeeping():
             continue
         r = rng.randrange(1, 6)
         v = ch.character_from_chi(r, c1, 0)
-        witness = gd.wbn_witness(v)
+        gs = gd.delpezzo_decompose(c1, r)
+        witness = gd.WBNWitness(gs, gs.chi(), v)
         n = witness.modifications
         assert n == witness.good_sum.chi() and n >= 0, v
         assert witness.good_sum.character().ch2 - n == v.ch2, v

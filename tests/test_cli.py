@@ -49,6 +49,19 @@ def test_trials_below_one_refused(capsys, argv, trials):
     # whichever route would answer, a trial count below 1 is an input error
     code, out, err = run_parse_error(capsys, *argv, "--trials", trials)
     assert (code, out) == (2, "") and "--trials: must be at least 1" in err
+    # the usage line is the subcommand's, not the top-level one
+    assert err.startswith(f"usage: rbn {argv[0]} ")
+
+
+# a collinear class that no certified route decides
+COLLINEAR_ORACLE_CLASS = ("blp2:k=4:collinear=1,2,3,4", "--divisor", "2L-E1-E2-E3-E4")
+
+
+def _forbid_the_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("rbn cohom reached the oracle on a certified class")
+
+    monkeypatch.setattr("rbn.cohomology.blowup_cohomology_oracle", no_oracle)
 
 
 class TestCohom:
@@ -90,24 +103,33 @@ class TestCohom:
         ],
     )
     def test_certified_vectors_skip_the_oracle(self, capsys, monkeypatch, surface, divisor, expected):
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("rbn cohom reached the oracle on a certified class")
-
-        monkeypatch.setattr("rbn.cli.blowup_cohomology_oracle", no_oracle)
+        _forbid_the_oracle(monkeypatch)
         code, out, _ = run(capsys, "cohom", "--surface", surface, f"--divisor={divisor}")
         assert (code, out) == (0, expected)
 
     def test_collinear_points_keep_the_oracle(self, capsys):
-        code, out, _ = run(
-            capsys, "cohom", "--surface", "blp2:k=4:collinear=1,2,3,4", "--divisor", "2L-E1-E2-E3-E4"
-        )
+        code, out, _ = run(capsys, "cohom", "--surface", *COLLINEAR_ORACLE_CLASS)
         assert (code, out) == (0, "h0=3 h1=1 h2=0\n")
 
+    def test_the_oracle_patch_reaches_rbn_cohom(self, capsys, monkeypatch):
+        # under the patch above the class that needs the oracle is an internal error
+        _forbid_the_oracle(monkeypatch)
+        code, out, err = run(capsys, "cohom", "--surface", *COLLINEAR_ORACLE_CLASS)
+        assert (code, out) == (3, "") and "reached the oracle" in err
+
+    def test_repeated_collinear_field_refused(self, capsys):
+        # the last field won: this printed h0=1 h1=1 h2=0 and exited 0
+        code, out, err = run(
+            capsys, "cohom", "--surface", "blp2:k=4:collinear=1,2,3:collinear=2,3,4", "--divisor", "L-E2-E3-E4"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: option 'collinear' given twice (at 'collinear=2,3,4')\n"
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(D):
+        def broken(D, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("rbn.cli.certified_cohomology", broken)
+        monkeypatch.setattr("rbn.cli.line_bundle_cohomology", broken)
         code, out, err = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+F")
         assert (code, out) == (3, "")
         assert err.startswith("Traceback") and err.endswith("internal error: RuntimeError: boom\n")
@@ -223,6 +245,7 @@ class TestWbn:
         # the first three printed the rank-2 verdict or the sweep and exited 0
         code, out, err = run_parse_error(capsys, "wbn", "--surface", "F0", *flags)
         assert (code, out) == (2, "") and message in err
+        assert err.startswith("usage: rbn wbn ")
 
     def test_sweep_defaults_unchanged(self, capsys):
         # --rank 2 and --bound 4 are the defaults of --sweep

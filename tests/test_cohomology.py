@@ -1042,32 +1042,36 @@ class TestOracleVector:
             assert min(vec.as_tuple()) >= 0
 
 
-# (surface, class, verdict, provenance) of higher_cohomology_vanishes, at
-# least one class per route; general points at k <= 8 and del Pezzo models
-# are exact, so the rules and the oracle are pinned on collinear points and
-# at k = 9
+# (surface, class, verdict, provenance) of higher_cohomology_vanishes, then
+# (vector, route) of line_bundle_cohomology, at least one class per route;
+# general points at k <= 8 and del Pezzo models are exact, so the rules and
+# the oracle are pinned on collinear points and at k = 9.  A class the
+# rules show nonzero skips the oracle in the first and not in the second.
 GOLDEN_ROUTES = [
-    ("F1", "E+2F", True, "exact"),
-    ("F2", "2E+F", False, "exact"),
-    ("blp2:k=3", "L", True, "exact"),
-    ("dp5", "-L+E1+E2", True, "exact"),
-    ("blp2:k=1", "3E1", False, "exact"),
-    ("blp2:k=5", "3L-2E1-E2-E3-E4-E5", True, "exact"),
-    ("blp2:k=2", "4L-3E1-3E2", False, "exact"),
-    ("dp6", "2L-2E1-2E2", False, "exact"),
-    ("blp2:k=4:collinear=1,2,3,4", "L", True, "rules"),
-    ("blF2:k=1", "F-E1", True, "rules"),
-    ("blp2:k=9", "3E1", False, "rules"),
-    ("blF2:k=1", "-2E-5F", False, "rules"),
-    ("blp2:k=9", "3L-2E1-E2-E3-E4-E5", True, "oracle"),
-    ("blp2:k=4:collinear=1,2,3,4", "2L-E1-E2-E3-E4", False, "oracle"),
-    ("blF2:k=1", "E", False, "undecided"),
+    ("F1", "E+2F", True, "exact", (5, 0, 0), "exact"),
+    ("F2", "2E+F", False, "exact", (2, 2, 0), "exact"),
+    ("blp2:k=3", "L", True, "exact", (3, 0, 0), "exact"),
+    ("dp5", "-L+E1+E2", True, "exact", (0, 0, 0), "exact"),
+    ("blp2:k=1", "3E1", False, "exact", (1, 3, 0), "exact"),
+    ("blp2:k=5", "3L-2E1-E2-E3-E4-E5", True, "exact", (3, 0, 0), "exact"),
+    ("blp2:k=2", "4L-3E1-3E2", False, "exact", (4, 1, 0), "exact"),
+    ("dp6", "2L-2E1-2E2", False, "exact", (1, 1, 0), "exact"),
+    ("blp2:k=4:collinear=1,2,3,4", "L", True, "rules", (3, 0, 0), "rules"),
+    ("blF2:k=1", "F-E1", True, "rules", (1, 0, 0), "rules"),
+    ("blp2:k=9", "3E1", False, "rules", (1, 3, 0), "oracle"),
+    ("blF2:k=1", "-2E-5F", False, "rules", None, "undecided"),
+    ("blp2:k=9", "3L-2E1-E2-E3-E4-E5", True, "oracle", (3, 0, 0), "oracle"),
+    ("blp2:k=4:collinear=1,2,3,4", "2L-E1-E2-E3-E4", False, "oracle", (3, 1, 0), "oracle"),
+    ("blF2:k=1", "E", False, "undecided", None, "undecided"),
 ]
 
 
 class TestHigherCohomologyVanishes:
     @pytest.mark.parametrize(
-        "spec, expr, vanishes, how", GOLDEN_ROUTES, ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_ROUTES]
+        "spec, expr, vanishes, how, vector, route", GOLDEN_ROUTES, ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_ROUTES]
     )
-    def test_pinned_route(self, spec, expr, vanishes, how):
-        assert coh.higher_cohomology_vanishes(D(lat.parse_surface(spec), expr)) == (vanishes, how)
+    def test_pinned_route(self, spec, expr, vanishes, how, vector, route):
+        Dv = D(lat.parse_surface(spec), expr)
+        assert coh.higher_cohomology_vanishes(Dv) == (vanishes, how)
+        vec, got = coh.line_bundle_cohomology(Dv)
+        assert (vec and vec.as_tuple(), got) == (vector, route)

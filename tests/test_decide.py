@@ -31,17 +31,17 @@ def D(surface, expr):
 
 class TestRankOne:
     def test_fiber_class_holds(self):
-        verdict = dec.rank_one_wbn(F2, D(F2, "F"))
+        verdict = dec.rank_one_wbn(D(F2, "F"))
         assert verdict.status is WBNStatus.HOLDS
         assert verdict.witness.modifications == 2
 
     def test_canonical_fails_through_h2(self):
-        verdict = dec.rank_one_wbn(F2, lat.canonical(F2))
+        verdict = dec.rank_one_wbn(lat.canonical(F2))
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction.h2_lower_bound == 1
 
     def test_very_negative_line_class_fails(self):
-        verdict = dec.rank_one_wbn(BL2, D(BL2, "-3L"))
+        verdict = dec.rank_one_wbn(D(BL2, "-3L"))
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction.h2_lower_bound == 1
 
@@ -51,17 +51,17 @@ class TestRankOne:
             for _ in range(40):
                 coords = tuple(rng.randrange(-5, 6) for _ in range(surface.rank))
                 c1 = lat.DivisorClass(surface, coords)
-                verdict = dec.rank_one_wbn(surface, c1)
+                verdict = dec.rank_one_wbn(c1)
                 vec = coh.blowup_cohomology_oracle(c1)
                 assert (verdict.status is WBNStatus.HOLDS) == vec.higher_vanishes
 
     def test_blowup_hirzebruch_rules_only(self):
         S = lat.blowup_hirzebruch(2, 1)
-        assert dec.rank_one_wbn(S, D(S, "F")).status is WBNStatus.HOLDS
+        assert dec.rank_one_wbn(D(S, "F")).status is WBNStatus.HOLDS
         # no full computation available when the rules stay silent (chi = 0)
-        assert dec.rank_one_wbn(S, D(S, "E")).status is WBNStatus.UNKNOWN
+        assert dec.rank_one_wbn(D(S, "E")).status is WBNStatus.UNKNOWN
         # chi(O(3E)) = -8: no sheaf to ask about
-        assert dec.rank_one_wbn(S, D(S, "3E")).status is WBNStatus.EMPTY_MODULI
+        assert dec.rank_one_wbn(D(S, "3E")).status is WBNStatus.EMPTY_MODULI
 
     @pytest.mark.parametrize(
         "surface, expr, chi",
@@ -71,9 +71,8 @@ class TestRankOne:
         def no_cohomology(*args, **kwargs):
             raise AssertionError("cohomology computed for an empty moduli space")
 
-        monkeypatch.setattr(dec, "certified_cohomology", no_cohomology)
-        monkeypatch.setattr(dec, "blowup_cohomology_oracle", no_cohomology)
-        verdict = dec.rank_one_wbn(surface, D(surface, expr))
+        monkeypatch.setattr(dec, "line_bundle_cohomology", no_cohomology)
+        verdict = dec.rank_one_wbn(D(surface, expr))
         assert verdict.status is WBNStatus.EMPTY_MODULI
         assert verdict.bogomolov_delta == chi and verdict.witness is None and verdict.obstruction is None
 
@@ -363,10 +362,10 @@ class TestVerificationGates:
     @pytest.mark.parametrize("spec, c1", [("F2", "F"), ("dp5", "L"), ("blF2:k=1", "F-E1")])
     def test_failed_rank_one_witness_raises(self, monkeypatch, spec, c1):
         S = lat.parse_surface(spec)
-        assert dec.rank_one_wbn(S, D(S, c1)).status is WBNStatus.HOLDS
+        assert dec.rank_one_wbn(D(S, c1)).status is WBNStatus.HOLDS
         monkeypatch.setattr(gd.WBNWitness, "bookkeeping_ok", lambda self: False)
         with pytest.raises(dec.VerificationError):
-            dec.rank_one_wbn(S, D(S, c1))
+            dec.rank_one_wbn(D(S, c1))
 
     def test_gate_survives_optimized_mode(self):
         script = textwrap.dedent(
@@ -382,7 +381,7 @@ class TestVerificationGates:
             goodsums.WBNWitness.bookkeeping_ok = lambda self: False
             F2 = lattice.hirzebruch(2)
             try:
-                decide.rank_one_wbn(F2, lattice.parse_divisor("F", F2))
+                decide.rank_one_wbn(lattice.parse_divisor("F", F2))
             except decide.VerificationError:
                 print("rank one raised")
             decide.ResolutionReport.bookkeeping_ok = lambda self: False

@@ -379,30 +379,37 @@ class TestHirzebruchFiberSum:
             gd.hirzebruch_fiber_sum(v)
 
 
+def _witness(gs, v):
+    """The witness decide builds: the sum plus chi(sum) point modifications."""
+    return gd.WBNWitness(gs, gs.chi(), v)
+
+
 class TestWitness:
     def test_worked_witness(self):
         v = ch.character_from_chi(3, D(DP7, "2L"), 0)
-        w = gd.wbn_witness(v)
+        w = _witness(gd.delpezzo_decompose(v.c1, v.r), v)
         assert w.modifications == 5
         assert w.bookkeeping_ok()
         assert w.good_sum.character().ch2 - 5 == v.ch2
 
     def test_zero_modifications_iff_all_chi_zero(self):
         v = ch.character_from_chi(2, D(lat.hirzebruch(0), "-2E-2F"), 0)
-        w = gd.wbn_witness(v)
+        w = _witness(gd.hirzebruch_fiber_sum(v), v)
         assert w.modifications == 0
         assert all(lat.chi_line_bundle(s) == 0 for s in w.good_sum.summands)
 
     def test_rounding_route(self):
         v = ch.character_from_chi(2, D(BL2, "3L-E1"), 0)
-        w = gd.wbn_witness(v)
+        w = _witness(gd.rounding_sum(v), v)
         assert w.good_sum.N == D(BL2, "L")
         assert w.bookkeeping_ok()
 
     def test_chi_zero_required(self):
-        v = ch.character_from_chi(2, D(DP7, "2L"), 1)
+        # a sum built for another chi misses the target's ch2
+        v = ch.character_from_chi(3, D(DP7, "2L"), 1)
+        assert not _witness(gd.delpezzo_decompose(v.c1, v.r), v).bookkeeping_ok()
         with pytest.raises(ch.CharacterError):
-            gd.wbn_witness(v)
+            gd.hirzebruch_fiber_sum(ch.character_from_chi(2, D(lat.hirzebruch(0), "-2E-2F"), 1))
 
 
 class TestWitnessBookkeepingAtLargeCoordinates:

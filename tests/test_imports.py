@@ -186,3 +186,11 @@ def test_integer_modules_import_no_fractions(name):
         for module in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
     ]
     assert "fractions" not in modules
+
+
+def test_only_cohomology_picks_a_line_bundle_route():
+    # the oracle is asked through cohomology's entry points; the command line
+    # calls it directly for `rbn oracle`, and the package root re-exports it
+    oracle = {"blowup_cohomology_oracle", "interpolation_h0"}
+    reaching = [path.name for path in MODULES if oracle & set(_references(path, own_bodies=False))]
+    assert reaching == ["__init__.py", "cli.py", "cohomology.py"]

@@ -163,7 +163,8 @@ class TestNegOneCurves:
             "E1", "E2", "E3", "L-E1-E2", "L-E1-E3", "L-E2-E3"
         ]
         for degree in range(4, 8):
-            assert lat.curve_coords(lat.del_pezzo(degree)) is lat.neg_one_classes(9 - degree)
+            curves = lat.neg_one_curves(lat.del_pezzo(degree))
+            assert tuple(C.coords for C in curves) == lat.neg_one_classes(9 - degree)
         assert lat.neg_one_classes(5)[-1] == (2, -1, -1, -1, -1, -1)
 
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 3), (3, 6), (4, 10), (5, 16), (6, 27), (7, 56), (8, 240)])
@@ -218,7 +219,7 @@ class TestNefAndEffective:
         degree, coords = case
         S = lat.del_pezzo(degree)
         coords = tuple(coords)
-        reference = all(lat.form(S, coords, C) >= 0 for C in lat.curve_coords(S))
+        reference = all(lat.form(S, coords, C) >= 0 for C in lat.neg_one_classes(S.k))
         assert lat.is_nef_coords(S, coords) == reference
 
 
@@ -287,7 +288,7 @@ class TestWeyl:
         for degree in (4, 5, 6):
             S = lat.del_pezzo(degree)
             target = lat.basis_divisor(S, f"E{S.k}").coords
-            for C in lat.curve_coords(S):
+            for C in lat.neg_one_classes(S.k):
                 cur = C
                 for root in lat.curve_word(S, C):
                     cur = lat.reflect(S, cur, root)
