@@ -17,7 +17,6 @@ from .lattice import (
     del_pezzo,
     divisor,
     divisor_expr,
-    explicit_config,
     hirzebruch,
     intersect,
     is_nef,
@@ -78,10 +77,6 @@ from .decide import (
     VerificationError,
     WBNStatus,
     WBNVerdict,
-    blowup_hirzebruch_wbn,
-    blowup_p2_wbn,
-    delpezzo_wbn,
-    hirzebruch_wbn,
     obstruction_certificate,
     rank_one_wbn,
     wbn,

@@ -195,6 +195,11 @@ def _trials(text: str) -> int:
     return value
 
 
+# argparse reads a value that starts with "-" as an option, so an
+# expression with a leading minus must be attached with "="
+_DIVISOR_HELP = "divisor expression; attach one with a leading minus: --divisor=-E-F"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbn",
@@ -216,14 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohom", help="cohomology vector of a line bundle")
     add_common(p)
-    p.add_argument("--divisor", required=True)
+    p.add_argument("--divisor", required=True, help=_DIVISOR_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cohom)
 
     p = sub.add_parser("chi", help="Euler characteristic of a divisor or character")
     add_common(p, seeded=False)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--divisor")
+    group.add_argument("--divisor", help=_DIVISOR_HELP)
     group.add_argument("--character")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_chi)
@@ -247,14 +252,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goodsum", help="anticanonically good sum on a del Pezzo surface")
     add_common(p)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", required=True, help="nef divisor expression")
+    p.add_argument(
+        "--c1", required=True, help="nef divisor expression; attach one with a leading minus: --c1=-E1+2L"
+    )
     p.add_argument("--text", action="store_true")
     p.set_defaults(func=_cmd_goodsum)
 
     p = sub.add_parser("oracle", help="finite-field interpolation oracle")
     p.add_argument("quantity", choices=["h0", "cohom"])
     add_common(p)
-    p.add_argument("--divisor", required=True)
+    p.add_argument("--divisor", required=True, help=_DIVISOR_HELP)
     p.add_argument("--prime", type=int, default=None, help="override the field modulus")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)

@@ -59,7 +59,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,7 +75,6 @@ from .lattice import (
 )
 
 DEFAULT_ORACLE_PRIME = 1000003
-ORACLE_PRIME_ENV = "RBN_ORACLE_PRIME"
 
 
 class OracleError(ValueError):
@@ -260,8 +258,8 @@ _CREMONA_NOTE = "exact cohomology by Cremona reduction"
 # arbitrary distinct points this gives the moves +E_j, +L and +(L - E_i):
 # a general member of the pencil of lines through one point misses the other
 # points regardless of their position.  The engine serves only surfaces
-# with no exact algorithm: blowups of the plane at collinear or explicit
-# points or at k >= 9 points, and blowups of Hirzebruch surfaces.
+# with no exact algorithm: blowups of the plane at collinear points or at
+# k >= 9 points, and blowups of Hirzebruch surfaces.
 #
 # One engine, ``_derive``, serves every family.  A family supplies its
 # stock test, its strip generator (candidate last moves, in generator
@@ -476,7 +474,7 @@ def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)  # a process uses a few moduli: the default, an override, explicit ones
+@lru_cache(maxsize=8)  # a process uses a few moduli: the default and any given as prime=
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -502,11 +500,7 @@ def _is_prime(n: int) -> bool:
 
 def _resolve_prime(prime: int | None, degree: int) -> int:
     if prime is None:
-        raw = os.environ.get(ORACLE_PRIME_ENV, str(DEFAULT_ORACLE_PRIME))
-        try:
-            prime = int(raw)
-        except ValueError:
-            raise OracleError(f"{ORACLE_PRIME_ENV}={raw!r} is not an integer") from None
+        prime = DEFAULT_ORACLE_PRIME
     if not _is_prime(prime):
         raise OracleError(f"oracle modulus {prime} is not prime")
     if prime <= max(degree, 1000):
@@ -523,18 +517,15 @@ def _frame(surface: SurfaceModel, mults) -> tuple[int, ...]:
     sample with points there is still a configuration of the surface's type.
     Points are taken heaviest first, ties by index: the three heaviest of
     general points; on collinear points the two heaviest listed ones (their
-    line is then y = 0) and the heaviest unlisted one, if any.  Explicit
-    points keep their coordinates: the frame is empty.
+    line is then y = 0) and the heaviest unlisted one, if any.
     """
     config = surface.config
     order = sorted(range(surface.k), key=lambda i: (-mults[i], i))
     if config.kind == "general":
         return tuple(order[:3])
-    if config.kind == "collinear":
-        on_line = [i for i in order if i + 1 in config.collinear]
-        off_line = [i for i in order if i + 1 not in config.collinear]
-        return tuple(on_line[:2] + off_line[:1])
-    return ()
+    on_line = [i for i in order if i + 1 in config.collinear]
+    off_line = [i for i in order if i + 1 not in config.collinear]
+    return tuple(on_line[:2] + off_line[:1])
 
 
 def _frame_columns(d: int, frame_mults) -> list[tuple[int, int]]:
@@ -555,14 +546,9 @@ def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) 
 
     The points come in index order and avoid the frame's (0, 0): general
     points are uniform, listed collinear points lie on the frame's line
-    y = 0 and unlisted points off it.  Explicit points are reduced mod p.
+    y = 0 and unlisted points off it.
     """
     config = surface.config
-    if config.kind == "explicit":
-        pts = [(x % p, y % p) for x, y in config.points]
-        if len(set(pts)) != len(pts):
-            raise OracleError("explicit points collide after reduction mod p")
-        return pts
     rng = random.Random(f"{seed}:{trial}:{surface.k}:{p}")
     y_low = 1 if config.kind == "collinear" else 0
     pts: list[tuple[int, int]] = []
@@ -834,9 +820,7 @@ def interpolation_h0(
     kept = len(_frame_columns(d, frame_mults))
     if kept == 0 or not any(rest):
         return kept
-    if config.kind == "explicit":
-        trials = 1  # the same points on every trial
-    listed = {i - 1 for i in config.collinear} if config.kind == "collinear" else set()
+    listed = {i - 1 for i in config.collinear}
     floor = max(0, kept - sum(m * (m + 1) // 2 for m in rest))  # columns less rows
     best, bound = kept, None
     for trial in range(trials):

@@ -170,7 +170,9 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
         obst = Obstruction(h0_lower_bound=vec.h0 - n)
         notes.append("sections exceed the point budget; h0 survives every twist")
     else:
-        obst = Obstruction(h2_lower_bound=vec.h2 if vec.h2 else 1)
+        # n = h0 - h1 + h2 with h0 <= n gives h2 >= h1, and the vector is
+        # not clean, so h2 > 0
+        obst = Obstruction(h2_lower_bound=vec.h2)
         notes.append("h2 is twist-invariant and nonzero")
     return WBNVerdict(WBNStatus.FAILS, obstruction=obst, notes=tuple(notes))
 
@@ -188,7 +190,7 @@ def _rank_one_reference(surface: SurfaceModel) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 
-def hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
+def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     """Complete verdict for rank >= 2, chi = 0 characters on F_e.
 
     After normalizing by Serre duality: a negative discriminant empties the
@@ -200,14 +202,7 @@ def hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     cohomology-free member).  The three tests are the integer signs of
     ``hirzebruch_core``; a Holds witness is verified once where it is built.
     """
-    s = v.surface
-    if not s.is_hirzebruch:
-        raise CharacterError("hirzebruch_wbn expects a Hirzebruch model")
-    r = v.r
-    if r < 2:
-        raise CharacterError("use rank_one_wbn for rank-one intents")
-    if chi_integer(v) != 0:
-        raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
+    s, r = v.surface, v.r
     dualized, k, ell, t, disc, (_, b, _) = hirzebruch_core(s.e, r, *v.c1.coords, v.twice_ch2)
     notes = [_STACK_NOTE]
     if dualized:
@@ -241,7 +236,7 @@ def hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
 # ---------------------------------------------------------------------------
 
 
-def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
+def _blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     """Sufficient conditions on a blowup of the plane, else Unknown.
 
     In order: the two-term resolution hypotheses; the rounding hypotheses
@@ -250,12 +245,6 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
     sections when delta - sum of the collinear multiplicities drops below
     -1.
     """
-    if not v.surface.is_blowup_p2_like:
-        raise CharacterError("blowup_p2_wbn expects a blowup of the plane")
-    if v.r < 2:
-        raise CharacterError("use rank_one_wbn for rank-one intents")
-    if chi_integer(v) != 0:
-        raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     notes = [_STACK_NOTE]
     try:
         report = blowup_resolution(v)
@@ -288,14 +277,8 @@ def blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVe
     return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
 
 
-def blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
+def _blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     """Resolution-based sufficient condition on blowups of Hirzebruch surfaces."""
-    if not v.surface.is_blowup_hirzebruch:
-        raise CharacterError("blowup_hirzebruch_wbn expects a blowup of a Hirzebruch surface")
-    if v.r < 2:
-        raise CharacterError("use rank_one_wbn for rank-one intents")
-    if chi_integer(v) != 0:
-        raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     notes = [_STACK_NOTE]
     try:
         report = blowup_hirzebruch_resolution(v)
@@ -306,19 +289,13 @@ def blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
 
 
-def delpezzo_wbn(v: ChernCharacter) -> WBNVerdict:
+def _delpezzo_wbn(v: ChernCharacter) -> WBNVerdict:
     """Nef first Chern class on a degree 4..7 del Pezzo surface: Holds.
 
     The witness is an anticanonically good sum with chi(sum) general point
     modifications.  Non-nef classes return Unknown; the sufficient condition
     is one-directional.
     """
-    if not v.surface.is_del_pezzo:
-        raise CharacterError("delpezzo_wbn expects a del Pezzo model of degree 4..7")
-    if v.r < 1:
-        raise CharacterError("rank must be positive")
-    if chi_integer(v) != 0:
-        raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     notes = [_STACK_NOTE]
     if not is_nef(v.c1):
         notes.append(f"{divisor_expr(v.c1)} is not nef; the nef-decomposition route is silent")
@@ -329,19 +306,20 @@ def delpezzo_wbn(v: ChernCharacter) -> WBNVerdict:
 
 
 def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
-    """Dispatch on the surface family (rank one goes to the line-bundle test)."""
+    """The verdict entry point: check chi(v) = 0, send rank one to the
+    line-bundle test and dispatch higher ranks on the surface family."""
+    if chi_integer(v) != 0:
+        raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     if v.r == 1:
-        if chi_integer(v) != 0:
-            raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
         return rank_one_wbn(v.c1, seed=seed, trials=trials)
     s = v.surface
     if s.is_hirzebruch:
-        return hirzebruch_wbn(v)
+        return _hirzebruch_wbn(v)
     if s.is_del_pezzo:
-        return delpezzo_wbn(v)
+        return _delpezzo_wbn(v)
     if s.is_blowup_p2_like:
-        return blowup_p2_wbn(v, seed=seed, trials=trials)
-    return blowup_hirzebruch_wbn(v)
+        return _blowup_p2_wbn(v, seed=seed, trials=trials)
+    return _blowup_hirzebruch_wbn(v)
 
 
 def obstruction_certificate(

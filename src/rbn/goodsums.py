@@ -120,9 +120,9 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
     surfaces and on blowups of the plane at k <= 8 general points (del
     Pezzo models included), and elsewhere by the vanishing rules with an
     oracle fallback on blowups of the plane; a summand that is clean for
-    the oracle but not derivable by rules (collinear or explicit points,
-    or k >= 9) is accepted with a provenance note.  Condition (2) bounds
-    the pairwise N-degree gaps by 1.
+    the oracle but not derivable by rules (collinear points, or k >= 9)
+    is accepted with a provenance note.  Condition (2) bounds the pairwise
+    N-degree gaps by 1.
     """
     s, N = gs.surface, gs.N.coords
     _certify_nef_reference(gs.N)

@@ -60,18 +60,31 @@ class ParseError(ValueError):
 class PointConfig:
     """Position data for the blown-up points.
 
-    ``general`` points are sampled uniformly at random, ``collinear`` forces
-    the listed (1-based) indices onto a common line, ``explicit`` uses the
-    given affine coordinates over the oracle's finite field.
+    ``general`` points are in general position; ``collinear`` puts the
+    listed points, at least two and counted from 1 in increasing order, on
+    a common line and the others in general position.  Only configurations
+    that ``SurfaceModel.spec`` can name are accepted.
     """
 
     kind: str = "general"
     collinear: tuple[int, ...] = ()
-    points: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("general", "collinear", "explicit"):
+        idx = self.collinear
+        if self.kind == "general":
+            if idx:
+                raise LatticeError("general points list no collinear indices")
+            return
+        if self.kind != "collinear":
             raise LatticeError(f"unknown point configuration kind {self.kind!r}")
+        if any(type(i) is not int for i in idx):
+            raise LatticeError("collinear indices must be integers")
+        if len(idx) < 2 or len(set(idx)) != len(idx):
+            raise LatticeError("collinear configuration needs at least two distinct indices")
+        if list(idx) != sorted(idx):
+            raise LatticeError("collinear indices must be listed in increasing order")
+        if idx[0] < 1:
+            raise LatticeError("collinear indices count the points from 1")
 
 
 GENERAL = PointConfig()
@@ -86,19 +99,7 @@ class _Head(NamedTuple):
 
 
 def collinear_config(indices) -> PointConfig:
-    idx = tuple(sorted(int(i) for i in indices))
-    if len(idx) < 2 or len(set(idx)) != len(idx):
-        raise LatticeError("collinear configuration needs at least two distinct indices")
-    if idx[0] < 1:
-        raise LatticeError("collinear indices count the points from 1")
-    return PointConfig("collinear", collinear=idx)
-
-
-def explicit_config(points) -> PointConfig:
-    pts = tuple((int(x), int(y)) for x, y in points)
-    if len(set(pts)) != len(pts):
-        raise LatticeError("explicit points must be pairwise distinct")
-    return PointConfig("explicit", points=pts)
+    return PointConfig("collinear", collinear=tuple(sorted(int(i) for i in indices)))
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,16 @@ class SurfaceModel:
     config: PointConfig = GENERAL
 
     def __post_init__(self):
+        if self.config.collinear and self.kind != "blowup_p2":
+            raise LatticeError("only a blowup of the plane takes collinear points")
         if self.kind == "hirzebruch":
             if self.e < 0:
                 raise LatticeError("Hirzebruch parameter e must be nonnegative")
         elif self.kind == "blowup_p2":
             if self.k < 1:
                 raise LatticeError("blowup of the plane needs at least one point")
-            if self.config.kind == "collinear" and (
-                not self.config.collinear
-                or min(self.config.collinear) < 1
-                or max(self.config.collinear) > self.k
-            ):
+            if self.config.collinear and self.config.collinear[-1] > self.k:
                 raise LatticeError("collinear indices out of range")
-            if self.config.kind == "explicit" and len(self.config.points) != self.k:
-                raise LatticeError("explicit configuration must list one point per blowup")
         elif self.kind == "blowup_hirzebruch":
             if self.e < 2:
                 raise LatticeError("blowup of a Hirzebruch surface assumes e >= 2")

@@ -140,7 +140,7 @@ def test_criterion_3_hirzebruch_classification_boundary():
             for k in range(-bound, bound + 1):
                 for ell in range(-bound, bound + 1):
                     v = ch.character_from_chi(r, lat.DivisorClass(S, (k, ell)), 0)
-                    verdict = dec.hirzebruch_wbn(v)
+                    verdict = dec.wbn(v)
                     status, delta, h0_bound, normalized = _hirz_expectation(e, r, k, ell)
                     assert verdict.status is status, v
                     assert verdict.bogomolov_delta == delta, v

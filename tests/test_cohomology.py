@@ -975,19 +975,6 @@ class TestInterpolationOracle:
             h0 = coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME)
         assert h0 == coh._cremona_h0(Dv.coords)
 
-    def test_explicit_configuration(self, monkeypatch):
-        # explicit points are the same on every trial, so one matrix suffices
-        calls, nullity = [], coh.modp_nullity
-
-        def counting_nullity(rows, p):
-            calls.append((len(rows), len(rows[0])))
-            return nullity(rows, p)
-
-        monkeypatch.setattr(coh, "modp_nullity", counting_nullity)
-        S = lat.blowup_p2(3, lat.explicit_config([(0, 0), (1, 0), (2, 0)]))  # collinear
-        assert coh.interpolation_h0(D(S, "L-E1-E2-E3"), trials=3) == 1
-        assert calls == [(3, 3)]
-
     @pytest.mark.parametrize(
         "surface, expr",
         [
@@ -995,9 +982,8 @@ class TestInterpolationOracle:
             (lat.parse_surface("blp2:k=5:collinear=1,2,3,4"), "4L-2E1-2E2-E3-E4-E5"),  # every heavy point on the line
             (lat.parse_surface("blp2:k=6:collinear=1,2,3"), "14L-5E1-3E2-4E3-7E4-7E5-6E6"),  # two off it
             (lat.parse_surface("blp2:k=9"), "6L-2E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8-2E9"),
-            (lat.blowup_p2(4, lat.explicit_config([(0, 0), (1, 0), (2, 3), (5, 7)])), "3L-2E1-E2-E3-E4"),
         ],
-        ids=["general", "on-the-line", "off-the-line", "k=9", "explicit"],
+        ids=["general", "on-the-line", "off-the-line", "k=9"],
     )
     def test_repeated_calls_agree(self, surface, expr):
         # nothing is cached: a repeated call draws the same seeded samples
@@ -1011,13 +997,6 @@ class TestInterpolationOracle:
         with pytest.raises(coh.OracleError):
             coh.interpolation_h0(D(BL2, "L"), prime=997)  # too small
         assert coh.interpolation_h0(D(BL2, "2L-E1-E2"), prime=100003) == 4
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(coh.ORACLE_PRIME_ENV, "100003")
-        assert coh.interpolation_h0(D(BL2, "2L-E1-E2")) == 4
-        monkeypatch.setenv(coh.ORACLE_PRIME_ENV, "100000")
-        with pytest.raises(coh.OracleError):
-            coh.interpolation_h0(D(BL2, "3L-E1"))
 
 
 class TestOracleVector:

@@ -40,10 +40,13 @@ class TestRankOne:
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction.h2_lower_bound == 1
 
-    def test_very_negative_line_class_fails(self):
-        verdict = dec.rank_one_wbn(D(BL2, "-3L"))
+    @pytest.mark.parametrize("expr, h2", [("-3L", 1), ("-5L", 6)])
+    def test_very_negative_line_class_fails(self, expr, h2):
+        # the bound is the h2 of the line bundle itself, h0(K + 5L) = 6 at -5L
+        c1 = D(BL2, expr)
+        verdict = dec.rank_one_wbn(c1)
         assert verdict.status is WBNStatus.FAILS
-        assert verdict.obstruction.h2_lower_bound == 1
+        assert verdict.obstruction.h2_lower_bound == h2 == coh.line_bundle_cohomology(c1)[0].h2
 
     def test_agreement_with_oracle_small_box(self):
         rng = random.Random(3)
@@ -80,26 +83,26 @@ class TestRankOne:
 class TestHirzebruch:
     def test_quadric_direct_sum_witness(self):
         v = ch.character_from_chi(2, D(F0, "-2E-2F"), 0)
-        verdict = dec.hirzebruch_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert verdict.witness.direct_sum == (D(F0, "-E-F"), 2)
 
     def test_fails_with_positive_bound(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)
-        verdict = dec.hirzebruch_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction.h0_lower_bound == 1
         assert verdict.obstruction.curve == D(F1, "E")
 
     def test_empty_moduli(self):
         v = ch.character_from_chi(2, D(F0, "-E-3F"), 0)
-        verdict = dec.hirzebruch_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.EMPTY_MODULI
         assert verdict.bogomolov_delta == Fraction(-1, 4)
 
     def test_pocket_character_gets_fiber_sum(self):
         v = ch.character_from_chi(3, D(F1, "-2E-4F"), 0)
-        verdict = dec.hirzebruch_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert isinstance(verdict.witness, gd.WBNWitness)
         assert verdict.witness.modifications == 0
@@ -112,20 +115,15 @@ class TestHirzebruch:
             r = rng.randrange(2, 5)
             coords = (rng.randrange(-3 * r, 3 * r + 1), rng.randrange(-3 * r, 3 * r + 1))
             v = ch.character_from_chi(r, lat.DivisorClass(S, coords), 0)
-            a = dec.hirzebruch_wbn(v)
-            b = dec.hirzebruch_wbn(ch.serre_dual_character(v))
+            a = dec.wbn(v)
+            b = dec.wbn(ch.serre_dual_character(v))
             assert a.status == b.status, v
-
-    def test_rank_one_refused(self):
-        v = ch.character_from_chi(1, D(F1, "F"), 0)
-        with pytest.raises(ch.CharacterError):
-            dec.hirzebruch_wbn(v)
 
 
 class TestBlowupP2:
     def test_resolution_route(self):
         v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
-        verdict = dec.blowup_p2_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert verdict.witness.exponents == (2, 2, 1, 1)
 
@@ -134,7 +132,7 @@ class TestBlowupP2:
         # bundle 3L-2E1-E2-..-E5 has no higher cohomology and rounding succeeds
         S = lat.blowup_p2(5)
         v = ch.character_from_chi(2, D(S, "6L-4E1-2E2-2E3-2E4-2E5"), 0)
-        verdict = dec.blowup_p2_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert isinstance(verdict.witness, gd.WBNWitness)
         assert verdict.witness.good_sum.summands == (D(S, "3L-2E1-E2-E3-E4-E5"),) * 2
@@ -142,7 +140,7 @@ class TestBlowupP2:
     def test_collinear_obstruction(self):
         S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3, 4]))
         v = ch.character_from_chi(2, D(S, "2L-2E1-2E2-2E3-2E4"), 0)
-        verdict = dec.blowup_p2_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction.curve == D(S, "L-E1-E2-E3-E4")
         assert verdict.obstruction.h0_lower_bound == 4
@@ -154,19 +152,19 @@ class TestBlowupP2:
         C = D(S, "L-E1-E2-E3-E4")
         v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-4E4"), 0)
         assert lat.intersect(v.c1, C) == -3
-        verdict = dec.blowup_p2_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction == dec.Obstruction(curve=C, chi_pairing=1, h0_lower_bound=1)
         v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-3E4"), 0)
         assert lat.intersect(v.c1, C) == -2
-        assert dec.blowup_p2_wbn(v).status is WBNStatus.UNKNOWN
+        assert dec.wbn(v).status is WBNStatus.UNKNOWN
 
     def test_unknown_default(self):
         # slope gap -3/2 < -1 blocks the resolution, the floor/ceiling bundle
         # L-2E1-E2 has chi < 0, and the configuration is general: Unknown
         S = lat.blowup_p2(2)
         v = ch.character_from_chi(2, D(S, "2L-3E1-2E2"), 0)
-        verdict = dec.blowup_p2_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.UNKNOWN
 
 
@@ -174,20 +172,20 @@ class TestBlowupHirzebruch:
     def test_holds_with_resolution(self):
         S = lat.blowup_hirzebruch(2, 1)
         v = ch.character_from_chi(2, D(S, "2F"), 0)
-        verdict = dec.blowup_hirzebruch_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert verdict.witness.exponents == (4, 4, 2, 0)
 
     def test_negative_multiplicity_unknown(self):
         S = lat.blowup_hirzebruch(2, 1)
         v = ch.character_from_chi(2, D(S, "2F+2E1"), 0)
-        assert dec.blowup_hirzebruch_wbn(v).status is WBNStatus.UNKNOWN
+        assert dec.wbn(v).status is WBNStatus.UNKNOWN
 
     def test_boundary_exponent_zero(self):
         S = lat.blowup_hirzebruch(2, 1)
         # beta - sum alpha + 1 = e alpha exactly, so the O(-E-eF) exponent is 0
         v = ch.character_from_chi(2, D(S, "2E+2F"), 0)
-        verdict = dec.blowup_hirzebruch_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert verdict.witness.exponents == (2, 0, 4, 0)
 
@@ -195,17 +193,17 @@ class TestBlowupHirzebruch:
 class TestDelPezzo:
     def test_twice_the_line(self):
         v = ch.character_from_chi(3, D(DP7, "2L"), 0)
-        verdict = dec.delpezzo_wbn(v)
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
         assert verdict.witness.modifications == 5
 
     def test_anticanonical_class(self):
         v = ch.character_from_chi(2, D(DP5, "3L-E1-E2-E3-E4"), 0)
-        assert dec.delpezzo_wbn(v).status is WBNStatus.HOLDS
+        assert dec.wbn(v).status is WBNStatus.HOLDS
 
     def test_non_nef_is_unknown(self):
         v = ch.character_from_chi(2, D(DP6, "E1"), 0)
-        assert dec.delpezzo_wbn(v).status is WBNStatus.UNKNOWN
+        assert dec.wbn(v).status is WBNStatus.UNKNOWN
 
     def test_rank_one_through_dispatch(self):
         v = ch.character_from_chi(1, D(DP7, "L"), 0)
@@ -267,16 +265,20 @@ class TestVerdictHygiene:
                 assert verdict.witness.bookkeeping_ok()
                 assert gd.is_good_sum(verdict.witness.good_sum).ok
 
-    def test_chi_zero_enforced(self):
-        v = ch.character_from_chi(2, D(DP7, "2L"), 3)
-        with pytest.raises(ch.CharacterError):
+    # wbn checks chi = 0 once, before it sends rank one to the line-bundle
+    # test and higher ranks to the family
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("spec, c1", [("F1", "F"), ("blp2:k=2", "L"), ("blF2:k=1", "F"), ("dp7", "2L")])
+    def test_chi_zero_enforced(self, spec, c1, r):
+        v = ch.character_from_chi(r, D(lat.parse_surface(spec), c1), 3)
+        with pytest.raises(ch.CharacterError, match="require chi"):
             dec.wbn(v)
 
     def test_json_round_trip(self):
         import json
 
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)
-        payload = dec.hirzebruch_wbn(v).to_json_dict()
+        payload = dec.wbn(v).to_json_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["status"] == "Fails"
         assert payload["obstruction"]["h0_lower_bound"] == 1
@@ -310,7 +312,7 @@ class TestVerificationGates:
         v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
         monkeypatch.setattr(dec.ResolutionReport, "bookkeeping_ok", lambda self: False)
         with pytest.raises(dec.VerificationError):
-            dec.blowup_p2_wbn(v)
+            dec.wbn(v)
 
     # a resolution witness on each family that has one: F_e (resolution, and
     # the direct sum on F_0, also reached through the Serre dual), blF_e

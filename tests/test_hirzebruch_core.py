@@ -1,6 +1,6 @@
 """The integer Hirzebruch core against a Fraction reference at large coordinates.
 
-``hirzebruch_wbn`` and ``hirzebruch_resolution`` read normalization, the
+``wbn`` on F_e and ``hirzebruch_resolution`` read normalization, the
 sign of the discriminant, nu.E and the exponents (a, b, c) off one
 raw-integer core on (e, r, k, l, 2 ch2).  The reference below recomputes
 each of these in slope form with ``Fraction`` and no library arithmetic:
@@ -36,7 +36,7 @@ def ref_pairing(e, rv, cv, ch2v, rw, cw, ch2w):
 
 
 def ref_verdict(e, r, k, ell, ch2):
-    """Everything ``hirzebruch_wbn`` reports, in slope form.
+    """Everything ``wbn`` reports on F_e, in slope form.
 
     Returns a dict with the normalized (c1, ch2), whether the input was
     dualized, the status, the discriminant, and the Fails bound and pairing
@@ -93,7 +93,7 @@ def check_character(e, r, k, ell):
     w, dualized = ch.hirzebruch_normalize(v)
     assert (dualized, (w.r, w.c1.coords, w.ch2)) == (ref["dualized"], normalized)
 
-    verdict = dec.hirzebruch_wbn(v)
+    verdict = dec.wbn(v)
     assert verdict.status is ref["status"]
     assert verdict.bogomolov_delta == ref["delta"]
     if verdict.status is WBNStatus.FAILS:
@@ -181,7 +181,7 @@ class TestLargeCoordinates:
     def test_each_branch(self, query, status, witness):
         check_character(*query)
         e, r, k, ell = query
-        verdict = dec.hirzebruch_wbn(
+        verdict = dec.wbn(
             ch.character_from_chi(r, lat.DivisorClass(lat.hirzebruch(e), (k, ell)), 0)
         )
         assert (verdict.status, type(verdict.witness).__name__) == (status, witness)

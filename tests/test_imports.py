@@ -194,3 +194,26 @@ def test_only_cohomology_picks_a_line_bundle_route():
     oracle = {"blowup_cohomology_oracle", "interpolation_h0"}
     reaching = [path.name for path in MODULES if oracle & set(_references(path, own_bodies=False))]
     assert reaching == ["__init__.py", "cli.py", "cohomology.py"]
+
+
+def test_no_module_reads_the_environment():
+    # every input shows in the call or the argument vector, so identical
+    # invocations give identical output
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if getattr(node, "id", getattr(node, "attr", None)) in ("environ", "environb", "getenv", "getenvb")
+    ]
+    imports = [path.name for path in MODULES if "os" in _imported_modules(_tree(path))]
+    assert (imports, reads) == ([], [])
+
+
+def test_wbn_is_the_only_verdict_entry_point():
+    # wbn checks chi(v) = 0 and dispatches; the family verdicts sit behind it
+    public = sorted(
+        node.name
+        for node in _tree(SRC / "decide.py").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    )
+    assert public == ["obstruction_certificate", "rank_one_wbn", "wbn"]

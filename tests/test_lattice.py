@@ -332,6 +332,22 @@ class TestGrammar:
         with pytest.raises(lat.ParseError):
             lat.parse_divisor("L", F2)
 
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            lat.hirzebruch(0),
+            lat.hirzebruch(3),
+            lat.blowup_p2(1),
+            lat.blowup_p2(4, lat.collinear_config([4, 1])),
+            lat.blowup_p2(10, lat.collinear_config([2, 5, 10])),
+            lat.blowup_hirzebruch(2, 3),
+            *(lat.del_pezzo(d) for d in range(4, 8)),
+        ],
+        ids=str,
+    )
+    def test_every_spec_round_trips(self, surface):
+        assert lat.parse_surface(surface.spec()) == surface
+
     def test_surface_specs(self):
         assert lat.parse_surface("F3") == F3
         assert lat.parse_surface("dp5") == DP5
@@ -339,8 +355,6 @@ class TestGrammar:
             4, lat.collinear_config([1, 2, 3, 4])
         )
         assert lat.parse_surface("blF2:k=3") == lat.blowup_hirzebruch(2, 3)
-        for surface in (F0, DP7, lat.blowup_p2(4, lat.collinear_config([1, 2]))):
-            assert lat.parse_surface(surface.spec()) == surface
         with pytest.raises(lat.ParseError):
             lat.parse_surface("dp3")
         with pytest.raises(lat.ParseError):
@@ -399,6 +413,13 @@ BOUNDARY_CASES = {
     # collinear indices count the points from 1, so 0 and below name no point
     "collinear_zero": "lattice.collinear_config([0, 1])",
     "collinear_negative": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(-1, 2)))",
+    # a point configuration that spec() cannot name
+    "collinear_unsorted": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(3, 1)))",
+    "collinear_single": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(2,)))",
+    "collinear_repeated": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(1, 1, 2)))",
+    "collinear_float": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(1.0, 2.0)))",
+    "general_with_indices": "lattice.blowup_p2(3, lattice.PointConfig('general', collinear=(1, 2)))",
+    "collinear_off_the_plane": "lattice.SurfaceModel('hirzebruch', config=lattice.collinear_config([1, 2]))",
 }
 
 

@@ -4,11 +4,11 @@ Each hypothesis on the total slope nu = c1/r is tested in the library as an
 integer inequality on (r, c1), multiplied through by r > 0.  The reference
 functions below are the slope forms they replace, written with ``Fraction``
 slopes: the hypothesis blocks and exponents of the two blowup resolutions,
-the normalization test on F_e, the nu.E < -1 branch of ``hirzebruch_wbn``,
-the collinear line's gap in ``blowup_p2_wbn`` and the polarization test of
-``obstruction_certificate``.  On a box and on large random coordinates the
-library must give the same outcome, the same exponents and the same
-message.
+the normalization test on F_e, the nu.E < -1 branch of ``wbn`` on F_e,
+the collinear line's gap of ``wbn`` on blowups of the plane and the
+polarization test of ``obstruction_certificate``.  On a box and on large
+random coordinates the library must give the same outcome, the same
+exponents and the same message.
 """
 
 import itertools
@@ -115,7 +115,7 @@ def ref_discriminant(w):
 
 
 def ref_hirzebruch_status(v):
-    """Status of ``hirzebruch_wbn`` from the Fraction forms of its tests."""
+    """Status of ``wbn`` on F_e from the Fraction forms of its tests."""
     w = v if ref_normalized(v) else ch.serre_dual_character(v)
     assert ref_normalized(w)
     if ref_discriminant(w) < 0:
@@ -151,7 +151,7 @@ def check_hirzebruch(v):
     w_ref, status = ref_hirzebruch_status(v)
     w, dualized = ch.hirzebruch_normalize(v)
     assert (w, dualized) == (w_ref, w_ref is not v), v
-    verdict = dec.hirzebruch_wbn(v)
+    verdict = dec.wbn(v)
     assert verdict.status is status, v
     assert verdict.bogomolov_delta == ref_discriminant(w_ref), v
 
@@ -225,7 +225,7 @@ class TestBlowupP2Box:
         C = collinear_line(S)
         reached = fails = 0
         for v in blowup_p2_box(S):
-            verdict = dec.blowup_p2_wbn(v)
+            verdict = dec.wbn(v)
             if verdict.status is WBNStatus.HOLDS:
                 continue
             reached += 1
