@@ -27,19 +27,20 @@ from .lattice import (
     zero_divisor,
 )
 from .cohomology import (
+    CohomologyAnswer,
     CohomologyVector,
     Vanishing,
-    VanishingVerdict,
     blowup_cohomology_oracle,
+    certified_cohomology,
     hirzebruch_cohomology,
     hirzebruch_pushforward_oracle,
     interpolation_h0,
+    line_bundle_cohomology,
     vanishing_by_rules,
 )
 from .chern import (
     CharacterError,
     ChernCharacter,
-    bogomolov_nonempty,
     character_from_chi,
     euler_pairing,
     hirzebruch_normalize,
@@ -47,8 +48,6 @@ from .chern import (
     parse_character,
     riemann_roch_chi,
     serre_dual_character,
-    twist_character,
-    twisted_chi,
 )
 from .resolutions import (
     ExceptionalCollection,

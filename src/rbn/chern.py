@@ -26,7 +26,6 @@ from .lattice import (
     ParseError,
     SurfaceModel,
     canonical,
-    chi_line_bundle,
     intersect,
     parse_divisor,
     divisor_expr,
@@ -103,21 +102,6 @@ def chi_integer(v: ChernCharacter) -> int:
     return twice // 2
 
 
-def twist_character(v: ChernCharacter, M: DivisorClass) -> ChernCharacter:
-    """Character of v tensored with the line bundle O(M)."""
-    if v.surface != M.surface:
-        raise LatticeError("twist by a divisor on a different surface")
-    twice = v.twice_ch2 + 2 * intersect(v.c1, M) + v.r * intersect(M, M)
-    return ChernCharacter.from_twice_ch2(v.r, v.c1 + v.r * M, twice)
-
-
-def twisted_chi(v: ChernCharacter, M: DivisorClass) -> int:
-    """chi(v tensor O(M)) for chi(v) = 0, via chi = c1(v).M + r (chi(M) - 1)."""
-    if _twice_chi(v) != 0:
-        raise CharacterError("twisted_chi expects chi(v) = 0; use euler_pairing otherwise")
-    return intersect(v.c1, M) + v.r * (chi_line_bundle(M) - 1)
-
-
 def euler_pairing(v: ChernCharacter, w: ChernCharacter) -> Fraction:
     """chi(v, w) = sum (-1)^i ext^i for sheaves of the given characters.
 
@@ -168,7 +152,8 @@ def hirzebruch_core(e: int, r: int, k: int, ell: int, t: int):
     dualized = not (k > -r or (k == -r and 2 * ell >= -(2 + e) * r))
     if dualized:
         k, ell, t = -k - 2 * r, -ell - (e + 2) * r, t - 2 * ((e - 2) * k - 2 * ell) + 8 * r
-        assert k > -r or (k == -r and 2 * ell >= -(2 + e) * r), "the dual is not normalized"
+        if not (k > -r or (k == -r and 2 * ell >= -(2 + e) * r)):
+            raise RuntimeError("the dual is not normalized")
     b = ell - e * k + r
     return dualized, k, ell, t, k * (2 * ell - e * k) - r * t, (b + k, b, k + r)
 
@@ -188,20 +173,6 @@ def hirzebruch_normalize(v: ChernCharacter) -> tuple[ChernCharacter, bool]:
     if not dualized:
         return v, False
     return ChernCharacter.from_twice_ch2(v.r, DivisorClass(s, (k, ell)), t), True
-
-
-def bogomolov_nonempty(v: ChernCharacter) -> bool:
-    """Necessary moduli-nonemptiness test for chi(v) = 0 on a Hirzebruch surface.
-
-    With chi = 0 the discriminant equals P(nu) = 1 + (nu^2 - nu.K)/2; a
-    semistable sheaf forces it to be nonnegative, so a negative value
-    certifies an empty moduli space.  The sign is that of c1^2 - r t.
-    """
-    if not v.surface.is_hirzebruch:
-        raise CharacterError("the Bogomolov test is implemented on Hirzebruch surfaces")
-    if _twice_chi(v) != 0:
-        raise CharacterError("the Bogomolov test expects chi(v) = 0")
-    return intersect(v.c1, v.c1) >= v.r * v.twice_ch2
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def _cmd_cohom(args) -> int:
             f"no full cohomology computation on {surface}; the vanishing rules "
             "are available through the library API"
         )
-    vec, _ = line_bundle_cohomology(D, seed=args.seed, trials=args.trials)
+    vec = line_bundle_cohomology(D, seed=args.seed, trials=args.trials).vector
     _emit(
         {"h0": vec.h0, "h1": vec.h1, "h2": vec.h2},
         args.json,

@@ -44,14 +44,17 @@ Four routes, by strength of the statement:
   So stopping never changes the minimum, and a trial below the bound
   raises, since it would disprove it.
 
-Verdicts ask in that order, Hirzebruch exact, Cremona exact, rules, then
-oracle, and only this module picks the route, through three entry points.
-``certified_cohomology`` returns the vector wherever the first three
-certify it and never calls the oracle.  ``line_bundle_cohomology`` adds
-the oracle on blowups of the plane and says which route answered.
-``higher_cohomology_vanishes`` asks it only after the rules' Nonzero, so a
-class the rules show to have higher cohomology (chi < 0, or K - D
-effective) never reaches the oracle.
+Every route answers with one ``CohomologyAnswer``: the vector where a
+route gives it, whether h1 = h2 = 0 (``Vanishing``), the route that
+decided and its derivation.  Routes are asked in the order above, and only
+this module picks one, through two functions.  ``certified_cohomology``
+asks Hirzebruch exact, Cremona exact, then the rules through
+``vanishing_by_rules``, and never calls the oracle.
+``line_bundle_cohomology`` adds the oracle on blowups of the plane where
+no vector is certified.  ``higher_cohomology_vanishes`` is the view the
+good-sum checks read: it skips the oracle once the rules show higher
+cohomology (chi < 0, or K - D effective).  Each call runs the rule engine
+at most once.
 """
 
 from __future__ import annotations
@@ -112,16 +115,31 @@ class Vanishing(enum.Enum):
 
 
 @dataclass(frozen=True)
-class VanishingVerdict:
-    """Three-valued vanishing verdict with the applied rule trail.
+class CohomologyAnswer:
+    """What is known of the cohomology of O(D), and what decided it.
 
-    ``ZERO`` answers are always sound; ``UNKNOWN`` means no derivation was
-    found, never that cohomology is known to be nonzero.
+    ``vector`` is (h0, h1, h2), or None where no route gives it.
+    ``higher_cohomology`` says whether h1 = h2 = 0: ZERO or NONZERO as the
+    route found it (an oracle NONZERO is probable, not proven), and UNKNOWN
+    exactly when ``route`` is ``"undecided"``.  ``route`` is ``"exact"`` (closed form or Cremona reduction),
+    ``"rules"`` (a closure derivation, or a cheap certificate of higher
+    cohomology), ``"oracle"`` (the interpolation oracle's upper bounds) or
+    ``"undecided"``.  ``derivation`` is the rule trail, the Cremona note or
+    the reason for a NONZERO, and is empty otherwise.
     """
 
+    vector: CohomologyVector | None
     higher_cohomology: Vanishing
-    all_cohomology: Vanishing
+    route: str
     derivation: tuple[str, ...] = ()
+
+
+def _from_vector(vec: CohomologyVector, route: str, derivation: tuple[str, ...] = ()) -> CohomologyAnswer:
+    higher = Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO
+    return CohomologyAnswer(vec, higher, route, derivation)
+
+
+_UNDECIDED = CohomologyAnswer(None, Vanishing.UNKNOWN, "undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +169,8 @@ def _hirz_vector(e: int, a: int, b: int) -> tuple[int, int, int]:
         return (0, 0, 0)
     h0 = _hirz_h0(e, a, b)
     h1 = h0 - _chi_hirzebruch(e, a, b)
-    assert h1 >= 0, (e, a, b)
+    if h1 < 0:
+        raise RuntimeError(f"h0 of {a}E+{b}F on F_{e} is below chi")
     return (h0, h1, 0)
 
 
@@ -233,18 +252,19 @@ def _cremona_h0(coords) -> int:
     return 0
 
 
+_CREMONA_NOTE = "exact cohomology by Cremona reduction"
+
+
 # a pure function of the tuple (k = len - 1) that good-sum checks repeat: a
 # delpezzo_goodsums pass (seed 1, pass 0) hits 2,129 times and misses 860,
 # blowup_queries 14 and 363; criterion 5 misses 16,129 times (15,275 at 4096)
 @lru_cache(maxsize=1 << 11)
-def _cremona_vector(coords) -> CohomologyVector:
+def _cremona_answer(coords) -> CohomologyAnswer:
     """Exact (h0, h1, h2): h2 is h0(K - D) by Serre duality, h1 closes chi."""
     h0 = _cremona_h0(coords)
     h2 = _cremona_h0((-3 - coords[0],) + tuple(1 - c for c in coords[1:]))
-    return CohomologyVector(h0, h0 + h2 - _chi_plane(coords[0], [-c for c in coords[1:]]), h2)
-
-
-_CREMONA_NOTE = "exact cohomology by Cremona reduction"
+    vec = CohomologyVector(h0, h0 + h2 - _chi_plane(coords[0], [-c for c in coords[1:]]), h2)
+    return _from_vector(vec, "exact", (_CREMONA_NOTE,))
 
 
 # ---------------------------------------------------------------------------
@@ -420,53 +440,37 @@ def h2_is_zero(D: DivisorClass) -> bool:
     return D.coords[0] >= -1
 
 
-def vanishing_by_rules(D: DivisorClass) -> VanishingVerdict:
-    """Sufficient vanishing rules on blowups; never asserts a false Zero.
+def vanishing_by_rules(D: DivisorClass) -> CohomologyAnswer:
+    """Sufficient vanishing rules on blowups; never claims a false ZERO.
 
-    On k <= 8 general points (del Pezzo models included) the verdict is
-    exact, read off the Cremona vector: ``higher_cohomology`` is ZERO iff
-    h1 = h2 = 0 and ``all_cohomology`` ZERO iff the vector is zero, else
-    NONZERO.  Elsewhere ``all_cohomology`` is ZERO only for the stock
-    classes themselves; ``higher_cohomology`` is ZERO exactly when a closure
-    derivation exists, decided by the family's closed form, and the
-    derivation found by the greedy walk of ``_derive`` is returned.  NONZERO
-    answers are emitted only for cheap sound certificates (negative Euler
-    characteristic, or an obviously effective class/Serre dual).  Nothing is
-    cached: a call costs one closed-form test and, for a derivable class,
-    one walk along its trail.
+    On k <= 8 general points (del Pezzo models included) the answer is the
+    exact Cremona one.  Elsewhere ``higher_cohomology`` is ZERO exactly when
+    a closure derivation exists, decided by the family's closed form, with
+    the vector (chi, 0, 0) and the derivation found by the greedy walk of
+    ``_derive`` (a stock class is its own derivation).  NONZERO answers come
+    only from cheap sound certificates (negative Euler characteristic, or
+    an obviously effective Serre dual), with no vector.  Nothing is cached:
+    a call costs one closed-form test and, for a derivable class, one walk
+    along its trail.
     """
     s = D.surface
     if _has_cremona_vector(s):
-        vec = _cremona_vector(D.coords)
-        higher = Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO
-        all_c = Vanishing.ZERO if vec.as_tuple() == (0, 0, 0) else Vanishing.NONZERO
-        return VanishingVerdict(higher, all_c, (_CREMONA_NOTE,))
+        return _cremona_answer(D.coords)
     if s.is_blowup_p2_like:
         stock, strips, derivable, param = _is_stock_blp2, _strips_blp2, _derivable_blp2, None
     elif s.is_blowup_hirzebruch:
         stock, strips, derivable, param = _is_stock_blf, _strips_blf, _derivable_blf, s.e
     else:
         raise LatticeError(f"vanishing rules are not available on {s}")
-
-    if stock(D.coords):
-        return VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
-
-    trail = _derive(D.coords, stock, strips, derivable, param)
+    trail = ("stock class",) if stock(D.coords) else _derive(D.coords, stock, strips, derivable, param)
     chi = chi_line_bundle(D)
     if trail is not None:
-        all_c = Vanishing.UNKNOWN
-        if _obviously_effective(D) or chi > 0:
-            all_c = Vanishing.NONZERO  # h0 = chi > 0 once higher vanishes
-        return VanishingVerdict(Vanishing.ZERO, all_c, trail)
-
-    higher = Vanishing.UNKNOWN
-    notes: tuple[str, ...] = ()
+        return CohomologyAnswer(CohomologyVector(chi, 0, 0), Vanishing.ZERO, "rules", trail)
     if chi < 0:
-        higher, notes = Vanishing.NONZERO, ("chi < 0 forces h1 > 0",)
-    elif _obviously_effective(canonical(s) - D):
-        higher, notes = Vanishing.NONZERO, ("K - D effective forces h2 > 0",)
-    all_c = Vanishing.NONZERO if (higher is Vanishing.NONZERO or _obviously_effective(D)) else Vanishing.UNKNOWN
-    return VanishingVerdict(higher, all_c, notes)
+        return CohomologyAnswer(None, Vanishing.NONZERO, "rules", ("chi < 0 forces h1 > 0",))
+    if _obviously_effective(canonical(s) - D):
+        return CohomologyAnswer(None, Vanishing.NONZERO, "rules", ("K - D effective forces h2 > 0",))
+    return _UNDECIDED
 
 
 # ---------------------------------------------------------------------------
@@ -861,43 +865,36 @@ def blowup_cohomology_oracle(
     return CohomologyVector(h0, h1, h2)
 
 
-def certified_cohomology(D: DivisorClass) -> tuple[CohomologyVector | None, str]:
-    """Cohomology of O(D) where it is certified without the oracle.
+def certified_cohomology(D: DivisorClass) -> CohomologyAnswer:
+    """The answer for O(D) without the oracle.
 
-    Returns ``(vector, "exact")`` on Hirzebruch surfaces and on blowups of
+    ``"exact"`` with the vector on Hirzebruch surfaces and on blowups of
     the plane at k <= 8 general points (Cremona reduction, before any rule
-    search), ``((chi, 0, 0), "rules")`` on other blowups once the vanishing
-    rules derive h1 = h2 = 0, and ``(None, "undecided")`` otherwise.
+    search), else the answer of ``vanishing_by_rules``.
     """
     s = D.surface
     if s.is_hirzebruch:
-        return hirzebruch_cohomology(D), "exact"
+        return _from_vector(hirzebruch_cohomology(D), "exact")
     if _has_cremona_vector(s):
-        return _cremona_vector(D.coords), "exact"
-    if vanishing_by_rules(D).higher_cohomology is Vanishing.ZERO:
-        return CohomologyVector(chi_line_bundle(D), 0, 0), "rules"
-    return None, "undecided"
+        return _cremona_answer(D.coords)
+    return vanishing_by_rules(D)
 
 
-def line_bundle_cohomology(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> tuple[CohomologyVector | None, str]:
-    """Cohomology of O(D) by the strongest route available.
-
-    The certified vector of ``certified_cohomology`` (``"exact"`` or
-    ``"rules"``), else on blowups of the plane the oracle's upper bounds
-    (``"oracle"``), else ``(None, "undecided")``.
-    """
-    vec, how = certified_cohomology(D)
-    if vec is None and D.surface.is_blowup_p2_like:
-        return blowup_cohomology_oracle(D, seed=seed, trials=trials), "oracle"
-    return vec, how
+def _with_oracle(D: DivisorClass, answer: CohomologyAnswer, seed: int, trials: int) -> CohomologyAnswer:
+    """``answer``, or on a blowup of the plane where it has no vector the
+    oracle's, keeping the rules' derivation."""
+    if answer.vector is not None or not D.surface.is_blowup_p2_like:
+        return answer
+    return _from_vector(blowup_cohomology_oracle(D, seed=seed, trials=trials), "oracle", answer.derivation)
 
 
-def higher_cohomology_vanishes(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> tuple[bool, str]:
-    """``line_bundle_cohomology`` with the rules' Nonzero before the oracle;
-    returns (verdict, provenance note)."""
-    vec, how = certified_cohomology(D)
-    if vec is None:
-        if vanishing_by_rules(D).higher_cohomology is Vanishing.NONZERO:
-            return False, "rules"
-        vec, how = line_bundle_cohomology(D, seed=seed, trials=trials)
-    return vec is not None and vec.higher_vanishes, how
+def line_bundle_cohomology(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> CohomologyAnswer:
+    """The answer for O(D) by the strongest route: ``certified_cohomology``,
+    else on blowups of the plane the oracle's upper bounds (``"oracle"``)."""
+    return _with_oracle(D, certified_cohomology(D), seed, trials)
+
+
+def higher_cohomology_vanishes(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> CohomologyAnswer:
+    """``line_bundle_cohomology`` that skips the oracle once the rules show higher cohomology."""
+    answer = certified_cohomology(D)
+    return _with_oracle(D, answer, seed, trials) if answer.route == "undecided" else answer

@@ -147,15 +147,16 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
         expr = divisor_expr(c1)
         notes.append(f"chi(O({expr})) = {n} < 0, so every I_Z({expr}) has chi < 0")
         return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=Fraction(n), notes=tuple(notes))
-    vec, how = line_bundle_cohomology(c1, seed=seed, trials=trials)
+    answer = line_bundle_cohomology(c1, seed=seed, trials=trials)
+    vec = answer.vector
     if vec is None:
         return WBNVerdict(
             WBNStatus.UNKNOWN, notes=tuple(notes + ["no exact computation or oracle available"])
         )
-    if how == "oracle":
+    if answer.route == "oracle":
         notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
     else:
-        notes.append("exact cohomology" if how == "exact" else "vanishing by rules")
+        notes.append("exact cohomology" if answer.route == "exact" else "vanishing by rules")
     if vec.higher_vanishes:
         gs = GoodSum(c1.surface, _rank_one_reference(c1.surface), (c1,))
         target = ChernCharacter.from_twice_ch2(1, c1, intersect(c1, c1) - 2 * n)
@@ -214,7 +215,8 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     w = ChernCharacter.from_twice_ch2(r, DivisorClass(s, (k, ell)), t) if dualized else v
     if b < 0:  # nu.E < -1
         E = DivisorClass(s, (1, 0))
-        assert euler_pairing(line_bundle_character(E), w) == -b
+        if euler_pairing(line_bundle_character(E), w) != -b:
+            raise VerificationError("chi(O(E), v) does not match the exponent b")
         notes.append("nu.E < -1: twisting down by the negative section keeps chi positive")
         return WBNVerdict(
             WBNStatus.FAILS,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chern import CharacterError, ChernCharacter, chi_integer
-from .cohomology import certified_cohomology, higher_cohomology_vanishes
+from .cohomology import CohomologyVector, Vanishing, certified_cohomology, higher_cohomology_vanishes
 from .lattice import (
     DivisorClass,
     LatticeError,
@@ -131,10 +131,10 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
     failures: list[str] = []
     provenance: list[str] = []
     for _, D in sorted({D.coords: D for D in gs.summands}.items()):
-        vanishes, how = higher_cohomology_vanishes(D, seed=seed, trials=trials)
-        if not vanishes:
+        answer = higher_cohomology_vanishes(D, seed=seed, trials=trials)
+        if answer.higher_cohomology is not Vanishing.ZERO:
             failures.append(f"summand {divisor_expr(D)} has (or may have) higher cohomology")
-        elif how == "oracle":
+        elif answer.route == "oracle":
             provenance.append(f"summand {divisor_expr(D)}: oracle-clean, not rule-derivable")
     degrees = gs.degrees()
     if degrees:
@@ -189,7 +189,7 @@ def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSu
     d, p = divmod(ell, r)
     floors = [divmod(m, r) for m in mults]
     ceil_bundle = DivisorClass(s, (d,) + tuple(-(a + (pi > 0)) for a, pi in floors))
-    if not higher_cohomology_vanishes(ceil_bundle, seed=seed, trials=trials)[0]:
+    if higher_cohomology_vanishes(ceil_bundle, seed=seed, trials=trials).higher_cohomology is not Vanishing.ZERO:
         raise GoodSumError(
             f"floor/ceiling bundle {divisor_expr(ceil_bundle)} has (or may have) higher cohomology"
         )
@@ -197,7 +197,8 @@ def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSu
     # the last slots so large L pairs with small multiplicity totals.
     slots = [(d + (t < p),) + tuple(-(a + (t >= r - pi)) for a, pi in floors) for t in range(r)]
     gs = GoodSum(s, basis_divisor(s, "L"), tuple(DivisorClass(s, c) for c in sorted(slots)))
-    assert gs.c1() == v.c1, "rounding produced the wrong first Chern class"
+    if gs.c1() != v.c1:
+        raise RuntimeError("rounding produced the wrong first Chern class")
     return gs
 
 
@@ -247,7 +248,8 @@ def _upshift_moves(coords, k: int):
         m[i] += 1
         m[j] -= 1
         moves.append((i, j))
-        assert len(moves) <= bound, "upshift loop exceeded its potential bound"
+        if len(moves) > bound:
+            raise RuntimeError("upshift loop exceeded its potential bound")
 
 
 def _lift_summands(tally: dict, i: int, j: int) -> None:
@@ -286,7 +288,8 @@ def _two_point_summand_raw(d: int, a: int, r: int) -> tuple[int, int, int]:
     target = d - a  # D.(L - E_1 - E_2)
     while cur[0] + cur[1] + cur[2] > target:
         cur = (cur[0] + 1, cur[1] - 3, cur[2])  # copies of L - 3E_1
-        assert -cur[1] <= a and -cur[2] <= 0, "two-point summand ran past its bounds"
+        if -cur[1] > a or -cur[2] > 0:
+            raise RuntimeError("two-point summand ran past its bounds")
     return cur
 
 
@@ -310,7 +313,8 @@ def _decompose_two_point(coords, r: int):
     while tally is None:
         moves, cur = _upshift_moves(coords, 2)
         m1, m2 = -cur[1], -cur[2]
-        assert min(m1, m2) == 0, f"two-point upshift fixed point {cur} has no orthogonal E_i"
+        if min(m1, m2) != 0:
+            raise RuntimeError(f"two-point upshift fixed point {cur} has no orthogonal E_i")
         swapped = m2 != 0
         if swapped:
             cur = (cur[0], cur[2], cur[1])
@@ -321,8 +325,10 @@ def _decompose_two_point(coords, r: int):
             break
         M = _two_point_summand_raw(d, a, r)
         coords = tuple(x - y for x, y in zip(cur, M))
-        assert is_nef_coords(surface, coords), f"two-point summand left a non-nef remainder {coords}"
-        assert 3 * M[0] + M[1] + M[2] == (3 * d - a) // r, "wrong anticanonical degree"
+        if not is_nef_coords(surface, coords):
+            raise RuntimeError(f"two-point summand left a non-nef remainder {coords}")
+        if 3 * M[0] + M[1] + M[2] != (3 * d - a) // r:
+            raise RuntimeError("wrong anticanonical degree")
         stack.append((moves, swapped, M))
         r -= 1
         if r <= _MEMO_RANK:
@@ -349,11 +355,13 @@ def _decompose(k: int, coords, r: int):
     moves, cur = _upshift_moves(coords, k)
     surface = del_pezzo(9 - k)
     ortho = next((C for C in neg_one_classes(k) if form(surface, cur, C) == 0), None)
-    assert ortho is not None, f"upshift fixed point {cur} meets every (-1)-curve positively"
+    if ortho is None:
+        raise RuntimeError(f"upshift fixed point {cur} meets every (-1)-curve positively")
     word = curve_word(surface, ortho)
     for root in word:
         cur = reflect(surface, cur, root)
-    assert cur[-1] == 0 and is_nef_coords(surface, cur), "Weyl normalization failed"
+    if cur[-1] != 0 or not is_nef_coords(surface, cur):
+        raise RuntimeError("Weyl normalization failed")
     tally = {}
     for summand, n in _decompose(k - 1, cur[:-1], r):
         summand += (0,)
@@ -381,8 +389,7 @@ def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
         raise GoodSumError(f"{divisor_expr(D)} is not nef on {s}")
     counts = _decompose(s.k, D.coords, r)
     flat = [c for c, n in counts for _ in range(n)]
-    # a raise, not an assert: is_good_sum does not check c1, so under
-    # python -O a wrong sum would otherwise be printed
+    # is_good_sum does not check c1, so a wrong sum would otherwise be printed
     if len(flat) != r or tuple(map(sum, zip(*flat))) != D.coords:
         raise RuntimeError(f"decomposition of {divisor_expr(D)} at rank {r} lost its first Chern class or rank")
     summands = tuple(x for c, n in counts for x in (DivisorClass(s, c),) * n)
@@ -419,9 +426,11 @@ def hirzebruch_fiber_sum(v: ChernCharacter) -> GoodSum:
     summands = [-E + (base + (1 if t < extra else 0)) * F for t in range(m)]
     summands += [-F] * (r - m)
     for D in summands:
-        assert certified_cohomology(D)[0].as_tuple() == (0, 0, 0), divisor_expr(D)
+        if certified_cohomology(D).vector != CohomologyVector(0, 0, 0):
+            raise RuntimeError(f"fiber-sum summand {divisor_expr(D)} has cohomology")
     gs = GoodSum(s, F, tuple(sorted(summands, key=lambda d: d.coords)))
-    assert gs.c1() == v.c1 and gs.chi() == 0
+    if gs.c1() != v.c1 or gs.chi() != 0:
+        raise RuntimeError("fiber sum lost its first Chern class or chi = 0")
     return gs
 
 

@@ -497,7 +497,8 @@ def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int
             root = cremona_root(surface, *sorted(triple[:3]))
         word.append(root.coords)
         cur = reflect(surface, cur, root.coords)
-    assert cur == basis_divisor(surface, f"E{k}").coords, f"normalization of {curve} failed"
+    if cur != basis_divisor(surface, f"E{k}").coords:
+        raise RuntimeError(f"normalization of {curve} failed")
     return tuple(word)
 
 

@@ -134,10 +134,10 @@ def verify_strong_exceptional(coll: ExceptionalCollection):
     bundles = coll.bundles
     for s in range(len(bundles)):
         for t in range(s + 1, len(bundles)):
-            vec, _ = certified_cohomology(bundles[s] - bundles[t])
+            vec = certified_cohomology(bundles[s] - bundles[t]).vector
             if vec is None or vec.as_tuple() != (0, 0, 0):
                 return False, (s, t, f"Ext^*({divisor_expr(bundles[t])}, {divisor_expr(bundles[s])}) != 0: {vec or 'not certified'}")
-            vec, _ = certified_cohomology(bundles[t] - bundles[s])
+            vec = certified_cohomology(bundles[t] - bundles[s]).vector
             if vec is None or not vec.higher_vanishes:
                 return False, (s, t, f"Ext^{{>0}}({divisor_expr(bundles[s])}, {divisor_expr(bundles[t])}) != 0: {vec or 'not certified'}")
     return True, None
@@ -151,7 +151,7 @@ def hom_dimension(A: DivisorClass, B: DivisorClass) -> int:
     probabilistic oracle.
     """
     D = B - A
-    vec, _ = certified_cohomology(D)
+    vec = certified_cohomology(D).vector
     if vec is None:
         raise ResolutionError(f"hom dimension of {D} is not rule-decidable")
     return vec.h0
@@ -411,7 +411,7 @@ def prioritary_hypotheses_check(coll: ExceptionalCollection, F: DivisorClass) ->
     right = coll.bundles[j:]
     for A in left:
         for B in right:
-            vec, _ = certified_cohomology(B - A - F)
+            vec = certified_cohomology(B - A - F).vector
             if vec is None or vec.h1:
                 return False
     for A in right:

@@ -50,30 +50,6 @@ class TestRiemannRoch:
             ch.ChernCharacter(2, lat.zero_divisor(F0), Fraction(1, 3))
 
 
-class TestTwistedChi:
-    def test_worked_values(self):
-        v = ch.character_from_chi(2, D(F1, "2E-F"), 0)
-        assert ch.twisted_chi(v, D(F1, "-E")) == 1
-        v0 = ch.character_from_chi(2, lat.zero_divisor(F1), 0)
-        assert ch.twisted_chi(v0, D(F1, "-E")) == -2
-        assert ch.twisted_chi(v0, lat.zero_divisor(F1)) == 0
-
-    def test_requires_chi_zero(self):
-        v = ch.character_from_chi(2, lat.zero_divisor(F1), 1)
-        with pytest.raises(ch.CharacterError):
-            ch.twisted_chi(v, D(F1, "-E"))
-
-    def test_matches_riemann_roch_of_twist(self):
-        rng = random.Random(7)
-        for surface in (F2, BL2):
-            for _ in range(40):
-                v = rand_character(rng, surface, chi=0)
-                M = lat.DivisorClass(
-                    surface, tuple(rng.randrange(-4, 5) for _ in range(surface.rank))
-                )
-                assert ch.twisted_chi(v, M) == ch.riemann_roch_chi(ch.twist_character(v, M))
-
-
 class TestEulerPairing:
     def test_structure_sheaf_normalization(self):
         rng = random.Random(13)
@@ -148,11 +124,6 @@ class TestNormalizeAndBogomolov:
         # nu = -E-2F sits exactly on the tie boundary and is kept
         v = ch.character_from_chi(2, D(F2, "-2E-4F"), 0)
         assert ch.hirzebruch_normalize(v)[1] is False
-
-    def test_bogomolov_examples(self):
-        assert not ch.bogomolov_nonempty(ch.character_from_chi(2, D(F0, "-E-3F"), 0))
-        assert ch.bogomolov_nonempty(ch.character_from_chi(2, D(F1, "2E-F"), 0))
-        assert ch.bogomolov_nonempty(ch.character_from_chi(3, lat.zero_divisor(F2), 0))
 
     def test_discriminant_is_dualization_invariant(self):
         rng = random.Random(23)

@@ -449,6 +449,36 @@ class TestReadmeExamples:
         code, out, _ = run(capsys, *example["argv"])
         assert (code, out) == (example["exit"], example["stdout"])
 
+    def test_same_output_under_optimization(self):
+        # no check rests on an assert, so python -O prints the same bytes and
+        # exit codes, for the README examples and one more sweep
+        sweep = ["wbn", "--surface", "F2", "--sweep", "--rank", "3", "--bound", "3"]
+        argvs = [e["argv"] for e in README_EXAMPLES] + [sweep]
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            from rbn import cli
+            results = []
+            for argv in json.loads(sys.argv[1]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                results.append([code, out.getvalue()])
+            print(json.dumps(results))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env
+            )
+            for flags in ([], ["-O"])
+        ]
+        plain, optimized = (json.loads(run.stdout) for run in runs)
+        assert plain == optimized, runs[1].stderr
+        assert plain[:-1] == [[e["exit"], e["stdout"]] for e in README_EXAMPLES]
+        assert plain[-1][0] == 0 and plain[-1][1].startswith("k,l,status,h0_lower_bound,delta\n")
+
 
 # stdout and exit code of `rbn wbn` on rank-one characters, one per
 # cohomology route: exact, rules, oracle, rules on a blown-up F_e, and Unknown

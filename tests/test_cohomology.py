@@ -28,35 +28,34 @@ COL2 = "blp2:k=2:collinear=1,2"
 COL3 = "blp2:k=3:collinear=1,2,3"
 CREMONA = ("exact cohomology by Cremona reduction",)
 
-# (surface, class, higher verdict, all verdict, derivation trail).  The trail
-# shows the search order (strips in generator order, the first derivable
-# predecessor wins), so any change to it changes user-visible output.  The
-# rule engine runs only where no exact algorithm exists; on k <= 8 general
-# points, del Pezzo models included, the verdict is read off the Cremona
-# vector.
+# (surface, class, higher verdict, derivation trail).  The trail shows the
+# search order (strips in generator order, the first derivable predecessor
+# wins), so any change to it changes user-visible output.  The rule engine
+# runs only where no exact algorithm exists; on k <= 8 general points, del
+# Pezzo models included, the verdict is read off the Cremona vector.
 GOLDEN_TRAILS = [
-    (COL2, '2L-E1-E2', 'Zero', 'Nonzero', ('start (0,0,-1)', '+L-E1', '+L')),
-    (COL3, '4L-2E1-E2-E3', 'Zero', 'Nonzero', ('start (0,0,0,-1)', '+L-E2', '+L-E1', '+L-E1', '+L')),
-    ('blp2:k=4:collinear=1,2,3', '3L-E1-E2-E3-E4', 'Zero', 'Nonzero', ('start (0,0,0,0,-1)', '+L-E3', '+L-E2', '+L-E1')),
-    (COL2, '2L-2E1-2E2', 'Unknown', 'Unknown', ()),
-    (COL3, '-L+E1+E2', 'Zero', 'Zero', ('stock class',)),
-    ('dp4', '4L-2E1-2E2-E3-E4-E5', 'Zero', 'Nonzero', CREMONA),
-    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', 'Zero', CREMONA),  # vector (0, 0, 0)
-    ('dp5', '5L-2E1-2E2-2E3-2E4', 'Zero', 'Nonzero', CREMONA),
-    ('dp6', '4L-2E1-2E2-2E3', 'Zero', 'Nonzero', CREMONA),
-    ('dp7', '2L-2E1', 'Zero', 'Nonzero', CREMONA),
-    ('dp7', '3L-E1-E2', 'Zero', 'Nonzero', CREMONA),
-    ('dp4', '8L-3E1-3E2-3E3-E4', 'Zero', 'Nonzero', CREMONA),  # vector (26, 0, 0)
-    ('dp4', '8L+E1+E2+2E4', 'Nonzero', 'Nonzero', CREMONA),  # h1 = 1, so no derivation exists
-    ('blp2:k=5', '8L-3E1-3E2-3E3-E4', 'Zero', 'Nonzero', CREMONA),  # dp4 under another name
-    ('blp2:k=2', '2L-2E1-2E2', 'Nonzero', 'Nonzero', CREMONA),  # vector (1, 1, 0)
-    ('blF2:k=1', 'E+2F-E1', 'Zero', 'Nonzero', ('start (0,0,-1)', '+F', '+E', '+F')),
-    ('blF2:k=2', 'E+6F-E1+E2', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+E', '+F', '+F', '+F', '+F', '+F', '+E2')),
-    ('blF3:k=2', '3E+10F+E1+E2', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+E2', '+E1', '+E1')),
-    ('blF3:k=2', 'E+4F-E1', 'Zero', 'Nonzero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F')),
-    ('blF3:k=1', '2E+7F-2E1', 'Unknown', 'Nonzero', ()),
-    (COL2, '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
-    ('blF2:k=1', '0', 'Zero', 'Nonzero', ('start (0,0,0)',)),
+    (COL2, '2L-E1-E2', 'Zero', ('start (0,0,-1)', '+L-E1', '+L')),
+    (COL3, '4L-2E1-E2-E3', 'Zero', ('start (0,0,0,-1)', '+L-E2', '+L-E1', '+L-E1', '+L')),
+    ('blp2:k=4:collinear=1,2,3', '3L-E1-E2-E3-E4', 'Zero', ('start (0,0,0,0,-1)', '+L-E3', '+L-E2', '+L-E1')),
+    (COL2, '2L-2E1-2E2', 'Unknown', ()),
+    (COL3, '-L+E1+E2', 'Zero', ('stock class',)),
+    ('dp4', '4L-2E1-2E2-E3-E4-E5', 'Zero', CREMONA),
+    ('dp4', '-3L+2E1+E2+E3+E5', 'Zero', CREMONA),  # vector (0, 0, 0)
+    ('dp5', '5L-2E1-2E2-2E3-2E4', 'Zero', CREMONA),
+    ('dp6', '4L-2E1-2E2-2E3', 'Zero', CREMONA),
+    ('dp7', '2L-2E1', 'Zero', CREMONA),
+    ('dp7', '3L-E1-E2', 'Zero', CREMONA),
+    ('dp4', '8L-3E1-3E2-3E3-E4', 'Zero', CREMONA),  # vector (26, 0, 0)
+    ('dp4', '8L+E1+E2+2E4', 'Nonzero', CREMONA),  # h1 = 1, so no derivation exists
+    ('blp2:k=5', '8L-3E1-3E2-3E3-E4', 'Zero', CREMONA),  # dp4 under another name
+    ('blp2:k=2', '2L-2E1-2E2', 'Nonzero', CREMONA),  # vector (1, 1, 0)
+    ('blF2:k=1', 'E+2F-E1', 'Zero', ('start (0,0,-1)', '+F', '+E', '+F')),
+    ('blF2:k=2', 'E+6F-E1+E2', 'Zero', ('start (0,0,-1,0)', '+F', '+E', '+F', '+F', '+F', '+F', '+F', '+E2')),
+    ('blF3:k=2', '3E+10F+E1+E2', 'Zero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+F', '+E', '+F', '+F', '+E2', '+E1', '+E1')),
+    ('blF3:k=2', 'E+4F-E1', 'Zero', ('start (0,0,-1,0)', '+F', '+F', '+E', '+F', '+F')),
+    ('blF3:k=1', '2E+7F-2E1', 'Unknown', ()),
+    (COL2, '0', 'Zero', ('start (0,0,0)',)),
+    ('blF2:k=1', '0', 'Zero', ('start (0,0,0)',)),
 ]
 
 
@@ -256,10 +255,10 @@ class TestVanishingRules:
     # vector) and adds a collinear one, which only the rule engine answers
     def test_stock_class(self):
         verdict = coh.vanishing_by_rules(D(BL3, "-L+E1+E2"))
-        assert verdict.all_cohomology is Vanishing.ZERO
+        assert verdict.vector.as_tuple() == (0, 0, 0)
         assert verdict.higher_cohomology is Vanishing.ZERO
         verdict = coh.vanishing_by_rules(D(lat.parse_surface(COL3), "-L+E1+E2"))
-        assert verdict == coh.VanishingVerdict(Vanishing.ZERO, Vanishing.ZERO, ("stock class",))
+        assert verdict == coh.CohomologyAnswer(coh.CohomologyVector(0, 0, 0), Vanishing.ZERO, "rules", ("stock class",))
 
     def test_derived_class(self):
         verdict = coh.vanishing_by_rules(D(BL2, "2L-E1-E2"))
@@ -275,7 +274,7 @@ class TestVanishingRules:
     def test_blowup_hirzebruch_stock(self):
         S = lat.blowup_hirzebruch(2, 1)
         verdict = coh.vanishing_by_rules(D(S, "-E+5F+E1"))
-        assert verdict.all_cohomology is Vanishing.ZERO
+        assert verdict.vector.as_tuple() == (0, 0, 0)
 
     def test_blowup_hirzebruch_derivations(self):
         S = lat.blowup_hirzebruch(2, 2)
@@ -337,18 +336,17 @@ class TestVanishingRules:
                 verdict = coh.vanishing_by_rules(Dv)
                 if verdict.higher_cohomology is Vanishing.ZERO:
                     assert coh.blowup_cohomology_oracle(Dv).higher_vanishes, Dv
-                if verdict.all_cohomology is Vanishing.ZERO:
-                    assert coh.blowup_cohomology_oracle(Dv).as_tuple() == (0, 0, 0), Dv
+                if verdict.vector is not None:
+                    assert coh.blowup_cohomology_oracle(Dv) == verdict.vector, Dv
 
 
 class TestDerivationTrails:
     @pytest.mark.parametrize(
-        "spec, expr, higher, all_c, trail", GOLDEN_TRAILS, ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_TRAILS]
+        "spec, expr, higher, trail", GOLDEN_TRAILS, ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_TRAILS]
     )
-    def test_pinned_trail(self, spec, expr, higher, all_c, trail):
+    def test_pinned_trail(self, spec, expr, higher, trail):
         verdict = coh.vanishing_by_rules(D(lat.parse_surface(spec), expr))
-        got = (str(verdict.higher_cohomology), str(verdict.all_cohomology), verdict.derivation)
-        assert got == (higher, all_c, trail)
+        assert (str(verdict.higher_cohomology), verdict.derivation) == (higher, trail)
 
     def test_deep_blowup_plane_class(self):
         verdict = coh.vanishing_by_rules(D(lat.parse_surface(COL3), "1200L-E1-E2-E3"))
@@ -486,22 +484,26 @@ def general_classes(d, tail):
 
 class TestCremonaExact:
     def test_worked_values(self):
-        assert coh._cremona_vector((8, 1, 1, 0, 2, 0)).as_tuple() == (45, 1, 0)  # 8L+E1+E2+2E4 on dp4
-        assert coh._cremona_vector((4, -2, -2, -2, -2, -2)).as_tuple() == (1, 1, 0)  # doubled conic
-        assert coh._cremona_vector((2, -2, -2)).as_tuple() == (1, 1, 0)  # doubled line
-        assert coh._cremona_vector((1, -1, -1, -1, -1)).as_tuple() == (0, 1, 0)  # no line through 4 points
-        assert coh._cremona_vector((-3, 1, 1, 1, 1, 1, 1, 1, 1)).as_tuple() == (0, 0, 1)  # K on 8 points
+        def vector(coords):
+            return coh._cremona_answer(coords).vector.as_tuple()
+
+        assert vector((8, 1, 1, 0, 2, 0)) == (45, 1, 0)  # 8L+E1+E2+2E4 on dp4
+        assert vector((4, -2, -2, -2, -2, -2)) == (1, 1, 0)  # doubled conic
+        assert vector((2, -2, -2)) == (1, 1, 0)  # doubled line
+        assert vector((1, -1, -1, -1, -1)) == (0, 1, 0)  # no line through 4 points
+        assert vector((-3, 1, 1, 1, 1, 1, 1, 1, 1)) == (0, 0, 1)  # K on 8 points
 
     @settings(max_examples=200, deadline=None)
     @given(Dv=general_classes(st.integers(-3, 14), st.integers(-6, 1)))
     def test_matches_the_oracle(self, Dv):
-        assert coh.certified_cohomology(Dv) == (coh.blowup_cohomology_oracle(Dv), "exact")
+        answer = coh.certified_cohomology(Dv)
+        assert (answer.vector, answer.route) == (coh.blowup_cohomology_oracle(Dv), "exact")
 
     @settings(max_examples=200, deadline=None)
     @given(Dv=general_classes(st.integers(-1000, 1000), st.integers(-1000, 1000)))
     def test_serre_duality(self, Dv):
-        vec, _ = coh.certified_cohomology(Dv)
-        dual, _ = coh.certified_cohomology(lat.canonical(Dv.surface) - Dv)
+        vec = coh.certified_cohomology(Dv).vector
+        dual = coh.certified_cohomology(lat.canonical(Dv.surface) - Dv).vector
         assert dual.as_tuple() == (vec.h2, vec.h1, vec.h0)
         assert vec.chi == lat.chi_line_bundle(Dv) and min(vec.as_tuple()) >= 0
 
@@ -509,9 +511,9 @@ class TestCremonaExact:
     @given(Dv=general_classes(st.integers(-1000, 1000), st.integers(-1000, 1000)))
     def test_weyl_invariance(self, Dv):
         S = Dv.surface
-        vec = coh._cremona_vector(Dv.coords)
+        answer = coh._cremona_answer(Dv.coords)
         for root in weyl_generators(S):
-            assert coh._cremona_vector(lat.reflect(S, Dv.coords, root)) == vec, root
+            assert coh._cremona_answer(lat.reflect(S, Dv.coords, root)) == answer, root
 
     @settings(max_examples=200, deadline=None)
     @given(Dv=general_classes(st.integers(-6, 14), st.integers(-6, 2)))
@@ -520,12 +522,8 @@ class TestCremonaExact:
         def unreachable(*args, **kwargs):
             raise AssertionError("general points reached the rule search or the oracle")
 
-        vec, _ = coh.certified_cohomology(Dv)
-        expected = coh.VanishingVerdict(
-            Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO,
-            Vanishing.ZERO if vec.as_tuple() == (0, 0, 0) else Vanishing.NONZERO,
-            CREMONA,
-        )
+        vec = coh.certified_cohomology(Dv).vector
+        expected = coh.CohomologyAnswer(vec, Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO, "exact", CREMONA)
         with mock.patch.multiple(coh, _derive=unreachable, interpolation_h0=unreachable):
             assert coh.vanishing_by_rules(Dv) == expected
 
@@ -538,9 +536,9 @@ class TestCremonaExact:
         with mock.patch.multiple(
             coh, vanishing_by_rules=unreachable, _derive=unreachable, interpolation_h0=unreachable
         ):
-            vec, how = coh.certified_cohomology(Dv)
-            assert how == "exact"
-            assert coh.higher_cohomology_vanishes(Dv) == (vec.higher_vanishes, "exact")
+            answer = coh.certified_cohomology(Dv)
+            assert answer.route == "exact"
+            assert coh.higher_cohomology_vanishes(Dv) == answer == coh.line_bundle_cohomology(Dv)
 
 
 class TestInterpolationOracle:
@@ -1021,8 +1019,9 @@ class TestOracleVector:
             assert min(vec.as_tuple()) >= 0
 
 
-# (surface, class, verdict, provenance) of higher_cohomology_vanishes, then
-# (vector, route) of line_bundle_cohomology, at least one class per route;
+# (surface, class, higher cohomology is Zero, route) of the answer of
+# higher_cohomology_vanishes, then (vector, route) of the answer of
+# line_bundle_cohomology, at least one class per route;
 # general points at k <= 8 and del Pezzo models are exact, so the rules and
 # the oracle are pinned on collinear points and at k = 9.  A class the
 # rules show nonzero skips the oracle in the first and not in the second.
@@ -1038,7 +1037,7 @@ GOLDEN_ROUTES = [
     ("blp2:k=4:collinear=1,2,3,4", "L", True, "rules", (3, 0, 0), "rules"),
     ("blF2:k=1", "F-E1", True, "rules", (1, 0, 0), "rules"),
     ("blp2:k=9", "3E1", False, "rules", (1, 3, 0), "oracle"),
-    ("blF2:k=1", "-2E-5F", False, "rules", None, "undecided"),
+    ("blF2:k=1", "-2E-5F", False, "rules", None, "rules"),
     ("blp2:k=9", "3L-2E1-E2-E3-E4-E5", True, "oracle", (3, 0, 0), "oracle"),
     ("blp2:k=4:collinear=1,2,3,4", "2L-E1-E2-E3-E4", False, "oracle", (3, 1, 0), "oracle"),
     ("blF2:k=1", "E", False, "undecided", None, "undecided"),
@@ -1051,6 +1050,56 @@ class TestHigherCohomologyVanishes:
     )
     def test_pinned_route(self, spec, expr, vanishes, how, vector, route):
         Dv = D(lat.parse_surface(spec), expr)
-        assert coh.higher_cohomology_vanishes(Dv) == (vanishes, how)
-        vec, got = coh.line_bundle_cohomology(Dv)
-        assert (vec and vec.as_tuple(), got) == (vector, route)
+        answer = coh.higher_cohomology_vanishes(Dv)
+        assert (answer.higher_cohomology is Vanishing.ZERO, answer.route) == (vanishes, how)
+        answer = coh.line_bundle_cohomology(Dv)
+        assert (answer.vector and answer.vector.as_tuple(), answer.route) == (vector, route)
+
+    @pytest.mark.parametrize("spec, expr", [g[:2] for g in GOLDEN_ROUTES], ids=[f"{g[0]}:{g[1]}" for g in GOLDEN_ROUTES])
+    def test_rule_engine_runs_at_most_once(self, spec, expr):
+        calls, derive = [], coh._derive
+
+        def counting(*args):
+            calls.append(args[0])
+            return derive(*args)
+
+        Dv = D(lat.parse_surface(spec), expr)
+        with mock.patch.object(coh, "_derive", counting):
+            for entry in (coh.certified_cohomology, coh.line_bundle_cohomology, coh.higher_cohomology_vanishes):
+                calls.clear()
+                entry(Dv)
+                assert len(calls) <= 1, entry.__name__
+
+
+# Hirzebruch surfaces, general and collinear blowups of the plane (k = 9
+# included) and blowups of F_e
+ANSWER_MODELS = ["F0", "F1", "F3", "blp2:k=3", "dp5", "blp2:k=6", "blp2:k=9", "blp2:k=4:collinear=1,2,3",
+                 "blp2:k=6:collinear=2,4,6", "blF2:k=1", "blF3:k=2"]
+
+
+class TestCohomologyAnswer:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_answers_are_consistent(self, data):
+        # the vector and the verdict agree, Unknown is exactly "undecided",
+        # and the oracle never contradicts a verdict given without it: a
+        # certified Zero or Nonzero stays, and on blowups of the plane the
+        # oracle's vector is the certified one
+        S = lat.parse_surface(data.draw(st.sampled_from(ANSWER_MODELS)))
+        head = [st.integers(-4, 9)] if S.is_blowup_p2_like else [st.integers(-4, 5), st.integers(-6, 10)]
+        coords = tuple(data.draw(h) for h in head) + tuple(data.draw(st.integers(-4, 1)) for _ in range(S.k))
+        Dv = lat.DivisorClass(S, coords)
+        certified = coh.certified_cohomology(Dv)
+        answers = (certified, coh.line_bundle_cohomology(Dv), coh.higher_cohomology_vanishes(Dv))
+        for answer in answers:
+            assert answer.route in ("exact", "rules", "oracle", "undecided")
+            assert (answer.route == "undecided") == (answer.higher_cohomology is Vanishing.UNKNOWN)
+            if answer.vector is not None:
+                assert (answer.higher_cohomology is Vanishing.ZERO) == answer.vector.higher_vanishes
+                assert answer.vector.chi == lat.chi_line_bundle(Dv)
+        if certified.higher_cohomology is not Vanishing.UNKNOWN:
+            assert {answer.higher_cohomology for answer in answers} == {certified.higher_cohomology}
+        if certified.vector is not None:
+            assert set(answers) == {certified}
+            if S.is_blowup_p2_like:
+                assert coh.blowup_cohomology_oracle(Dv) == certified.vector

@@ -217,3 +217,11 @@ def test_wbn_is_the_only_verdict_entry_point():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     )
     assert public == ["obstruction_certificate", "rank_one_wbn", "wbn"]
+
+
+def test_no_assert_statements():
+    # python -O drops asserts, so every check in the library raises instead
+    asserts = [
+        f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
