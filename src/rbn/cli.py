@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", action="store_true")
     p.set_defaults(func=_cmd_resolve)
 
-    p = sub.add_parser("goodsum", help="anticanonically good sum on a del Pezzo surface")
+    p = sub.add_parser("goodsum", help="anticanonically good sum on a del Pezzo surface (dp<d> or blp2:k=2..5)")
     add_common(p)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument(
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("curves", help="list the (-1)-curve classes of a del Pezzo surface")
+    p = sub.add_parser("curves", help="list the (-1)-curves of a del Pezzo surface (dp<d> or blp2:k=2..5)")
     add_common(p, seeded=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_curves)

@@ -6,8 +6,8 @@ Four routes, by strength of the statement:
   base locus, cross-checkable against an independent pushforward oracle
   (the direct image of ``O(aE+bF)`` on the base splits into line bundles
   of degrees ``b - je``).
-* Blowups of the plane at k <= 8 general points (del Pezzo models
-  included) get exact ``(h0, h1, h2)`` by Cremona reduction: fixed
+* Blowups of the plane at k <= 8 general points (the ``dp<d>``
+  spellings included) get exact ``(h0, h1, h2)`` by Cremona reduction: fixed
   exceptional components are removed and quadratic transformations lower
   the degree until the class is in standard form, where h0 = chi.
 * Blowups of the plane and of Hirzebruch surfaces get *sound but
@@ -223,7 +223,7 @@ def _chi_plane(d: int, mults) -> int:
 
 
 def _has_cremona_vector(s: SurfaceModel) -> bool:
-    """Blowups of the plane at k <= 8 general points, del Pezzo models included."""
+    """Blowups of the plane at k <= 8 general points, ``dp<d>`` spellings included."""
     return s.is_blowup_p2_like and s.config.kind == "general" and s.k <= 8
 
 
@@ -443,7 +443,7 @@ def h2_is_zero(D: DivisorClass) -> bool:
 def vanishing_by_rules(D: DivisorClass) -> CohomologyAnswer:
     """Sufficient vanishing rules on blowups; never claims a false ZERO.
 
-    On k <= 8 general points (del Pezzo models included) the answer is the
+    On k <= 8 general points (``dp<d>`` spellings included) the answer is the
     exact Cremona one.  Elsewhere ``higher_cohomology`` is ZERO exactly when
     a closure derivation exists, decided by the family's closed form, with
     the vector (chi, 0, 0) and the derivation found by the greedy walk of

@@ -24,7 +24,7 @@ from .chern import (
     hirzebruch_core,
     line_bundle_character,
 )
-from .cohomology import line_bundle_cohomology
+from .cohomology import Vanishing, line_bundle_cohomology
 from .goodsums import (
     GoodSum,
     WBNWitness,
@@ -150,9 +150,12 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
     answer = line_bundle_cohomology(c1, seed=seed, trials=trials)
     vec = answer.vector
     if vec is None:
-        return WBNVerdict(
-            WBNStatus.UNKNOWN, notes=tuple(notes + ["no exact computation or oracle available"])
-        )
+        if answer.higher_cohomology is not Vanishing.NONZERO:
+            return WBNVerdict(WBNStatus.UNKNOWN, notes=(*notes, "no exact computation or oracle available"))
+        # chi >= 0, so a rules Nonzero without a vector means h0(K - c1) >= 1;
+        # O_Z has no H^1 or H^2, so h2(I_Z(c1)) = h2(O(c1)) >= 1 for every Z
+        notes += [f"rules: {'; '.join(answer.derivation)}", "h2 is twist-invariant and nonzero"]
+        return WBNVerdict(WBNStatus.FAILS, obstruction=Obstruction(h2_lower_bound=1), notes=tuple(notes))
     if answer.route == "oracle":
         notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
     else:
@@ -181,7 +184,7 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
 def _rank_one_reference(surface: SurfaceModel) -> DivisorClass:
     if surface.is_hirzebruch or surface.is_blowup_hirzebruch:
         return basis_divisor(surface, "F")
-    if surface.is_del_pezzo:
+    if surface.kind == "del_pezzo":  # the dp<d> spelling measures against -K
         return -canonical(surface)
     return basis_divisor(surface, "L")
 
@@ -242,12 +245,18 @@ def _blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
     """Sufficient conditions on a blowup of the plane, else Unknown.
 
     In order: the two-term resolution hypotheses; the rounding hypotheses
-    (floor/ceiling bundle without higher cohomology); and for collinear
+    (floor/ceiling bundle without higher cohomology); for collinear
     configurations the line-through-the-points obstruction, which forces
     sections when delta - sum of the collinear multiplicities drops below
-    -1.
+    -1; and on a del Pezzo surface with nef c1 the nef decomposition.  There
+    the other routes give Holds or nothing, so the order picks only the
+    witness: ``dp<d>`` tries the decomposition first, ``blp2`` last.
     """
+    s = v.surface
     notes = [_STACK_NOTE]
+    nef_first = s.kind == "del_pezzo"
+    if nef_first and is_nef(v.c1):
+        return _nef_decomposition_verdict(v, notes)
     try:
         report = blowup_resolution(v)
         notes.append("two-term resolution by the stock collection")
@@ -261,9 +270,8 @@ def _blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
         return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
     except ValueError as exc:
         notes.append(f"rounding route: {exc}")
-    config = v.surface.config
+    config = s.config
     if config.kind == "collinear":
-        s = v.surface
         C = basis_divisor(s, "L")
         for i in config.collinear:
             C = C - basis_divisor(s, f"E{i}")
@@ -276,7 +284,16 @@ def _blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
                 "forcing sections on every semistable sheaf (needs mu(v).H > -2L.H)"
             )
             return WBNVerdict(WBNStatus.FAILS, obstruction=obstruction, notes=tuple(notes))
+    if s.is_del_pezzo and not nef_first and is_nef(v.c1):
+        return _nef_decomposition_verdict(v, notes)
     return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
+
+
+def _nef_decomposition_verdict(v: ChernCharacter, notes: list[str]) -> WBNVerdict:
+    """Holds for a nef c1 on a del Pezzo surface: a (-K)-good sum plus chi(sum) points."""
+    witness = _checked_witness(delpezzo_decompose(v.c1, v.r), v)
+    notes.append("anticanonically good sum plus general point modifications")
+    return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
 
 
 def _blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
@@ -291,22 +308,6 @@ def _blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
 
 
-def _delpezzo_wbn(v: ChernCharacter) -> WBNVerdict:
-    """Nef first Chern class on a degree 4..7 del Pezzo surface: Holds.
-
-    The witness is an anticanonically good sum with chi(sum) general point
-    modifications.  Non-nef classes return Unknown; the sufficient condition
-    is one-directional.
-    """
-    notes = [_STACK_NOTE]
-    if not is_nef(v.c1):
-        notes.append(f"{divisor_expr(v.c1)} is not nef; the nef-decomposition route is silent")
-        return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
-    witness = _checked_witness(delpezzo_decompose(v.c1, v.r), v)
-    notes.append("anticanonically good sum plus general point modifications")
-    return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
-
-
 def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     """The verdict entry point: check chi(v) = 0, send rank one to the
     line-bundle test and dispatch higher ranks on the surface family."""
@@ -317,8 +318,6 @@ def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     s = v.surface
     if s.is_hirzebruch:
         return _hirzebruch_wbn(v)
-    if s.is_del_pezzo:
-        return _delpezzo_wbn(v)
     if s.is_blowup_p2_like:
         return _blowup_p2_wbn(v, seed=seed, trials=trials)
     return _blowup_hirzebruch_wbn(v)

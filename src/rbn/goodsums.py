@@ -47,11 +47,9 @@ class GoodSumError(ValueError):
 
 def fiber_class(surface: SurfaceModel) -> DivisorClass:
     """The ruling that makes the surface birationally ruled: F, or L - E1."""
-    if surface.is_hirzebruch or surface.is_blowup_hirzebruch:
-        return basis_divisor(surface, "F")
     if surface.is_blowup_p2_like:
         return DivisorClass(surface, (1, -1) + (0,) * (surface.k - 1))
-    raise LatticeError(f"no fiber class on {surface}")
+    return basis_divisor(surface, "F")
 
 
 def _certify_nef_reference(N: DivisorClass) -> None:
@@ -60,7 +58,7 @@ def _certify_nef_reference(N: DivisorClass) -> None:
         if not is_nef(N):
             raise GoodSumError(f"reference divisor {N} is not nef")
         return
-    # On plain blowups only the hyperplane pullback is certified nef.
+    # On other blowups only the hyperplane pullback is certified nef.
     if s.is_blowup_p2_like and N == basis_divisor(s, "L"):
         return
     raise GoodSumError(f"cannot certify {N} nef on {s}")
@@ -117,8 +115,8 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
     """Verify both goodness conditions, naming any offender.
 
     Condition (1), no higher cohomology, is decided exactly on Hirzebruch
-    surfaces and on blowups of the plane at k <= 8 general points (del
-    Pezzo models included), and elsewhere by the vanishing rules with an
+    surfaces and on blowups of the plane at k <= 8 general points (``dp<d>``
+    spellings included), and elsewhere by the vanishing rules with an
     oracle fallback on blowups of the plane; a summand that is clean for
     the oracle but not derivable by rules (collinear points, or k >= 9)
     is accepted with a provenance note.  Condition (2) bounds the pairwise
@@ -376,13 +374,14 @@ def _decompose(k: int, coords, r: int):
 def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
     """(-K)-good sum of rank r with first Chern class a nef divisor D.
 
-    Runs the full reduction pipeline (unbalancing moves, Weyl normalization
-    of an orthogonal (-1)-curve, descent to fewer points, the two-point
-    splitting) and lifts the resulting summands back.
+    D lives on a del Pezzo surface (``dp<d>`` or ``blp2:k=<9-d>``), and so does
+    the sum.  Runs the full reduction pipeline (unbalancing moves, Weyl
+    normalization of an orthogonal (-1)-curve, descent to fewer points, the
+    two-point splitting) and lifts the resulting summands back.
     """
     s = D.surface
     if not s.is_del_pezzo:
-        raise GoodSumError("the decomposition is implemented on del Pezzo models of degree 4..7")
+        raise GoodSumError(f"the decomposition is implemented on del Pezzo surfaces of degree 4..7, not {s}")
     if r < 1:
         raise GoodSumError("rank must be at least 1")
     if not is_nef(D):

@@ -5,8 +5,7 @@ Every fixed ordered basis is a head followed by the exceptional classes
 basis, canonical class and intersection form are each read off the head:
 
 * ``(L)`` with ``L^2 = 1``: blowups of the plane at ``k`` distinct points,
-  and del Pezzo surfaces of degree ``4 <= d <= 7`` (``9 - d`` general
-  points, with the (-1)-curve and nef-cone machinery enabled);
+  spelled ``blp2:k=<k>``, or ``dp<d>`` for ``9 - d`` general points;
 * ``(E, F)`` with ``E^2 = -e``, ``E.F = 1``, ``F^2 = 0``: the Hirzebruch
   surface ``F_e`` (``k = 0``) and its blowup (``e >= 2``) at ``k`` points
   off the negative section.
@@ -15,14 +14,17 @@ The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
 ``neg_one_classes``, ``reflect``, ``curve_word``);
 ``DivisorClass`` wraps it.  Of the Weyl group of a blowup of the plane the
 library uses reflections in single roots and ``curve_word``, the word that
-carries a (-1)-curve of a del Pezzo model to the last exceptional class.
+carries a (-1)-curve of a del Pezzo surface to the last exceptional class.
 Construction validates (length and integer coordinates) at the public
 entry points: ``DivisorClass(...)``, ``divisor``, ``parse_divisor``,
 ``basis_divisor`` and scalar multiples.  Sums, differences and negatives
 of classes on one surface, and reflections of a class in a root, are ints
 of the right length by construction and are wrapped unchecked.
 
-On a del Pezzo model the nef cone is cut out by the (-1)-curves, and these
+The plane blown up at ``2 <= k <= 5`` general points is a del Pezzo surface
+of degree ``9 - k`` under either spelling (distinct, unequal models), and the
+(-1)-curve and nef-cone machinery reads ``k`` and the configuration only.
+On a del Pezzo surface the nef cone is cut out by the (-1)-curves, and these
 come in three families (Harbourne 1986), so with the multiplicities
 ``m_i = -c_i`` sorted decreasingly, ``dL - sum m_i E_i`` is nef iff
 
@@ -139,13 +141,14 @@ class SurfaceModel:
     def is_hirzebruch(self) -> bool:
         return self.kind == "hirzebruch"
 
-    @property
+    @cached_property  # the surface, not its spelling; goodsum queries read it twice
     def is_del_pezzo(self) -> bool:
-        return self.kind == "del_pezzo"
+        """True for the plane blown up at 2..5 general points (degree 4..7)."""
+        return self.is_blowup_p2_like and 2 <= self.k <= 5 and not self.config.collinear
 
     @property
     def is_blowup_p2_like(self) -> bool:
-        """True for blowups of the plane, including del Pezzo models."""
+        """True for blowups of the plane under either spelling, ``blp2`` or ``dp``."""
         return self.kind in ("blowup_p2", "del_pezzo")
 
     @property
@@ -155,7 +158,7 @@ class SurfaceModel:
     @property
     def degree(self) -> int:
         if not self.is_del_pezzo:
-            raise LatticeError("degree is defined for del Pezzo models only")
+            raise LatticeError("degree is defined for del Pezzo surfaces only")
         return 9 - self.k
 
     # cached per model: ``form`` reads the head on every call, and
@@ -207,7 +210,7 @@ class SurfaceModel:
         """The surface in the CLI spec-string format."""
         if self.is_hirzebruch:
             return f"F{self.e}"
-        if self.is_del_pezzo:
+        if self.kind == "del_pezzo":
             return f"dp{self.degree}"
         if self.kind == "blowup_p2":
             base = f"blp2:k={self.k}"
@@ -234,8 +237,6 @@ def blowup_hirzebruch(e: int, k: int) -> SurfaceModel:
 
 @lru_cache(maxsize=4)  # one model per degree 4..7, so its cached head is reused
 def del_pezzo(degree: int) -> SurfaceModel:
-    if not 4 <= degree <= 7:
-        raise LatticeError("del Pezzo surfaces are supported in degrees 4..7")
     return SurfaceModel("del_pezzo", k=9 - degree)
 
 
@@ -383,14 +384,14 @@ def neg_one_classes(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def neg_one_curves(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """The (-1)-curves of a del Pezzo model, in the order of ``neg_one_classes``.
+    """The (-1)-curves of a del Pezzo surface, in the order of ``neg_one_classes``.
 
     Exceptional curves first, then lines through two of the points, then the
     conic through five points when it exists.  Each class C satisfies
     C^2 = -1 and -K.C = 1; in degrees 7/6/5/4 there are 3/6/10/16 of them.
     """
     if not surface.is_del_pezzo:
-        raise LatticeError("(-1)-curve enumeration is implemented for del Pezzo models")
+        raise LatticeError(f"(-1)-curves are enumerated on del Pezzo surfaces of degree 4..7, not {surface}")
     return tuple(DivisorClass(surface, c) for c in neg_one_classes(surface.k))
 
 
@@ -399,7 +400,7 @@ def is_nef_coords(surface: SurfaceModel, coords) -> bool:
 
     On F_e the effective cone is spanned by E and F, so nef means D.E and
     D.F >= 0 (equivalently, D lies in the cone spanned by F and E + eF).
-    On a del Pezzo model a class is nef iff it meets every (-1)-curve
+    On a del Pezzo surface a class is nef iff it meets every (-1)-curve
     nonnegatively; with the multiplicities m_i = -c_i sorted decreasingly,
     the exceptional curves give m_k >= 0, the lines through two points give
     d >= m_1 + m_2, and on five points the conic gives 2d >= m_1 + ... + m_5
@@ -462,12 +463,12 @@ def cremona_root(surface: SurfaceModel, i: int, j: int, m: int) -> DivisorClass:
     )
 
 
-# one entry per (-1)-curve of a del Pezzo model: at most 3 + 6 + 10 + 16
+# one entry per (-1)-curve of a del Pezzo surface: at most 3 + 6 + 10 + 16
 @lru_cache(maxsize=35)
 def curve_word(surface: SurfaceModel, curve: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """A reflection word w with w(C) = E_k, as root coordinate tuples, for a
     (-1)-curve C = ``curve`` of ``neg_one_classes(surface.k)`` on a del Pezzo
-    model with k >= 3.
+    surface with k >= 3.
 
     Greedy Cremona reduction on the curve's degree: a conic class drops to a
     line class, a line class to an exceptional one, and a transposition

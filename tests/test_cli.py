@@ -353,6 +353,13 @@ class TestResolveGoodsumOracleCurves:
         assert (out.returncode, out.stdout) == (3, "")
         assert "internal error: RuntimeError: decomposition of 2L at rank 3 lost its first Chern" in out.stderr
 
+    def test_goodsum_on_either_spelling(self, capsys):
+        # blp2:k=2 is the surface dp7: the same summands, under its own name
+        _, dp7, _ = run(capsys, "goodsum", "--surface", "dp7", "--rank", "3", "--c1", "2L")
+        code, out, _ = run(capsys, "goodsum", "--surface", "blp2:k=2", "--rank", "3", "--c1", "2L")
+        assert code == 0
+        assert out == dp7.replace('"surface": "dp7"', '"surface": "blp2:k=2"')
+
     def test_goodsum_rejects_non_nef(self, capsys):
         code, _, err = run(capsys, "goodsum", "--surface", "dp7", "--rank", "2", "--c1", "E1")
         assert code == 2 and "not nef" in err
@@ -407,6 +414,12 @@ class TestResolveGoodsumOracleCurves:
         lines = out.strip().splitlines()
         assert len(lines) == 16
         assert lines[0] == "E1" and "2L-E1-E2-E3-E4-E5" in lines
+
+    def test_curves_on_either_spelling(self, capsys):
+        _, dp4, _ = run(capsys, "curves", "--surface", "dp4")
+        assert run(capsys, "curves", "--surface", "blp2:k=5") == (0, dp4, "")
+        code, out, err = run(capsys, "curves", "--surface", "blp2:k=6")
+        assert (code, out) == (2, "") and "not blp2:k=6" in err
 
 
 class TestDeterminism:

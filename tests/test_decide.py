@@ -66,6 +66,18 @@ class TestRankOne:
         # chi(O(3E)) = -8: no sheaf to ask about
         assert dec.rank_one_wbn(D(S, "3E")).status is WBNStatus.EMPTY_MODULI
 
+    @pytest.mark.parametrize("expr", ["-2E-5F", "-2E-4F", "-3E-6F", "-2E-6F+E1"])
+    def test_blowup_hirzebruch_effective_dual_fails(self, expr):
+        # chi >= 0 and K - c1 obviously effective: the rules give Nonzero
+        # without a vector, and h2(I_Z(c1)) = h2(O(c1)) >= 1 for every Z
+        c1 = D(lat.blowup_hirzebruch(2, 1), expr)
+        assert lat.chi_line_bundle(c1) >= 0
+        answer = coh.line_bundle_cohomology(c1)
+        assert answer.vector is None and answer.higher_cohomology is coh.Vanishing.NONZERO
+        verdict = dec.rank_one_wbn(c1)
+        assert verdict.status is WBNStatus.FAILS
+        assert verdict.obstruction == dec.Obstruction(h2_lower_bound=1)
+
     @pytest.mark.parametrize(
         "surface, expr, chi",
         [(F1, "-3E", -5), (BL2, "3E1", -2), (DP5, "2L-4E1", -4), (lat.blowup_hirzebruch(2, 1), "3E", -8)],
@@ -218,6 +230,54 @@ class TestDelPezzo:
         assert verdict.status is WBNStatus.HOLDS
         gs = verdict.witness.good_sum
         assert gs.rank == 1000 and gs.c1() == v.c1 and gd.is_good_sum(gs).ok
+
+class TestOneSurfaceTwoSpellings:
+    """dp<d> and blp2:k=<9-d> name one surface, so wbn gives one status."""
+
+    @staticmethod
+    def _status_pair(k, r, coords):
+        statuses = []
+        for S in (lat.del_pezzo(9 - k), lat.blowup_p2(k)):
+            v = ch.character_from_chi(r, lat.DivisorClass(S, coords), 0)
+            statuses.append(dec.wbn(v).status)
+        return statuses
+
+    def test_random_characters(self):
+        # c1 drawn as in the benchmark's blowup wbn strata: rank 1..4, chi = 0
+        rng = random.Random(22)
+        for _ in range(300):
+            k, r = rng.randint(2, 5), rng.randint(1, 4)
+            coords = (rng.randint(0, 3 * r),) + tuple(-rng.randint(0, r + 1) for _ in range(k))
+            dp, blp2 = self._status_pair(k, r, coords)
+            assert dp is blp2, (k, r, coords)
+
+    def test_random_nef_characters(self):
+        rng = random.Random(23)
+        seen = 0
+        while seen < 150:
+            k, r = rng.randint(2, 5), rng.randint(2, 4)
+            coords = (rng.randint(0, 5 * r),) + tuple(-rng.randint(0, 2 * r) for _ in range(k))
+            if not lat.is_nef_coords(lat.del_pezzo(9 - k), coords):
+                continue
+            seen += 1
+            assert self._status_pair(k, r, coords) == [WBNStatus.HOLDS] * 2, (k, r, coords)
+
+    @pytest.mark.parametrize("k, r, expr", [(3, 2, "E1"), (2, 2, "2L-3E1-2E2")])
+    def test_unknowns_stay_unknown_on_both(self, k, r, expr):
+        coords = lat.parse_divisor(expr, lat.blowup_p2(k)).coords
+        assert self._status_pair(k, r, coords) == [WBNStatus.UNKNOWN] * 2
+
+    def test_nef_decomposition_reached_on_blp2(self):
+        # resolution and rounding are silent; the nef decomposition decides
+        S = lat.blowup_p2(5)
+        verdict = dec.wbn(ch.character_from_chi(2, D(S, "5L-2E1-E2-E3-3E4-E5"), 0))
+        assert verdict.status is WBNStatus.HOLDS
+        assert [n.split(":")[0] for n in verdict.notes[1:]] == [
+            "resolution route", "rounding route", "anticanonically good sum plus general point modifications"
+        ]
+        gs = verdict.witness.good_sum
+        assert gs.surface is S and gs.N == -lat.canonical(S)
+
 
 class TestObstructionCertificate:
     def test_negative_section_pairing_is_one(self):

@@ -312,8 +312,25 @@ class TestDecompose:
     def test_non_nef_rejected(self):
         with pytest.raises(gd.GoodSumError):
             gd.delpezzo_decompose(D(DP7, "E1"), 2)
+        # off the del Pezzo surfaces the decomposition is refused, never run
+        for spec in ("blp2:k=1", "blp2:k=6", "blp2:k=3:collinear=1,2,3", "blF2:k=1"):
+            S = lat.parse_surface(spec)
+            with pytest.raises(gd.GoodSumError):
+                gd.delpezzo_decompose(lat.DivisorClass(S, (1,) + (0,) * (S.rank - 1)), 2)
+
+    @pytest.mark.parametrize("degree,expr", [(7, "2L"), (6, "3L-E1-E2"), (5, "2L-E1"), (4, "3L-E1-E2-E3-E4-E5")])
+    def test_either_spelling(self, degree, expr):
+        # blp2:k=<9-d> decomposes as dp<d> does, with every class on the
+        # model as spelled
+        blp2 = lat.blowup_p2(9 - degree)
+        dp_sum = gd.delpezzo_decompose(D(lat.del_pezzo(degree), expr), 3)
+        gs = gd.delpezzo_decompose(D(blp2, expr), 3)
+        assert [c.coords for c in gs.summands] == [c.coords for c in dp_sum.summands]
+        assert gs.surface is blp2 and gs.N == -lat.canonical(blp2)
+        assert all(c.surface is blp2 for c in gs.summands)
+        assert gd.is_good_sum(gs).ok
         with pytest.raises(gd.GoodSumError):
-            gd.delpezzo_decompose(D(BL2, "L"), 2)
+            gd.delpezzo_decompose(D(blp2, "E1"), 2)
 
     def test_small_sweep_all_degrees(self):
         for degree in (4, 5, 6, 7):
