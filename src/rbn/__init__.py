@@ -53,12 +53,10 @@ from .resolutions import (
     ExceptionalCollection,
     ResolutionError,
     ResolutionReport,
-    blowup_hirzebruch_resolution,
-    blowup_resolution,
     builtin_collection,
-    hirzebruch_resolution,
     prioritary_hypotheses_check,
     solve_exponents,
+    two_term_resolution,
     verify_strong_exceptional,
 )
 from .goodsums import (

@@ -17,7 +17,6 @@ from .chern import (
     CharacterError,
     character_from_chi,
     chi_integer,
-    hirzebruch_normalize,
     parse_character,
 )
 from .cohomology import (
@@ -38,12 +37,7 @@ from .lattice import (
     parse_divisor,
     parse_surface,
 )
-from .resolutions import (
-    ResolutionError,
-    blowup_hirzebruch_resolution,
-    blowup_resolution,
-    hirzebruch_resolution,
-)
+from .resolutions import ResolutionError, two_term_resolution
 
 _INPUT_ERRORS = (
     ParseError,
@@ -133,14 +127,7 @@ def _wbn_sweep(args, surface) -> int:
 
 def _cmd_resolve(args) -> int:
     surface = parse_surface(args.surface)
-    v = parse_character(args.character, surface)
-    if surface.is_hirzebruch:
-        v, _ = hirzebruch_normalize(v)
-        report = hirzebruch_resolution(v)
-    elif surface.is_blowup_p2_like:
-        report = blowup_resolution(v)
-    else:
-        report = blowup_hirzebruch_resolution(v)
+    report = two_term_resolution(parse_character(args.character, surface))
     payload = report.to_json_dict()
     lines = [f"{key}={json.dumps(val)}" for key, val in payload.items()]
     _emit(payload, not args.text, lines)
@@ -155,8 +142,6 @@ def _cmd_goodsum(args) -> int:
     if not check.ok:
         raise VerificationError(f"decomposition failed its own checker: {check.failures}")
     payload = gs.to_json_dict()
-    if check.provenance:
-        payload["provenance"] = list(check.provenance)
     lines = [f"{key}={json.dumps(val)}" for key, val in payload.items()]
     _emit(payload, not args.text, lines)
     return 0

@@ -868,15 +868,12 @@ def blowup_cohomology_oracle(
 def certified_cohomology(D: DivisorClass) -> CohomologyAnswer:
     """The answer for O(D) without the oracle.
 
-    ``"exact"`` with the vector on Hirzebruch surfaces and on blowups of
-    the plane at k <= 8 general points (Cremona reduction, before any rule
-    search), else the answer of ``vanishing_by_rules``.
+    ``"exact"`` with the vector on Hirzebruch surfaces, else the answer of
+    ``vanishing_by_rules`` (itself exact by Cremona reduction on blowups of
+    the plane at k <= 8 general points).
     """
-    s = D.surface
-    if s.is_hirzebruch:
+    if D.surface.is_hirzebruch:
         return _from_vector(hirzebruch_cohomology(D), "exact")
-    if _has_cremona_vector(s):
-        return _cremona_answer(D.coords)
     return vanishing_by_rules(D)
 
 

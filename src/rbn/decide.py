@@ -49,9 +49,7 @@ from .resolutions import (
     ResolutionError,
     ResolutionReport,
     VerificationError,
-    blowup_hirzebruch_resolution,
-    blowup_resolution,
-    hirzebruch_resolution,
+    two_term_resolution,
 )
 
 _STACK_NOTE = (
@@ -228,7 +226,7 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
             notes=tuple(notes),
         )
     try:
-        report = hirzebruch_resolution(w)
+        report = two_term_resolution(w)
         return WBNVerdict(WBNStatus.HOLDS, witness=report, bogomolov_delta=delta, notes=tuple(notes))
     except InfeasibleResolutionError as exc:
         witness = _checked_witness(hirzebruch_fiber_sum(w), w)
@@ -237,20 +235,21 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Blowups of the plane
+# Blowups: sufficient conditions
 # ---------------------------------------------------------------------------
 
 
-def _blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
-    """Sufficient conditions on a blowup of the plane, else Unknown.
+def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
+    """Sufficient conditions on a blowup of the plane or of F_e, else Unknown.
 
-    In order: the two-term resolution hypotheses; the rounding hypotheses
-    (floor/ceiling bundle without higher cohomology); for collinear
-    configurations the line-through-the-points obstruction, which forces
-    sections when delta - sum of the collinear multiplicities drops below
-    -1; and on a del Pezzo surface with nef c1 the nef decomposition.  There
-    the other routes give Holds or nothing, so the order picks only the
-    witness: ``dp<d>`` tries the decomposition first, ``blp2`` last.
+    In order: the two-term resolution hypotheses, on every blowup; then on
+    blowups of the plane only, the rounding hypotheses (floor/ceiling bundle
+    without higher cohomology); for collinear configurations the
+    line-through-the-points obstruction, which forces sections when
+    delta - sum of the collinear multiplicities drops below -1; and on a
+    del Pezzo surface with nef c1 the nef decomposition.  There the other
+    routes give Holds or nothing, so the order picks only the witness:
+    ``dp<d>`` tries the decomposition first, ``blp2`` last.
     """
     s = v.surface
     notes = [_STACK_NOTE]
@@ -258,11 +257,13 @@ def _blowup_p2_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNV
     if nef_first and is_nef(v.c1):
         return _nef_decomposition_verdict(v, notes)
     try:
-        report = blowup_resolution(v)
+        report = two_term_resolution(v)
         notes.append("two-term resolution by the stock collection")
         return WBNVerdict(WBNStatus.HOLDS, witness=report, notes=tuple(notes))
     except ResolutionError as exc:
         notes.append(f"resolution route: {exc}")
+    if not s.is_blowup_p2_like:
+        return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
     try:
         gs = rounding_sum(v, seed=seed, trials=trials)
         witness = _checked_witness(gs, v, seed=seed, trials=trials)
@@ -296,31 +297,17 @@ def _nef_decomposition_verdict(v: ChernCharacter, notes: list[str]) -> WBNVerdic
     return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
 
 
-def _blowup_hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
-    """Resolution-based sufficient condition on blowups of Hirzebruch surfaces."""
-    notes = [_STACK_NOTE]
-    try:
-        report = blowup_hirzebruch_resolution(v)
-        notes.append("two-term resolution by the stock collection")
-        return WBNVerdict(WBNStatus.HOLDS, witness=report, notes=tuple(notes))
-    except ResolutionError as exc:
-        notes.append(f"resolution route: {exc}")
-        return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
-
-
 def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     """The verdict entry point: check chi(v) = 0, send rank one to the
-    line-bundle test and dispatch higher ranks on the surface family."""
+    line-bundle test, higher ranks on F_e to the classification and on
+    blowups to the sufficient conditions."""
     if chi_integer(v) != 0:
         raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     if v.r == 1:
         return rank_one_wbn(v.c1, seed=seed, trials=trials)
-    s = v.surface
-    if s.is_hirzebruch:
+    if v.surface.is_hirzebruch:
         return _hirzebruch_wbn(v)
-    if s.is_blowup_p2_like:
-        return _blowup_p2_wbn(v, seed=seed, trials=trials)
-    return _blowup_hirzebruch_wbn(v)
+    return _blowup_wbn(v, seed=seed, trials=trials)
 
 
 def obstruction_certificate(

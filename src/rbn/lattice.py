@@ -513,6 +513,8 @@ def parse_divisor(text: str, surface: SurfaceModel) -> DivisorClass:
 
     Terms are joined by +/-, each an optional positive coefficient followed
     by a basis symbol; a bare ``0`` term is allowed; whitespace is ignored.
+    Only the first term may omit its sign: ``2L-E1E2`` is refused, not read
+    as ``2L-E1+E2``.
     """
     s = "".join(text.split())
     if not s:
@@ -524,6 +526,8 @@ def parse_divisor(text: str, surface: SurfaceModel) -> DivisorClass:
         if s[pos] in "+-":
             sign = -1 if s[pos] == "-" else 1
             pos += 1
+        elif pos:
+            raise ParseError("expected + or - before each term after the first", s[pos : pos + 8])
         start = pos
         while pos < len(s) and s[pos].isdigit():
             pos += 1

@@ -6,10 +6,11 @@ A sheaf admitting a resolution
 
 by the first m members of a strong exceptional collection (A_1..A_m, O) has
 no cohomology, and the exponents are pinned down by Euler pairings against
-the collection.  The closed forms below specialize this to the built-in
-collections on Hirzebruch surfaces, blowups of the plane and blowups of
-Hirzebruch surfaces; `solve_exponents` recomputes the same integers from the
-pairing recurrences, giving an independent derivation.
+the collection.  ``two_term_resolution``, the one way to the closed forms,
+specializes this to the built-in collection of the surface (Hirzebruch
+surfaces, blowups of the plane and of Hirzebruch surfaces);
+``solve_exponents`` recomputes the same integers from the pairing
+recurrences, giving an independent derivation.
 
 Every report a closed form returns has passed one verification,
 ``verify_report``: the exponents are nonnegative and the alternating sum of
@@ -278,28 +279,36 @@ def verify_report(report: ResolutionReport) -> ResolutionReport:
     return report
 
 
-def hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
-    """Closed-form resolution on F_e for a normalized character with chi = 0.
-
-    Exponents: a = l - ke + k + r on O(-E-(e+1)F), b = -chi(E(-E)) on
-    O(-E-eF), c = k + r on O(-F), read off ``hirzebruch_core``.  The rank-r
-    twist of O(-1,-1) on F_0 (k = l = -r) is returned as a direct sum
-    instead.  Negative b means the section-obstruction regime; negative a
-    only happens for e <= 1 pockets where no semistable sheaf exists, and
-    both raise.
-    """
-    s = v.surface
-    if not s.is_hirzebruch:
-        raise ResolutionError("hirzebruch_resolution expects a Hirzebruch model")
+def two_term_resolution(v: ChernCharacter) -> ResolutionReport:
+    """The closed-form resolution of v, picked by its surface, once rank >= 2
+    and chi = 0 are checked; on F_e its target is v or its Serre dual,
+    whichever is normalized.  ``ResolutionError`` names a failed hypothesis."""
     if v.r < 2:
         raise ResolutionError("rank must be at least 2")
     if chi_integer(v) != 0:
         raise ResolutionError("resolutions are computed for characters with chi = 0")
-    r = v.r
-    k, ell = v.c1.coords
-    dualized, _, _, _, _, (a, b, c) = hirzebruch_core(s.e, r, k, ell, v.twice_ch2)
+    s = v.surface
+    if s.is_hirzebruch:
+        return _hirzebruch_resolution(v)
+    if s.is_blowup_p2_like:
+        return _blowup_resolution(v)
+    return _blowup_hirzebruch_resolution(v)
+
+
+def _hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
+    """Closed form on F_e, for v or its Serre dual, whichever is normalized.
+
+    Exponents: a = l - ke + k + r on O(-E-(e+1)F), b = -chi(E(-E)) on
+    O(-E-eF), c = k + r on O(-F), read off ``hirzebruch_core`` together
+    with the normalization.  The rank-r twist of O(-1,-1) on F_0
+    (k = l = -r) is returned as a direct sum instead.  Negative b means the
+    section-obstruction regime; negative a only happens for e <= 1 pockets
+    where no semistable sheaf exists, and both raise.
+    """
+    s, r = v.surface, v.r
+    dualized, k, ell, t, _, (a, b, c) = hirzebruch_core(s.e, r, *v.c1.coords, v.twice_ch2)
     if dualized:
-        raise ResolutionError("character must be normalized (k/r >= -1) first")
+        v = ChernCharacter.from_twice_ch2(r, DivisorClass(s, (k, ell)), t)
     if s.e == 0 and k == -r and ell == -r:
         minus_e_f = DivisorClass(s, (-1, -1))
         report = ResolutionReport(
@@ -316,11 +325,11 @@ def hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     return verify_report(ResolutionReport(builtin_collection(s), (a, b, c), v))
 
 
-def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
-    """Closed-form resolution on a blowup of the plane.
+def _blowup_resolution(v: ChernCharacter) -> ResolutionReport:
+    """Closed form on a blowup of the plane.
 
-    Requires chi = 0, rank >= 2, slope delta L - sum alpha_i E_i with
-    delta >= 0, alpha_i >= 0 and delta - sum alpha_i >= -1.  Exponents are
+    Requires slope delta L - sum alpha_i E_i with delta >= 0, alpha_i >= 0
+    and delta - sum alpha_i >= -1.  Exponents are
     a = r (delta - sum alpha_i + 1), c_i = r alpha_i and
     b = | r + a - sum c_i |; O(-L) moves to the kernel side exactly when
     delta - 2 sum alpha_i + 2 is negative.
@@ -330,13 +339,6 @@ def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
     exponents are a = l - sum m_i + r and c_i = m_i.  Messages print the
     slope values.
     """
-    s = v.surface
-    if not s.is_blowup_p2_like:
-        raise ResolutionError("blowup_resolution expects a blowup of the plane")
-    if v.r < 2:
-        raise ResolutionError("rank must be at least 2")
-    if chi_integer(v) != 0:
-        raise ResolutionError("resolutions are computed for characters with chi = 0")
     r = v.r
     ell = v.c1.coords[0]
     ms = [-c for c in v.c1.coords[1:]]
@@ -351,12 +353,12 @@ def blowup_resolution(v: ChernCharacter) -> ResolutionReport:
     a = ell - total + r
     b_signed = r + a - total  # equals r (delta - 2 sum alpha_i + 2)
     kind = "eqfirst" if b_signed >= 0 else "eqsecond"
-    coll = builtin_collection(s).with_split(1 if b_signed >= 0 else 2)
+    coll = builtin_collection(v.surface).with_split(1 if b_signed >= 0 else 2)
     return verify_report(ResolutionReport(coll, (a, abs(b_signed), *ms), v, form=kind))
 
 
-def blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
-    """Closed-form resolution on a blowup of a Hirzebruch surface.
+def _blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
+    """Closed form on a blowup of a Hirzebruch surface.
 
     For slope alpha E + beta F - sum alpha_i E_i the hypotheses are
     alpha_i >= 0, alpha - sum alpha_i >= -1 and
@@ -372,12 +374,6 @@ def blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     c = A - sum d_i + r and d_i.  Messages print the slope values.
     """
     s = v.surface
-    if not s.is_blowup_hirzebruch:
-        raise ResolutionError("blowup_hirzebruch_resolution expects a blowup of a Hirzebruch surface")
-    if v.r < 2:
-        raise ResolutionError("rank must be at least 2")
-    if chi_integer(v) != 0:
-        raise ResolutionError("resolutions are computed for characters with chi = 0")
     e, r = s.e, v.r
     A, B = v.c1.coords[:2]
     ds = [-c for c in v.c1.coords[2:]]

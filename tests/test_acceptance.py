@@ -183,7 +183,7 @@ def test_criterion_4_exponent_double_derivation():
     worked = ch.character_from_chi(
         2, lat.parse_divisor("2L-E1-E2", lat.blowup_p2(2)), 0
     )
-    report = res.blowup_resolution(worked)
+    report = res.two_term_resolution(worked)
     assert report.exponents == (2, 2, 1, 1)
     assert res.solve_exponents(worked, report.collection).exponents == (2, 2, 1, 1)
 
@@ -199,7 +199,7 @@ def test_criterion_4_exponent_double_derivation():
         v = ch.character_from_chi(
             r, lat.DivisorClass(surface, (ell,) + tuple(-m for m in mults)), 0
         )
-        closed = res.blowup_resolution(v)
+        closed = res.two_term_resolution(v)
         solved = res.solve_exponents(v, closed.collection)
         assert closed.exponents == solved.exponents, v
         blowup_checked += 1
@@ -219,7 +219,7 @@ def test_criterion_4_exponent_double_derivation():
             r, lat.DivisorClass(surface, (a, b) + tuple(-m for m in mults)), 0
         )
         try:
-            closed = res.blowup_hirzebruch_resolution(v)
+            closed = res.two_term_resolution(v)
         except res.ResolutionError:
             continue
         solved = res.solve_exponents(v, closed.collection)

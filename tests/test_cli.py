@@ -293,6 +293,48 @@ class TestResolveGoodsumOracleCurves:
         )
 
     @pytest.mark.parametrize(
+        "surface, character, stdout",
+        [
+            (
+                "F0",
+                "r=2;c1=-2E-2F;chi=0",
+                '{"collection": ["-E-F", "-E", "-F", "0"], "direct_sum": {"-E-F": 2}, "form": "direct-sum", '
+                '"cokernel": {"r": 2, "c1": "-2E-2F", "chi": 0}}',
+            ),
+            (  # not normalized: the Serre dual -E-3F is resolved
+                "F2",
+                "r=3;c1=-5E-9F;chi=0",
+                '{"collection": ["-E-3F", "-E-2F", "-F", "0"], "left": {"-E-3F": 1}, '
+                '"right": {"-E-2F": 2, "-F": 2}, "form": "generic", "cokernel": {"r": 3, "c1": "-E-3F", "chi": 0}}',
+            ),
+            (
+                "blp2:k=2",
+                "r=2;c1=2L-2E1-2E2;chi=0",
+                '{"collection": ["-2L", "-L", "-E1", "-E2", "0"], "left": {"-L": 2}, '
+                '"right": {"-E1": 2, "-E2": 2}, "form": "eqsecond", "cokernel": {"r": 2, "c1": "2L-2E1-2E2", "chi": 0}}',
+            ),
+            (
+                "blF2:k=1",
+                "r=2;c1=E+3F-E1;chi=0",
+                '{"collection": ["-E-3F", "-E-2F", "-F", "-E1", "0"], "left": {"-E-3F": 3}, '
+                '"right": {"-E-2F": 2, "-F": 2, "-E1": 1}, "form": "generic", '
+                '"cokernel": {"r": 2, "c1": "E+3F-E1", "chi": 0}}',
+            ),
+        ],
+        ids=["F0-direct-sum", "F2-dualized", "blp2-eqsecond", "blF2"],
+    )
+    def test_resolve_stdout_on_each_closed_form(self, capsys, surface, character, stdout):
+        assert run(capsys, "resolve", "--surface", surface, "--character", character) == (0, stdout + "\n", "")
+
+    @pytest.mark.parametrize(
+        "surface, character",
+        [("F0", "r=1;c1=E;chi=0"), ("blp2:k=2", "r=1;c1=L-E1;chi=0"), ("blF2:k=1", "r=1;c1=F;chi=0")],
+    )
+    def test_resolve_refuses_rank_one_alike_on_every_family(self, capsys, surface, character):
+        code, out, err = run(capsys, "resolve", "--surface", surface, "--character", character)
+        assert (code, out, err) == (2, "", "error: rank must be at least 2\n")
+
+    @pytest.mark.parametrize(
         "surface, character",
         [
             ("F1", "r=2;c1=E+F;chi=0"),
@@ -359,6 +401,18 @@ class TestResolveGoodsumOracleCurves:
         code, out, _ = run(capsys, "goodsum", "--surface", "blp2:k=2", "--rank", "3", "--c1", "2L")
         assert code == 0
         assert out == dp7.replace('"surface": "dp7"', '"surface": "blp2:k=2"')
+
+    @pytest.mark.parametrize("surface", ["dp4", "dp5", "dp6", "dp7", "blp2:k=2", "blp2:k=3", "blp2:k=4", "blp2:k=5"])
+    def test_goodsum_never_reaches_the_oracle(self, capsys, monkeypatch, surface):
+        # every summand on a del Pezzo surface is decided by the Cremona
+        # route, so the check has no oracle provenance to print
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("rbn goodsum reached the oracle")
+
+        monkeypatch.setattr("rbn.cohomology.blowup_cohomology_oracle", no_oracle)
+        for rank, c1 in [(1, "L"), (3, "2L"), (4, "3L-E1-E2"), (5, "5L-2E1-E2")]:
+            code, out, err = run(capsys, "goodsum", "--surface", surface, "--rank", str(rank), "--c1", c1)
+            assert (code, err) == (0, "") and "provenance" not in json.loads(out)
 
     def test_goodsum_rejects_non_nef(self, capsys):
         code, _, err = run(capsys, "goodsum", "--surface", "dp7", "--rank", "2", "--c1", "E1")
@@ -448,6 +502,21 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second == "h0=12 h1=0 h2=0\n"
+
+    @pytest.mark.parametrize(
+        "surface, divisor, fragment",
+        [
+            ("blp2:k=3", "2L-E1E2", "E2"),
+            ("blp2:k=3", "L2E1", "2E1"),
+            ("blp2:k=3", "LL", "L"),
+            ("blp2:k=3", "L0", "0"),
+            ("F2", "EF", "F"),
+        ],
+    )
+    def test_unsigned_term_refused(self, capsys, surface, divisor, fragment):
+        code, out, err = run(capsys, "cohom", "--surface", surface, "--divisor", divisor)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected + or - before each term after the first (at {fragment!r})\n"
 
     def test_parse_error_shows_fragment(self, capsys):
         code, _, err = run(capsys, "cohom", "--surface", "F2", "--divisor", "2E+3Q")

@@ -530,11 +530,17 @@ class TestCremonaExact:
     @settings(max_examples=100, deadline=None)
     @given(Dv=general_classes(st.integers(-3, 14), st.integers(-6, 1)))
     def test_no_rule_search_or_oracle(self, Dv):
+        # certified_cohomology asks vanishing_by_rules, whose Cremona branch
+        # answers before any stock test, closed-form test or search
         def unreachable(*args, **kwargs):
-            raise AssertionError("general points reached the rules or the oracle")
+            raise AssertionError("general points reached the rule engine or the oracle")
 
         with mock.patch.multiple(
-            coh, vanishing_by_rules=unreachable, _derive=unreachable, interpolation_h0=unreachable
+            coh,
+            _is_stock_blp2=unreachable,
+            _derivable_blp2=unreachable,
+            _derive=unreachable,
+            interpolation_h0=unreachable,
         ):
             answer = coh.certified_cohomology(Dv)
             assert answer.route == "exact"

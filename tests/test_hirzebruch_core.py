@@ -1,6 +1,6 @@
 """The integer Hirzebruch core against a Fraction reference at large coordinates.
 
-``wbn`` on F_e and ``hirzebruch_resolution`` read normalization, the
+``wbn`` on F_e and ``two_term_resolution`` read normalization, the
 sign of the discriminant, nu.E and the exponents (a, b, c) off one
 raw-integer core on (e, r, k, l, 2 ch2).  The reference below recomputes
 each of these in slope form with ``Fraction`` and no library arithmetic:
@@ -115,15 +115,16 @@ def check_character(e, r, k, ell):
             assert isinstance(witness, gd.WBNWitness) and witness.bookkeeping_ok()
             assert min(ref["exponents"]) < 0  # the fiber sum only replaces infeasible exponents
 
-    # the resolution of the normalized character, whatever the verdict
+    # the resolution, whatever the verdict; the entry point normalizes v itself
     try:
-        report = res.hirzebruch_resolution(w)
+        report = res.two_term_resolution(v)
     except res.InfeasibleResolutionError:
         assert ref["exponents"][1] >= 0 and min(ref["exponents"]) < 0
     except res.ResolutionError as exc:
         assert ref["exponents"][1] < 0
         assert str(exc) == f"chi(E(-E)) = {ref['chi_minus_E']} > 0: sections obstruct the resolution"
     else:
+        assert report.target == w
         assert report.bookkeeping_ok() and ref_cokernel(e, report) == normalized
         if report.direct_sum is None:
             assert report.exponents == ref["exponents"]

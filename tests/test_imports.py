@@ -219,6 +219,25 @@ def test_wbn_is_the_only_verdict_entry_point():
     assert public == ["obstruction_certificate", "rank_one_wbn", "wbn"]
 
 
+def test_two_term_resolution_is_the_only_closed_form_entry_point():
+    # it checks rank and chi once and picks the closed form from the surface;
+    # the family closed forms sit behind it
+    public = sorted(
+        node.name
+        for node in _tree(SRC / "resolutions.py").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    )
+    assert public == [
+        "builtin_collection",
+        "hom_dimension",
+        "prioritary_hypotheses_check",
+        "solve_exponents",
+        "two_term_resolution",
+        "verify_report",
+        "verify_strong_exceptional",
+    ]
+
+
 def test_no_assert_statements():
     # python -O drops asserts, so every check in the library raises instead
     asserts = [

@@ -363,6 +363,21 @@ class TestGrammar:
             lat.parse_divisor("L", F2)
 
     @pytest.mark.parametrize(
+        "spec, text, fragment",
+        [
+            ("blp2:k=3", "2L-E1E2", "E2"),  # was read as 2L-E1+E2
+            ("blp2:k=3", "L2E1", "2E1"),  # as L+2E1
+            ("blp2:k=3", "LL", "L"),  # as 2L
+            ("blp2:k=3", "L0", "0"),  # as L
+            ("F2", "EF", "F"),  # as E+F
+        ],
+    )
+    def test_unsigned_later_term_refused(self, spec, text, fragment):
+        with pytest.raises(lat.ParseError, match="expected \\+ or - before each term") as exc:
+            lat.parse_divisor(text, lat.parse_surface(spec))
+        assert exc.value.fragment == fragment
+
+    @pytest.mark.parametrize(
         "surface",
         [
             lat.hirzebruch(0),

@@ -75,49 +75,67 @@ class TestSolveExponents:
 class TestHirzebruchResolution:
     def test_trivial_slope(self):
         v = ch.character_from_chi(2, lat.zero_divisor(F1), 0)
-        report = res.hirzebruch_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.exponents == (2, 2, 2)
         assert report.cokernel_character() == v
 
     def test_quadric_special_case(self):
         v = ch.character_from_chi(2, D(F0, "-2E-2F"), 0)
-        report = res.hirzebruch_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.direct_sum == (D(F0, "-E-F"), 2)
         assert report.bookkeeping_ok()
 
     def test_generic_f2_character(self):
         v = ch.character_from_chi(2, D(F2, "2E+5F"), 0)
-        report = res.hirzebruch_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.exponents == (5, 3, 4)
         assert report.feasible and report.bookkeeping_ok()
 
     def test_boundary_b_zero_is_valid(self):
         # nu.E = -1 exactly: b = 0 and the report remains consistent
         v = ch.character_from_chi(2, D(F1, "2E"), 0)
-        report = res.hirzebruch_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.exponents[1] == 0
         assert report.feasible and report.bookkeeping_ok()
 
     def test_section_obstruction_raises(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)  # nu.E < -1
         with pytest.raises(res.ResolutionError):
-            res.hirzebruch_resolution(v)
+            res.two_term_resolution(v)
 
     def test_infeasible_pocket_raises(self):
         v = ch.character_from_chi(3, D(F1, "-2E-4F"), 0)
         with pytest.raises(res.InfeasibleResolutionError):
-            res.hirzebruch_resolution(v)
+            res.two_term_resolution(v)
 
-    def test_unnormalized_rejected(self):
-        v = ch.character_from_chi(2, D(F2, "-3E"), 0)
-        with pytest.raises(res.ResolutionError):
-            res.hirzebruch_resolution(v)
+    def test_unnormalized_input_resolves_its_serre_dual(self):
+        # -5E-9F violates k/r >= -1 on F_2, so the report resolves the dual -E-3F
+        v = ch.character_from_chi(3, D(F2, "-5E-9F"), 0)
+        report = res.two_term_resolution(v)
+        assert report.target == ch.hirzebruch_normalize(v)[0] == ch.serre_dual_character(v)
+        assert report.target.c1 == D(F2, "-E-3F") and report.exponents == (1, 2, 2)
+
+
+class TestEntryPoint:
+    SURFACES = [F0, F2, BL2, lat.del_pezzo(6), BLF]
+
+    @pytest.mark.parametrize("surface", SURFACES, ids=str)
+    def test_rank_below_two_refused_on_every_surface(self, surface):
+        v = ch.character_from_chi(1, lat.zero_divisor(surface), 0)
+        with pytest.raises(res.ResolutionError, match="^rank must be at least 2$"):
+            res.two_term_resolution(v)
+
+    @pytest.mark.parametrize("surface", SURFACES, ids=str)
+    def test_chi_zero_required_on_every_surface(self, surface):
+        v = ch.character_from_chi(2, lat.zero_divisor(surface), 1)
+        with pytest.raises(res.ResolutionError, match="chi = 0$"):
+            res.two_term_resolution(v)
 
 
 class TestBlowupResolution:
     def test_first_form(self):
         v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
-        report = res.blowup_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.form == "eqfirst" and report.exponents == (2, 2, 1, 1)
         assert report.collection.split_index == 1
         # the unchanged split reuses the cached stock collection
@@ -125,7 +143,7 @@ class TestBlowupResolution:
 
     def test_second_form(self):
         v = ch.character_from_chi(2, D(BL2, "2L-2E1-2E2"), 0)
-        report = res.blowup_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.form == "eqsecond" and report.collection.split_index == 2
         assert report.exponents == (0, 2, 2, 2)
         assert report.bookkeeping_ok()
@@ -133,17 +151,17 @@ class TestBlowupResolution:
     def test_boundary_emits_first_form(self):
         # delta - 2 sum alpha + 2 = 0 makes b vanish; eqfirst by convention
         v = ch.character_from_chi(2, D(BL2, "4L-2E1-2E2"), 0)
-        report = res.blowup_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.exponents[1] == 0 and report.form == "eqfirst"
         assert report.bookkeeping_ok()
 
     def test_hypothesis_failures_named(self):
         with pytest.raises(res.ResolutionError, match="alpha_1"):
-            res.blowup_resolution(ch.character_from_chi(2, D(BL2, "2L+E1"), 0))
+            res.two_term_resolution(ch.character_from_chi(2, D(BL2, "2L+E1"), 0))
         with pytest.raises(res.ResolutionError, match="delta"):
-            res.blowup_resolution(ch.character_from_chi(2, D(BL2, "-2L"), 0))
+            res.two_term_resolution(ch.character_from_chi(2, D(BL2, "-2L"), 0))
         with pytest.raises(res.ResolutionError, match="sum alpha_i"):
-            res.blowup_resolution(ch.character_from_chi(2, D(BL2, "2L-4E1-3E2"), 0))
+            res.two_term_resolution(ch.character_from_chi(2, D(BL2, "2L-4E1-3E2"), 0))
 
     def test_matches_solver_on_random_admissible(self):
         rng = random.Random(31)
@@ -158,7 +176,7 @@ class TestBlowupResolution:
             if ell - sum(mults) < -r:  # delta - sum alpha >= -1
                 continue
             v = ch.character_from_chi(r, lat.DivisorClass(surface, (ell,) + tuple(-m for m in mults)), 0)
-            report = res.blowup_resolution(v)
+            report = res.two_term_resolution(v)
             solved = res.solve_exponents(v, report.collection)
             assert solved.exponents == report.exponents, v
             done += 1
@@ -167,14 +185,14 @@ class TestBlowupResolution:
 class TestBlowupHirzebruchResolution:
     def test_worked_example(self):
         v = ch.character_from_chi(2, D(BLF, "2F"), 0)
-        report = res.blowup_hirzebruch_resolution(v)
+        report = res.two_term_resolution(v)
         assert report.exponents == (4, 4, 2, 0)
         assert report.bookkeeping_ok()
 
     def test_zero_multiplicity_gives_zero_exponent(self):
         S = lat.blowup_hirzebruch(2, 2)
         v = ch.character_from_chi(2, D(S, "2E+5F-2E1"), 0)
-        report = res.blowup_hirzebruch_resolution(v)
+        report = res.two_term_resolution(v)
         # d_i = r alpha_i vanishes exactly when alpha_i does
         assert report.exponents[3] == 2 and report.exponents[4] == 0
 
@@ -195,7 +213,7 @@ class TestBlowupHirzebruchResolution:
             coords = (a, b) + tuple(-m for m in mults)
             v = ch.character_from_chi(r, lat.DivisorClass(surface, coords), 0)
             try:
-                report = res.blowup_hirzebruch_resolution(v)
+                report = res.two_term_resolution(v)
             except res.ResolutionError:
                 continue
             solved = res.solve_exponents(v, report.collection)
@@ -205,7 +223,7 @@ class TestBlowupHirzebruchResolution:
     def test_hypothesis_failure(self):
         v = ch.character_from_chi(2, D(BLF, "2F+2E1"), 0)
         with pytest.raises(res.ResolutionError, match="alpha_1"):
-            res.blowup_hirzebruch_resolution(v)
+            res.two_term_resolution(v)
 
 
 class TestPrioritaryHypotheses:
@@ -245,14 +263,14 @@ class TestReportInvariants:
             if ell - sum(mults) < -2:
                 continue
             v = ch.character_from_chi(2, lat.DivisorClass(BL3, (ell,) + tuple(-m for m in mults)), 0)
-            report = res.blowup_resolution(v)
+            report = res.two_term_resolution(v)
             cok = report.cokernel_character()
             assert (cok.r, cok.c1, cok.ch2) == (v.r, v.c1, v.ch2)
             assert ch.riemann_roch_chi(cok) == 0
 
     def test_json_shape(self):
         v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
-        payload = res.blowup_resolution(v).to_json_dict()
+        payload = res.two_term_resolution(v).to_json_dict()
         assert payload["left"] == {"-2L": 2}
         assert payload["right"] == {"-L": 2, "-E1": 1, "-E2": 1}
         assert payload["cokernel"] == {"r": 2, "c1": "2L-E1-E2", "chi": 0}
