@@ -1,32 +1,55 @@
 """Dense rank computation over a prime field F_p.
 
 The interpolation oracle reduces to the rank of small dense integer matrices
-mod p, given as lists of equal-length rows of Python ints and eliminated row
-by row: each row is reduced against the pivot rows kept so far, leading
-column first, and becomes a new pivot row if anything is left.  Python ints
-do not overflow, so any prime p works.
+mod p, given as lists of equal-length rows of Python ints.  The kernel
+eliminates the short side (the columns of a wide matrix: rank is the same)
+and stops once the rank equals the vector length n, since no further vector
+can raise it.  Each vector is packed into one Python int, entry j in the
+W-bit slot j (Kronecker substitution), so reducing it by a pivot is one
+big-int multiply-add.  Python ints do not overflow, so any prime p works.
 """
 
 from __future__ import annotations
 
 
 def modp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p."""
+    """Rank of an integer matrix over F_p.
+
+    Vectors have n entries and W is the bit length of (n + 1) p^2.  Pivots
+    are kept normalized: leading entry 1, every entry below p.  A vector's
+    slots start below p; reducing its leading slot f to 0 mod p adds
+    (p - f) times a pivot, at most (p - 1)^2 to each slot, once per column
+    at most, so every slot stays below (n + 1) p^2 < 2^W and never carries
+    into the next.  Slots are read mod p and shifted off once read.
+    """
     if p < 2:
         raise ValueError(f"modulus {p} is below 2")
-    pivots: dict[int, list[int]] = {}  # leading column -> the row from there on, leading entry 1
-    for row in rows:
-        row = [x % p for x in row]
-        for col in range(len(row)):
-            f = row[col]
-            if not f:
-                continue
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(f, -1, p)
-                pivots[col] = [x * inv % p for x in row[col:]]
-                break
-            row[col:] = [(x - f * y) % p for x, y in zip(row[col:], pivot)]
+    if not rows:
+        return 0
+    n = min(len(rows), len(rows[0]))
+    w = ((n + 1) * p * p).bit_length()
+    mask = (1 << w) - 1
+    pivots: dict[int, int] = {}  # leading column -> the packed vector from there on
+    for vec in zip(*rows) if n < len(rows[0]) else rows:
+        x = 0
+        for v in reversed(vec):
+            x = x << w | v % p
+        col = 0
+        while x:
+            f = (x & mask) % p
+            if f:
+                pivot = pivots.get(col)
+                if pivot is None:
+                    inv, pivot = pow(f, -1, p), 0
+                    for j in reversed(range(n - col)):
+                        pivot = pivot << w | (x >> j * w & mask) * inv % p
+                    pivots[col] = pivot
+                    if len(pivots) == n:
+                        return n
+                    break
+                x += (p - f) * pivot
+            x >>= w
+            col += 1
     return len(pivots)
 
 

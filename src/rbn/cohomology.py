@@ -35,7 +35,7 @@ Four routes, by strength of the statement:
   drops a fixed component, so the reduced class has the same h0 there
   over every F_p: the value is the framed nullity of the sample, from a
   smaller matrix or none.  A matrix is a list of rows of Python ints with a
-  column per kept monomial, eliminated row by row mod p (``_modp``).  Each
+  column per kept monomial; ``_modp`` eliminates its short side mod p.  Each
   trial's nullity bounds the generic h0 from above, and the minimum over
   the trials is reported; the trials stop early once one meets a value no
   trial can go below: the nullity floor (columns less rows), or on k <= 8
@@ -545,6 +545,12 @@ def _frame_columns(d: int, frame_mults) -> list[tuple[int, int]]:
     return [(a, b) for a in range(d - mx + 1) for b in range(max(0, m0 - a), min(d - a, d - my) + 1)]
 
 
+def _frame_count(d: int, frame_mults) -> int:
+    """``len(_frame_columns(d, frame_mults))``, without listing the pairs."""
+    m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
+    return sum(max(0, min(d - a, d - my) - max(0, m0 - a) + 1) for a in range(d - mx + 1))
+
+
 def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) -> list[tuple[int, int]]:
     """Deterministic distinct affine points over F_p, one per point outside ``frame``.
 
@@ -763,10 +769,9 @@ def _framed_nullity(d: int, frame_mults, rest, points, p: int) -> int:
     points, ``rest`` at the affine ``points``."""
     if d < 0:
         return 0
-    cols = _frame_columns(d, frame_mults)
     if not any(rest):
-        return len(cols)
-    return modp_nullity(_fat_point_matrix(d, rest, points, p, cols), p)
+        return _frame_count(d, frame_mults)
+    return modp_nullity(_fat_point_matrix(d, rest, points, p, _frame_columns(d, frame_mults)), p)
 
 
 def interpolation_h0(
@@ -821,7 +826,7 @@ def interpolation_h0(
         i + 1 in config.collinear for i, m in enumerate(mults) if m and i not in frame
     ):
         return _line_h0(d, frame_mults, rest)  # any off-line point with m > 0 is at [0:1:0]
-    kept = len(_frame_columns(d, frame_mults))
+    kept = _frame_count(d, frame_mults)
     if kept == 0 or not any(rest):
         return kept
     listed = {i - 1 for i in config.collinear}

@@ -916,6 +916,12 @@ class TestInterpolationOracle:
                     mono for mono in monos if not any(swap(*mono) in killed[m] for swap, m in zip(swaps, frame_mults))
                 ]
 
+    def test_frame_count_is_the_number_of_kept_monomials(self):
+        for d in range(25):
+            for n in range(4):
+                for frame_mults in itertools.product(range(12 if n == 3 else 4), repeat=n):
+                    assert coh._frame_count(d, frame_mults) == len(coh._frame_columns(d, frame_mults))
+
     # fixed classes on general and collinear models with k <= 6 and d <= 10
     REFERENCE_MODELS = ["blp2:k=4", "blp2:k=5", "blp2:k=6", "blp2:k=3:collinear=1,2,3",
                         "blp2:k=4:collinear=1,2,3", "blp2:k=5:collinear=1,2,3,4", "blp2:k=6:collinear=2,4,6",

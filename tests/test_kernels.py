@@ -37,9 +37,9 @@ def reference_rank(mat, p):
 
 
 class TestRank:
-    def test_agrees_with_python_reference(self):
+    @pytest.mark.parametrize("p", [1000003, 2147483647])
+    def test_agrees_with_python_reference(self, p):
         rng = random.Random(0)
-        p = 1000003
         for rows, cols in [(1, 1), (3, 7), (7, 3), (20, 20), (45, 66), (80, 36)]:
             mat = random_matrix(rng, rows, cols, p)
             assert _modp.modp_rank(mat, p) == reference_rank(mat, p)
@@ -53,7 +53,7 @@ class TestRank:
     @given(
         short=st.integers(1, 25),
         extra=st.integers(1, 25),
-        p=st.sampled_from([2, 3, 101, 1000003]),
+        p=st.sampled_from([2, 3, 101, 1000003, 2147483647]),
         seed=st.integers(0, 2**32 - 1),
         zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
         data=st.data(),
@@ -79,16 +79,35 @@ class TestRank:
         data=st.data(),
     )
     def test_rank_of_the_transpose(self, rows, cols, p, seed, zero_frac, data):
-        # row rank equals column rank; the transpose is eliminated in another
-        # order than the matrix and the reference, so this checks the kernel
-        # against no shared elimination
+        # row rank equals column rank; the kernel eliminates the short side, so
+        # on a non-square matrix both calls run the same elimination, and each
+        # is also checked against the reference
         inner = data.draw(st.integers(0, min(rows, cols)))
         rng = random.Random(seed)
         for mat in (
             random_matrix(rng, rows, cols, p, zero_frac),
             product(random_matrix(rng, rows, inner, p, zero_frac), random_matrix(rng, inner, cols, p, zero_frac), p),
         ):
-            assert _modp.modp_rank(mat, p) == _modp.modp_rank(transpose(mat), p)
+            rank = reference_rank(mat, p)
+            assert _modp.modp_rank(mat, p) == _modp.modp_rank(transpose(mat), p) == rank
+            assert reference_rank(transpose(mat), p) == rank
+
+    @pytest.mark.parametrize("p", [2, 101, 2147483647])
+    def test_full_rank_reached_in_the_first_rows(self, p):
+        # the first rows of a tall matrix already reach full rank; the rows
+        # after them are zero, duplicated or dependent and change nothing
+        rng = random.Random(5)
+        cols = 6
+        base = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        base[0] = [1] * cols
+        assert reference_rank(base, p) == cols
+        for tail in (
+            [[0] * cols] * 4,
+            base[::-1] + base,
+            product(random_matrix(rng, 9, cols, p), base, p),
+        ):
+            mat = base + tail
+            assert _modp.modp_rank(mat, p) == reference_rank(mat, p) == cols
 
     def test_known_ranks(self):
         p = 101
