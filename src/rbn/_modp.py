@@ -1,36 +1,41 @@
 """Dense rank computation over a prime field F_p.
 
 The interpolation oracle reduces to the rank of small dense integer matrices
-mod p, given as lists of equal-length rows of Python ints.  The kernel
-eliminates the short side (the columns of a wide matrix: rank is the same)
-and stops once the rank equals the vector length n, since no further vector
-can raise it.  Each vector is packed into one Python int, entry j in the
-W-bit slot j (Kronecker substitution), so reducing it by a pivot is one
-big-int multiply-add.  Python ints do not overflow, so any prime p works.
+mod p.  One elimination core, ``modp_stream_rank``, takes the vectors of a
+matrix as any iterable of equal-length sequences of Python ints, together
+with their length n, and stops pulling vectors once the rank equals n,
+since no further vector can raise it; so a caller that builds its vectors
+lazily builds none past that point.  ``modp_rank`` and ``modp_nullity``
+take a list of rows and feed the short side to the core (the columns of a
+wide matrix: rank is the same).  Each vector is packed into one Python int,
+entry j in the W-bit slot j (Kronecker substitution), so reducing it by a
+pivot is one big-int multiply-add.  Python ints do not overflow, so any
+prime p works.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 
-def modp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p.
 
-    Vectors have n entries and W is the bit length of (n + 1) p^2.  Pivots
-    are kept normalized: leading entry 1, every entry below p.  A vector's
-    slots start below p; reducing its leading slot f to 0 mod p adds
-    (p - f) times a pivot, at most (p - 1)^2 to each slot, once per column
-    at most, so every slot stays below (n + 1) p^2 < 2^W and never carries
-    into the next.  Slots are read mod p and shifted off once read.
+def modp_stream_rank(vectors: Iterable[Sequence[int]], n: int, p: int) -> int:
+    """Rank over F_p of vectors of length n, pulled one at a time until it is n.
+
+    W is the bit length of (n + 1) p^2.  Pivots are kept normalized: leading
+    entry 1, every entry below p.  A vector's slots start below p; reducing
+    its leading slot f to 0 mod p adds (p - f) times a pivot, at most
+    (p - 1)^2 to each slot, once per column at most, so every slot stays
+    below (n + 1) p^2 < 2^W and never carries into the next.  Slots are read
+    mod p and shifted off once read.
     """
     if p < 2:
         raise ValueError(f"modulus {p} is below 2")
-    if not rows:
+    if n == 0:
         return 0
-    n = min(len(rows), len(rows[0]))
     w = ((n + 1) * p * p).bit_length()
     mask = (1 << w) - 1
     pivots: dict[int, int] = {}  # leading column -> the packed vector from there on
-    for vec in zip(*rows) if n < len(rows[0]) else rows:
+    for vec in vectors:
         x = 0
         for v in reversed(vec):
             x = x << w | v % p
@@ -51,6 +56,14 @@ def modp_rank(rows: list[list[int]], p: int) -> int:
             x >>= w
             col += 1
     return len(pivots)
+
+
+def modp_rank(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over F_p, given as a list of equal-length
+    rows: ``modp_stream_rank`` of its columns if it is wide, else of its rows."""
+    if rows and len(rows) < len(rows[0]):
+        return modp_stream_rank(zip(*rows), len(rows), p)
+    return modp_stream_rank(rows, len(rows[0]) if rows else 0, p)
 
 
 def modp_nullity(rows: list[list[int]], p: int) -> int:

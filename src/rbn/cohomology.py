@@ -34,8 +34,10 @@ Four routes, by strength of the statement:
   surface blown up at that very sample, and each clamp or line removal
   drops a fixed component, so the reduced class has the same h0 there
   over every F_p: the value is the framed nullity of the sample, from a
-  smaller matrix or none.  A matrix is a list of rows of Python ints with a
-  column per kept monomial; ``_modp`` eliminates its short side mod p.  Each
+  smaller matrix or none.  The matrix is never listed: its columns, one per
+  kept monomial in order of total degree, are lists of Python ints built
+  one at a time from per-point Hasse tables, and ``_modp``'s elimination
+  core pulls them only until the rank equals the row count.  Each
   trial's nullity bounds the generic h0 from above, and the minimum over
   the trials is reported; the trials stop early once one meets a value no
   trial can go below: the nullity floor (columns less rows), or on k <= 8
@@ -61,12 +63,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._modp import modp_nullity
+from ._modp import modp_stream_rank
 from .lattice import (
     DivisorClass,
     LatticeError,
@@ -524,7 +526,7 @@ def _frame(surface: SurfaceModel, mults) -> tuple[int, ...]:
     line is then y = 0) and the heaviest unlisted one, if any.
     """
     config = surface.config
-    order = sorted(range(surface.k), key=lambda i: (-mults[i], i))
+    order = sorted(range(surface.k), key=mults.__getitem__, reverse=True)  # stable: ties by index
     if config.kind == "general":
         return tuple(order[:3])
     on_line = [i for i in order if i + 1 in config.collinear]
@@ -532,23 +534,47 @@ def _frame(surface: SurfaceModel, mults) -> tuple[int, ...]:
     return tuple(on_line[:2] + off_line[:1])
 
 
-def _frame_columns(d: int, frame_mults) -> list[tuple[int, int]]:
+def _frame_columns(d: int, frame_mults) -> Iterator[tuple[int, int]]:
     """The monomials x^a y^b z^(d-a-b) left free by the frame, as pairs (a, b)
-    ordered by a, then b.
+    ordered by total degree a + b, then by a, listed as they are pulled.
 
     At a coordinate point a multiplicity condition kills single monomials:
     x^a y^b z^c vanishes to order a + b at [0:0:1], b + c = d - a at
     [1:0:0] and a + c = d - b at [0:1:0], so a point of multiplicity m
-    there kills the monomials of order < m and imposes nothing else.
+    there kills the monomials of order < m and imposes nothing else.  The
+    kept pairs are those with a + b >= m0, a <= d - mx and b <= d - my.
+    Low total degree first puts the columns where the affine points'
+    Taylor conditions are most independent first, so the rank kernel
+    reaches full rank after fewer of them.
     """
     m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
-    return [(a, b) for a in range(d - mx + 1) for b in range(max(0, m0 - a), min(d - a, d - my) + 1)]
+    return ((a, s - a) for s in range(m0, d + 1) for a in range(max(0, s - d + my), min(s, d - mx) + 1))
 
 
 def _frame_count(d: int, frame_mults) -> int:
-    """``len(_frame_columns(d, frame_mults))``, without listing the pairs."""
-    m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
-    return sum(max(0, min(d - a, d - my) - max(0, m0 - a) + 1) for a in range(d - mx + 1))
+    """The number of pairs ``_frame_columns(d, frame_mults)`` lists, in closed form.
+
+    Write T(n) = n(n + 1)/2 for n > 0, else 0: for n >= 0, T(n + 1) counts
+    the triples (a, b, c) >= 0 with a + b + c = n.  The monomials of degree
+    d are the T(d + 1) triples summing to d.  With each multiplicity clipped
+    at d + 1 (a point of multiplicity d + 1 already kills every monomial),
+    the point at [0:0:1] kills the triples with a + b < m0, that is
+    c >= d + 1 - m0 >= 0; likewise a >= d + 1 - mx and b >= d + 1 - my.
+    Shifting each bound to 0 leaves a + b + c = d - sum of the bounds, so a
+    set of bounds cuts out T(1 + d - sum) triples: T(m) for one point,
+    T(m + m' - d - 1) for two and T(m0 + mx + my - 2d - 2) for all three.
+    Inclusion-exclusion over the three killed sets counts the kept ones.
+    At d < 0 every term is T(n) with n <= d + 1 <= 0, so the count is 0.
+    """
+    def tri(n: int) -> int:
+        return n * (n + 1) // 2 if n > 0 else 0
+
+    m0, mx, my = (min(m, d + 1) for m in tuple(frame_mults) + (0,) * (3 - len(frame_mults)))
+    return (
+        tri(d + 1) - tri(m0) - tri(mx) - tri(my)
+        + tri(m0 + mx - d - 1) + tri(m0 + my - d - 1) + tri(mx + my - d - 1)
+        - tri(m0 + mx + my - 2 * d - 2)
+    )
 
 
 def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) -> list[tuple[int, int]]:
@@ -578,25 +604,42 @@ def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) 
     return pts
 
 
-def _fat_point_matrix(d: int, mults, points, p: int, cols) -> list[list[int]]:
-    """Rows impose vanishing of all Taylor coefficients of order < mult.
+def _hasse_step(row: tuple[int, ...], z0: int, p: int) -> tuple[int, ...]:
+    """Row a of the Hasse table C(a,u) z0^(a-u) mod p (u < len(row)) from row
+    a - 1, by Pascal's rule: C(a,u) z0^(a-u) = z0 C(a-1,u) z0^(a-1-u) + C(a-1,u-1) z0^(a-u)."""
+    return tuple([(z0 * s + t) % p for s, t in zip(row, (0,) + row)])
 
+
+def _fat_point_columns(mults, points, p: int, cols) -> Iterator[list[int]]:
+    """The columns of the fat-point matrix, one per pair of ``cols``, each
+    built only when it is pulled.
+
+    Rows impose vanishing of all Taylor coefficients of order < mult.
     Columns run over the monomials x^a y^b z^(d-a-b) of ``cols``, pairs
     (a, b) of total degree a + b <= d, evaluated on the affine chart z = 1;
     the row for derivative order (u, v) at (x0, y0) has entry
-    C(a,u) C(b,v) x0^(a-u) y0^(b-v), reduced mod p.  With
-    X[u][a] = C(a,u) x0^(a-u) and Y[v][b] = C(b,v) y0^(b-v) mod p (zero for
-    a < u or b < v, so orders above d give zero rows), the entry is
-    X[u][a] Y[v][b] mod p.
+    C(a,u) C(b,v) x0^(a-u) y0^(b-v), reduced mod p.  It is X[a][u] Y[b][v]
+    mod p for the Hasse tables X[a][u] = C(a,u) x0^(a-u) and
+    Y[b][v] = C(b,v) y0^(b-v) mod p (zero for a < u or b < v, so orders
+    above d give zero rows).  Each point's tables start at X[0] = Y[0] =
+    (1, 0, ..., 0) and grow a row at a time (``_hasse_step``), only as far
+    as the columns pulled so far reach.
     """
-    rows = []
-    for (x0, y0), m in zip(points, mults):
-        x, y = (
-            [[math.comb(a, u) * pow(z0, a - u, p) % p if a >= u else 0 for a in range(d + 1)] for u in range(m)]
-            for z0 in (x0, y0)
-        )
-        rows += ([xu[a] * yv[b] % p for a, b in cols] for u, xu in enumerate(x) for yv in y[: m - u])
-    return rows
+    tables = [(m, x0, y0, [(1,) + (0,) * (m - 1)], [(1,) + (0,) * (m - 1)]) for (x0, y0), m in zip(points, mults) if m]
+    top = 0
+    for a, b in cols:
+        while top < max(a, b):
+            for _, x0, y0, x, y in tables:
+                x.append(_hasse_step(x[-1], x0, p))
+                y.append(_hasse_step(y[-1], y0, p))
+            top += 1
+        yield [xu * yv % p for m, _, _, x, y in tables for u, xu in enumerate(x[a]) for yv in y[b][: m - u]]
+
+
+def _fat_point_matrix(mults, points, p: int, cols) -> list[list[int]]:
+    """The fat-point matrix as a list of rows: the columns of
+    ``_fat_point_columns``, transposed."""
+    return [list(row) for row in zip(*_fat_point_columns(mults, points, p, cols))]
 
 
 def _line_h0(d: int, frame_mults, line_mults) -> int:
@@ -634,8 +677,7 @@ def _collinear_h0_bound(s: SurfaceModel, coords) -> int:
     By Harbourne (1997, "Anticanonical rational surfaces") the value is the
     generic h0 itself; only the bound is used.
     """
-    line = (1,) + tuple(-(i in s.config.collinear) for i in range(1, s.k + 1))
-    curves = [line] + [C for C in neg_one_classes(s.k) if form(s, C, line) >= 0]
+    curves = _collinear_curves(s)
     while coords[0] >= 0:
         C = next((C for C in curves if form(s, coords, C) < 0), None)
         if C is None:
@@ -644,16 +686,23 @@ def _collinear_h0_bound(s: SurfaceModel, coords) -> int:
     return 0
 
 
+@lru_cache(maxsize=32)  # one list per collinear surface; blowup_queries uses ten
+def _collinear_curves(s: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """l' = L - sum_{i collinear} E_i, then the (-1)-classes C with C.l' >= 0."""
+    line = (1,) + tuple(-(i in s.config.collinear) for i in range(1, s.k + 1))
+    return (line, *(C for C in neg_one_classes(s.k) if form(s, C, line) >= 0))
+
+
 def _h0_lower_bound(D: DivisorClass) -> int:
     """A lower bound for h0(O(D)) at every configuration of the surface's type.
 
-    On k <= 8 general points it is the generic h0 of ``_cremona_h0``, which
+    On k <= 8 general points it is the generic h0 of ``_cremona_answer``, which
     every configuration reaches or exceeds (semicontinuity); on k <= 8
     collinear points it is ``_collinear_h0_bound``; elsewhere it is 0.
     """
     s = D.surface
     if _has_cremona_vector(s):
-        return _cremona_h0(D.coords)
+        return _cremona_answer(D.coords).vector.h0
     if s.config.kind == "collinear" and s.k <= 8:
         return _collinear_h0_bound(s, D.coords)
     return 0
@@ -682,17 +731,29 @@ def _cremona_centres(pts, d: int, p: int):
     n = len(pts)
     if n < 3 or pts[0][0] + pts[1][0] + pts[2][0] <= d:
         return None
+    lines = _centre_lines(pts, (0, 1, 2), p)  # the heaviest triple, first in the order below
+    if lines is not None:
+        return (0, 1, 2), lines
     triples = sorted(
         (t for t in itertools.combinations(range(n), 3) if pts[t[0]][0] + pts[t[1]][0] + pts[t[2]][0] > d),
         key=lambda t: -(pts[t[0]][0] + pts[t[1]][0] + pts[t[2]][0]),
     )  # stable: ties keep the heaviest-first order
-    for t in triples:
-        a, b, c = (pts[j][2] for j in t)
-        lines = (_join(b, c, p), _join(c, a, p), _join(a, b, p))
-        if _dot(lines[0], a, p) and not any(
-            _dot(line, pts[j][2], p) == 0 for j in range(n) if j not in t for line in lines
-        ):
+    for t in triples[1:]:
+        lines = _centre_lines(pts, t, p)
+        if lines is not None:
             return t, lines
+    return None
+
+
+def _centre_lines(pts, t, p: int):
+    """The lines (bc, ca, ab) of the triple ``t`` of ``pts``, or None if its
+    points are collinear or another point lies on one of those lines."""
+    a, b, c = (pts[j][2] for j in t)
+    lines = (_join(b, c, p), _join(c, a, p), _join(a, b, p))
+    if _dot(lines[0], a, p) and not any(
+        _dot(line, pts[j][2], p) == 0 for j in range(len(pts)) if j not in t for line in lines
+    ):
+        return lines
     return None
 
 
@@ -766,12 +827,11 @@ def _reduce_sample(d: int, mults, frame, points, p: int, listed):
 
 def _framed_nullity(d: int, frame_mults, rest, points, p: int) -> int:
     """Nullity of the framed matrix: the frame's points at the coordinate
-    points, ``rest`` at the affine ``points``."""
-    if d < 0:
-        return 0
-    if not any(rest):
-        return _frame_count(d, frame_mults)
-    return modp_nullity(_fat_point_matrix(d, rest, points, p, _frame_columns(d, frame_mults)), p)
+    points, ``rest`` at the affine ``points``.  The kept count less the rank
+    of its columns, streamed so that none past full row rank is built (none
+    at all with no rows, and none are kept at d < 0)."""
+    columns = _fat_point_columns(rest, points, p, _frame_columns(d, frame_mults))
+    return _frame_count(d, frame_mults) - modp_stream_rank(columns, sum(m * (m + 1) // 2 for m in rest), p)
 
 
 def interpolation_h0(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rbn import cohomology as coh
 from rbn import lattice as lat
+from rbn._modp import modp_nullity
 from rbn.cohomology import Vanishing
 
 from test_lattice import weyl_generators
@@ -120,7 +121,7 @@ def reference_interpolation_h0(Dv, seed, trials, p):
     if not any(mults):
         return ncols
     return min(
-        coh.modp_nullity(coh._fat_point_matrix(d, mults, reference_sample_points(Dv.surface, p, seed, t), p, monomials(d)), p)
+        modp_nullity(coh._fat_point_matrix(mults, reference_sample_points(Dv.surface, p, seed, t), p, monomials(d)), p)
         for t in range(trials)
     )
 
@@ -128,8 +129,8 @@ def reference_interpolation_h0(Dv, seed, trials, p):
 def framed_matrix_nullity(d, rest, points, p, cols):
     """Nullity of the framed matrix built directly, on the kept monomials
     ``cols``; with no rows it is the number of columns."""
-    rows = coh._fat_point_matrix(d, rest, points, p, cols)
-    return coh.modp_nullity(rows, p) if rows else len(cols)
+    rows = coh._fat_point_matrix(rest, points, p, cols)
+    return modp_nullity(rows, p) if rows else len(cols)
 
 
 def reference_plausible_blp2(coords, _):
@@ -589,7 +590,7 @@ class TestInterpolationOracle:
         # at d = 90, m = 20 the exact binomials and products run far past
         # 2^64, and every entry is still the residue of the formula
         p, d, m, point = coh.DEFAULT_ORACLE_PRIME, 90, 20, (123457, 654321)
-        assert coh._fat_point_matrix(d, [m], [point], p, monomials(d)) == fat_point_reference(d, [m], [point], p)
+        assert coh._fat_point_matrix([m], [point], p, monomials(d)) == fat_point_reference(d, [m], [point], p)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -605,10 +606,32 @@ class TestInterpolationOracle:
         # multiplicities up to d + 3 cover derivative orders above d (zero rows)
         p = coh.DEFAULT_ORACLE_PRIME
         mults = data.draw(st.lists(st.integers(0, d + 3), min_size=len(points), max_size=len(points)))
-        mat = coh._fat_point_matrix(d, mults, points, p, monomials(d))
+        mat = coh._fat_point_matrix(mults, points, p, monomials(d))
         assert len(mat) == sum(m * (m + 1) // 2 for m in mults)
         assert all(len(row) == (d + 1) * (d + 2) // 2 for row in mat)
         assert mat == fat_point_reference(d, mults, points, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(0, 14),
+        frame_mults=st.lists(st.integers(0, 16), max_size=3),
+        points=st.lists(
+            st.tuples(st.integers(0, coh.DEFAULT_ORACLE_PRIME - 1), st.integers(0, coh.DEFAULT_ORACLE_PRIME - 1)),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_framed_matrix_matches_entry_formula(self, d, frame_mults, points, data):
+        # the oracle streams the columns of the kept monomials in degree
+        # order; materialized, they are the reference matrix's columns
+        p = coh.DEFAULT_ORACLE_PRIME
+        mults = data.draw(st.lists(st.integers(0, d + 3), min_size=len(points), max_size=len(points)))
+        cols = list(coh._frame_columns(d, frame_mults))
+        mat = coh._fat_point_matrix(mults, points, p, cols)
+        reference = fat_point_reference(d, mults, points, p)
+        index = {mono: j for j, mono in enumerate(monomials(d))}
+        assert mat == [[row[index[mono]] for mono in cols] for row in reference if cols]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -647,7 +670,7 @@ class TestInterpolationOracle:
 
         mults = [max(0, -c) for c in coords[1:]]
         frame = coh._frame(S, mults)
-        cols = coh._frame_columns(d, [mults[i] for i in frame])
+        cols = list(coh._frame_columns(d, [mults[i] for i in frame]))
         rest = [m for i, m in enumerate(mults) if i not in frame]
 
         def nullities(sampler):
@@ -685,7 +708,7 @@ class TestInterpolationOracle:
         S = lat.blowup_p2(k, lat.collinear_config(listed))
         mults = [max(0, -c) for c in tail]
         frame = coh._frame(S, mults)
-        cols = coh._frame_columns(d, [mults[i] for i in frame])
+        cols = list(coh._frame_columns(d, [mults[i] for i in frame]))
         rest = [m for i, m in enumerate(mults) if i not in frame]
         nullities = {
             framed_matrix_nullity(d, rest, coh._sample_points(S, frame, prime, seed, t), prime, cols)
@@ -711,7 +734,11 @@ class TestInterpolationOracle:
         S = lat.parse_surface(spec)
         Dv = lat.DivisorClass(S, (d,) + tuple(tail[: S.k]))
         with mock.patch.multiple(
-            coh, modp_nullity=unreachable, _fat_point_matrix=unreachable, _sample_points=unreachable
+            coh,
+            modp_stream_rank=unreachable,
+            _fat_point_columns=unreachable,
+            _fat_point_matrix=unreachable,
+            _sample_points=unreachable,
         ):
             h0 = coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME)
         assert h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
@@ -733,7 +760,7 @@ class TestInterpolationOracle:
         tail = data.draw(st.lists(st.integers(-5, 1), min_size=k, max_size=k))
         mults = [max(0, -c) for c in tail]
         frame = coh._frame(S, mults)
-        cols = coh._frame_columns(d, [mults[i] for i in frame])
+        cols = list(coh._frame_columns(d, [mults[i] for i in frame]))
         rest = [m for i, m in enumerate(mults) if i not in frame]
         bound = coh._h0_lower_bound(lat.DivisorClass(S, (d, *tail)))
         for trial in range(3):
@@ -770,7 +797,7 @@ class TestInterpolationOracle:
         assert coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME) == h0
         mults = [max(0, -c) for c in Dv.coords[1:]]
         frame = coh._frame(Dv.surface, mults)
-        cols = coh._frame_columns(Dv.coords[0], [mults[i] for i in frame])
+        cols = list(coh._frame_columns(Dv.coords[0], [mults[i] for i in frame]))
         rows = sum(m * (m + 1) // 2 for i, m in enumerate(mults) if i not in frame)
         assert calls == [0] and len(cols) - rows < h0
         assert h0 > lat.chi_line_bundle(Dv) and h0 == reference_interpolation_h0(Dv, 0, 3, coh.DEFAULT_ORACLE_PRIME)
@@ -796,7 +823,7 @@ class TestInterpolationOracle:
         mults = [max(0, -c) for c in tail]
         frame = coh._frame(S, mults)
         frame_mults = [mults[i] for i in frame]
-        cols = coh._frame_columns(d, frame_mults)
+        cols = list(coh._frame_columns(d, frame_mults))
         rest = [m for i, m in enumerate(mults) if i not in frame]
         nullities = []
         for trial in range(trials):
@@ -821,7 +848,7 @@ class TestInterpolationOracle:
         d, mults = Dv.coords[0], [max(0, -c) for c in Dv.coords[1:]]
         listed = {i - 1 for i in Dv.surface.config.collinear}
         frame = coh._frame(Dv.surface, mults)
-        cols = coh._frame_columns(d, [mults[i] for i in frame])
+        cols = list(coh._frame_columns(d, [mults[i] for i in frame]))
         rest = [m for i, m in enumerate(mults) if i not in frame]
         for prime in (1009, coh.DEFAULT_ORACLE_PRIME):
             for trial in range(3):
@@ -830,7 +857,7 @@ class TestInterpolationOracle:
                 assert reduced is not None and sum(m * (m + 1) // 2 for m in reduced[2]) < sum(
                     m * (m + 1) // 2 for m in rest
                 )
-                expected = coh.modp_nullity(coh._fat_point_matrix(d, rest, points, prime, cols), prime)
+                expected = modp_nullity(coh._fat_point_matrix(rest, points, prime, cols), prime)
                 assert coh._framed_nullity(*reduced, prime) == expected
 
     @pytest.mark.parametrize(
@@ -852,7 +879,7 @@ class TestInterpolationOracle:
         Dv = D(S, expr)
         d, mults = Dv.coords[0], [max(0, -c) for c in Dv.coords[1:]]
         frame = coh._frame(S, mults)
-        cols = coh._frame_columns(d, [mults[i] for i in frame])
+        cols = list(coh._frame_columns(d, [mults[i] for i in frame]))
         rest = [m for i, m in enumerate(mults) if i not in frame]
         sample = coh._sample_points
         others = [i for i in range(S.k) if i not in frame]
@@ -862,7 +889,7 @@ class TestInterpolationOracle:
 
         pts = points(S, frame, coh.DEFAULT_ORACLE_PRIME, 0, 0)
         assert coh._reduce_sample(d, mults, frame, pts, coh.DEFAULT_ORACLE_PRIME, {i - 1 for i in S.config.collinear}) is None
-        expected = coh.modp_nullity(coh._fat_point_matrix(d, rest, pts, coh.DEFAULT_ORACLE_PRIME, cols), coh.DEFAULT_ORACLE_PRIME)
+        expected = modp_nullity(coh._fat_point_matrix(rest, pts, coh.DEFAULT_ORACLE_PRIME, cols), coh.DEFAULT_ORACLE_PRIME)
         with mock.patch.object(coh, "_sample_points", points):
             assert coh.interpolation_h0(Dv, seed=0, trials=1, prime=coh.DEFAULT_ORACLE_PRIME) == expected
 
@@ -901,26 +928,28 @@ class TestInterpolationOracle:
         # exactly on the monomials x^a y^b with a + b < m; the swaps x <-> z
         # and y <-> z carry [1:0:0] and [0:1:0] to [0:0:1], so there the
         # killed monomials are those whose swapped exponents (d - a - b, b)
-        # and (a, d - a - b) are killed at (0, 0)
+        # and (a, d - a - b) are killed at (0, 0); the kept ones come by
+        # total degree a + b, then by a
         p = coh.DEFAULT_ORACLE_PRIME
         for d in range(7):
             monos = monomials(d)
             swaps = (lambda a, b: (a, b), lambda a, b: (d - a - b, b), lambda a, b: (a, d - a - b))
             killed = {}
             for m in range(d + 3):
-                rows = coh._fat_point_matrix(d, [m], [(0, 0)], p, monos)
+                rows = coh._fat_point_matrix([m], [(0, 0)], p, monos)
                 killed[m] = {mono for j, mono in enumerate(monos) if any(row[j] for row in rows)}
                 assert killed[m] == {(a, b) for a, b in monos if a + b < m}
             for frame_mults in itertools.product(range(d + 3), repeat=3):
-                assert coh._frame_columns(d, frame_mults) == [
-                    mono for mono in monos if not any(swap(*mono) in killed[m] for swap, m in zip(swaps, frame_mults))
-                ]
+                assert list(coh._frame_columns(d, frame_mults)) == sorted(
+                    (mono for mono in monos if not any(swap(*mono) in killed[m] for swap, m in zip(swaps, frame_mults))),
+                    key=lambda mono: (sum(mono), mono[0]),
+                )
 
     def test_frame_count_is_the_number_of_kept_monomials(self):
-        for d in range(25):
+        for d in range(-2, 25):
             for n in range(4):
                 for frame_mults in itertools.product(range(12 if n == 3 else 4), repeat=n):
-                    assert coh._frame_count(d, frame_mults) == len(coh._frame_columns(d, frame_mults))
+                    assert coh._frame_count(d, frame_mults) == len(list(coh._frame_columns(d, frame_mults)))
 
     # fixed classes on general and collinear models with k <= 6 and d <= 10
     REFERENCE_MODELS = ["blp2:k=4", "blp2:k=5", "blp2:k=6", "blp2:k=3:collinear=1,2,3",
@@ -981,7 +1010,9 @@ class TestInterpolationOracle:
 
         S = lat.parse_surface(spec)
         Dv = lat.DivisorClass(S, (d,) + tuple(tail[: S.k]))
-        with mock.patch.multiple(coh, modp_nullity=unreachable, _sample_points=unreachable):
+        with mock.patch.multiple(
+            coh, modp_stream_rank=unreachable, _fat_point_columns=unreachable, _sample_points=unreachable
+        ):
             h0 = coh.interpolation_h0(Dv, seed=0, trials=3, prime=coh.DEFAULT_ORACLE_PRIME)
         assert h0 == coh._cremona_h0(Dv.coords)
 

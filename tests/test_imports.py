@@ -111,13 +111,13 @@ def test_no_module_imports_numpy():
 
 def test_cli_runs_leave_numpy_unloaded():
     # a Hirzebruch query, and an oracle query that eliminates at least one
-    # matrix, in a fresh interpreter
+    # matrix (streamed into the rank kernel), in a fresh interpreter
     script = textwrap.dedent(
         """
         import contextlib, io, sys
         from rbn import cli, cohomology
-        calls, nullity = [], cohomology.modp_nullity
-        cohomology.modp_nullity = lambda rows, p: calls.append(len(rows)) or nullity(rows, p)
+        calls, rank = [], cohomology.modp_stream_rank
+        cohomology.modp_stream_rank = lambda vectors, n, p: calls.append(n) or rank(vectors, n, p)
         for argv in (["cohom", "--surface", "F2", "--divisor", "2E+F"],
                      ["oracle", "cohom", "--surface", "blp2:k=5", "--divisor", "5L-2E1-2E2-E3-E4-E5"]):
             calls.clear()

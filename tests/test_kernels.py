@@ -135,6 +135,43 @@ class TestRank:
         assert _modp.modp_rank(mat, p) == 2 and mat == before
 
 
+class TestStream:
+    @pytest.mark.parametrize("p", [2, 101, 1000003, 2147483647])
+    def test_column_stream_matches_reference(self, p):
+        # each column built only when pulled, as the oracle feeds them; wide,
+        # tall and rank-deficient matrices, dense and sparse
+        rng = random.Random(p)
+        for rows, cols in [(1, 1), (3, 9), (9, 3), (12, 80), (14, 43), (30, 12), (20, 20)]:
+            for zero_frac in (0.0, 0.6):
+                inner = rng.randrange(min(rows, cols) + 1)
+                for mat in (
+                    random_matrix(rng, rows, cols, p, zero_frac),
+                    product(random_matrix(rng, rows, inner, p, zero_frac), random_matrix(rng, inner, cols, p), p),
+                ):
+                    columns = (list(col) for col in zip(*mat))
+                    assert _modp.modp_stream_rank(columns, rows, p) == reference_rank(mat, p)
+
+    @pytest.mark.parametrize("p", [2, 101, 2147483647])
+    def test_stream_stops_at_full_rank(self, p):
+        # once the rank is n no vector is pulled again, so none is built
+        n = 5
+        pulled = []
+
+        def vectors():
+            for j in range(n):
+                pulled.append(j)
+                yield [int(i == j) for i in range(n)]
+            raise AssertionError("pulled a vector after full rank")
+
+        assert _modp.modp_stream_rank(vectors(), n, p) == n and pulled == list(range(n))
+
+    def test_empty_stream(self):
+        assert _modp.modp_stream_rank(iter(()), 4, 101) == 0
+        assert _modp.modp_stream_rank([[1, 2]], 0, 101) == 0
+        with pytest.raises(ValueError):
+            _modp.modp_stream_rank([[1]], 1, 1)
+
+
 class TestNullity:
     def test_rank_nullity(self):
         rng = random.Random(7)
