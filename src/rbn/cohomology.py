@@ -259,7 +259,7 @@ _CREMONA_NOTE = "exact cohomology by Cremona reduction"
 
 # a pure function of the tuple (k = len - 1) that good-sum checks repeat: a
 # delpezzo_goodsums pass (seed 1, pass 0) hits 2,129 times and misses 860,
-# blowup_queries 14 and 363; criterion 5 misses 16,129 times (15,275 at 4096)
+# blowup_queries 17 and 363; criterion 5 misses 16,129 times (15,275 at 4096)
 @lru_cache(maxsize=1 << 11)
 def _cremona_answer(coords) -> CohomologyAnswer:
     """Exact (h0, h1, h2): h2 is h0(K - D) by Serre duality, h1 closes chi."""
@@ -577,7 +577,12 @@ def _frame_count(d: int, frame_mults) -> int:
     )
 
 
-def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) -> list[tuple[int, int]]:
+# a pure function of its key, and most of its cost is seeding the generator
+# from a string.  A pass (seed 1, pass 0) asks 142 times for 54 keys on
+# delpezzo_goodsums and 130 times for 92 on blowup_queries; criterion 5
+# asks 7,692 times for 84
+@lru_cache(maxsize=256)
+def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) -> tuple[tuple[int, int], ...]:
     """Deterministic distinct affine points over F_p, one per point outside ``frame``.
 
     The points come in index order and avoid the frame's (0, 0): general
@@ -601,7 +606,7 @@ def _sample_points(surface: SurfaceModel, frame, p: int, seed: int, trial: int) 
                 break
         pts.append(pt)
         used.add(pt)
-    return pts
+    return tuple(pts)
 
 
 def _hasse_step(row: tuple[int, ...], z0: int, p: int) -> tuple[int, ...]:
@@ -721,39 +726,60 @@ def _join(u, v, p: int) -> tuple[int, int, int]:
     )
 
 
-def _cremona_centres(pts, d: int, p: int):
+def _heaviest_triple(pts, d: int, p: int, accept):
     """The heaviest triple of ``pts`` (sorted heaviest first) whose
-    multiplicities sum above d and at which a quadratic transformation
-    centred there is an isomorphism of the blowup: its points are not
-    collinear and no other point lies on the three lines through them.
-    Returns the triple's positions and its lines (bc, ca, ab), or None.
+    multiplicities sum above d and that ``accept(pts, t, p)`` takes, as
+    ``accept`` returns it: positions and lines (bc, ca, ab), or None.
     """
     n = len(pts)
     if n < 3 or pts[0][0] + pts[1][0] + pts[2][0] <= d:
         return None
-    lines = _centre_lines(pts, (0, 1, 2), p)  # the heaviest triple, first in the order below
-    if lines is not None:
-        return (0, 1, 2), lines
+    found = accept(pts, (0, 1, 2), p)  # the heaviest triple, first in the order below
+    if found is not None:
+        return found
     triples = sorted(
         (t for t in itertools.combinations(range(n), 3) if pts[t[0]][0] + pts[t[1]][0] + pts[t[2]][0] > d),
         key=lambda t: -(pts[t[0]][0] + pts[t[1]][0] + pts[t[2]][0]),
     )  # stable: ties keep the heaviest-first order
     for t in triples[1:]:
-        lines = _centre_lines(pts, t, p)
-        if lines is not None:
-            return t, lines
+        found = accept(pts, t, p)
+        if found is not None:
+            return found
     return None
 
 
-def _centre_lines(pts, t, p: int):
-    """The lines (bc, ca, ab) of the triple ``t`` of ``pts``, or None if its
-    points are collinear or another point lies on one of those lines."""
+def _triple_lines(pts, t, p: int):
+    """The lines (bc, ca, ab) of the triple ``t`` of ``pts``, or None if its points are collinear."""
     a, b, c = (pts[j][2] for j in t)
     lines = (_join(b, c, p), _join(c, a, p), _join(a, b, p))
-    if _dot(lines[0], a, p) and not any(
+    return lines if _dot(lines[0], a, p) else None
+
+
+def _centre_lines(pts, t, p: int):
+    """``(t, lines)`` if a quadratic transformation centred at the triple
+    ``t`` is an isomorphism of the blowup: its points are not collinear and
+    no other point lies on the three lines through them.  Else None."""
+    lines = _triple_lines(pts, t, p)
+    if lines is not None and not any(
         _dot(line, pts[j][2], p) == 0 for j in range(len(pts)) if j not in t for line in lines
     ):
-        return lines
+        return t, lines
+    return None
+
+
+def _frame_lines(pts, t, p: int):
+    """``(t', lines)`` if the triple ``t`` frames the sample, with t' = (a, b, c)
+    an order of t whose line ab holds no other point.  Else None.
+
+    The map P -> (bc.P : ca.P : ab.P) sends a, b, c to [1:0:0], [0:1:0] and
+    [0:0:1].  It sends only the points on ab to z = 0, so every other point
+    lands in the affine chart, those on bc or ca at x = 0 or y = 0.
+    """
+    lines = _triple_lines(pts, t, p)
+    if lines is not None:
+        for s in range(3):  # t' = t[s:] + t[:s], whose line ab is lines[s - 1]
+            if not any(_dot(lines[s - 1], pts[j][2], p) == 0 for j in range(len(pts)) if j not in t):
+                return t[s:] + t[:s], lines[s:] + lines[:s]
     return None
 
 
@@ -770,7 +796,7 @@ def _reduce_sample(d: int, mults, frame, points, p: int, listed):
     line l' = L - sum_listed E_i is removed first while D.l' < 0: the
     listed points lie on y = 0 and the others off it, so l' is the class
     of that line's strict transform, an irreducible curve, hence a fixed
-    component.  Then, while some triple qualifies (``_cremona_centres``),
+    component.  Then, while some triple qualifies (``_centre_lines``),
     the heaviest one is moved to the coordinate points and
     (x:y:z) -> (yz:xz:xy) is applied.  That is an isomorphism of the
     surface blown up at this very sample onto the blowup at the image
@@ -778,9 +804,11 @@ def _reduce_sample(d: int, mults, frame, points, p: int, listed):
     at the image of the line bc; a negative m'_a makes that exceptional
     curve a fixed component, so it is clamped to 0.  Each step keeps the
     value, so it is the framed nullity of the unreduced class at the same
-    sample, over every F_p.  Every step lowers d.  The result is framed at its heaviest
-    qualifying triple.  A sample that takes no step, or whose reduced
-    class has three or more points and no qualifying triple, returns None.
+    sample, over every F_p.  Every step lowers d.  The result is framed at
+    its heaviest triple that frames it (``_frame_lines``): a projective map
+    of the sample, so the framed nullity is the same at every frame.  A
+    sample that takes no step, or whose reduced class has three or more
+    points and no frame (all of them on one line, say), returns None.
     """
     where = dict(zip(frame, _FRAME_POINTS))
     where.update(zip((i for i in range(len(mults)) if i not in where), ((x, y, 1) for x, y in points)))
@@ -791,7 +819,7 @@ def _reduce_sample(d: int, mults, frame, points, p: int, listed):
         pts = [(m - (i in listed), i, P) for m, i, P in pts if m > (i in listed)]
     while d >= 0:
         pts.sort(key=lambda t: (-t[0], t[1]))
-        found = _cremona_centres(pts, d, p)
+        found = _heaviest_triple(pts, d, p, _centre_lines)
         if found is None:
             break
         t, lines = found
@@ -811,7 +839,7 @@ def _reduce_sample(d: int, mults, frame, points, p: int, listed):
         return d, [], [], []
     if len(pts) < 3:
         return d, [m for m, _, _ in pts], [], []  # any two points frame
-    found = _cremona_centres(pts, -1, p)
+    found = _heaviest_triple(pts, -1, p, _frame_lines)
     if found is None:
         return None
     t, (bc, ca, ab) = found
@@ -864,9 +892,10 @@ def interpolation_h0(
     ``python -O``.  On collinear points, when every sampled point of positive
     multiplicity lies on the line (the frame holds any other), the nullity
     is counted by ``_line_h0`` without a sample or a matrix; that value is
-    the same for every seed, number of trials and prime.  Nothing is
-    cached: each trial's points are seeded by (seed, trial, k, prime), so
-    a repeated call recomputes the same value.
+    the same for every seed, number of trials and prime.  Only the sample
+    points are cached: each trial's points are a pure function of (surface,
+    frame, prime, seed, trial), seeded by (seed, trial, k, prime), so a
+    repeated call reads the same points and recomputes the same value.
     """
     if not D.surface.is_blowup_p2_like:
         raise OracleError("the interpolation oracle works on blowups of the plane")

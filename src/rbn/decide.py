@@ -246,7 +246,8 @@ def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerd
     blowups of the plane only, the rounding hypotheses (floor/ceiling bundle
     without higher cohomology); for collinear configurations the
     line-through-the-points obstruction, which forces sections when
-    delta - sum of the collinear multiplicities drops below -1; and on a
+    delta - sum of the collinear multiplicities drops below -1 and the
+    slope condition holds near H = L (c1.L + 2r > 0); and on a
     del Pezzo surface with nef c1 the nef decomposition.  There the other
     routes give Holds or nothing, so the order picks only the witness:
     ``dp<d>`` tries the decomposition first, ``blp2`` last.
@@ -277,12 +278,16 @@ def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerd
         for i in config.collinear:
             C = C - basis_divisor(s, f"E{i}")
         # chi(O(-C)) = 0, so chi(O(C), v) = -c1.C - r: positive exactly when
-        # r (delta - sum of collinear alphas) = c1.C < -r
-        obstruction = obstruction_certificate(v, C)
+        # r (delta - sum of collinear alphas) = c1.C < -r.  The slope
+        # condition is checked at H = L: K + C = -2L + sum of the E_i off the
+        # line, so c1.L > r (K + C).L reads l + 2r > 0.  Being strict, it holds
+        # for the ample H = L + eps A at small eps, which keeps H.(K + F) < 0
+        obstruction = obstruction_certificate(v, C, basis_divisor(s, "L"))
         if obstruction is not None:
             notes.append(
                 "collinear points: the line through them pairs positively, "
-                "forcing sections on every semistable sheaf (needs mu(v).H > -2L.H)"
+                "forcing sections on every semistable sheaf for H = L + eps A "
+                "(A ample, eps small), since mu(v).L > (K+C).L = -2"
             )
             return WBNVerdict(WBNStatus.FAILS, obstruction=obstruction, notes=tuple(notes))
     if s.is_del_pezzo and not nef_first and is_nef(v.c1):

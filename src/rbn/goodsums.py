@@ -11,7 +11,8 @@ unbalance the point multiplicities while staying nef, normalize an
 orthogonal (-1)-curve to the last exceptional class by a Weyl word, drop to
 one fewer point, and at two points split off one summand of the correct
 anticanonical degree per rank step.  Every reduction is recorded so the
-witness sum can be lifted back verbatim.
+witness sum can be lifted back verbatim; it does not depend on the rank,
+so each class is reduced once for all ranks.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .lattice import (
     is_nef_coords,
     neg_one_classes,
     reflect,
+    wrap_coords,
 )
 
 
@@ -52,16 +54,21 @@ def fiber_class(surface: SurfaceModel) -> DivisorClass:
     return basis_divisor(surface, "F")
 
 
-def _certify_nef_reference(N: DivisorClass) -> None:
+# one entry per reference divisor: -K on each del Pezzo model, L on a
+# blowup of the plane, F on F_e.  A bad N raises, and ``lru_cache`` keeps no
+# exception, so it raises on every call
+@lru_cache(maxsize=64)
+def _certify_reference(N: DivisorClass) -> None:
+    """Raise unless N is certified nef and -N.(F+K) >= 2."""
     s = N.surface
     if s.is_hirzebruch or s.is_del_pezzo:
         if not is_nef(N):
             raise GoodSumError(f"reference divisor {N} is not nef")
-        return
-    # On other blowups only the hyperplane pullback is certified nef.
-    if s.is_blowup_p2_like and N == basis_divisor(s, "L"):
-        return
-    raise GoodSumError(f"cannot certify {N} nef on {s}")
+    elif not (s.is_blowup_p2_like and N == basis_divisor(s, "L")):
+        # on other blowups only the hyperplane pullback is certified nef
+        raise GoodSumError(f"cannot certify {N} nef on {s}")
+    if -(form(s, N.coords, fiber_class(s).coords) + form(s, N.coords, canonical(s).coords)) < 2:
+        raise GoodSumError(f"reference divisor fails -N.(F+K) >= 2 on {s}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,9 @@ class GoodSum:
         return len(self.summands)
 
     def c1(self) -> DivisorClass:
+        # a sum of classes on the surface, so wrapped unchecked as lattice sums are
         rows = [(0,) * self.surface.rank] + [D.coords for D in self.summands]
-        return DivisorClass(self.surface, tuple(map(sum, zip(*rows))))
+        return wrap_coords(self.surface, tuple(map(sum, zip(*rows))))
 
     def character(self) -> ChernCharacter:
         twice_ch2 = sum(form(self.surface, D.coords, D.coords) for D in self.summands)
@@ -122,10 +130,7 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
     is accepted with a provenance note.  Condition (2) bounds the pairwise
     N-degree gaps by 1.
     """
-    s, N = gs.surface, gs.N.coords
-    _certify_nef_reference(gs.N)
-    if -(form(s, N, fiber_class(s).coords) + form(s, N, canonical(s).coords)) < 2:
-        raise GoodSumError(f"reference divisor fails -N.(F+K) >= 2 on {s}")
+    _certify_reference(gs.N)
     failures: list[str] = []
     provenance: list[str] = []
     for _, D in sorted({D.coords: D for D in gs.summands}.items()):
@@ -309,40 +314,68 @@ def _decompose_two_point(coords, r: int):
     """
     surface, stack, tally = del_pezzo(7), [], None
     while tally is None:
-        moves, cur = _upshift_moves(coords, 2)
-        m1, m2 = -cur[1], -cur[2]
-        if min(m1, m2) != 0:
-            raise RuntimeError(f"two-point upshift fixed point {cur} has no orthogonal E_i")
-        swapped = m2 != 0
-        if swapped:
-            cur = (cur[0], cur[2], cur[1])
-        d, a = cur[0], -cur[1]
+        moves, swap, (d, c) = _reduction(2, coords)
+        a = -c
         if r == 2 and (d, a) == (1, 1):
-            stack.append((moves, swapped, (1, -2, 0)))
+            stack.append((moves, swap, (1, -2, 0)))
             tally = {(0, 1, 0): 1}  # E_1 and L - 2E_1
             break
         M = _two_point_summand_raw(d, a, r)
-        coords = tuple(x - y for x, y in zip(cur, M))
+        coords = (d - M[0], c - M[1], -M[2])
         if not is_nef_coords(surface, coords):
             raise RuntimeError(f"two-point summand left a non-nef remainder {coords}")
         if 3 * M[0] + M[1] + M[2] != (3 * d - a) // r:
             raise RuntimeError("wrong anticanonical degree")
-        stack.append((moves, swapped, M))
+        stack.append((moves, swap, M))
         r -= 1
         if r <= _MEMO_RANK:
             tally = dict(_decompose(2, coords, r))
-    for moves, swapped, M in reversed(stack):
+    for moves, swap, M in reversed(stack):
         tally[M] = tally.get(M, 0) + 1
-        if swapped:
+        if swap:
             tally = {(s[0], s[2], s[1]): n for s, n in tally.items()}
         for i, j in reversed(moves):
             _lift_summands(tally, i, j)
     return tuple(sorted(tally.items()))
 
 
-# entries are counts, a few pairs at any rank; a delpezzo_goodsums pass (seed
-# 1, pass 0) keeps all its 2,105 misses and hits 1,010 times; criterion 5's
-# 67,980 top-level calls miss 75,000 times and hit 54,289 times at this bound
+# The step that does not depend on the rank, read by every rank of a class:
+# a delpezzo_goodsums pass (seed 1, pass 0) asks for 1,836 reductions of
+# 1,245 classes, and criterion 5 misses 14,097 of 61,314 at this bound.
+# Entries are a few moves, a word of at most three roots and one class
+@lru_cache(maxsize=1 << 12)
+def _reduction(k: int, coords):
+    """A nef class on k >= 2 points brought to k - 1 points: (moves, word, reduced).
+
+    ``moves`` are the upshift moves (``_upshift_moves``), ``word`` is a
+    reflection word carrying a (-1)-curve orthogonal to the upshifted class
+    to E_k, and ``reduced`` is the image with its E_k coefficient, 0,
+    dropped.  At k = 2 the orthogonal curve is E_1 or E_2, and the word is
+    empty or the swap of the two, the reflection in E_1 - E_2.
+    """
+    moves, cur = _upshift_moves(coords, k)
+    surface = del_pezzo(9 - k)
+    if k == 2:
+        if cur[1] and cur[2]:
+            raise RuntimeError(f"two-point upshift fixed point {cur} has no orthogonal E_i")
+        word = ((0, 1, -1),) if cur[2] else ()
+    else:
+        ortho = next((C for C in neg_one_classes(k) if form(surface, cur, C) == 0), None)
+        if ortho is None:
+            raise RuntimeError(f"upshift fixed point {cur} meets every (-1)-curve positively")
+        word = curve_word(surface, ortho)
+    for root in word:
+        cur = reflect(surface, cur, root)
+    if cur[-1] != 0 or not is_nef_coords(surface, cur):
+        raise RuntimeError("Weyl normalization failed")
+    return tuple(moves), word, cur[:-1]
+
+
+# Entries are counts, a few pairs at any rank.  A delpezzo_goodsums pass
+# (seed 1, pass 0) keeps all its 2,105 misses and hits 1,010 times;
+# criterion 5's 67,980 top-level calls miss 75,000 times and hit 54,289
+# times at this bound.  A miss reads the rank-free ``_reduction``, then
+# reflects and lifts back the sum of the class brought to k - 1 points
 @lru_cache(maxsize=1 << 12)
 def _decompose(k: int, coords, r: int):
     """Good-sum counts, sorted (coords, multiplicity) pairs, of a nef class on k points."""
@@ -350,18 +383,10 @@ def _decompose(k: int, coords, r: int):
         return ((coords, 1),)
     if k == 2:
         return _decompose_two_point(coords, r)
-    moves, cur = _upshift_moves(coords, k)
+    moves, word, reduced = _reduction(k, coords)
     surface = del_pezzo(9 - k)
-    ortho = next((C for C in neg_one_classes(k) if form(surface, cur, C) == 0), None)
-    if ortho is None:
-        raise RuntimeError(f"upshift fixed point {cur} meets every (-1)-curve positively")
-    word = curve_word(surface, ortho)
-    for root in word:
-        cur = reflect(surface, cur, root)
-    if cur[-1] != 0 or not is_nef_coords(surface, cur):
-        raise RuntimeError("Weyl normalization failed")
     tally = {}
-    for summand, n in _decompose(k - 1, cur[:-1], r):
+    for summand, n in _decompose(k - 1, reduced, r):
         summand += (0,)
         for root in reversed(word):
             summand = reflect(surface, summand, root)
@@ -387,11 +412,13 @@ def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
     if not is_nef(D):
         raise GoodSumError(f"{divisor_expr(D)} is not nef on {s}")
     counts = _decompose(s.k, D.coords, r)
-    flat = [c for c, n in counts for _ in range(n)]
-    # is_good_sum does not check c1, so a wrong sum would otherwise be printed
-    if len(flat) != r or tuple(map(sum, zip(*flat))) != D.coords:
+    flat = [x for c, n in counts for x in (c,) * n]
+    # is_good_sum does not check c1, so a wrong sum would otherwise be printed.
+    # The check covers the summands' lengths too (a short one shortens the
+    # sum), so they are wrapped unchecked
+    if len(flat) != r or sum(map(len, flat)) != r * s.rank or tuple(map(sum, zip(*flat))) != D.coords:
         raise RuntimeError(f"decomposition of {divisor_expr(D)} at rank {r} lost its first Chern class or rank")
-    summands = tuple(x for c, n in counts for x in (DivisorClass(s, c),) * n)
+    summands = tuple(x for c, n in counts for x in (wrap_coords(s, c),) * n)
     return GoodSum(s, -canonical(s), summands)
 
 

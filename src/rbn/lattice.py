@@ -19,7 +19,9 @@ Construction validates (length and integer coordinates) at the public
 entry points: ``DivisorClass(...)``, ``divisor``, ``parse_divisor``,
 ``basis_divisor`` and scalar multiples.  Sums, differences and negatives
 of classes on one surface, and reflections of a class in a root, are ints
-of the right length by construction and are wrapped unchecked.
+of the right length by construction and are wrapped unchecked
+(``wrap_coords``), as are the summands of a del Pezzo decomposition, whose
+lengths and sum the decomposition checks.
 
 The plane blown up at ``2 <= k <= 5`` general points is a del Pezzo surface
 of degree ``9 - k`` under either spelling (distinct, unequal models), and the
@@ -93,7 +95,9 @@ GENERAL = PointConfig()
 
 
 class _Head(NamedTuple):
-    """The basis before E1..Ek; ``gram`` holds the nonzero (i, j, value)."""
+    """The basis before E1..Ek.  ``gram`` holds the nonzero (i, j, value) of
+    the head's Gram matrix plus the identity: the form is minus the plain
+    dot product (E_i^2 = -1) plus these terms."""
 
     symbols: tuple[str, ...]
     gram: tuple[tuple[int, int, int], ...]
@@ -166,8 +170,8 @@ class SurfaceModel:
     @cached_property
     def _head(self) -> _Head:
         if self.is_blowup_p2_like:
-            return _Head(("L",), ((0, 0, 1),), (-3,))
-        gram = ((0, 0, -self.e), (0, 1, 1), (1, 0, 1))
+            return _Head(("L",), ((0, 0, 2),), (-3,))
+        gram = ((0, 0, 1 - self.e), (0, 1, 1), (1, 0, 1), (1, 1, 1))
         return _Head(("E", "F"), tuple(t for t in gram if t[2]), (-2, -(self.e + 2)))
 
     # K per model rather than in a module-level cache keyed by the model,
@@ -264,14 +268,14 @@ class DivisorClass:
     # ints of the right length, so they skip the check (see the module docstring)
     def __add__(self, other):
         _require_same_surface(self, other)
-        return _integral(self.surface, tuple(map(add, self.coords, other.coords)))
+        return wrap_coords(self.surface, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other):
         _require_same_surface(self, other)
-        return _integral(self.surface, tuple(map(sub, self.coords, other.coords)))
+        return wrap_coords(self.surface, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self):
-        return _integral(self.surface, tuple(map(neg, self.coords)))
+        return wrap_coords(self.surface, tuple(map(neg, self.coords)))
 
     def __mul__(self, scalar):
         return DivisorClass(self.surface, tuple(scalar * a for a in self.coords))
@@ -286,7 +290,7 @@ class DivisorClass:
         return divisor_expr(self)
 
 
-def _integral(surface: SurfaceModel, coords: tuple) -> DivisorClass:
+def wrap_coords(surface: SurfaceModel, coords: tuple) -> DivisorClass:
     """Wrap coordinates known to be ``surface.rank`` ints, without the check."""
     D = object.__new__(DivisorClass)
     object.__setattr__(D, "surface", surface)  # as the frozen dataclass's __init__ does,
@@ -319,12 +323,10 @@ def zero_divisor(surface: SurfaceModel) -> DivisorClass:
 
 
 def form(surface: SurfaceModel, u, v) -> int:
-    """The intersection form on integer coordinate tuples."""
-    head = surface._head
-    n = len(head.symbols)
-    val = -sum(map(mul, u[n:], v[n:]))
-    for i, j, g in head.gram:
-        val += u[i] * v[j] if g == 1 else g * u[i] * v[j]
+    """The intersection form on integer coordinate tuples (see ``_Head``)."""
+    val = -sum(map(mul, u, v))
+    for i, j, g in surface._head.gram:
+        val += g * u[i] * v[j]
     return val
 
 
@@ -439,14 +441,14 @@ def _check_root(root: DivisorClass) -> None:
 def reflect(surface: SurfaceModel, coords, root) -> tuple:
     """Reflection s(D) = D + (D.root) root on coordinate tuples."""
     t = form(surface, coords, root)
-    return tuple(a + t * b for a, b in zip(coords, root)) if t else tuple(coords)
+    return tuple([a + t * b for a, b in zip(coords, root)]) if t else tuple(coords)
 
 
 def weyl_reflect(D: DivisorClass, root: DivisorClass) -> DivisorClass:
     """Reflection s(D) = D + (D.root) root in a (-2)-root orthogonal to K."""
     _require_same_surface(D, root)
     _check_root(root)
-    return _integral(D.surface, reflect(D.surface, D.coords, root.coords))
+    return wrap_coords(D.surface, reflect(D.surface, D.coords, root.coords))
 
 
 def transposition_root(surface: SurfaceModel, i: int, j: int) -> DivisorClass:

@@ -860,6 +860,36 @@ class TestInterpolationOracle:
                 expected = modp_nullity(coh._fat_point_matrix(rest, points, prime, cols), prime)
                 assert coh._framed_nullity(*reduced, prime) == expected
 
+    # three collinear points survive a quadratic step in these samples (seed
+    # 0, trials 0-2); a frame that also kept other points off the lines bc
+    # and ca found no triple, and the unreduced matrix was eliminated
+    @pytest.mark.parametrize(
+        "spec, expr",
+        [("blp2:k=5:collinear=1,2,3", "6L-3E1-E2-2E3-3E4-2E5"), ("blp2:k=6:collinear=1,2,3", "8L-2E1-4E2-3E3-E4-4E6"),
+         ("blp2:k=6:collinear=1,2,3,4", "7L-2E1-3E2-2E3-2E4-E5-4E6"), ("blp2:k=6:collinear=1,2,3,4", "11L-6E2-E3-E4-5E5-2E6"),
+         ("blp2:k=5:collinear=1,2,3", "9L-5E1-E2-3E3-5E4-2E5"), ("blp2:k=6:collinear=1,2,3,4", "8L-4E1-E2-3E3-4E4-E5-4E6"),
+         ("blp2:k=5:collinear=1,2,3", "9L-E1-3E2-5E3-3E4-5E5"), ("blp2:k=6:collinear=1,2,3,4", "13L-3E1-7E2-4E3-3E4-7E5-5E6"),
+         ("blp2:k=5:collinear=1,2,3", "14L-6E1-E2-3E3-3E4-8E5"), ("blp2:k=5:collinear=1,2,3", "10L-3E1-4E2-6E3-4E4-E5"),
+         ("blp2:k=5:collinear=1,2,3", "11L-4E1-6E2-E3-6E4-E5"), ("blp2:k=6:collinear=1,2,3,4", "9L-4E1-5E2-3E3-4E4-E5-4E6")],
+    )
+    def test_reduced_sample_is_framed_whenever_a_frame_exists(self, spec, expr):
+        # a frame needs three non-collinear points and the line ab, sent to
+        # z = 0, free of other points; the reduced value is the framed
+        # nullity of the unreduced class at the same sample
+        Dv = D(lat.parse_surface(spec), expr)
+        d, mults = Dv.coords[0], [max(0, -c) for c in Dv.coords[1:]]
+        listed = {i - 1 for i in Dv.surface.config.collinear}
+        frame = coh._frame(Dv.surface, mults)
+        cols = list(coh._frame_columns(d, [mults[i] for i in frame]))
+        rest = [m for i, m in enumerate(mults) if i not in frame]
+        for prime in (1009, coh.DEFAULT_ORACLE_PRIME):
+            for trial in range(3):
+                points = coh._sample_points(Dv.surface, frame, prime, 0, trial)
+                reduced = coh._reduce_sample(d, mults, frame, points, prime, listed)
+                assert reduced is not None and len(reduced[2]) < len(rest)
+                expected = modp_nullity(coh._fat_point_matrix(rest, points, prime, cols), prime)
+                assert coh._framed_nullity(*reduced, prime) == expected
+
     @pytest.mark.parametrize(
         "spec, expr, moved",
         [

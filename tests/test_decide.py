@@ -171,6 +171,21 @@ class TestBlowupP2:
         assert lat.intersect(v.c1, C) == -2
         assert dec.wbn(v).status is WBNStatus.UNKNOWN
 
+    def test_collinear_obstruction_needs_the_slope_condition(self):
+        # chi(O(C), v) = 11 > 0, but c1.L + 2r = -4 <= 0: a semistable sheaf
+        # of slope -4L near H = L has no map from O(C), so no Fails
+        S = lat.blowup_p2(3, lat.collinear_config([1, 2, 3]))
+        C = D(S, "L-E1-E2-E3")
+        v = ch.character_from_chi(2, D(S, "-8L-E1-2E2-2E3"), 0)
+        assert dec.obstruction_certificate(v, C) == dec.Obstruction(curve=C, chi_pairing=11, h0_lower_bound=11)
+        assert dec.obstruction_certificate(v, C, D(S, "L")) is None
+        verdict = dec.wbn(v)
+        assert verdict.status is WBNStatus.UNKNOWN and verdict.obstruction is None
+        # at l + 2r = 2 the condition holds and the Fails stands, naming H
+        verdict = dec.wbn(ch.character_from_chi(2, D(S, "-2L-E1-2E2-2E3"), 0))
+        assert verdict.status is WBNStatus.FAILS
+        assert "H = L + eps A" in verdict.notes[-1]
+
     def test_unknown_default(self):
         # slope gap -3/2 < -1 blocks the resolution, the floor/ceiling bundle
         # L-2E1-E2 has chi < 0, and the configuration is general: Unknown

@@ -309,6 +309,32 @@ class TestDecompose:
         runs = [[str(s), len(list(g))] for s, g in itertools.groupby(gs.summands)]
         assert runs == case["summands"]
 
+    def test_pinned_pipeline(self):
+        """Byte equality with ``data/delpezzo_golden.json``, one case per line.
+
+        The 300 cases were drawn with ``random.Random(2026)``: the degree
+        uniform in 4..7, the L-coefficient d uniform in 0..10, each
+        multiplicity uniform in 0..d // 2 + 1, the rank uniform in 1..5,
+        keeping the nef and distinct (surface, c1, rank); the summands were
+        recorded before the reduction step was cached for all ranks.
+        """
+        path = pathlib.Path(__file__).parent / "data" / "delpezzo_golden.json"
+        text = path.read_text()
+        rows = []
+        for case in json.loads(text):
+            S = lat.parse_surface(case["surface"])
+            gs = gd.delpezzo_decompose(D(S, case["c1"]), case["rank"])
+            rows.append(json.dumps({**case, "summands": [str(s) for s in gs.summands]}))
+        assert "[\n" + ",\n".join(rows) + "\n]\n" == text
+
+    @pytest.mark.parametrize("extra", [(0,), (1, -1)], ids=["one", "two"])
+    def test_summand_of_wrong_length_is_refused(self, monkeypatch, extra):
+        # summands are wrapped unchecked, so the c1 and rank check must see a
+        # long one even when its head coordinates add up to c1
+        monkeypatch.setattr(gd, "_decompose", lambda k, coords, r: ((coords + extra, 1), ((0,) * len(coords), r - 1)))
+        with pytest.raises(RuntimeError, match="lost its first Chern class or rank"):
+            gd.delpezzo_decompose(D(DP7, "2L"), 3)
+
     def test_non_nef_rejected(self):
         with pytest.raises(gd.GoodSumError):
             gd.delpezzo_decompose(D(DP7, "E1"), 2)
