@@ -15,7 +15,6 @@ from .lattice import (
     chi_line_bundle,
     collinear_config,
     del_pezzo,
-    divisor,
     divisor_expr,
     hirzebruch,
     intersect,
@@ -23,7 +22,6 @@ from .lattice import (
     neg_one_curves,
     parse_divisor,
     parse_surface,
-    weyl_reflect,
     zero_divisor,
 )
 from .cohomology import (
@@ -33,7 +31,6 @@ from .cohomology import (
     blowup_cohomology_oracle,
     certified_cohomology,
     hirzebruch_cohomology,
-    hirzebruch_pushforward_oracle,
     interpolation_h0,
     line_bundle_cohomology,
     vanishing_by_rules,
@@ -43,11 +40,9 @@ from .chern import (
     ChernCharacter,
     character_from_chi,
     euler_pairing,
-    hirzebruch_normalize,
     line_bundle_character,
     parse_character,
     riemann_roch_chi,
-    serre_dual_character,
 )
 from .resolutions import (
     ExceptionalCollection,
@@ -55,7 +50,6 @@ from .resolutions import (
     ResolutionReport,
     builtin_collection,
     prioritary_hypotheses_check,
-    solve_exponents,
     two_term_resolution,
     verify_strong_exceptional,
 )
@@ -66,7 +60,6 @@ from .goodsums import (
     delpezzo_decompose,
     fiber_class,
     is_good_sum,
-    prioritary_sum_check,
     rounding_sum,
 )
 from .decide import (

@@ -1,16 +1,14 @@
 """Dense rank computation over a prime field F_p.
 
 The interpolation oracle reduces to the rank of small dense integer matrices
-mod p.  One elimination core, ``modp_stream_rank``, takes the vectors of a
-matrix as any iterable of equal-length sequences of Python ints, together
-with their length n, and stops pulling vectors once the rank equals n,
-since no further vector can raise it; so a caller that builds its vectors
-lazily builds none past that point.  ``modp_rank`` and ``modp_nullity``
-take a list of rows and feed the short side to the core (the columns of a
-wide matrix: rank is the same).  Each vector is packed into one Python int,
-entry j in the W-bit slot j (Kronecker substitution), so reducing it by a
-pivot is one big-int multiply-add.  Python ints do not overflow, so any
-prime p works.
+mod p.  The one elimination core, ``modp_stream_rank``, takes the vectors of
+a matrix (its rows or its columns: rank is the same) as any iterable of
+equal-length sequences of Python ints, together with their length n, and
+stops pulling vectors once the rank equals n, since no further vector can
+raise it; so a caller that builds its vectors lazily builds none past that
+point.  Each vector is packed into one Python int, entry j in the W-bit
+slot j (Kronecker substitution), so reducing it by a pivot is one big-int
+multiply-add.  Python ints do not overflow, so any prime p works.
 """
 
 from __future__ import annotations
@@ -57,15 +55,3 @@ def modp_stream_rank(vectors: Iterable[Sequence[int]], n: int, p: int) -> int:
             col += 1
     return len(pivots)
 
-
-def modp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p, given as a list of equal-length
-    rows: ``modp_stream_rank`` of its columns if it is wide, else of its rows."""
-    if rows and len(rows) < len(rows[0]):
-        return modp_stream_rank(zip(*rows), len(rows), p)
-    return modp_stream_rank(rows, len(rows[0]) if rows else 0, p)
-
-
-def modp_nullity(rows: list[list[int]], p: int) -> int:
-    """Dimension of the right kernel over F_p of a matrix with at least one row."""
-    return len(rows[0]) - modp_rank(rows, p)

@@ -123,13 +123,6 @@ def euler_pairing(v: ChernCharacter, w: ChernCharacter) -> Fraction:
     return Fraction(twice, 2)
 
 
-def serre_dual_character(v: ChernCharacter) -> ChernCharacter:
-    """Character of E^dual tensor K; an involution with the same chi."""
-    K = canonical(v.surface)
-    twice = v.twice_ch2 - 2 * intersect(v.c1, K) + v.r * intersect(K, K)
-    return ChernCharacter.from_twice_ch2(v.r, -v.c1 + v.r * K, twice)
-
-
 def hirzebruch_core(e: int, r: int, k: int, ell: int, t: int):
     """The Hirzebruch classification on raw integers.
 
@@ -156,23 +149,6 @@ def hirzebruch_core(e: int, r: int, k: int, ell: int, t: int):
             raise RuntimeError("the dual is not normalized")
     b = ell - e * k + r
     return dualized, k, ell, t, k * (2 * ell - e * k) - r * t, (b + k, b, k + r)
-
-
-def hirzebruch_normalize(v: ChernCharacter) -> tuple[ChernCharacter, bool]:
-    """Replace v by its Serre dual if needed so k/r >= -1 holds.
-
-    On the boundary k/r = -1 the representative with l/r >= -1 - e/2 is
-    taken (see ``hirzebruch_core`` for the integer test).
-    """
-    if not v.surface.is_hirzebruch:
-        raise CharacterError("normalization is a Hirzebruch-surface operation")
-    if v.r < 2:
-        raise CharacterError("normalization expects rank at least 2")
-    s = v.surface
-    dualized, k, ell, t, _, _ = hirzebruch_core(s.e, v.r, *v.c1.coords, v.twice_ch2)
-    if not dualized:
-        return v, False
-    return ChernCharacter.from_twice_ch2(v.r, DivisorClass(s, (k, ell)), t), True
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 Four routes, by strength of the statement:
 
 * Hirzebruch surfaces get exact ``(h0, h1, h2)`` in closed form from the
-  base locus, cross-checkable against an independent pushforward oracle
-  (the direct image of ``O(aE+bF)`` on the base splits into line bundles
-  of degrees ``b - je``).
+  base locus; the tests check it against the direct image on the base,
+  which splits into line bundles of degrees ``b - je``.
 * Blowups of the plane at k <= 8 general points (the ``dp<d>``
   spellings included) get exact ``(h0, h1, h2)`` by Cremona reduction: fixed
   exceptional components are removed and quadratic transformations lower
@@ -188,31 +187,6 @@ def hirzebruch_cohomology(D: DivisorClass) -> CohomologyVector:
         raise LatticeError("hirzebruch_cohomology expects a Hirzebruch model")
     a, b = D.coords
     return CohomologyVector(*_hirz_vector(D.surface.e, a, b))
-
-
-def hirzebruch_pushforward_oracle(D: DivisorClass) -> CohomologyVector:
-    """Independent exact computation through the ruling.
-
-    For a >= 0 the pushforward to the base splits as the sum of line bundles
-    of degrees b - je for j = 0..a, so h0 and h1 are sums of the usual
-    genus-zero dimensions; a = -1 has no cohomology and a <= -2 dualizes.
-    """
-    if not D.surface.is_hirzebruch:
-        raise LatticeError("hirzebruch_pushforward_oracle expects a Hirzebruch model")
-    e = D.surface.e
-    a, b = D.coords
-
-    def _nonneg_case(a: int, b: int) -> tuple[int, int, int]:
-        h0 = sum(max(0, b - j * e + 1) for j in range(a + 1))
-        h1 = sum(max(0, j * e - b - 1) for j in range(a + 1))
-        return (h0, h1, 0)
-
-    if a >= 0:
-        return CohomologyVector(*_nonneg_case(a, b))
-    if a == -1:
-        return CohomologyVector(0, 0, 0)
-    h0, h1, h2 = _nonneg_case(-2 - a, -(e + 2) - b)
-    return CohomologyVector(h2, h1, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +613,6 @@ def _fat_point_columns(mults, points, p: int, cols) -> Iterator[list[int]]:
                 y.append(_hasse_step(y[-1], y0, p))
             top += 1
         yield [xu * yv % p for m, _, _, x, y in tables for u, xu in enumerate(x[a]) for yv in y[b][: m - u]]
-
-
-def _fat_point_matrix(mults, points, p: int, cols) -> list[list[int]]:
-    """The fat-point matrix as a list of rows: the columns of
-    ``_fat_point_columns``, transposed."""
-    return [list(row) for row in zip(*_fat_point_columns(mults, points, p, cols))]
 
 
 def _line_h0(d: int, frame_mults, line_mults) -> int:

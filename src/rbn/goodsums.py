@@ -34,7 +34,6 @@ from .lattice import (
     del_pezzo,
     divisor_expr,
     form,
-    intersect,
     is_nef,
     is_nef_coords,
     neg_one_classes,
@@ -149,19 +148,6 @@ def is_good_sum(gs: GoodSum, *, seed: int = 0, trials: int = 3) -> GoodSumCheck:
                 f"and {divisor_expr(gs.summands[j])}"
             )
     return GoodSumCheck(not failures, tuple(failures), tuple(provenance))
-
-
-def prioritary_sum_check(gs: GoodSum, F: DivisorClass | None = None) -> bool:
-    """Strict degree-gap criterion N.(L_i - L_j) < -N.(F + K) for all pairs.
-
-    Goodness plus -N.(F+K) >= 2 already implies it; rank-one sums pass
-    vacuously.
-    """
-    if F is None:
-        F = fiber_class(gs.surface)
-    bound = -intersect(gs.N, F + canonical(gs.surface))
-    degrees = gs.degrees()
-    return len(degrees) <= 1 or max(degrees) - min(degrees) < bound
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,6 @@ def _require_same_surface(d1, d2):
         raise LatticeError(f"divisors live on different surfaces: {d1.surface} vs {d2.surface}")
 
 
-def divisor(surface: SurfaceModel, *coords) -> DivisorClass:
-    return DivisorClass(surface, tuple(int(c) for c in coords))
-
-
 def basis_divisor(surface: SurfaceModel, symbol: str) -> DivisorClass:
     coords = [0] * surface.rank
     coords[surface.basis_index(symbol)] = 1
@@ -428,27 +424,10 @@ def is_nef(D: DivisorClass) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_root(root: DivisorClass) -> None:
-    if not root.surface.is_blowup_p2_like:
-        raise LatticeError("Weyl reflections act on blowups of the plane")
-    K = canonical(root.surface)
-    if intersect(root, root) != -2 or intersect(root, K) != 0:
-        raise LatticeError(
-            f"{root} is not a reflection root (expected Ei-Ej or L-Ei-Ej-Em, with square -2)"
-        )
-
-
 def reflect(surface: SurfaceModel, coords, root) -> tuple:
     """Reflection s(D) = D + (D.root) root on coordinate tuples."""
     t = form(surface, coords, root)
     return tuple([a + t * b for a, b in zip(coords, root)]) if t else tuple(coords)
-
-
-def weyl_reflect(D: DivisorClass, root: DivisorClass) -> DivisorClass:
-    """Reflection s(D) = D + (D.root) root in a (-2)-root orthogonal to K."""
-    _require_same_surface(D, root)
-    _check_root(root)
-    return wrap_coords(D.surface, reflect(D.surface, D.coords, root.coords))
 
 
 def transposition_root(surface: SurfaceModel, i: int, j: int) -> DivisorClass:

@@ -8,9 +8,9 @@ by the first m members of a strong exceptional collection (A_1..A_m, O) has
 no cohomology, and the exponents are pinned down by Euler pairings against
 the collection.  ``two_term_resolution``, the one way to the closed forms,
 specializes this to the built-in collection of the surface (Hirzebruch
-surfaces, blowups of the plane and of Hirzebruch surfaces);
-``solve_exponents`` recomputes the same integers from the pairing
-recurrences, giving an independent derivation.
+surfaces, blowups of the plane and of Hirzebruch surfaces).  The tests
+recompute the same integers from the pairing recurrences, an independent
+derivation.
 
 Every report a closed form returns has passed one verification,
 ``verify_report``: the exponents are nonnegative and the alternating sum of
@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .chern import (
-    CharacterError,
-    ChernCharacter,
-    chi_integer,
-    euler_pairing,
-    hirzebruch_core,
-    line_bundle_character,
-)
+from .chern import ChernCharacter, chi_integer, hirzebruch_core
 from .cohomology import certified_cohomology, h2_is_zero
 from .lattice import (
     DivisorClass,
@@ -121,7 +114,7 @@ def builtin_collection(surface: SurfaceModel) -> ExceptionalCollection:
 
 
 # ---------------------------------------------------------------------------
-# Verification and Hom dimensions through the certified cohomology
+# Verification through the certified cohomology
 # ---------------------------------------------------------------------------
 
 
@@ -142,25 +135,6 @@ def verify_strong_exceptional(coll: ExceptionalCollection):
             if vec is None or not vec.higher_vanishes:
                 return False, (s, t, f"Ext^{{>0}}({divisor_expr(bundles[s])}, {divisor_expr(bundles[t])}) != 0: {vec or 'not certified'}")
     return True, None
-
-
-def hom_dimension(A: DivisorClass, B: DivisorClass) -> int:
-    """dim Hom(O(A), O(B)) = h0(B - A), from the certified cohomology.
-
-    Differences between members of the built-in collections are always
-    certified; anything else raises rather than consulting the
-    probabilistic oracle.
-    """
-    D = B - A
-    vec = certified_cohomology(D).vector
-    if vec is None:
-        raise ResolutionError(f"hom dimension of {D} is not rule-decidable")
-    return vec.h0
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -235,40 +209,8 @@ class ResolutionReport:
 
 
 # ---------------------------------------------------------------------------
-# The exponent solver and the closed forms
+# The closed forms
 # ---------------------------------------------------------------------------
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise CharacterError(f"{what} is not integral: {x}")
-    return int(x)
-
-
-def solve_exponents(v: ChernCharacter, coll: ExceptionalCollection) -> ResolutionReport:
-    """Exponents from the pairing recurrences of a split collection.
-
-    Left factors satisfy a_s = -chi(v, A_s) - sum_{i<s} a_i hom(A_i, A_s),
-    right factors a_t = chi(A_t, v) - sum_{i>t} a_i hom(A_t, A_i), computed
-    top-down.  Negative values are reported as infeasible, never clamped.
-    """
-    if chi_integer(v) != 0:
-        raise CharacterError("resolutions are computed for characters with chi = 0")
-    bundles = coll.resolving
-    j = coll.split_index
-    m = len(bundles)
-    exps: list[int | None] = [None] * m
-    for s in range(j):
-        val = -euler_pairing(v, line_bundle_character(bundles[s]))
-        for i in range(s):
-            val -= exps[i] * hom_dimension(bundles[i], bundles[s])
-        exps[s] = _as_int(val, f"exponent of {divisor_expr(bundles[s])}")
-    for t in range(m - 1, j - 1, -1):
-        val = euler_pairing(line_bundle_character(bundles[t]), v)
-        for i in range(t + 1, m):
-            val -= exps[i] * hom_dimension(bundles[t], bundles[i])
-        exps[t] = _as_int(val, f"exponent of {divisor_expr(bundles[t])}")
-    return ResolutionReport(coll, tuple(exps), v)
 
 
 def verify_report(report: ResolutionReport) -> ResolutionReport:

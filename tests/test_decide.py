@@ -15,6 +15,8 @@ from rbn import goodsums as gd
 from rbn import lattice as lat
 from rbn.decide import WBNStatus
 
+from references import serre_dual_character
+
 
 F0 = lat.hirzebruch(0)
 F1 = lat.hirzebruch(1)
@@ -128,7 +130,7 @@ class TestHirzebruch:
             coords = (rng.randrange(-3 * r, 3 * r + 1), rng.randrange(-3 * r, 3 * r + 1))
             v = ch.character_from_chi(r, lat.DivisorClass(S, coords), 0)
             a = dec.wbn(v)
-            b = dec.wbn(ch.serre_dual_character(v))
+            b = dec.wbn(serre_dual_character(v))
             assert a.status == b.status, v
 
 

@@ -32,6 +32,13 @@ def anticanonical_sum(surface, *exprs):
     return gd.GoodSum(surface, -lat.canonical(surface), tuple(D(surface, e) for e in exprs))
 
 
+def gap_and_bound(gs, F):
+    """The widest N-degree gap of the sum, and -N.(F + K): the sum meets the
+    F-prioritary degree-gap criterion when the gap lies strictly below it."""
+    degrees = gs.degrees()
+    return max(degrees) - min(degrees), -lat.intersect(gs.N, F + lat.canonical(gs.surface))
+
+
 class TestIsGoodSum:
     def test_worked_decomposition_of_twice_the_line(self):
         gs = anticanonical_sum(DP7, "L-E1", "L-E2", "E1+E2")
@@ -85,16 +92,17 @@ class TestPrioritarySumCheck:
     def test_good_sums_pass(self):
         for degree in (4, 5, 6, 7):
             S = lat.del_pezzo(degree)
-            gs = gd.delpezzo_decompose(D(S, "2L"), 3)
-            assert gd.prioritary_sum_check(gs, D(S, "L-E1"))
+            gap, bound = gap_and_bound(gd.delpezzo_decompose(D(S, "2L"), 3), D(S, "L-E1"))
+            # goodness gives the gap, and -N.(F + K) >= 2 the bound
+            assert gap <= 1 < 2 <= bound
 
     def test_wide_gap_fails(self):
-        gs = anticanonical_sum(DP7, "2L", "0")
-        assert not gd.prioritary_sum_check(gs)
+        gap, bound = gap_and_bound(anticanonical_sum(DP7, "2L", "0"), gd.fiber_class(DP7))
+        assert not gap < bound
 
     def test_rank_one_vacuous(self):
-        gs = anticanonical_sum(DP7, "2L")
-        assert gd.prioritary_sum_check(gs)
+        gap, bound = gap_and_bound(anticanonical_sum(DP7, "2L"), gd.fiber_class(DP7))
+        assert gap == 0 < bound
 
 
 class TestRoundingSum:
@@ -414,7 +422,8 @@ class TestHirzebruchFiberSum:
         assert gs.c1() == v.c1 and gs.chi() == 0
         for s in gs.summands:
             assert coh.hirzebruch_cohomology(s).as_tuple() == (0, 0, 0)
-        assert gd.is_good_sum(gs).ok and gd.prioritary_sum_check(gs)
+        gap, bound = gap_and_bound(gs, gd.fiber_class(gs.surface))
+        assert gd.is_good_sum(gs).ok and gap <= 1 < 2 <= bound
 
     def test_out_of_range_k(self):
         v = ch.character_from_chi(2, D(lat.hirzebruch(1), "2E"), 0)

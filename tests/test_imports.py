@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -229,13 +230,37 @@ def test_two_term_resolution_is_the_only_closed_form_entry_point():
     )
     assert public == [
         "builtin_collection",
-        "hom_dimension",
         "prioritary_hypotheses_check",
-        "solve_exponents",
         "two_term_resolution",
         "verify_report",
         "verify_strong_exceptional",
     ]
+
+
+# definitions that no library code names yet, each with its reason
+NO_LIBRARY_CALLER = {
+    "riemann_roch_chi": "a public value the README names",
+    "verify_strong_exceptional": "a hypothesis check of the closed forms, not yet run by two_term_resolution",
+    "prioritary_hypotheses_check": "a hypothesis check of the closed forms, not yet run by two_term_resolution",
+}
+
+
+def test_every_library_function_has_a_library_caller():
+    # a function or class that only the tests name belongs in the tests
+    # (tests/references.py holds the independent references); a name counts
+    # when library code outside its own body names it
+    trees = [_tree(path) for path in MODULES if path.name != "__init__.py"]
+    named = Counter(node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name))
+    uncalled = [
+        top.name
+        for tree in trees
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and named[top.name] == sum(isinstance(node, ast.Name) and node.id == top.name for node in ast.walk(top))
+    ]
+    assert [name for name in uncalled if name not in NO_LIBRARY_CALLER] == []
+    # an entry that gains a library caller leaves the list
+    assert sorted(name for name in uncalled if name in NO_LIBRARY_CALLER) == sorted(NO_LIBRARY_CALLER)
 
 
 def test_no_assert_statements():

@@ -19,6 +19,20 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
+def stream_rank(mat, p):
+    """``modp_stream_rank`` of a list of equal-length rows, fed as its rows
+    (n = columns) and as its columns (n = rows); the two must agree."""
+    by_rows = _modp.modp_stream_rank(mat, len(mat[0]) if mat else 0, p)
+    by_columns = _modp.modp_stream_rank(zip(*mat), len(mat), p)
+    assert by_rows == by_columns, (by_rows, by_columns)
+    return by_rows
+
+
+def nullity(mat, p):
+    """Dimension of the right kernel over F_p of a matrix with at least one row."""
+    return len(mat[0]) - stream_rank(mat, p)
+
+
 def reference_rank(mat, p):
     """Column-by-column Gaussian elimination over F_p with row swaps."""
     rows = [[x % p for x in row] for row in mat]
@@ -42,11 +56,11 @@ class TestRank:
         rng = random.Random(0)
         for rows, cols in [(1, 1), (3, 7), (7, 3), (20, 20), (45, 66), (80, 36)]:
             mat = random_matrix(rng, rows, cols, p)
-            assert _modp.modp_rank(mat, p) == reference_rank(mat, p)
+            assert stream_rank(mat, p) == reference_rank(mat, p)
         # rank-deficient: products of thin factors
         for inner, rows, cols in [(2, 9, 7), (5, 30, 40), (11, 25, 25)]:
             mat = product(random_matrix(rng, rows, inner, p), random_matrix(rng, inner, cols, 1000), p)
-            assert _modp.modp_rank(mat, p) == reference_rank(mat, p) <= inner
+            assert stream_rank(mat, p) == reference_rank(mat, p) <= inner
 
     @pytest.mark.parametrize("tall", [True, False], ids=["rows>cols", "rows<cols"])
     @settings(max_examples=60, deadline=None)
@@ -67,7 +81,7 @@ class TestRank:
         left = random_matrix(rng, rows, inner, p, zero_frac)
         right = random_matrix(rng, inner, cols, p, zero_frac)
         for mat in (random_matrix(rng, rows, cols, p, zero_frac), product(left, right, p)):
-            assert _modp.modp_rank(mat, p) == reference_rank(mat, p)
+            assert stream_rank(mat, p) == reference_rank(mat, p)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -79,9 +93,8 @@ class TestRank:
         data=st.data(),
     )
     def test_rank_of_the_transpose(self, rows, cols, p, seed, zero_frac, data):
-        # row rank equals column rank; the kernel eliminates the short side, so
-        # on a non-square matrix both calls run the same elimination, and each
-        # is also checked against the reference
+        # row rank equals column rank: the matrix and its transpose, each fed
+        # as rows and as columns, agree with the reference
         inner = data.draw(st.integers(0, min(rows, cols)))
         rng = random.Random(seed)
         for mat in (
@@ -89,7 +102,7 @@ class TestRank:
             product(random_matrix(rng, rows, inner, p, zero_frac), random_matrix(rng, inner, cols, p, zero_frac), p),
         ):
             rank = reference_rank(mat, p)
-            assert _modp.modp_rank(mat, p) == _modp.modp_rank(transpose(mat), p) == rank
+            assert stream_rank(mat, p) == stream_rank(transpose(mat), p) == rank
             assert reference_rank(transpose(mat), p) == rank
 
     @pytest.mark.parametrize("p", [2, 101, 2147483647])
@@ -107,32 +120,32 @@ class TestRank:
             product(random_matrix(rng, 9, cols, p), base, p),
         ):
             mat = base + tail
-            assert _modp.modp_rank(mat, p) == reference_rank(mat, p) == cols
+            assert stream_rank(mat, p) == reference_rank(mat, p) == cols
 
     def test_known_ranks(self):
         p = 101
         eye = [[int(i == j) for j in range(5)] for i in range(5)]
-        assert _modp.modp_rank(eye, p) == 5
-        assert _modp.modp_rank([[0] * 6 for _ in range(4)], p) == 0
+        assert stream_rank(eye, p) == 5
+        assert stream_rank([[0] * 6 for _ in range(4)], p) == 0
         # rank drops mod p: the second row is p times the first
-        assert _modp.modp_rank([[1, 2], [p, 2 * p]], p) == 1
+        assert stream_rank([[1, 2], [p, 2 * p]], p) == 1
 
     def test_rank_with_duplicated_rows(self):
         rng = random.Random(3)
         p = 1009
         base = random_matrix(rng, 4, 9, p)
         stacked = base + base + [[3 * x % p for x in row] for row in base]
-        assert _modp.modp_rank(stacked, p) == _modp.modp_rank(base, p)
+        assert stream_rank(stacked, p) == stream_rank(base, p)
 
     def test_negative_entries_reduced(self):
         p = 97
-        assert _modp.modp_rank([[-1, 1], [96, -96]], p) == 1
+        assert stream_rank([[-1, 1], [96, -96]], p) == 1
 
     def test_input_rows_are_not_modified(self):
         p = 7
         mat = [[1, 2, 3], [2, 4, 6], [8, 1, 0]]
         before = [row[:] for row in mat]
-        assert _modp.modp_rank(mat, p) == 2 and mat == before
+        assert stream_rank(mat, p) == 2 and mat == before
 
 
 class TestStream:
@@ -179,14 +192,15 @@ class TestNullity:
         for _ in range(10):
             rows, cols = rng.randrange(1, 40), rng.randrange(1, 40)
             mat = random_matrix(rng, rows, cols, p)
-            assert _modp.modp_rank(mat, p) + _modp.modp_nullity(mat, p) == cols
+            assert stream_rank(mat, p) + nullity(mat, p) == cols
+            assert stream_rank(mat, p) == reference_rank(mat, p)
 
     def test_empty_matrix(self):
         # a zero row, and rows with no columns
-        assert _modp.modp_nullity([[0] * 5], 101) == 5
-        assert _modp.modp_rank([[], []], 101) == _modp.modp_nullity([[], []], 101) == 0
+        assert nullity([[0] * 5], 101) == 5
+        assert stream_rank([[], []], 101) == nullity([[], []], 101) == 0
 
     def test_modulus_bounds(self):
         mat = [[1, 1], [1, 1]]
         with pytest.raises(ValueError):
-            _modp.modp_rank(mat, 1)
+            stream_rank(mat, 1)

@@ -34,10 +34,15 @@ def D(surface, expr):
     return lat.parse_divisor(expr, surface)
 
 
+def reflect(D, root):
+    """The reflection s(D) = D + (D.root) root: ``lat.reflect`` on coordinates."""
+    return lat.DivisorClass(D.surface, lat.reflect(D.surface, D.coords, root.coords))
+
+
 def apply_word(D, word):
     """Reflect D in each root of the word in turn, first root first."""
     for root in word:
-        D = lat.weyl_reflect(D, root)
+        D = reflect(D, root)
     return D
 
 
@@ -52,8 +57,9 @@ def weyl_generators(S):
     roots = [lat.transposition_root(S, i, i + 1) for i in range(1, S.k)]
     if S.k >= 3:
         roots.append(lat.cremona_root(S, 1, 2, 3))
-    for root in roots:
-        lat._check_root(root)
+    K = lat.canonical(S)
+    for root in roots:  # (-2)-roots orthogonal to K
+        assert lat.intersect(root, root) == -2 and lat.intersect(root, K) == 0, root
     return tuple(root.coords for root in roots)
 
 
@@ -127,7 +133,7 @@ class TestCanonicalAndChi:
             S = lat.hirzebruch(e)
             for a in range(-10, 11):
                 for b in range(-10, 11):
-                    assert lat.chi_line_bundle(lat.divisor(S, a, b)) == (a + 1) * (
+                    assert lat.chi_line_bundle(lat.DivisorClass(S, (a, b))) == (a + 1) * (
                         b + 1
                     ) - e * a * (a + 1) // 2
         for _ in range(60):
@@ -256,14 +262,14 @@ class TestNefAndEffective:
 class TestWeyl:
     def test_transposition(self):
         root = D(BL2, "E1-E2")
-        assert lat.weyl_reflect(D(BL2, "2L-E1"), root) == D(BL2, "2L-E2")
+        assert reflect(D(BL2, "2L-E1"), root) == D(BL2, "2L-E2")
 
     def test_cremona(self):
         S = lat.blowup_p2(3)
         root = D(S, "L-E1-E2-E3")
-        image = lat.weyl_reflect(D(S, "L"), root)
+        image = reflect(D(S, "L"), root)
         assert image == D(S, "2L-E1-E2-E3")
-        assert lat.weyl_reflect(image, root) == D(S, "L")
+        assert reflect(image, root) == D(S, "L")
 
     def test_canonical_fixed_and_form_preserved(self):
         rng = random.Random(3)
@@ -271,13 +277,13 @@ class TestWeyl:
         K = lat.canonical(S)
         roots = [D(S, "E1-E2"), D(S, "E2-E5"), D(S, "L-E1-E2-E3"), D(S, "L-E2-E4-E5")]
         for root in roots:
-            assert lat.weyl_reflect(K, root) == K
+            assert reflect(K, root) == K
             for _ in range(20):
                 a = lat.DivisorClass(S, tuple(rng.randrange(-6, 7) for _ in range(6)))
                 b = lat.DivisorClass(S, tuple(rng.randrange(-6, 7) for _ in range(6)))
-                assert lat.weyl_reflect(lat.weyl_reflect(a, root), root) == a
+                assert reflect(reflect(a, root), root) == a
                 assert lat.intersect(
-                    lat.weyl_reflect(a, root), lat.weyl_reflect(b, root)
+                    reflect(a, root), reflect(b, root)
                 ) == lat.intersect(a, b)
 
     def test_nef_cone_preserved(self):
@@ -285,12 +291,8 @@ class TestWeyl:
         root = D(S, "L-E1-E2-E3")
         for C in lat.neg_one_curves(S):
             nef = D(S, "3L-E1-E2-E3-E4")  # anticanonical, ample
-            assert lat.is_nef(lat.weyl_reflect(nef, root))
-            assert lat.is_nef(C) == lat.is_nef(lat.weyl_reflect(C, root))
-
-    def test_non_root_rejected(self):
-        with pytest.raises(lat.LatticeError):
-            lat.weyl_reflect(D(BL2, "L"), D(BL2, "E1"))
+            assert lat.is_nef(reflect(nef, root))
+            assert lat.is_nef(C) == lat.is_nef(reflect(C, root))
 
     def test_move_curve_to_last_examples(self):
         S3 = lat.del_pezzo(6)
@@ -412,7 +414,7 @@ class TestDivisorArithmetic:
         for got, want in ((a + b, "4L-E1-2E2-E3"), (a - b, "2L-E1-2E2+E3"), (-a, "-3L+E1+2E2")):
             assert got == D(DP5, want) and type(got) is lat.DivisorClass
             assert all(type(c) is int for c in got.coords) and hash(got) == hash(D(DP5, want))
-        reflected = lat.weyl_reflect(a, D(DP5, "E1-E2"))
+        reflected = reflect(a, D(DP5, "E1-E2"))
         assert reflected == D(DP5, "3L-2E1-E2") and type(reflected) is lat.DivisorClass
 
 

@@ -6,6 +6,8 @@ from rbn import chern as ch
 from rbn import lattice as lat
 from rbn import resolutions as res
 
+from references import serre_dual_character, solve_exponents
+
 
 F0 = lat.hirzebruch(0)
 F1 = lat.hirzebruch(1)
@@ -52,24 +54,24 @@ class TestBuiltinCollections:
 class TestSolveExponents:
     def test_blowup_example(self):
         v = ch.character_from_chi(2, D(BL2, "2L-E1-E2"), 0)
-        report = res.solve_exponents(v, res.builtin_collection(BL2))
+        report = solve_exponents(v, res.builtin_collection(BL2))
         assert report.exponents == (2, 2, 1, 1)
         assert report.bookkeeping_ok()
 
     def test_hirzebruch_example(self):
         v = ch.character_from_chi(2, lat.zero_divisor(F1), 0)
-        report = res.solve_exponents(v, res.builtin_collection(F1))
+        report = solve_exponents(v, res.builtin_collection(F1))
         assert report.exponents == (2, 2, 2)
 
     def test_self_resolving_bundle(self):
         v = ch.character_from_chi(1, D(F2, "-F"), 0)
-        report = res.solve_exponents(v, res.builtin_collection(F2))
+        report = solve_exponents(v, res.builtin_collection(F2))
         assert report.exponents == (0, 0, 1)
 
     def test_requires_chi_zero(self):
         v = ch.character_from_chi(2, lat.zero_divisor(F1), 1)
         with pytest.raises(ch.CharacterError):
-            res.solve_exponents(v, res.builtin_collection(F1))
+            solve_exponents(v, res.builtin_collection(F1))
 
 
 class TestHirzebruchResolution:
@@ -112,7 +114,9 @@ class TestHirzebruchResolution:
         # -5E-9F violates k/r >= -1 on F_2, so the report resolves the dual -E-3F
         v = ch.character_from_chi(3, D(F2, "-5E-9F"), 0)
         report = res.two_term_resolution(v)
-        assert report.target == ch.hirzebruch_normalize(v)[0] == ch.serre_dual_character(v)
+        dual = serre_dual_character(v)
+        assert ch.hirzebruch_core(2, v.r, *v.c1.coords, v.twice_ch2)[:4] == (True, *dual.c1.coords, dual.twice_ch2)
+        assert report.target == dual
         assert report.target.c1 == D(F2, "-E-3F") and report.exponents == (1, 2, 2)
 
 
@@ -177,7 +181,7 @@ class TestBlowupResolution:
                 continue
             v = ch.character_from_chi(r, lat.DivisorClass(surface, (ell,) + tuple(-m for m in mults)), 0)
             report = res.two_term_resolution(v)
-            solved = res.solve_exponents(v, report.collection)
+            solved = solve_exponents(v, report.collection)
             assert solved.exponents == report.exponents, v
             done += 1
 
@@ -216,7 +220,7 @@ class TestBlowupHirzebruchResolution:
                 report = res.two_term_resolution(v)
             except res.ResolutionError:
                 continue
-            solved = res.solve_exponents(v, report.collection)
+            solved = solve_exponents(v, report.collection)
             assert solved.exponents == report.exponents, v
             done += 1
 

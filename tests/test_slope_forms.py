@@ -24,6 +24,8 @@ from rbn import lattice as lat
 from rbn import resolutions as res
 from rbn.decide import WBNStatus
 
+from references import _as_int, serre_dual_character
+
 
 def ref_nu(v):
     return tuple(Fraction(c, v.r) for c in v.c1.coords)
@@ -57,8 +59,8 @@ def ref_blowup_resolution(v):
             return ("error", f"hypothesis alpha_{i} >= 0 fails: alpha_{i} = {alpha}")
     if delta - sum(alphas) < -1:
         return ("error", f"hypothesis delta - sum alpha_i >= -1 fails: {delta - sum(alphas)}")
-    a = res._as_int(r * (delta - sum(alphas) + 1), "exponent a")
-    cs = [res._as_int(r * alpha, f"exponent c_{i}") for i, alpha in enumerate(alphas, start=1)]
+    a = _as_int(r * (delta - sum(alphas) + 1), "exponent a")
+    cs = [_as_int(r * alpha, f"exponent c_{i}") for i, alpha in enumerate(alphas, start=1)]
     b_signed = r + a - sum(cs)
     form = "eqfirst" if b_signed >= 0 else "eqsecond"
     return ("ok", form, 1 if b_signed >= 0 else 2, (a, abs(b_signed), *cs))
@@ -82,10 +84,10 @@ def ref_blowup_hirzebruch_resolution(v):
             f"hypothesis beta - sum alpha_i + 1 >= max((e-1)alpha, e alpha) fails: "
             f"{beta - sum(alphas) + 1} < {bound}",
         )
-    a = res._as_int(r * (beta - (e - 1) * alpha - sum(alphas) + 1), "exponent a")
-    b = res._as_int(r * (beta - e * alpha - sum(alphas) + 1), "exponent b")
-    c = res._as_int(r * (alpha - sum(alphas) + 1), "exponent c")
-    ds = [res._as_int(r * ai, f"exponent d_{i}") for i, ai in enumerate(alphas, start=1)]
+    a = _as_int(r * (beta - (e - 1) * alpha - sum(alphas) + 1), "exponent a")
+    b = _as_int(r * (beta - e * alpha - sum(alphas) + 1), "exponent b")
+    c = _as_int(r * (alpha - sum(alphas) + 1), "exponent c")
+    ds = [_as_int(r * ai, f"exponent d_{i}") for i, ai in enumerate(alphas, start=1)]
     return ("ok", "generic", 1, (a, b, c, *ds))
 
 
@@ -98,7 +100,7 @@ def library_resolution(v):
 
 
 def ref_normalized(w):
-    """The slope test of ``hirzebruch_normalize``: k/r >= -1, ties by l/r."""
+    """The normalization test of ``hirzebruch_core``: k/r >= -1, ties by l/r."""
     e = w.surface.e
     k, ell = w.c1.coords
     kr = Fraction(k, w.r)
@@ -116,7 +118,7 @@ def ref_discriminant(w):
 
 def ref_hirzebruch_status(v):
     """Status of ``wbn`` on F_e from the Fraction forms of its tests."""
-    w = v if ref_normalized(v) else ch.serre_dual_character(v)
+    w = v if ref_normalized(v) else serre_dual_character(v)
     assert ref_normalized(w)
     if ref_discriminant(w) < 0:
         return w, WBNStatus.EMPTY_MODULI
@@ -149,8 +151,8 @@ def ref_obstruction_certificate(v, C, H):
 
 def check_hirzebruch(v):
     w_ref, status = ref_hirzebruch_status(v)
-    w, dualized = ch.hirzebruch_normalize(v)
-    assert (w, dualized) == (w_ref, w_ref is not v), v
+    dualized, k, ell, t, _, _ = ch.hirzebruch_core(v.surface.e, v.r, *v.c1.coords, v.twice_ch2)
+    assert (dualized, (k, ell), t) == (w_ref is not v, w_ref.c1.coords, w_ref.twice_ch2), v
     verdict = dec.wbn(v)
     assert verdict.status is status, v
     assert verdict.bogomolov_delta == ref_discriminant(w_ref), v
@@ -190,15 +192,15 @@ class TestHirzebruchBox:
                 check_hirzebruch(chi_zero(S, r, (k, ell)))
 
     def test_normalization_off_chi_zero(self):
-        # hirzebruch_normalize takes any chi; the boundary k = -r is the tie
+        # hirzebruch_core takes any chi; the boundary k = -r is the tie
         for e in (0, 1, 2, 3):
             S = lat.hirzebruch(e)
             for r, chi in itertools.product((2, 3, 4), (-2, 1, 3)):
                 for k, ell in itertools.product(range(-2 * r, r + 1), range(-3 * r, 3 * r + 1)):
                     v = ch.character_from_chi(r, lat.DivisorClass(S, (k, ell)), chi)
-                    w, dualized = ch.hirzebruch_normalize(v)
+                    dualized, k_n, ell_n, t, _, _ = ch.hirzebruch_core(e, r, k, ell, v.twice_ch2)
                     assert dualized is not ref_normalized(v), v
-                    assert ref_normalized(w)
+                    assert ref_normalized(ch.ChernCharacter.from_twice_ch2(r, lat.DivisorClass(S, (k_n, ell_n)), t))
 
 
 def blowup_p2_box(surface):
