@@ -5,11 +5,13 @@ class and ch2 a rational with denominator dividing 2.  The Euler
 characteristic is chi = r - c1.K/2 + ch2; every construction here is exact,
 and helpers that must produce integers raise instead of rounding.
 
-ch2 is carried as the integer t = 2 ch2 (``twice_ch2``), validated once
-when the character is made.  Euler characteristics and pairings are
-computed on integers scaled by 2, the discriminant on integers scaled by
-2r^2, and twists and duals move t directly; a ``Fraction`` is built only
-where a public function returns one (``riemann_roch_chi``,
+A character stores ch2 only as the integer t = 2 ch2:
+``ChernCharacter(r, c1, twice_ch2=t)``, so every t is a valid ch2 and the
+half-integer check sits in ``parse_character``, where a rational ch2 comes
+in from outside.  Euler characteristics and pairings are computed on
+integers scaled by 2, the discriminant on integers scaled by 2r^2, and
+twists and duals move t directly; a ``Fraction`` is built only where a
+public value is one (the ``ch2`` property, ``riemann_roch_chi``,
 ``euler_pairing``, ``discriminant``) or a message prints one.  The total
 slope nu = c1/r is never formed either: a slope inequality such as
 nu.E >= -1 is tested as c1.E >= -r, multiplied through by r > 0.
@@ -40,26 +42,17 @@ class CharacterError(ValueError):
 class ChernCharacter:
     r: int
     c1: DivisorClass
-    ch2: Fraction
-    twice_ch2: int = field(init=False, repr=False, compare=False)
+    twice_ch2: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.r < 1:
             raise CharacterError("characters must have positive rank (torsion is out of scope)")
-        ch2 = self.ch2 if type(self.ch2) is Fraction else Fraction(self.ch2)
-        if ch2.denominator == 1:
-            twice = 2 * ch2.numerator
-        elif ch2.denominator == 2:
-            twice = ch2.numerator
-        else:
-            raise CharacterError(f"ch2 must be a half-integer, got {ch2}")
-        object.__setattr__(self, "ch2", ch2)
-        object.__setattr__(self, "twice_ch2", twice)
+        if type(self.twice_ch2) is not int:
+            raise CharacterError(f"twice_ch2 must be an int, got {self.twice_ch2!r}")
 
-    @classmethod
-    def from_twice_ch2(cls, r: int, c1: DivisorClass, twice_ch2: int) -> "ChernCharacter":
-        """The character (r, c1, twice_ch2 / 2)."""
-        return cls(r, c1, Fraction(twice_ch2, 2))
+    @property
+    def ch2(self) -> Fraction:
+        return Fraction(self.twice_ch2, 2)
 
     @property
     def surface(self) -> SurfaceModel:
@@ -74,13 +67,13 @@ class ChernCharacter:
 
 
 def line_bundle_character(D: DivisorClass) -> ChernCharacter:
-    return ChernCharacter.from_twice_ch2(1, D, intersect(D, D))
+    return ChernCharacter(1, D, twice_ch2=intersect(D, D))
 
 
 def character_from_chi(r: int, c1: DivisorClass, chi: int) -> ChernCharacter:
     """Invert Riemann-Roch for ch2: 2 ch2 = 2 chi - 2r + c1.K."""
     K = canonical(c1.surface)
-    return ChernCharacter.from_twice_ch2(r, c1, 2 * chi - 2 * r + intersect(c1, K))
+    return ChernCharacter(r, c1, twice_ch2=2 * chi - 2 * r + intersect(c1, K))
 
 
 def _twice_chi(v: ChernCharacter) -> int:
@@ -193,5 +186,8 @@ def parse_character(text: str, surface: SurfaceModel) -> ChernCharacter:
             ch2 = Fraction(fields["ch2"])
         except (ValueError, ZeroDivisionError):
             raise ParseError("ch2 must be a rational like -3 or 5/2", fields["ch2"]) from None
-        return ChernCharacter(r, c1, ch2)
+        twice = 2 * ch2
+        if twice.denominator != 1:
+            raise CharacterError(f"ch2 must be a half-integer, got {ch2}")
+        return ChernCharacter(r, c1, twice_ch2=twice.numerator)
     raise ParseError("character literal needs chi= or ch2=", text)

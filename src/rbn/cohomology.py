@@ -66,6 +66,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from ._modp import modp_stream_rank
 from .lattice import (
@@ -115,32 +116,40 @@ class Vanishing(enum.Enum):
         return self.value
 
 
+_ROUTES = ("exact", "rules", "oracle", "undecided")
+
+
 @dataclass(frozen=True)
 class CohomologyAnswer:
     """What is known of the cohomology of O(D), and what decided it.
 
-    ``vector`` is (h0, h1, h2), or None where no route gives it.
-    ``higher_cohomology`` says whether h1 = h2 = 0: ZERO or NONZERO as the
-    route found it (an oracle NONZERO is probable, not proven), and UNKNOWN
-    exactly when ``route`` is ``"undecided"``.  ``route`` is ``"exact"`` (closed form or Cremona reduction),
-    ``"rules"`` (a closure derivation, or a cheap certificate of higher
-    cohomology), ``"oracle"`` (the interpolation oracle's upper bounds) or
+    ``vector`` is (h0, h1, h2), or None where no route gives it.  ``route``
+    is ``"exact"`` (closed form or Cremona reduction), ``"rules"`` (a
+    closure derivation, or a cheap certificate of higher cohomology),
+    ``"oracle"`` (the interpolation oracle's upper bounds) or
     ``"undecided"``.  ``derivation`` is the rule trail, the Cremona note or
     the reason for a NONZERO, and is empty otherwise.
     """
 
     vector: CohomologyVector | None
-    higher_cohomology: Vanishing
     route: str
     derivation: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if self.route not in _ROUTES:
+            raise ValueError(f"unknown cohomology route {self.route!r}")
 
-def _from_vector(vec: CohomologyVector, route: str, derivation: tuple[str, ...] = ()) -> CohomologyAnswer:
-    higher = Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO
-    return CohomologyAnswer(vec, higher, route, derivation)
+    @property
+    def higher_cohomology(self) -> Vanishing:
+        """Whether h1 = h2 = 0: read off the vector where there is one (an
+        oracle NONZERO is probable, not proven), NONZERO for a rules
+        certificate without one, and UNKNOWN exactly when undecided."""
+        if self.vector is not None:
+            return Vanishing.ZERO if self.vector.higher_vanishes else Vanishing.NONZERO
+        return Vanishing.UNKNOWN if self.route == "undecided" else Vanishing.NONZERO
 
 
-_UNDECIDED = CohomologyAnswer(None, Vanishing.UNKNOWN, "undecided")
+_UNDECIDED = CohomologyAnswer(None, "undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +249,7 @@ def _cremona_answer(coords) -> CohomologyAnswer:
     h0 = _cremona_h0(coords)
     h2 = _cremona_h0((-3 - coords[0],) + tuple(1 - c for c in coords[1:]))
     vec = CohomologyVector(h0, h0 + h2 - _chi_plane(coords[0], [-c for c in coords[1:]]), h2)
-    return _from_vector(vec, "exact", (_CREMONA_NOTE,))
+    return CohomologyAnswer(vec, "exact", (_CREMONA_NOTE,))
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +450,11 @@ def vanishing_by_rules(D: DivisorClass) -> CohomologyAnswer:
     trail = ("stock class",) if stock(D.coords) else _derive(D.coords, stock, strips, derivable, param)
     chi = chi_line_bundle(D)
     if trail is not None:
-        return CohomologyAnswer(CohomologyVector(chi, 0, 0), Vanishing.ZERO, "rules", trail)
+        return CohomologyAnswer(CohomologyVector(chi, 0, 0), "rules", trail)
     if chi < 0:
-        return CohomologyAnswer(None, Vanishing.NONZERO, "rules", ("chi < 0 forces h1 > 0",))
+        return CohomologyAnswer(None, "rules", ("chi < 0 forces h1 > 0",))
     if _obviously_effective(canonical(s) - D):
-        return CohomologyAnswer(None, Vanishing.NONZERO, "rules", ("K - D effective forces h2 > 0",))
+        return CohomologyAnswer(None, "rules", ("K - D effective forces h2 > 0",))
     return _UNDECIDED
 
 
@@ -456,37 +465,19 @@ def vanishing_by_rules(D: DivisorClass) -> CohomologyAnswer:
 
 @lru_cache(maxsize=8)  # a process uses a few moduli: the default and any given as prime=
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):  # exact below 3.3e24
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division: at most 46341 divisors below the 2^31 cap, once per modulus
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def _resolve_prime(prime: int | None, degree: int) -> int:
     if prime is None:
         prime = DEFAULT_ORACLE_PRIME
+    if prime >= 1 << 31:
+        raise OracleError(f"oracle modulus {prime} is not below 2^31")
     if not _is_prime(prime):
         raise OracleError(f"oracle modulus {prime} is not prime")
     if prime <= max(degree, 1000):
         raise OracleError(f"oracle modulus {prime} too small for degree {degree}")
-    if prime >= 1 << 31:  # any cap below 3.3e24 keeps _is_prime exact; this one keeps --prime as it was
-        raise OracleError(f"oracle modulus {prime} is not below 2^31")
     return prime
 
 
@@ -935,7 +926,7 @@ def certified_cohomology(D: DivisorClass) -> CohomologyAnswer:
     the plane at k <= 8 general points).
     """
     if D.surface.is_hirzebruch:
-        return _from_vector(hirzebruch_cohomology(D), "exact")
+        return CohomologyAnswer(hirzebruch_cohomology(D), "exact")
     return vanishing_by_rules(D)
 
 
@@ -944,7 +935,7 @@ def _with_oracle(D: DivisorClass, answer: CohomologyAnswer, seed: int, trials: i
     oracle's, keeping the rules' derivation."""
     if answer.vector is not None or not D.surface.is_blowup_p2_like:
         return answer
-    return _from_vector(blowup_cohomology_oracle(D, seed=seed, trials=trials), "oracle", answer.derivation)
+    return CohomologyAnswer(blowup_cohomology_oracle(D, seed=seed, trials=trials), "oracle", answer.derivation)
 
 
 def line_bundle_cohomology(D: DivisorClass, *, seed: int = 0, trials: int = 3) -> CohomologyAnswer:

@@ -159,8 +159,8 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
     else:
         notes.append("exact cohomology" if answer.route == "exact" else "vanishing by rules")
     if vec.higher_vanishes:
-        gs = GoodSum(c1.surface, _rank_one_reference(c1.surface), (c1,))
-        target = ChernCharacter.from_twice_ch2(1, c1, intersect(c1, c1) - 2 * n)
+        gs = GoodSum(_rank_one_reference(c1.surface), (c1,))
+        target = ChernCharacter(1, c1, twice_ch2=intersect(c1, c1) - 2 * n)
         witness = WBNWitness(gs, n, target)
         # the cohomology above is the check on the line bundle; is_good_sum
         # cannot certify the reference N = F on blowups of F_e
@@ -213,7 +213,7 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     if disc < 0:
         notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
         return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=delta, notes=tuple(notes))
-    w = ChernCharacter.from_twice_ch2(r, DivisorClass(s, (k, ell)), t) if dualized else v
+    w = ChernCharacter(r, DivisorClass(s, (k, ell)), twice_ch2=t) if dualized else v
     if b < 0:  # nu.E < -1
         E = DivisorClass(s, (1, 0))
         if euler_pairing(line_bundle_character(E), w) != -b:
@@ -315,13 +315,11 @@ def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     return _blowup_wbn(v, seed=seed, trials=trials)
 
 
-def obstruction_certificate(
-    v: ChernCharacter, C: DivisorClass, H: DivisorClass | None = None
-) -> Obstruction | None:
+def obstruction_certificate(v: ChernCharacter, C: DivisorClass, H: DivisorClass) -> Obstruction | None:
     """Section-forcing certificate from an effective curve class C.
 
     When chi(O(C), v) > 0 and the slope condition nu(v).H > (K+C).H holds
-    for the chosen polarization, every semistable sheaf of character v has
+    for the polarization H, every semistable sheaf of character v has
     h0 >= chi(O(C), v).  Effectivity of C is the caller's responsibility.
     """
     if v.surface != C.surface:
@@ -331,8 +329,7 @@ def obstruction_certificate(
         return None
     if pairing.denominator != 1:
         raise CharacterError(f"non-integral pairing {pairing}; malformed character")
-    if H is not None:
-        K = canonical(v.surface)
-        if intersect(v.c1, H) <= v.r * intersect(K + C, H):  # nu.H <= (K+C).H
-            return None
+    K = canonical(v.surface)
+    if intersect(v.c1, H) <= v.r * intersect(K + C, H):  # nu.H <= (K+C).H
+        return None
     return Obstruction(curve=C, chi_pairing=int(pairing), h0_lower_bound=int(pairing))

@@ -74,15 +74,19 @@ def _certify_reference(N: DivisorClass) -> None:
 class GoodSum:
     """A direct sum of line bundles measured against a nef reference N."""
 
-    surface: SurfaceModel
     N: DivisorClass
     summands: tuple[DivisorClass, ...]
 
-    # the sums below read coordinates alone, so every class must live on the surface
+    # the sums below read coordinates alone, so every summand must live on N's surface
     def __post_init__(self):
-        for D in (self.N, *self.summands):
-            if D.surface is not self.surface and D.surface != self.surface:
-                raise LatticeError(f"divisors live on different surfaces: {D.surface} vs {self.surface}")
+        s = self.surface
+        for D in self.summands:
+            if D.surface is not s and D.surface != s:
+                raise LatticeError(f"divisors live on different surfaces: {D.surface} vs {s}")
+
+    @property
+    def surface(self) -> SurfaceModel:
+        return self.N.surface
 
     @property
     def rank(self) -> int:
@@ -95,7 +99,7 @@ class GoodSum:
 
     def character(self) -> ChernCharacter:
         twice_ch2 = sum(form(self.surface, D.coords, D.coords) for D in self.summands)
-        return ChernCharacter.from_twice_ch2(self.rank, self.c1(), twice_ch2)
+        return ChernCharacter(self.rank, self.c1(), twice_ch2=twice_ch2)
 
     def chi(self) -> int:
         return sum(chi_line_bundle(D) for D in self.summands)
@@ -185,7 +189,7 @@ def rounding_sum(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> GoodSu
     # slots 0..p-1 carry the larger L-coefficient; ceil multiplicities go to
     # the last slots so large L pairs with small multiplicity totals.
     slots = [(d + (t < p),) + tuple(-(a + (t >= r - pi)) for a, pi in floors) for t in range(r)]
-    gs = GoodSum(s, basis_divisor(s, "L"), tuple(DivisorClass(s, c) for c in sorted(slots)))
+    gs = GoodSum(basis_divisor(s, "L"), tuple(DivisorClass(s, c) for c in sorted(slots)))
     if gs.c1() != v.c1:
         raise RuntimeError("rounding produced the wrong first Chern class")
     return gs
@@ -405,7 +409,7 @@ def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
     if len(flat) != r or sum(map(len, flat)) != r * s.rank or tuple(map(sum, zip(*flat))) != D.coords:
         raise RuntimeError(f"decomposition of {divisor_expr(D)} at rank {r} lost its first Chern class or rank")
     summands = tuple(x for c, n in counts for x in (wrap_coords(s, c),) * n)
-    return GoodSum(s, -canonical(s), summands)
+    return GoodSum(-canonical(s), summands)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +444,7 @@ def hirzebruch_fiber_sum(v: ChernCharacter) -> GoodSum:
     for D in summands:
         if certified_cohomology(D).vector != CohomologyVector(0, 0, 0):
             raise RuntimeError(f"fiber-sum summand {divisor_expr(D)} has cohomology")
-    gs = GoodSum(s, F, tuple(sorted(summands, key=lambda d: d.coords)))
+    gs = GoodSum(F, tuple(sorted(summands, key=lambda d: d.coords)))
     if gs.c1() != v.c1 or gs.chi() != 0:
         raise RuntimeError("fiber sum lost its first Chern class or chi = 0")
     return gs

@@ -64,23 +64,19 @@ class ParseError(ValueError):
 class PointConfig:
     """Position data for the blown-up points.
 
-    ``general`` points are in general position; ``collinear`` puts the
-    listed points, at least two and counted from 1 in increasing order, on
-    a common line and the others in general position.  Only configurations
+    ``collinear`` lists the points, at least two and counted from 1 in
+    increasing order, that lie on a common line; the others are in general
+    position, and with no indices listed every point is.  ``kind`` names
+    the two cases, ``"collinear"`` and ``"general"``.  Only configurations
     that ``SurfaceModel.spec`` can name are accepted.
     """
 
-    kind: str = "general"
     collinear: tuple[int, ...] = ()
 
     def __post_init__(self):
         idx = self.collinear
-        if self.kind == "general":
-            if idx:
-                raise LatticeError("general points list no collinear indices")
+        if not idx:
             return
-        if self.kind != "collinear":
-            raise LatticeError(f"unknown point configuration kind {self.kind!r}")
         if any(type(i) is not int for i in idx):
             raise LatticeError("collinear indices must be integers")
         if len(idx) < 2 or len(set(idx)) != len(idx):
@@ -89,6 +85,10 @@ class PointConfig:
             raise LatticeError("collinear indices must be listed in increasing order")
         if idx[0] < 1:
             raise LatticeError("collinear indices count the points from 1")
+
+    @property
+    def kind(self) -> str:
+        return "collinear" if self.collinear else "general"
 
 
 GENERAL = PointConfig()
@@ -105,7 +105,7 @@ class _Head(NamedTuple):
 
 
 def collinear_config(indices) -> PointConfig:
-    return PointConfig("collinear", collinear=tuple(sorted(int(i) for i in indices)))
+    return PointConfig(tuple(sorted(int(i) for i in indices)))
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,10 @@ class SurfaceModel:
         if self.kind == "hirzebruch":
             if self.e < 0:
                 raise LatticeError("Hirzebruch parameter e must be nonnegative")
+            if self.k:
+                raise LatticeError("a Hirzebruch surface has no blown-up points; use blowup_hirzebruch")
+        elif self.is_blowup_p2_like and self.e:
+            raise LatticeError("a blowup of the plane takes no Hirzebruch parameter e")
         elif self.kind == "blowup_p2":
             if self.k < 1:
                 raise LatticeError("blowup of the plane needs at least one point")

@@ -97,20 +97,14 @@ def builtin_collection(surface: SurfaceModel) -> ExceptionalCollection:
     Bl_k P2:  O(-2L), O(-L), O(-E_1), ..., O(-E_k), O
     Bl_k F_e: O(-E-(e+1)F), O(-E-eF), O(-F), O(-E_1), ..., O(-E_k), O
     """
-    if surface.is_hirzebruch:
-        E, F = basis_divisor(surface, "E"), basis_divisor(surface, "F")
-        bundles = (-E - (surface.e + 1) * F, -E - surface.e * F, -F, zero_divisor(surface))
-        return ExceptionalCollection(surface, bundles, 1)
+    exc = tuple(-basis_divisor(surface, f"E{i}") for i in range(1, surface.k + 1))
     if surface.is_blowup_p2_like:
         L = basis_divisor(surface, "L")
-        exc = tuple(-basis_divisor(surface, f"E{i}") for i in range(1, surface.k + 1))
-        return ExceptionalCollection(surface, (-2 * L, -L) + exc + (zero_divisor(surface),), 1)
-    if surface.is_blowup_hirzebruch:
+        head = (-2 * L, -L)
+    else:  # F_e is its own blowup at k = 0 points
         E, F = basis_divisor(surface, "E"), basis_divisor(surface, "F")
-        exc = tuple(-basis_divisor(surface, f"E{i}") for i in range(1, surface.k + 1))
-        bundles = (-E - (surface.e + 1) * F, -E - surface.e * F, -F) + exc
-        return ExceptionalCollection(surface, bundles + (zero_divisor(surface),), 1)
-    raise ResolutionError(f"no built-in collection on {surface}")
+        head = (-E - (surface.e + 1) * F, -E - surface.e * F, -F)
+    return ExceptionalCollection(surface, head + exc + (zero_divisor(surface),), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +176,6 @@ class ResolutionReport:
             twice += count * square
         return r, c1, twice
 
-    def cokernel_character(self) -> ChernCharacter:
-        """Alternating sum of the exponent-weighted bundle characters."""
-        r, c1, twice = self._cokernel()
-        return ChernCharacter.from_twice_ch2(r, DivisorClass(self.collection.surface, c1), twice)
-
     def bookkeeping_ok(self) -> bool:
         """The cokernel character equals the target, compared on integers."""
         v = self.target
@@ -250,7 +239,7 @@ def _hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     s, r = v.surface, v.r
     dualized, k, ell, t, _, (a, b, c) = hirzebruch_core(s.e, r, *v.c1.coords, v.twice_ch2)
     if dualized:
-        v = ChernCharacter.from_twice_ch2(r, DivisorClass(s, (k, ell)), t)
+        v = ChernCharacter(r, DivisorClass(s, (k, ell)), twice_ch2=t)
     if s.e == 0 and k == -r and ell == -r:
         minus_e_f = DivisorClass(s, (-1, -1))
         report = ResolutionReport(

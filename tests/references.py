@@ -2,8 +2,9 @@
 
 Each recomputes a value the library derives another way, so a test can set
 the two side by side: line-bundle cohomology on F_e through the ruling, the
-Serre dual of a character, and the exponents of a two-term resolution from
-the pairing recurrences of its collection.
+Serre dual of a character, the exponents of a two-term resolution from the
+pairing recurrences of its collection, and the character of a resolution
+from its printed terms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from rbn.chern import CharacterError, ChernCharacter, chi_integer, euler_pairing, line_bundle_character
 from rbn.cohomology import CohomologyVector, certified_cohomology
-from rbn.lattice import DivisorClass, LatticeError, canonical, divisor_expr, intersect
+from rbn.lattice import DivisorClass, LatticeError, canonical, divisor_expr, intersect, zero_divisor
 from rbn.resolutions import ExceptionalCollection, ResolutionError, ResolutionReport
 
 
@@ -45,7 +46,7 @@ def serre_dual_character(v: ChernCharacter) -> ChernCharacter:
     """Character of E^dual tensor K; an involution with the same chi."""
     K = canonical(v.surface)
     twice = v.twice_ch2 - 2 * intersect(v.c1, K) + v.r * intersect(K, K)
-    return ChernCharacter.from_twice_ch2(v.r, -v.c1 + v.r * K, twice)
+    return ChernCharacter(v.r, -v.c1 + v.r * K, twice_ch2=twice)
 
 
 def hom_dimension(A: DivisorClass, B: DivisorClass) -> int:
@@ -92,3 +93,16 @@ def solve_exponents(v: ChernCharacter, coll: ExceptionalCollection) -> Resolutio
             val -= exps[i] * hom_dimension(bundles[t], bundles[i])
         exps[t] = _as_int(val, f"exponent of {divisor_expr(bundles[t])}")
     return ResolutionReport(coll, tuple(exps), v)
+
+
+def cokernel_character(report: ResolutionReport) -> ChernCharacter:
+    """Alternating sum of the exponent-weighted bundle characters, read off
+    the report's left and right terms (or its direct sum), not its
+    integer bookkeeping."""
+    if report.direct_sum is not None:
+        terms = [report.direct_sum]
+    else:
+        terms = [(A, -a) for A, a in report.left()] + list(report.right())
+    c1 = sum((count * A for A, count in terms), zero_divisor(report.collection.surface))
+    twice = sum(count * intersect(A, A) for A, count in terms)
+    return ChernCharacter(sum(count for _, count in terms), c1, twice_ch2=twice)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -39,17 +40,29 @@ class TestRiemannRoch:
                 assert ch.riemann_roch_chi(v) == lat.chi_line_bundle(Dv)
 
     def test_rank_two_on_quadric(self):
-        v = ch.ChernCharacter(2, lat.zero_divisor(F0), Fraction(-1))
+        v = ch.ChernCharacter(2, lat.zero_divisor(F0), twice_ch2=-2)
         assert ch.riemann_roch_chi(v) == 1
         assert v.discriminant() == Fraction(1, 2)
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ch.CharacterError):
-            ch.ChernCharacter(0, lat.zero_divisor(F0), Fraction(0))
+            ch.ChernCharacter(0, lat.zero_divisor(F0), twice_ch2=0)
 
     def test_half_integrality_enforced(self):
+        # a rational ch2 comes in only through a literal
+        with pytest.raises(ch.CharacterError, match="ch2 must be a half-integer, got 1/3"):
+            ch.parse_character("r=2;c1=0;ch2=1/3", F0)
+        assert ch.parse_character("r=2;c1=0;ch2=-5/2", F0).twice_ch2 == -5
+
+    def test_stores_twice_ch2_only(self):
+        v = ch.ChernCharacter(2, lat.zero_divisor(F0), twice_ch2=-3)
+        assert [f.name for f in dataclasses.fields(v)] == ["r", "c1", "twice_ch2"]
+        assert v.ch2 == Fraction(-3, 2) and str(v) == "r=2;c1=0;ch2=-3/2"
+        # ch2 in third place is refused, not read as 2 ch2
+        with pytest.raises(TypeError):
+            ch.ChernCharacter(2, lat.zero_divisor(F0), Fraction(-1))
         with pytest.raises(ch.CharacterError):
-            ch.ChernCharacter(2, lat.zero_divisor(F0), Fraction(1, 3))
+            ch.ChernCharacter(2, lat.zero_divisor(F0), twice_ch2=Fraction(-2))
 
 
 class TestEulerPairing:

