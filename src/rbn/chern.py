@@ -28,6 +28,7 @@ from .lattice import (
     ParseError,
     SurfaceModel,
     canonical,
+    form,
     intersect,
     parse_divisor,
     divisor_expr,
@@ -45,6 +46,8 @@ class ChernCharacter:
     twice_ch2: int = field(kw_only=True)
 
     def __post_init__(self):
+        if type(self.r) is not int:
+            raise CharacterError(f"the rank must be an int, got {self.r!r}")
         if self.r < 1:
             raise CharacterError("characters must have positive rank (torsion is out of scope)")
         if type(self.twice_ch2) is not int:
@@ -77,8 +80,9 @@ def character_from_chi(r: int, c1: DivisorClass, chi: int) -> ChernCharacter:
 
 
 def _twice_chi(v: ChernCharacter) -> int:
-    """2 chi(v) = 2r - c1.K + 2 ch2."""
-    return 2 * v.r - intersect(v.c1, canonical(v.surface)) + v.twice_ch2
+    """2 chi(v) = 2r - c1.K + 2 ch2, with K the canonical class of c1's own surface."""
+    s, c = v.c1.surface, v.c1.coords
+    return 2 * v.r - form(s, c, canonical(s).coords) + v.twice_ch2
 
 
 def riemann_roch_chi(v: ChernCharacter) -> Fraction:

@@ -43,6 +43,7 @@ from .lattice import (
     divisor_expr,
     intersect,
     is_nef,
+    wrap_coords,
 )
 from .resolutions import (
     InfeasibleResolutionError,
@@ -213,9 +214,10 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     if disc < 0:
         notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
         return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=delta, notes=tuple(notes))
-    w = ChernCharacter(r, DivisorClass(s, (k, ell)), twice_ch2=t) if dualized else v
+    # the Serre dual and E come from the core's ints, wrapped unchecked (see ``lattice``)
+    w = ChernCharacter(r, wrap_coords(s, (k, ell)), twice_ch2=t) if dualized else v
     if b < 0:  # nu.E < -1
-        E = DivisorClass(s, (1, 0))
+        E = wrap_coords(s, (1, 0))
         if euler_pairing(line_bundle_character(E), w) != -b:
             raise VerificationError("chi(O(E), v) does not match the exponent b")
         notes.append("nu.E < -1: twisting down by the negative section keeps chi positive")

@@ -16,12 +16,14 @@ The arithmetic runs on coordinate tuples (``form``, ``is_nef_coords``,
 library uses reflections in single roots and ``curve_word``, the word that
 carries a (-1)-curve of a del Pezzo surface to the last exceptional class.
 Construction validates (length and integer coordinates) at the public
-entry points: ``DivisorClass(...)``, ``divisor``, ``parse_divisor``,
+entry points: ``DivisorClass(...)``, ``parse_divisor``,
 ``basis_divisor`` and scalar multiples.  Sums, differences and negatives
 of classes on one surface, and reflections of a class in a root, are ints
 of the right length by construction and are wrapped unchecked
 (``wrap_coords``), as are the summands of a del Pezzo decomposition, whose
-lengths and sum the decomposition checks.
+lengths and sum the decomposition checks, and the classes the Hirzebruch
+classification computes from the ints of ``hirzebruch_core`` (the Serre
+dual's c1, the section E and the F_0 direct-sum class -E-F).
 
 The plane blown up at ``2 <= k <= 5`` general points is a del Pezzo surface
 of degree ``9 - k`` under either spelling (distinct, unequal models), and the

@@ -48,6 +48,11 @@ class TestRiemannRoch:
         with pytest.raises(ch.CharacterError):
             ch.ChernCharacter(0, lat.zero_divisor(F0), twice_ch2=0)
 
+    @pytest.mark.parametrize("r", [2.0, True], ids=["float", "bool"])
+    def test_rank_must_be_an_int(self, r):
+        with pytest.raises(ch.CharacterError, match="the rank must be an int"):
+            ch.ChernCharacter(r, lat.zero_divisor(F0), twice_ch2=-2)
+
     def test_half_integrality_enforced(self):
         # a rational ch2 comes in only through a literal
         with pytest.raises(ch.CharacterError, match="ch2 must be a half-integer, got 1/3"):

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import random
@@ -132,6 +133,68 @@ class TestHirzebruch:
             a = dec.wbn(v)
             b = dec.wbn(serre_dual_character(v))
             assert a.status == b.status, v
+
+    def test_golden_verdicts(self):
+        """Byte equality with ``data/hirzebruch_golden.json``, one case per line.
+
+        The 600 cases are 597 drawn with ``random.Random(2026)``: e uniform
+        in 0..3, the rank r uniform in 2..4, k and l each uniform in
+        -3r..3r, keeping distinct (e, r, k, l) with c1 = kE + lF and
+        chi = 0; then the three F_0 direct sums k = l = -r at r = 2..4.  The
+        verdicts were recorded before the resolution bookkeeping moved to a
+        cached integer table, and cover Holds (the generic form, the direct
+        sum and the fiber sum), Fails and EmptyModuli; Unknown is never
+        given on F_e at rank >= 2.
+        """
+        path = pathlib.Path(__file__).parent / "data" / "hirzebruch_golden.json"
+        text = path.read_text()
+        rows, kinds = [], set()
+        for case in json.loads(text):
+            S = lat.parse_surface(case["surface"])
+            verdict = dec.wbn(ch.character_from_chi(case["rank"], D(S, case["c1"]), 0)).to_json_dict()
+            rows.append(json.dumps({**case, "verdict": verdict}))
+            witness = verdict.get("witness", {})
+            kinds.add((verdict["status"], witness.get("form", "fiber" if witness else None)))
+        assert "[\n" + ",\n".join(rows) + "\n]\n" == text
+        assert kinds == {
+            ("Holds", "generic"), ("Holds", "direct-sum"), ("Holds", "fiber"),
+            ("Fails", None), ("EmptyModuli", None),
+        }
+
+    def test_verdicts_build_no_validated_class(self, monkeypatch):
+        # the Serre dual, the section E and the direct sum are wrapped from
+        # the core's ints; the fiber sum builds its summands through the
+        # public constructors and is exempt
+        rng = random.Random(29)
+        cases = [ch.character_from_chi(2, D(F0, "-2E-2F"), 0)]
+        for _ in range(300):
+            S, r = lat.hirzebruch(rng.randrange(4)), rng.randrange(2, 5)
+            coords = (rng.randint(-3 * r, 3 * r), rng.randint(-3 * r, 3 * r))
+            cases.append(ch.character_from_chi(r, lat.DivisorClass(S, coords), 0))
+        for v in cases:  # fills the per-surface caches: K and the stock collections
+            dec.wbn(v)
+        built = []
+        original = lat.DivisorClass.__post_init__
+        monkeypatch.setattr(lat.DivisorClass, "__post_init__", lambda self: built.append(self) or original(self))
+        routes = set()
+        for v in cases:
+            built.clear()
+            verdict = dec.wbn(v)
+            if isinstance(verdict.witness, gd.WBNWitness):
+                continue
+            assert built == [], v
+            dual = "input replaced by its Serre dual (birational moduli)" in verdict.notes
+            form = verdict.witness.form if verdict.witness else None
+            routes.add((verdict.status, form, dual))
+        assert {
+            (WBNStatus.HOLDS, "generic", False),
+            (WBNStatus.HOLDS, "generic", True),
+            (WBNStatus.HOLDS, "direct-sum", False),
+            (WBNStatus.FAILS, None, False),
+            (WBNStatus.FAILS, None, True),
+            (WBNStatus.EMPTY_MODULI, None, False),
+            (WBNStatus.EMPTY_MODULI, None, True),
+        } <= routes
 
 
 class TestBlowupP2:

@@ -278,3 +278,32 @@ class TestReportInvariants:
         assert payload["left"] == {"-2L": 2}
         assert payload["right"] == {"-L": 2, "-E1": 1, "-E2": 1}
         assert payload["cokernel"] == {"r": 2, "c1": "2L-E1-E2", "chi": 0}
+
+
+class TestBookkeepingTable:
+    SURFACES = (
+        [lat.hirzebruch(e) for e in range(4)]
+        + [lat.blowup_p2(k) for k in (1, 3, 5)]
+        + [lat.blowup_p2(4, lat.collinear_config((1, 2, 3)))]
+        + [lat.blowup_hirzebruch(e, k) for e, k in ((2, 1), (3, 2))]
+    )
+
+    @pytest.mark.parametrize("split", [1, 2])
+    @pytest.mark.parametrize("surface", SURFACES, ids=str)
+    def test_table_matches_reference_character(self, surface, split):
+        # exponents in -6..6, negative entries included; draws whose
+        # alternating sum has rank < 1 are not characters and are redrawn
+        rng = random.Random(29)
+        coll = res.builtin_collection(surface).with_split(split)
+        placeholder = ch.ChernCharacter(1, lat.zero_divisor(surface), twice_ch2=0)
+        checked = 0
+        while checked < 25:
+            exps = tuple(rng.randint(-6, 6) for _ in coll.resolving)
+            report = res.ResolutionReport(coll, exps, placeholder)
+            try:
+                ref = cokernel_character(report)
+            except ch.CharacterError:
+                continue
+            assert report._cokernel() == [ref.r, *ref.c1.coords, ref.twice_ch2], exps
+            assert res.ResolutionReport(coll, exps, ref).bookkeeping_ok()
+            checked += 1
