@@ -70,7 +70,7 @@ class ChernCharacter:
 
 
 def line_bundle_character(D: DivisorClass) -> ChernCharacter:
-    return ChernCharacter(1, D, twice_ch2=intersect(D, D))
+    return ChernCharacter(1, D, twice_ch2=form(D.surface, D.coords, D.coords))
 
 
 def character_from_chi(r: int, c1: DivisorClass, chi: int) -> ChernCharacter:
@@ -104,19 +104,15 @@ def euler_pairing(v: ChernCharacter, w: ChernCharacter) -> Fraction:
 
     Expanding ch(v)^dual ch(w) td(X) gives
     r_v r_w - (r_v c_w - r_w c_v).K/2 + r_v ch2_w + r_w ch2_v - c_v.c_w,
-    summed here on integers as twice that.
+    summed here on integers as twice that, with ``form`` on the coordinates
+    once both characters are known to share a surface.
     """
-    if v.surface != w.surface:
+    s = v.surface
+    if w.surface is not s and w.surface != s:
         raise LatticeError("pairing characters on different surfaces")
-    K = canonical(v.surface)
-    mixed = v.r * intersect(w.c1, K) - w.r * intersect(v.c1, K)
-    twice = (
-        2 * v.r * w.r
-        - mixed
-        + v.r * w.twice_ch2
-        + w.r * v.twice_ch2
-        - 2 * intersect(v.c1, w.c1)
-    )
+    rv, rw, cv, cw, K = v.r, w.r, v.c1.coords, w.c1.coords, canonical(s).coords
+    mixed = rv * form(s, cw, K) - rw * form(s, cv, K)
+    twice = 2 * rv * rw - mixed + rv * w.twice_ch2 + rw * v.twice_ch2 - 2 * form(s, cv, cw)
     return Fraction(twice, 2)
 
 

@@ -13,7 +13,7 @@ returned.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .chern import (
@@ -97,7 +97,7 @@ class Obstruction:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WBNVerdict:
     status: WBNStatus
     witness: ResolutionReport | WBNWitness | None = None
@@ -115,6 +115,25 @@ class WBNVerdict:
             out["bogomolov_delta"] = str(self.bogomolov_delta)
         out["notes"] = list(self.notes)
         return out
+
+
+# every verdict below is built by ``_verdict``, which stores the five fields
+# straight into their slots: the frozen dataclass's ``__init__`` stores each
+# through ``object.__setattr__`` by name, at twice the cost.  All five are
+# stored, so a built verdict equals the one the keyword constructor gives.
+_store_status, _store_witness, _store_obstruction, _store_delta, _store_notes = (
+    WBNVerdict.__dict__[f.name].__set__ for f in fields(WBNVerdict)
+)
+
+
+def _verdict(status, witness, obstruction, delta, notes) -> WBNVerdict:
+    verdict = object.__new__(WBNVerdict)
+    _store_status(verdict, status)
+    _store_witness(verdict, witness)
+    _store_obstruction(verdict, obstruction)
+    _store_delta(verdict, delta)
+    _store_notes(verdict, notes)
+    return verdict
 
 
 def _checked_witness(gs: GoodSum, v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNWitness:
@@ -145,16 +164,16 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
     if n < 0:
         expr = divisor_expr(c1)
         notes.append(f"chi(O({expr})) = {n} < 0, so every I_Z({expr}) has chi < 0")
-        return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=Fraction(n), notes=tuple(notes))
+        return _verdict(WBNStatus.EMPTY_MODULI, None, None, Fraction(n), tuple(notes))
     answer = line_bundle_cohomology(c1, seed=seed, trials=trials)
     vec = answer.vector
     if vec is None:
         if answer.higher_cohomology is not Vanishing.NONZERO:
-            return WBNVerdict(WBNStatus.UNKNOWN, notes=(*notes, "no exact computation or oracle available"))
+            return _verdict(WBNStatus.UNKNOWN, None, None, None, (*notes, "no exact computation or oracle available"))
         # chi >= 0, so a rules Nonzero without a vector means h0(K - c1) >= 1;
         # O_Z has no H^1 or H^2, so h2(I_Z(c1)) = h2(O(c1)) >= 1 for every Z
         notes += [f"rules: {'; '.join(answer.derivation)}", "h2 is twist-invariant and nonzero"]
-        return WBNVerdict(WBNStatus.FAILS, obstruction=Obstruction(h2_lower_bound=1), notes=tuple(notes))
+        return _verdict(WBNStatus.FAILS, None, Obstruction(h2_lower_bound=1), None, tuple(notes))
     if answer.route == "oracle":
         notes.append(f"oracle cohomology (seed={seed}, trials={trials})")
     else:
@@ -168,7 +187,7 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
         if not witness.bookkeeping_ok():
             raise VerificationError("emitted rank-one witness failed verification")
         notes.append(f"line bundle O({divisor_expr(c1)}) twisted down at {n} general points")
-        return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
+        return _verdict(WBNStatus.HOLDS, witness, None, None, tuple(notes))
     if vec.h0 > n:
         obst = Obstruction(h0_lower_bound=vec.h0 - n)
         notes.append("sections exceed the point budget; h0 survives every twist")
@@ -177,7 +196,7 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
         # not clean, so h2 > 0
         obst = Obstruction(h2_lower_bound=vec.h2)
         notes.append("h2 is twist-invariant and nonzero")
-    return WBNVerdict(WBNStatus.FAILS, obstruction=obst, notes=tuple(notes))
+    return _verdict(WBNStatus.FAILS, None, obst, None, tuple(notes))
 
 
 def _rank_one_reference(surface: SurfaceModel) -> DivisorClass:
@@ -213,7 +232,7 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
     delta = Fraction(disc, 2 * r * r)
     if disc < 0:
         notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
-        return WBNVerdict(WBNStatus.EMPTY_MODULI, bogomolov_delta=delta, notes=tuple(notes))
+        return _verdict(WBNStatus.EMPTY_MODULI, None, None, delta, tuple(notes))
     # the Serre dual and E come from the core's ints, wrapped unchecked (see ``lattice``)
     w = ChernCharacter(r, wrap_coords(s, (k, ell)), twice_ch2=t) if dualized else v
     if b < 0:  # nu.E < -1
@@ -221,19 +240,14 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         if euler_pairing(line_bundle_character(E), w) != -b:
             raise VerificationError("chi(O(E), v) does not match the exponent b")
         notes.append("nu.E < -1: twisting down by the negative section keeps chi positive")
-        return WBNVerdict(
-            WBNStatus.FAILS,
-            obstruction=Obstruction(curve=E, chi_pairing=-b, h0_lower_bound=-b),
-            bogomolov_delta=delta,
-            notes=tuple(notes),
-        )
+        return _verdict(WBNStatus.FAILS, None, Obstruction(E, -b, -b), delta, tuple(notes))
     try:
         report = two_term_resolution(w)
-        return WBNVerdict(WBNStatus.HOLDS, witness=report, bogomolov_delta=delta, notes=tuple(notes))
+        return _verdict(WBNStatus.HOLDS, report, None, delta, tuple(notes))
     except InfeasibleResolutionError as exc:
         witness = _checked_witness(hirzebruch_fiber_sum(w), w)
         notes.append(f"resolution infeasible ({exc}); cohomology-free fiber sum instead")
-        return WBNVerdict(WBNStatus.HOLDS, witness=witness, bogomolov_delta=delta, notes=tuple(notes))
+        return _verdict(WBNStatus.HOLDS, witness, None, delta, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +276,16 @@ def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerd
     try:
         report = two_term_resolution(v)
         notes.append("two-term resolution by the stock collection")
-        return WBNVerdict(WBNStatus.HOLDS, witness=report, notes=tuple(notes))
+        return _verdict(WBNStatus.HOLDS, report, None, None, tuple(notes))
     except ResolutionError as exc:
         notes.append(f"resolution route: {exc}")
     if not s.is_blowup_p2_like:
-        return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
+        return _verdict(WBNStatus.UNKNOWN, None, None, None, tuple(notes))
     try:
         gs = rounding_sum(v, seed=seed, trials=trials)
         witness = _checked_witness(gs, v, seed=seed, trials=trials)
         notes.append("rounded good sum plus general point modifications")
-        return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
+        return _verdict(WBNStatus.HOLDS, witness, None, None, tuple(notes))
     except ValueError as exc:
         notes.append(f"rounding route: {exc}")
     config = s.config
@@ -291,17 +305,24 @@ def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerd
                 "forcing sections on every semistable sheaf for H = L + eps A "
                 "(A ample, eps small), since mu(v).L > (K+C).L = -2"
             )
-            return WBNVerdict(WBNStatus.FAILS, obstruction=obstruction, notes=tuple(notes))
+            return _verdict(WBNStatus.FAILS, None, obstruction, None, tuple(notes))
+        pairing = euler_pairing(line_bundle_character(C), v)
+        if pairing > 0:  # the certificate failed on the slope condition alone
+            notes.append(
+                f"collinear points: the line through them pairs positively "
+                f"(chi(O(C), v) = {pairing}), but mu(v).L <= (K+C).L = -2, so the "
+                "slope condition fails at H = L and no sections are forced"
+            )
     if s.is_del_pezzo and not nef_first and is_nef(v.c1):
         return _nef_decomposition_verdict(v, notes)
-    return WBNVerdict(WBNStatus.UNKNOWN, notes=tuple(notes))
+    return _verdict(WBNStatus.UNKNOWN, None, None, None, tuple(notes))
 
 
 def _nef_decomposition_verdict(v: ChernCharacter, notes: list[str]) -> WBNVerdict:
     """Holds for a nef c1 on a del Pezzo surface: a (-K)-good sum plus chi(sum) points."""
     witness = _checked_witness(delpezzo_decompose(v.c1, v.r), v)
     notes.append("anticanonically good sum plus general point modifications")
-    return WBNVerdict(WBNStatus.HOLDS, witness=witness, notes=tuple(notes))
+    return _verdict(WBNStatus.HOLDS, witness, None, None, tuple(notes))
 
 
 def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
@@ -324,7 +345,7 @@ def obstruction_certificate(v: ChernCharacter, C: DivisorClass, H: DivisorClass)
     for the polarization H, every semistable sheaf of character v has
     h0 >= chi(O(C), v).  Effectivity of C is the caller's responsibility.
     """
-    if v.surface != C.surface:
+    if v.surface is not C.surface and v.surface != C.surface:
         raise LatticeError("curve class lives on a different surface")
     pairing = euler_pairing(line_bundle_character(C), v)
     if pairing <= 0:

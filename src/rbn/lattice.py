@@ -23,7 +23,10 @@ of the right length by construction and are wrapped unchecked
 (``wrap_coords``), as are the summands of a del Pezzo decomposition, whose
 lengths and sum the decomposition checks, and the classes the Hirzebruch
 classification computes from the ints of ``hirzebruch_core`` (the Serre
-dual's c1, the section E and the F_0 direct-sum class -E-F).
+dual's c1, the section E and the F_0 direct-sum class -E-F).  Outside this
+module one more construction skips the dataclass ``__init__``: ``decide``
+builds every verdict by storing its five fields straight into the slots of
+``WBNVerdict``.
 
 The plane blown up at ``2 <= k <= 5`` general points is a del Pezzo surface
 of degree ``9 - k`` under either spelling (distinct, unequal models), and the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ from rbn import cohomology as coh
 from rbn import decide as dec
 from rbn import goodsums as gd
 from rbn import lattice as lat
+from rbn import resolutions as res
 from rbn.decide import WBNStatus
 
 from references import serre_dual_character
@@ -196,6 +198,110 @@ class TestHirzebruch:
             (WBNStatus.EMPTY_MODULI, None, True),
         } <= routes
 
+    def test_verdicts_skip_the_removed_work(self, monkeypatch):
+        # a warmed F_e verdict pairs on coordinates (no ``intersect``),
+        # compares surfaces by identity first (no dataclass ``==``) and
+        # stores its fields without the dataclass ``__init__``; the fiber
+        # sum builds its summands through the public constructors and is
+        # exempt.  One model per surface, as in a sweep: an equal but distinct
+        # model is compared with ``==`` where it keys a cache
+        rng = random.Random(30)
+        surfaces = [F0, F1, F2, lat.hirzebruch(3)]
+        cases = [ch.character_from_chi(2, D(F0, "-2E-2F"), 0)]
+        for _ in range(300):
+            S, r = surfaces[rng.randrange(4)], rng.randrange(2, 5)
+            coords = (rng.randint(-3 * r, 3 * r), rng.randint(-3 * r, 3 * r))
+            cases.append(ch.character_from_chi(r, lat.DivisorClass(S, coords), 0))
+        res.builtin_collection.cache_clear()  # keyed by these models, not by equal ones
+        for v in cases:
+            dec.wbn(v)
+        calls = []
+
+        def counting(name, original):
+            return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+        for module in (lat, ch, dec, gd, coh, res):
+            if hasattr(module, "intersect"):
+                monkeypatch.setattr(module, "intersect", counting("intersect", lat.intersect))
+        monkeypatch.setattr(lat.SurfaceModel, "__eq__", counting("surface ==", lat.SurfaceModel.__eq__))
+        monkeypatch.setattr(dec.WBNVerdict, "__init__", counting("__init__", dec.WBNVerdict.__init__))
+        statuses = set()
+        for v in cases:
+            calls.clear()
+            verdict = dec.wbn(v)
+            if isinstance(verdict.witness, gd.WBNWitness):
+                continue
+            assert calls == [], v
+            statuses.add(verdict.status)
+        assert statuses == {WBNStatus.HOLDS, WBNStatus.FAILS, WBNStatus.EMPTY_MODULI}
+
+    def test_fails_gate_checks_the_exponent(self, monkeypatch):
+        # chi(O(E), w) is computed from the lattice, so a core whose b is
+        # off by one is caught on the Fails route, plain and dualized
+        real = ch.hirzebruch_core
+
+        def off_by_one(*args):
+            dualized, k, ell, t, disc, (a, b, c) = real(*args)
+            return dualized, k, ell, t, disc, (a, b - 1, c)
+
+        cases = [ch.character_from_chi(2, D(F1, "2E-F"), 0), ch.character_from_chi(2, D(F1, "-8E-7F"), 0)]
+        assert [dec.wbn(v).status for v in cases] == [WBNStatus.FAILS] * 2
+        assert "Serre dual" in dec.wbn(cases[1]).notes[1]
+        monkeypatch.setattr(dec, "hirzebruch_core", off_by_one)
+        for v in cases:
+            with pytest.raises(dec.VerificationError, match="exponent b"):
+                dec.wbn(v)
+
+
+def _verdict_kinds():
+    """One verdict of each F_e kind and one on a blowup, by name."""
+    S = lat.parse_surface("blp2:k=2")
+    return {
+        "empty": dec.wbn(ch.character_from_chi(2, D(F0, "-E-3F"), 0)),
+        "fails": dec.wbn(ch.character_from_chi(2, D(F1, "2E-F"), 0)),
+        "resolution": dec.wbn(ch.character_from_chi(2, D(F1, "E+F"), 0)),
+        "direct-sum": dec.wbn(ch.character_from_chi(2, D(F0, "-2E-2F"), 0)),
+        "fiber-sum": dec.wbn(ch.character_from_chi(3, D(F1, "-2E-4F"), 0)),
+        "blowup": dec.wbn(ch.character_from_chi(2, D(S, "2L-E1-E2"), 0)),
+    }
+
+
+class TestVerdictObjects:
+    KINDS = ["empty", "fails", "resolution", "direct-sum", "fiber-sum", "blowup"]
+
+    def test_one_of_each_kind(self):
+        kinds = _verdict_kinds()
+        assert [str(kinds[k].status) for k in self.KINDS] == ["EmptyModuli", "Fails"] + ["Holds"] * 4
+        assert kinds["direct-sum"].witness.form == "direct-sum"
+        assert isinstance(kinds["fiber-sum"].witness, gd.WBNWitness)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fields_are_frozen(self, kind):
+        verdict = _verdict_kinds()[kind]
+        for f in dataclasses.fields(verdict):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(verdict, f.name, None)
+        assert not hasattr(verdict, "__dict__")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_replace_and_keyword_constructor_agree(self, kind):
+        verdict = _verdict_kinds()[kind]
+        values = {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
+        built = dec.WBNVerdict(**values)
+        assert built == verdict and hash(built) == hash(verdict)
+        assert dataclasses.replace(verdict) == verdict
+        wrong = dataclasses.replace(verdict, status=WBNStatus.UNKNOWN)
+        assert wrong != verdict and wrong == dec.WBNVerdict(**{**values, "status": WBNStatus.UNKNOWN})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_field_types(self, kind):
+        verdict = _verdict_kinds()[kind]
+        assert isinstance(verdict.notes, tuple) and all(isinstance(n, str) for n in verdict.notes)
+        if kind == "blowup":
+            assert verdict.bogomolov_delta is None
+        else:
+            assert type(verdict.bogomolov_delta) is Fraction
+
 
 class TestBlowupP2:
     def test_resolution_route(self):
@@ -234,7 +340,9 @@ class TestBlowupP2:
         assert verdict.obstruction == dec.Obstruction(curve=C, chi_pairing=1, h0_lower_bound=1)
         v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-3E4"), 0)
         assert lat.intersect(v.c1, C) == -2
-        assert dec.wbn(v).status is WBNStatus.UNKNOWN
+        verdict = dec.wbn(v)
+        assert verdict.status is WBNStatus.UNKNOWN
+        assert not any(n.startswith("collinear points") for n in verdict.notes)
 
     def test_collinear_obstruction_needs_the_slope_condition(self):
         # chi(O(C), v) = 11 > 0, but c1.L + 2r = -4 <= 0: a semistable sheaf
@@ -246,6 +354,12 @@ class TestBlowupP2:
         assert dec.obstruction_certificate(v, C, D(S, "L")) is None
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.UNKNOWN and verdict.obstruction is None
+        # the note names the positive pairing and the failed condition
+        assert verdict.notes[-1] == (
+            "collinear points: the line through them pairs positively "
+            "(chi(O(C), v) = 11), but mu(v).L <= (K+C).L = -2, so the slope "
+            "condition fails at H = L and no sections are forced"
+        )
         # at l + 2r = 2 the condition holds and the Fails stands, naming H
         verdict = dec.wbn(ch.character_from_chi(2, D(S, "-2L-E1-2E2-2E3"), 0))
         assert verdict.status is WBNStatus.FAILS
@@ -536,4 +650,36 @@ class TestVerificationGates:
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
         )
         expected = "optimize 1 raised\nrank one raised\nF1 raised\nF0 raised\nblF2:k=1 raised\n"
+        assert (out.returncode, out.stdout) == (0, expected), out.stderr
+
+    def test_fails_and_chi_gates_survive_optimized_mode(self):
+        # the Fails check against an exponent b off by one, and the chi = 0
+        # check of ``wbn``, both raise with asserts stripped
+        script = textwrap.dedent(
+            """
+            import sys
+            from rbn import chern, decide, lattice
+            F1 = lattice.hirzebruch(1)
+            core = decide.hirzebruch_core
+            def off_by_one(*args):
+                dualized, k, ell, t, disc, (a, b, c) = core(*args)
+                return dualized, k, ell, t, disc, (a, b - 1, c)
+            decide.hirzebruch_core = off_by_one
+            for c1 in ("2E-F", "-8E-7F"):
+                try:
+                    decide.wbn(chern.character_from_chi(2, lattice.parse_divisor(c1, F1), 0))
+                except decide.VerificationError:
+                    print("optimize", sys.flags.optimize, c1, "raised")
+            try:
+                decide.wbn(chern.character_from_chi(2, lattice.parse_divisor("F", F1), 3))
+            except chern.CharacterError:
+                print("chi raised")
+            """
+        )
+        src = str(pathlib.Path(dec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        expected = "optimize 1 2E-F raised\noptimize 1 -8E-7F raised\nchi raised\n"
         assert (out.returncode, out.stdout) == (0, expected), out.stderr
