@@ -12,7 +12,9 @@ in from outside.  Euler characteristics and pairings are computed on
 integers scaled by 2, the discriminant on integers scaled by 2r^2, and
 twists and duals move t directly; a ``Fraction`` is built only where a
 public value is one (the ``ch2`` property, ``riemann_roch_chi``,
-``euler_pairing``, ``discriminant``) or a message prints one.  The total
+``euler_pairing``, ``discriminant``) or a message prints one;
+``twice_euler_pairing`` is the integer behind ``euler_pairing``.  On F_e,
+2 chi is read on c1's coordinates without a lattice call.  The total
 slope nu = c1/r is never formed either: a slope inequality such as
 nu.E >= -1 is tested as c1.E >= -r, multiplied through by r > 0.
 """
@@ -80,8 +82,13 @@ def character_from_chi(r: int, c1: DivisorClass, chi: int) -> ChernCharacter:
 
 
 def _twice_chi(v: ChernCharacter) -> int:
-    """2 chi(v) = 2r - c1.K + 2 ch2, with K the canonical class of c1's own surface."""
+    """2 chi(v) = 2r - c1.K + 2 ch2, with K the canonical class of c1's own surface.
+
+    On F_e, c1 = kE + lF has c1.K = (e-2)k - 2l, summed on the coordinates
+    with no ``form`` against K; every verdict's chi = 0 gate pays this."""
     s, c = v.c1.surface, v.c1.coords
+    if s.is_hirzebruch:
+        return 2 * v.r - (s.e - 2) * c[0] + 2 * c[1] + v.twice_ch2
     return 2 * v.r - form(s, c, canonical(s).coords) + v.twice_ch2
 
 
@@ -99,8 +106,9 @@ def chi_integer(v: ChernCharacter) -> int:
     return twice // 2
 
 
-def euler_pairing(v: ChernCharacter, w: ChernCharacter) -> Fraction:
-    """chi(v, w) = sum (-1)^i ext^i for sheaves of the given characters.
+def twice_euler_pairing(v: ChernCharacter, w: ChernCharacter) -> int:
+    """2 chi(v, w), where chi(v, w) = sum (-1)^i ext^i for sheaves of the given
+    characters.
 
     Expanding ch(v)^dual ch(w) td(X) gives
     r_v r_w - (r_v c_w - r_w c_v).K/2 + r_v ch2_w + r_w ch2_v - c_v.c_w,
@@ -112,8 +120,12 @@ def euler_pairing(v: ChernCharacter, w: ChernCharacter) -> Fraction:
         raise LatticeError("pairing characters on different surfaces")
     rv, rw, cv, cw, K = v.r, w.r, v.c1.coords, w.c1.coords, canonical(s).coords
     mixed = rv * form(s, cw, K) - rw * form(s, cv, K)
-    twice = 2 * rv * rw - mixed + rv * w.twice_ch2 + rw * v.twice_ch2 - 2 * form(s, cv, cw)
-    return Fraction(twice, 2)
+    return 2 * rv * rw - mixed + rv * w.twice_ch2 + rw * v.twice_ch2 - 2 * form(s, cv, cw)
+
+
+def euler_pairing(v: ChernCharacter, w: ChernCharacter) -> Fraction:
+    """chi(v, w), the public ``Fraction`` of ``twice_euler_pairing``."""
+    return Fraction(twice_euler_pairing(v, w), 2)
 
 
 def hirzebruch_core(e: int, r: int, k: int, ell: int, t: int):

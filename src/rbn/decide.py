@@ -23,6 +23,7 @@ from .chern import (
     euler_pairing,
     hirzebruch_core,
     line_bundle_character,
+    twice_euler_pairing,
 )
 from .cohomology import Vanishing, line_bundle_cohomology
 from .goodsums import (
@@ -136,6 +137,12 @@ def _verdict(status, witness, obstruction, delta, notes) -> WBNVerdict:
     return verdict
 
 
+def _empty_moduli(delta: Fraction, notes: list[str]) -> WBNVerdict:
+    """EmptyModuli at rank >= 2, for a discriminant delta < 0 (Bogomolov)."""
+    notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
+    return _verdict(WBNStatus.EMPTY_MODULI, None, None, delta, tuple(notes))
+
+
 def _checked_witness(gs: GoodSum, v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNWitness:
     """The good sum with chi(sum) point modifications towards v, checked once."""
     witness = WBNWitness(gs, gs.chi(), v)
@@ -231,13 +238,12 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
         notes.append("input replaced by its Serre dual (birational moduli)")
     delta = Fraction(disc, 2 * r * r)
     if disc < 0:
-        notes.append(f"discriminant {delta} < 0 violates the Bogomolov inequality")
-        return _verdict(WBNStatus.EMPTY_MODULI, None, None, delta, tuple(notes))
+        return _empty_moduli(delta, notes)
     # the Serre dual and E come from the core's ints, wrapped unchecked (see ``lattice``)
     w = ChernCharacter(r, wrap_coords(s, (k, ell)), twice_ch2=t) if dualized else v
     if b < 0:  # nu.E < -1
         E = wrap_coords(s, (1, 0))
-        if euler_pairing(line_bundle_character(E), w) != -b:
+        if twice_euler_pairing(line_bundle_character(E), w) != -2 * b:
             raise VerificationError("chi(O(E), v) does not match the exponent b")
         notes.append("nu.E < -1: twisting down by the negative section keeps chi positive")
         return _verdict(WBNStatus.FAILS, None, Obstruction(E, -b, -b), delta, tuple(notes))
@@ -258,15 +264,17 @@ def _hirzebruch_wbn(v: ChernCharacter) -> WBNVerdict:
 def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
     """Sufficient conditions on a blowup of the plane or of F_e, else Unknown.
 
-    In order: the two-term resolution hypotheses, on every blowup; then on
-    blowups of the plane only, the rounding hypotheses (floor/ceiling bundle
-    without higher cohomology); for collinear configurations the
-    line-through-the-points obstruction, which forces sections when
-    delta - sum of the collinear multiplicities drops below -1 and the
-    slope condition holds near H = L (c1.L + 2r > 0); and on a
-    del Pezzo surface with nef c1 the nef decomposition.  There the other
-    routes give Holds or nothing, so the order picks only the witness:
-    ``dp<d>`` tries the decomposition first, ``blp2`` last.
+    ``wbn`` sends only Delta >= 0 here, so no route below speaks of an
+    empty moduli space.  In order: the two-term resolution hypotheses, on
+    every blowup; then on blowups of the plane only, the rounding
+    hypotheses (floor/ceiling bundle without higher cohomology); for
+    collinear configurations the line-through-the-points obstruction,
+    which forces sections when delta - sum of the collinear multiplicities
+    drops below -1 and the slope condition holds near H = L
+    (c1.L + 2r > 0); and on a del Pezzo surface with nef c1 the nef
+    decomposition.  There the other routes give Holds or nothing, so the
+    order picks only the witness: ``dp<d>`` tries the decomposition first,
+    ``blp2`` last.
     """
     s = v.surface
     notes = [_STACK_NOTE]
@@ -326,15 +334,20 @@ def _nef_decomposition_verdict(v: ChernCharacter, notes: list[str]) -> WBNVerdic
 
 
 def wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerdict:
-    """The verdict entry point: check chi(v) = 0, send rank one to the
-    line-bundle test, higher ranks on F_e to the classification and on
-    blowups to the sufficient conditions."""
+    """The verdict entry point, one preamble for every surface: check
+    chi(v) = 0 and send rank one to the line-bundle test; at higher rank
+    F_e goes to the classification, which tests its own integer
+    discriminant, and on every other surface a negative discriminant gives
+    EmptyModuli (Bogomolov) before the sufficient conditions are tried."""
     if chi_integer(v) != 0:
         raise CharacterError("weak Brill-Noether verdicts require chi(v) = 0")
     if v.r == 1:
         return rank_one_wbn(v.c1, seed=seed, trials=trials)
     if v.surface.is_hirzebruch:
         return _hirzebruch_wbn(v)
+    delta = v.discriminant()
+    if delta < 0:
+        return _empty_moduli(delta, [_STACK_NOTE])
     return _blowup_wbn(v, seed=seed, trials=trials)
 
 

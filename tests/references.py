@@ -2,7 +2,8 @@
 
 Each recomputes a value the library derives another way, so a test can set
 the two side by side: line-bundle cohomology on F_e through the ruling, the
-Serre dual of a character, the exponents of a two-term resolution from the
+Euler characteristic through the lattice pairing with K, the Serre dual of
+a character, the exponents of a two-term resolution from the
 pairing recurrences of its collection, and the character of a resolution
 from its printed terms.
 """
@@ -40,6 +41,11 @@ def hirzebruch_pushforward_oracle(D: DivisorClass) -> CohomologyVector:
         return CohomologyVector(0, 0, 0)
     h0, h1, h2 = _nonneg_case(-2 - a, -(e + 2) - b)
     return CohomologyVector(h2, h1, h0)
+
+
+def chi_reference(v: ChernCharacter) -> Fraction:
+    """chi(v) = r - c1.K/2 + ch2, with c1.K from ``intersect`` on the lattice."""
+    return v.r - Fraction(intersect(v.c1, canonical(v.surface)), 2) + v.ch2
 
 
 def serre_dual_character(v: ChernCharacter) -> ChernCharacter:

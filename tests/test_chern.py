@@ -7,7 +7,7 @@ import pytest
 from rbn import chern as ch
 from rbn import lattice as lat
 
-from references import serre_dual_character
+from references import chi_reference, serre_dual_character
 
 
 F0 = lat.hirzebruch(0)
@@ -99,6 +99,36 @@ class TestEulerPairing:
                 for i in (1, 2)
             ]
             assert ch.euler_pairing(C, v) == v.r * (-delta + sum(alphas) - 1)
+
+
+class TestIntegerGates:
+    def test_twice_chi_on_hirzebruch_matches_the_lattice(self):
+        # on F_e ``_twice_chi`` sums c1.K on the coordinates; any 2 ch2, odd
+        # 2 chi included, on the input and on its Serre dual, so both
+        # normalized and dualized characters are drawn
+        rng = random.Random(31)
+        dualized = set()
+        for _ in range(500):
+            S, r = lat.hirzebruch(rng.randrange(4)), rng.randrange(1, 6)
+            c1 = lat.DivisorClass(S, (rng.randint(-4 * r, 4 * r), rng.randint(-6 * r, 6 * r)))
+            v = ch.ChernCharacter(r, c1, twice_ch2=rng.randint(-80, 80))
+            for w in (v, serre_dual_character(v)):
+                assert ch._twice_chi(w) == 2 * chi_reference(w), w
+                dualized.add(ch.hirzebruch_core(S.e, w.r, *w.c1.coords, w.twice_ch2)[0])
+        assert dualized == {False, True}
+
+    def test_twice_euler_pairing_is_chi_of_the_twist(self):
+        # 2 chi(O(D), w) = 2 chi(w(-D)), with w(-D) = (r, c1 - rD, ch2 - c1.D + r D^2/2)
+        rng = random.Random(32)
+        for surface in (F1, F2, BL2, lat.parse_surface("blp2:k=3:collinear=1,2,3")):
+            for _ in range(40):
+                w = rand_character(rng, surface)
+                Dv = lat.DivisorClass(surface, tuple(rng.randrange(-4, 5) for _ in range(surface.rank)))
+                t = w.twice_ch2 - 2 * lat.intersect(w.c1, Dv) + w.r * lat.intersect(Dv, Dv)
+                twist = ch.ChernCharacter(w.r, w.c1 - w.r * Dv, twice_ch2=t)
+                twice = ch.twice_euler_pairing(ch.line_bundle_character(Dv), w)
+                assert type(twice) is int and twice == ch._twice_chi(twist)
+                assert ch.euler_pairing(ch.line_bundle_character(Dv), w) == Fraction(twice, 2)
 
 
 class TestSerreDual:

@@ -201,10 +201,13 @@ class TestHirzebruch:
     def test_verdicts_skip_the_removed_work(self, monkeypatch):
         # a warmed F_e verdict pairs on coordinates (no ``intersect``),
         # compares surfaces by identity first (no dataclass ``==``) and
-        # stores its fields without the dataclass ``__init__``; the fiber
-        # sum builds its summands through the public constructors and is
-        # exempt.  One model per surface, as in a sweep: an equal but distinct
-        # model is compared with ``==`` where it keys a cache
+        # stores its fields without the dataclass ``__init__``; its chi = 0
+        # gate reads c1.K on the coordinates (no ``canonical``), and the
+        # Fails check pairs on ints (no ``euler_pairing``), so K is asked for
+        # only by that pairing with O(E).  The fiber sum
+        # builds its summands through the public constructors and is
+        # exempt.  One model per surface, as in a sweep: an equal but
+        # distinct model is compared with ``==`` where it keys a cache
         rng = random.Random(30)
         surfaces = [F0, F1, F2, lat.hirzebruch(3)]
         cases = [ch.character_from_chi(2, D(F0, "-2E-2F"), 0)]
@@ -221,17 +224,19 @@ class TestHirzebruch:
             return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
 
         for module in (lat, ch, dec, gd, coh, res):
-            if hasattr(module, "intersect"):
-                monkeypatch.setattr(module, "intersect", counting("intersect", lat.intersect))
+            for name in ("intersect", "canonical", "euler_pairing"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         monkeypatch.setattr(lat.SurfaceModel, "__eq__", counting("surface ==", lat.SurfaceModel.__eq__))
         monkeypatch.setattr(dec.WBNVerdict, "__init__", counting("__init__", dec.WBNVerdict.__init__))
-        statuses = set()
+        ch.twice_euler_pairing(ch.line_bundle_character(lat.wrap_coords(F0, (1, 0))), cases[0])
+        fails_pairing, statuses = calls[:], set()
         for v in cases:
             calls.clear()
             verdict = dec.wbn(v)
             if isinstance(verdict.witness, gd.WBNWitness):
                 continue
-            assert calls == [], v
+            assert calls == (fails_pairing if verdict.status is WBNStatus.FAILS else []), v
             statuses.add(verdict.status)
         assert statuses == {WBNStatus.HOLDS, WBNStatus.FAILS, WBNStatus.EMPTY_MODULI}
 
@@ -321,25 +326,28 @@ class TestBlowupP2:
         assert verdict.witness.good_sum.summands == (D(S, "3L-2E1-E2-E3-E4-E5"),) * 2
 
     def test_collinear_obstruction(self):
+        # Delta = 3/8 >= 0, so the moduli space is not empty by Bogomolov
         S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3, 4]))
-        v = ch.character_from_chi(2, D(S, "2L-2E1-2E2-2E3-2E4"), 0)
+        v = ch.character_from_chi(2, D(S, "3L-2E1-2E2-2E3-2E4"), 0)
+        assert v.discriminant() == Fraction(3, 8)
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction.curve == D(S, "L-E1-E2-E3-E4")
-        assert verdict.obstruction.h0_lower_bound == 4
+        assert verdict.obstruction.h0_lower_bound == 3
 
     def test_collinear_obstruction_boundary(self):
         # chi(O(C), v) = -c1.C - r for the line C = L-E1-E2-E3-E4, so it
-        # obstructs at c1.C = -r - 1 and not at c1.C = -r
+        # obstructs at c1.C = -r - 1 and not at c1.C = -r; both characters
+        # have Delta >= 0
         S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3, 4]))
         C = D(S, "L-E1-E2-E3-E4")
-        v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-4E4"), 0)
-        assert lat.intersect(v.c1, C) == -3
+        v = ch.character_from_chi(2, D(S, "2L+E1-2E2-2E3-2E4"), 0)
+        assert lat.intersect(v.c1, C) == -3 and v.discriminant() >= 0
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.FAILS
         assert verdict.obstruction == dec.Obstruction(curve=C, chi_pairing=1, h0_lower_bound=1)
-        v = ch.character_from_chi(2, D(S, "-2L+E1+E2+E3-3E4"), 0)
-        assert lat.intersect(v.c1, C) == -2
+        v = ch.character_from_chi(2, D(S, "2L+E1-2E2-2E3-E4"), 0)
+        assert lat.intersect(v.c1, C) == -2 and v.discriminant() >= 0
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.UNKNOWN
         assert not any(n.startswith("collinear points") for n in verdict.notes)
@@ -360,8 +368,11 @@ class TestBlowupP2:
             "(chi(O(C), v) = 11), but mu(v).L <= (K+C).L = -2, so the slope "
             "condition fails at H = L and no sections are forced"
         )
-        # at l + 2r = 2 the condition holds and the Fails stands, naming H
-        verdict = dec.wbn(ch.character_from_chi(2, D(S, "-2L-E1-2E2-2E3"), 0))
+        # at l + 2r = 1 the condition holds and the Fails stands, naming H
+        # (Delta = 0, so Bogomolov leaves the moduli space nonempty)
+        v = ch.character_from_chi(3, D(S, "-5L+E1"), 0)
+        assert v.discriminant() == 0
+        verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.FAILS
         assert "H = L + eps A" in verdict.notes[-1]
 
@@ -683,3 +694,121 @@ class TestVerificationGates:
         )
         expected = "optimize 1 2E-F raised\noptimize 1 -8E-7F raised\nchi raised\n"
         assert (out.returncode, out.stdout) == (0, expected), out.stderr
+
+
+def _raised(call, v):
+    """The type and message ``call(v)`` raises."""
+    with pytest.raises(Exception) as info:
+        call(v)
+    return type(info.value), str(info.value)
+
+
+class TestChiGate:
+    # ``wbn`` and ``two_term_resolution`` read chi = 0 on the input's own
+    # coordinates, so a core that lies cannot pass it; each error keeps the
+    # type and message of the lattice gate
+    CASES = [("F0", "E+F", 2), ("F1", "2E-F", 2), ("F2", "-5E-9F", 3), ("F3", "E-F", 4),
+             ("blp2:k=2", "L-E1", 2), ("blF2:k=1", "E+3F-E1", 2), ("dp6", "2L", 3)]
+
+    @staticmethod
+    def characters(spec, c1, r):
+        S = lat.parse_surface(spec)
+        v = ch.character_from_chi(r, D(S, c1), 0)
+        odd = ch.ChernCharacter(r, v.c1, twice_ch2=v.twice_ch2 + 1)
+        return odd, [ch.character_from_chi(r, v.c1, chi) for chi in (-2, 1, 3)]
+
+    @staticmethod
+    def expected(odd, nonzero):
+        odd_error = (ch.CharacterError, f"character {odd} has non-integral Euler characteristic {ch.riemann_roch_chi(odd)}")
+        rows = [(dec.wbn, odd, odd_error), (res.two_term_resolution, odd, odd_error)]
+        for v in nonzero:
+            rows.append((dec.wbn, v, (ch.CharacterError, "weak Brill-Noether verdicts require chi(v) = 0")))
+            rows.append((res.two_term_resolution, v, (res.ResolutionError, "resolutions are computed for characters with chi = 0")))
+        return rows
+
+    @pytest.mark.parametrize("spec, c1, r", CASES)
+    def test_errors_are_the_lattice_gates(self, spec, c1, r):
+        for call, v, error in self.expected(*self.characters(spec, c1, r)):
+            assert _raised(call, v) == error, (call.__name__, v)
+
+    @pytest.mark.parametrize("spec, c1, r", CASES[:4])
+    def test_lying_core_cannot_pass_the_gate(self, monkeypatch, spec, c1, r):
+        # the core is asked only after the gate, so a core that vouches for
+        # chi = 0 changes no error; it is never called on a refused input
+        S = lat.parse_surface(spec)
+        good = ch.character_from_chi(r, D(S, c1), 0)
+        answer = ch.hirzebruch_core(S.e, r, *good.c1.coords, good.twice_ch2)
+        calls = []
+        for module in (dec, res):
+            monkeypatch.setattr(module, "hirzebruch_core", lambda *args: calls.append(args) or answer)
+        for call, v, error in self.expected(*self.characters(spec, c1, r)):
+            assert _raised(call, v) == error, (call.__name__, v)
+        assert calls == []
+
+    def test_errors_survive_optimized_mode(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from rbn import chern, decide, lattice, resolutions
+            real = chern.hirzebruch_core
+            lie = lambda e, r, k, ell, t: real(e, r, k, ell, t - 2)
+            decide.hirzebruch_core = resolutions.hirzebruch_core = lie
+            for line in sys.stdin.read().splitlines():
+                spec, c1, r, t = line.split(";")
+                S = lattice.parse_surface(spec)
+                v = chern.ChernCharacter(int(r), lattice.parse_divisor(c1, S), twice_ch2=int(t))
+                for call in (decide.wbn, resolutions.two_term_resolution):
+                    try:
+                        call(v)
+                        print("no error")
+                    except Exception as exc:
+                        print(type(exc).__name__, str(exc), sep=": ")
+            """
+        )
+        lines, expected = [], []
+        for spec, c1, r in self.CASES:
+            odd, nonzero = self.characters(spec, c1, r)
+            for v in [odd, *nonzero]:
+                lines.append(f"{spec};{c1};{r};{v.twice_ch2}")
+            for _, _, (kind, message) in self.expected(odd, nonzero):
+                expected.append(f"{kind.__name__}: {message}")
+        src = str(pathlib.Path(dec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], input="\n".join(lines), capture_output=True, text=True, env=env
+        )
+        assert (out.returncode, out.stdout) == (0, "\n".join(expected) + "\n"), out.stderr
+
+
+class TestBogomolovOnEverySurface:
+    # at rank >= 2 a negative discriminant is EmptyModuli on every surface,
+    # before any route; behind the gate no blowup route would have said Holds
+    SPECS = ["F0", "F1", "F2", "F3", "blp2:k=2", "blp2:k=4", "blp2:k=3:collinear=1,2,3",
+             "blp2:k=5:collinear=1,2,3,4", "blF2:k=1", "blF3:k=2", "dp5", "dp6", "dp7"]
+
+    def test_no_verdict_below_the_bound(self):
+        rng = random.Random(31)
+        surfaces = [lat.parse_surface(spec) for spec in self.SPECS]
+        seen = set()
+        for _ in range(600):
+            S, r = rng.choice(surfaces), rng.randrange(2, 5)
+            head = len(S.basis) - S.k
+            coords = tuple(rng.randint(-2 * r, 3 * r) for _ in range(head)) + tuple(
+                rng.randint(-r, r // 2) for _ in range(S.k)
+            )
+            v = ch.character_from_chi(r, lat.DivisorClass(S, coords), 0)
+            verdict, delta = dec.wbn(v), v.discriminant()
+            below = delta < 0
+            seen.add((S.is_hirzebruch, verdict.status, below))
+            if below:
+                assert verdict.status is WBNStatus.EMPTY_MODULI, v
+                assert verdict.bogomolov_delta == delta, v
+                assert verdict.notes[-1] == f"discriminant {delta} < 0 violates the Bogomolov inequality"
+                if not S.is_hirzebruch:
+                    assert verdict.notes == (dec._STACK_NOTE, verdict.notes[-1])
+                    assert dec._blowup_wbn(v).status is not WBNStatus.HOLDS, v
+            else:
+                assert verdict.status is not WBNStatus.EMPTY_MODULI, v
+        for hirzebruch in (True, False):
+            assert {(hirzebruch, s, False) for s in (WBNStatus.HOLDS, WBNStatus.FAILS)} <= seen
+            assert (hirzebruch, WBNStatus.EMPTY_MODULI, True) in seen

@@ -242,7 +242,6 @@ NO_LIBRARY_CALLER = {
     "riemann_roch_chi": "a public value the README names",
     "verify_strong_exceptional": "a hypothesis check of the closed forms, not yet run by two_term_resolution",
     "prioritary_hypotheses_check": "a hypothesis check of the closed forms, not yet run by two_term_resolution",
-    "discriminant": "a public value the README names",
 }
 
 
