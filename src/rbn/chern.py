@@ -116,7 +116,7 @@ def twice_euler_pairing(v: ChernCharacter, w: ChernCharacter) -> int:
     once both characters are known to share a surface.
     """
     s = v.surface
-    if w.surface is not s and w.surface != s:
+    if w.surface is not s:
         raise LatticeError("pairing characters on different surfaces")
     rv, rw, cv, cw, K = v.r, w.r, v.c1.coords, w.c1.coords, canonical(s).coords
     mixed = rv * form(s, cw, K) - rw * form(s, cv, K)

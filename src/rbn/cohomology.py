@@ -76,7 +76,6 @@ from .lattice import (
     canonical,
     chi_line_bundle,
     form,
-    neg_one_classes,
 )
 
 DEFAULT_ORACLE_PRIME = 1000003
@@ -641,20 +640,13 @@ def _collinear_h0_bound(s: SurfaceModel, coords) -> int:
     By Harbourne (1997, "Anticanonical rational surfaces") the value is the
     generic h0 itself; only the bound is used.
     """
-    curves = _collinear_curves(s)
+    curves = s.collinear_curves
     while coords[0] >= 0:
         C = next((C for C in curves if form(s, coords, C) < 0), None)
         if C is None:
             return max(0, _chi_plane(coords[0], [-c for c in coords[1:]]))
         coords = tuple(a - b for a, b in zip(coords, C))
     return 0
-
-
-@lru_cache(maxsize=32)  # one list per collinear surface; blowup_queries uses ten
-def _collinear_curves(s: SurfaceModel) -> tuple[tuple[int, ...], ...]:
-    """l' = L - sum_{i collinear} E_i, then the (-1)-classes C with C.l' >= 0."""
-    line = (1,) + tuple(-(i in s.config.collinear) for i in range(1, s.k + 1))
-    return (line, *(C for C in neg_one_classes(s.k) if form(s, C, line) >= 0))
 
 
 def _h0_lower_bound(D: DivisorClass) -> int:

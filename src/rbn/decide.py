@@ -358,7 +358,7 @@ def obstruction_certificate(v: ChernCharacter, C: DivisorClass, H: DivisorClass)
     for the polarization H, every semistable sheaf of character v has
     h0 >= chi(O(C), v).  Effectivity of C is the caller's responsibility.
     """
-    if v.surface is not C.surface and v.surface != C.surface:
+    if v.surface is not C.surface:
         raise LatticeError("curve class lives on a different surface")
     pairing = euler_pairing(line_bundle_character(C), v)
     if pairing <= 0:

@@ -81,7 +81,7 @@ class GoodSum:
     def __post_init__(self):
         s = self.surface
         for D in self.summands:
-            if D.surface is not s and D.surface != s:
+            if D.surface is not s:
                 raise LatticeError(f"divisors live on different surfaces: {D.surface} vs {s}")
 
     @property

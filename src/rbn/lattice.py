@@ -28,8 +28,12 @@ module one more construction skips the dataclass ``__init__``: ``decide``
 builds every verdict by storing its five fields straight into the slots of
 ``WBNVerdict``.
 
+The builders (``hirzebruch``, ``blowup_p2``, ``blowup_hirzebruch``,
+``del_pezzo``, and so ``parse_surface``) return one interned model per
+surface, compared and hashed by identity; pickling or copying returns it too.
+
 The plane blown up at ``2 <= k <= 5`` general points is a del Pezzo surface
-of degree ``9 - k`` under either spelling (distinct, unequal models), and the
+of degree ``9 - k`` under either spelling (two distinct models), and the
 (-1)-curve and nef-cone machinery reads ``k`` and the configuration only.
 On a del Pezzo surface the nef cone is cut out by the (-1)-curves, and these
 come in three families (Harbourne 1986), so with the multiplicities
@@ -47,6 +51,7 @@ integer inequality on (r, c1) once multiplied through by r > 0.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mul, neg, sub
@@ -113,9 +118,13 @@ def collinear_config(indices) -> PointConfig:
     return PointConfig(tuple(sorted(int(i) for i in indices)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceModel:
-    """A rational surface together with its fixed Picard basis."""
+    """A rational surface together with its fixed Picard basis.
+
+    Equality and hash are identity.  Only the builders intern: the
+    constructor validates, and a model built directly is a surface of its own.
+    """
 
     kind: str  # "hirzebruch" | "blowup_p2" | "blowup_hirzebruch" | "del_pezzo"
     e: int = 0
@@ -123,6 +132,8 @@ class SurfaceModel:
     config: PointConfig = GENERAL
 
     def __post_init__(self):
+        if type(self.e) is not int or type(self.k) is not int:
+            raise LatticeError("surface parameters e and k must be integers")
         if self.config.collinear and self.kind != "blowup_p2":
             raise LatticeError("only a blowup of the plane takes collinear points")
         if self.kind == "hirzebruch":
@@ -183,24 +194,14 @@ class SurfaceModel:
         gram = ((0, 0, 1 - self.e), (0, 1, 1), (1, 0, 1), (1, 1, 1))
         return _Head(("E", "F"), tuple(t for t in gram if t[2]), (-2, -(self.e + 2)))
 
-    # K per model rather than in a module-level cache keyed by the model,
-    # so reading it costs no hash of the dataclass
+    # K per model: read as an attribute, with no module-level cache to look up
     @cached_property
     def _canonical(self) -> "DivisorClass":
         return DivisorClass(self, self._head.canonical + (1,) * self.k)
 
-    # hashed once per model: every DivisorClass used as a key hashes its
-    # surface, and the generated hash would rehash the fields and the config
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.e, self.k, self.config))
-
-    def __getstate__(self):
-        # str hashes are salted per process, so the cached hash is not pickled
-        return {key: val for key, val in self.__dict__.items() if key != "_hash"}
+    def __reduce__(self):
+        # an unpickled or copied model is the interned one
+        return _model, (self.kind, self.e, self.k, self.config)
 
     @cached_property
     def rank(self) -> int:
@@ -232,25 +233,48 @@ class SurfaceModel:
             return base
         return f"blF{self.e}:k={self.k}"
 
+    @cached_property
+    def collinear_curves(self) -> tuple[tuple[int, ...], ...]:
+        """l' = L - sum_{i collinear} E_i, then the (-1)-classes C with C.l' >= 0."""
+        line = (1,) + tuple(-(i in self.config.collinear) for i in range(1, self.k + 1))
+        return (line, *(C for C in neg_one_classes(self.k) if form(self, C, line) >= 0))
+
     def __str__(self) -> str:
         return self.spec()
 
 
+# the interned models; weak, so the table keeps no model alive and no model
+# it holds is evicted while in use (a second, unequal model of its surface)
+_MODELS = weakref.WeakValueDictionary()
+
+
+def _model(kind: str, e: int, k: int, config: PointConfig) -> SurfaceModel:
+    """The interned model of a surface, built and validated on first use."""
+    key = (kind, e, k, config.collinear)
+    model = _MODELS.get(key)
+    # 1.0 and True find the model of 1, so they go to the constructor, which refuses them
+    if model is None or type(e) is not int or type(k) is not int:
+        model = _MODELS[key] = SurfaceModel(kind, e, k, config)
+    return model
+
+
 def hirzebruch(e: int) -> SurfaceModel:
-    return SurfaceModel("hirzebruch", e=e)
+    return _model("hirzebruch", e, 0, GENERAL)
 
 
 def blowup_p2(k: int, config: PointConfig = GENERAL) -> SurfaceModel:
-    return SurfaceModel("blowup_p2", k=k, config=config)
+    return _model("blowup_p2", 0, k, config)
 
 
 def blowup_hirzebruch(e: int, k: int) -> SurfaceModel:
-    return SurfaceModel("blowup_hirzebruch", e=e, k=k)
+    return _model("blowup_hirzebruch", e, k, GENERAL)
 
 
-@lru_cache(maxsize=4)  # one model per degree 4..7, so its cached head is reused
+# keeps the four models alive, so a call costs no table lookup and never
+# rebuilds a model the weak table let go
+@lru_cache(maxsize=4)
 def del_pezzo(degree: int) -> SurfaceModel:
-    return SurfaceModel("del_pezzo", k=9 - degree)
+    return _model("del_pezzo", 0, 9 - degree, GENERAL)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +332,7 @@ def wrap_coords(surface: SurfaceModel, coords: tuple) -> DivisorClass:
 
 
 def _require_same_surface(d1, d2):
-    if d1.surface is not d2.surface and d1.surface != d2.surface:
+    if d1.surface is not d2.surface:
         raise LatticeError(f"divisors live on different surfaces: {d1.surface} vs {d2.surface}")
 
 

@@ -183,7 +183,7 @@ class ResolutionReport:
     def bookkeeping_ok(self) -> bool:
         """The cokernel character equals the target, compared on integers."""
         v, s = self.target, self.collection.surface
-        if v.surface is not s and v.surface != s:
+        if v.surface is not s:
             return False
         return self._cokernel() == [v.r, *v.c1.coords, v.twice_ch2]
 

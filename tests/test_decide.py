@@ -200,14 +200,12 @@ class TestHirzebruch:
 
     def test_verdicts_skip_the_removed_work(self, monkeypatch):
         # a warmed F_e verdict pairs on coordinates (no ``intersect``),
-        # compares surfaces by identity first (no dataclass ``==``) and
-        # stores its fields without the dataclass ``__init__``; its chi = 0
-        # gate reads c1.K on the coordinates (no ``canonical``), and the
-        # Fails check pairs on ints (no ``euler_pairing``), so K is asked for
-        # only by that pairing with O(E).  The fiber sum
-        # builds its summands through the public constructors and is
-        # exempt.  One model per surface, as in a sweep: an equal but
-        # distinct model is compared with ``==`` where it keys a cache
+        # compares surfaces by identity (no ``==``) and stores its fields
+        # without the dataclass ``__init__``; its chi = 0 gate reads c1.K on
+        # the coordinates (no ``canonical``), and the Fails check pairs on
+        # ints (no ``euler_pairing``), so K is asked for only by that pairing
+        # with O(E).  The fiber sum builds its summands through the public
+        # constructors and is exempt.
         rng = random.Random(30)
         surfaces = [F0, F1, F2, lat.hirzebruch(3)]
         cases = [ch.character_from_chi(2, D(F0, "-2E-2F"), 0)]
@@ -215,7 +213,6 @@ class TestHirzebruch:
             S, r = surfaces[rng.randrange(4)], rng.randrange(2, 5)
             coords = (rng.randint(-3 * r, 3 * r), rng.randint(-3 * r, 3 * r))
             cases.append(ch.character_from_chi(r, lat.DivisorClass(S, coords), 0))
-        res.builtin_collection.cache_clear()  # keyed by these models, not by equal ones
         for v in cases:
             dec.wbn(v)
         calls = []
@@ -482,6 +479,56 @@ class TestOneSurfaceTwoSpellings:
         ]
         gs = verdict.witness.good_sum
         assert gs.surface is S and gs.N == -lat.canonical(S)
+
+
+class TestPointPermutations:
+    """Renumbering the blown-up points is an isomorphism of surfaces, so wbn
+    never answers Holds on one numbering and Fails on another."""
+
+    @staticmethod
+    def _draw(rng):
+        family = rng.randrange(3)
+        if family == 2:
+            S = lat.blowup_hirzebruch(rng.choice((2, 3)), rng.randint(1, 3))
+        else:
+            k = rng.randint(2, 7) if family == 0 else rng.randint(3, 7)
+            line = rng.sample(range(1, k + 1), rng.randint(2, k))
+            S = lat.blowup_p2(k, lat.collinear_config(line) if family else lat.GENERAL)
+        r = rng.randint(2, 4)
+        if S.is_blowup_hirzebruch:
+            head = (rng.randint(-r, 2 * r), rng.randint(0, 3 * r))
+        else:
+            head = (rng.randint(0, 3 * r),)
+        return S, r, head + tuple(-rng.randint(0, r + 1) for _ in range(S.k))
+
+    @staticmethod
+    def _permuted(S, coords, sigma):
+        """The class with point i renamed sigma[i - 1] + 1; on collinear points
+        the collinear set moves with it, to another model."""
+        h = S.rank - S.k
+        out = list(coords)
+        for i, j in enumerate(sigma):
+            out[h + j] = coords[h + i]
+        if S.config.collinear:
+            S = lat.blowup_p2(S.k, lat.collinear_config(sigma[i - 1] + 1 for i in S.config.collinear))
+        return S, tuple(out)
+
+    def test_random_characters(self):
+        rng = random.Random(32)
+        pairs, moved = [], 0
+        for _ in range(400):
+            S, r, coords = self._draw(rng)
+            sigma = list(range(S.k))
+            rng.shuffle(sigma)
+            T, permuted = self._permuted(S, coords, sigma)
+            moved += T is not S
+            pair = [
+                dec.wbn(ch.character_from_chi(r, lat.DivisorClass(X, c), 0)).status
+                for X, c in ((S, coords), (T, permuted))
+            ]
+            assert set(pair) != {WBNStatus.HOLDS, WBNStatus.FAILS}, (S.spec(), r, coords, sigma)
+            pairs.append(pair)
+        assert moved and {WBNStatus.HOLDS, WBNStatus.FAILS} <= {a for a, b in pairs if a is b}
 
 
 class TestObstructionCertificate:

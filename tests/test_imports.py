@@ -94,6 +94,48 @@ def test_every_cache_is_bounded():
     assert caches and [cache for cache in caches if cache[2] is None] == []
 
 
+_CONTAINERS = ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque")
+
+
+def _module_containers(tree):
+    """(name, weak) of each module-level name bound to a container: a dict,
+    list or set display or comprehension, or a container call, which is
+    weak for a ``Weak*`` class."""
+    literal = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        called = getattr(value.func, "attr", getattr(value.func, "id", "")) if isinstance(value, ast.Call) else ""
+        if isinstance(value, literal) or called in _CONTAINERS or called.startswith("Weak"):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((ast.unparse(target), called.startswith("Weak")) for target in targets)
+
+
+def test_no_module_level_container_but_a_weak_one():
+    # a module-level container lives as long as the process and grows
+    # without a bound; a weak one (the model table) keeps nothing alive
+    containers = [(path.name, name, weak) for path in MODULES for name, weak in _module_containers(_tree(path))]
+    assert containers and [entry for entry in containers if not entry[2]] == []
+
+
+def _callers(node, name, owner="<module>"):
+    """The innermost enclosing function (or ``<module>``) of each call to ``name``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+        yield owner
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _callers(child, name, owner)
+
+
+def test_only_the_intern_table_builds_a_model():
+    # the builders return one model per surface through ``_model``; a model
+    # built anywhere else is a second, unequal model of its surface
+    builders = [f"{path.name}:{owner}" for path in MODULES for owner in _callers(_tree(path), "SurfaceModel")]
+    assert builders == ["lattice.py:_model"]
+
+
 def _imported_modules(tree):
     """Top-level package of each absolute import in a module."""
     for node in ast.walk(tree):

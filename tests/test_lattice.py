@@ -1,3 +1,5 @@
+import copy
+import gc
 import json
 import os
 import pathlib
@@ -6,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -431,14 +434,14 @@ class TestSurfaceHash:
         monkeypatch.setattr(lat.PointConfig, "__hash__", lambda self: calls.append(self) or 7)
         S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3]))
         keys = {lat.DivisorClass(S, (d, 0, 0, 0, 0)) for d in range(5)}
-        assert len(keys) == 5 and hash(S) == hash(S) and calls == [S.config]
+        assert len(keys) == 5 and hash(S) == hash(S) and calls == []
 
     def test_pickled_model_hashes_in_another_process(self):
         # str hashes are salted per process, so a cached hash must not travel
         S = lat.blowup_p2(4, lat.collinear_config([1, 2, 3]))
         hash(S)
         T = pickle.loads(pickle.dumps(S))
-        assert "_hash" not in T.__dict__ and T == S and hash(T) == hash(S)
+        assert T is S and hash(T) == hash(S)
         assert S != lat.blowup_p2(4, lat.collinear_config([1, 2]))
         script = textwrap.dedent(
             """
@@ -454,6 +457,64 @@ class TestSurfaceHash:
             [sys.executable, "-c", script, pickle.dumps(S).hex()], capture_output=True, text=True, env=env
         )
         assert out.stdout == "True\n", out.stderr
+
+
+class TestInterning:
+    """The builders return one model per surface, and equality is identity."""
+
+    SPECS = (
+        "F0", "F1", "blp2:k=1", "blp2:k=4", "blp2:k=4:collinear=1,2,3", "blp2:k=4:collinear=1,2,4", "blF2:k=3",
+        "dp5", "dp7",
+    )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_every_way_in_returns_the_interned_model(self, spec):
+        S = lat.parse_surface(spec)
+        built = {
+            "hirzebruch": lambda: lat.hirzebruch(S.e),
+            "blowup_p2": lambda: lat.blowup_p2(S.k, lat.collinear_config(S.config.collinear)),
+            "blowup_hirzebruch": lambda: lat.blowup_hirzebruch(S.e, S.k),
+            "del_pezzo": lambda: lat.del_pezzo(S.degree),
+        }[S.kind]()
+        unpickled = pickle.loads(pickle.dumps(S))
+        same = [built, lat.parse_surface(f"  {spec}\n"), unpickled, copy.copy(S), copy.deepcopy(S)]
+        assert all(T is S for T in same)
+        assert copy.deepcopy(lat.DivisorClass(S, (0,) * S.rank)).surface is S
+
+    def test_distinct_surfaces_stay_distinct(self):
+        models = [lat.parse_surface(spec) for spec in self.SPECS]
+        assert len({id(S) for S in models}) == len(models) == len(set(models))
+        # one surface under two spellings is two models, as is a model built directly
+        assert lat.del_pezzo(5) != lat.blowup_p2(4) and lat.hirzebruch(1) != lat.blowup_p2(1)
+        assert lat.SurfaceModel("hirzebruch", e=1) != lat.hirzebruch(1)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "lattice.hirzebruch(-1)",
+            "lattice.hirzebruch(1.0)",  # equal to the key of F1 as a float
+            "lattice.blowup_p2(True)",
+            "lattice.parse_surface('blp2:k=0')",
+            "lattice.parse_surface('blF1:k=2')",
+            "lattice.parse_surface('dp3')",
+            "lattice.parse_surface('blp2:k=3:collinear=2,4')",
+        ],
+    )
+    def test_refused_spec_adds_no_entry(self, expr):
+        before = dict(lat._MODELS)
+        assert F1 in before.values()
+        for _ in range(2):
+            with pytest.raises((lat.LatticeError, lat.ParseError)):
+                eval(expr, {"lattice": lat})
+        assert dict(lat._MODELS) == before
+
+    def test_table_keeps_no_model_alive(self):
+        S = lat.parse_surface("blp2:k=31")
+        lat.canonical(S)  # a cached K refers back to its model
+        ref = weakref.ref(S)
+        del S
+        gc.collect()
+        assert ref() is None
 
 
 # each public way in must still refuse malformed coordinates; the checks are
@@ -477,6 +538,11 @@ BOUNDARY_CASES = {
     "hirzebruch_with_points": "lattice.SurfaceModel('hirzebruch', e=1, k=2)",
     "plane_blowup_with_e": "lattice.SurfaceModel('blowup_p2', e=5, k=3)",
     "del_pezzo_with_e": "lattice.SurfaceModel('del_pezzo', e=2, k=2)",
+    # a parameter equal to an int but not one would name F1.0 or blp2:k=True,
+    # or find the interned model of the int
+    "hirzebruch_float": "lattice.hirzebruch(1.0)",
+    "plane_blowup_bool": "lattice.blowup_p2(True)",
+    "del_pezzo_float": "lattice.del_pezzo(5.0)",
 }
 
 
