@@ -20,7 +20,6 @@ from .chern import (
     CharacterError,
     ChernCharacter,
     chi_integer,
-    euler_pairing,
     hirzebruch_core,
     line_bundle_character,
     twice_euler_pairing,
@@ -145,7 +144,7 @@ def _empty_moduli(delta: Fraction, notes: list[str]) -> WBNVerdict:
 
 def _checked_witness(gs: GoodSum, v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNWitness:
     """The good sum with chi(sum) point modifications towards v, checked once."""
-    witness = WBNWitness(gs, gs.chi(), v)
+    witness = WBNWitness(gs, v)
     check = is_good_sum(gs, seed=seed, trials=trials)
     if not (check.ok and witness.bookkeeping_ok()):
         raise VerificationError(f"emitted witness failed verification: {check.failures}")
@@ -188,7 +187,7 @@ def rank_one_wbn(c1: DivisorClass, *, seed: int = 0, trials: int = 3) -> WBNVerd
     if vec.higher_vanishes:
         gs = GoodSum(_rank_one_reference(c1.surface), (c1,))
         target = ChernCharacter(1, c1, twice_ch2=intersect(c1, c1) - 2 * n)
-        witness = WBNWitness(gs, n, target)
+        witness = WBNWitness(gs, target)
         # the cohomology above is the check on the line bundle; is_good_sum
         # cannot certify the reference N = F on blowups of F_e
         if not witness.bookkeeping_ok():
@@ -296,17 +295,15 @@ def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerd
         return _verdict(WBNStatus.HOLDS, witness, None, None, tuple(notes))
     except ValueError as exc:
         notes.append(f"rounding route: {exc}")
-    config = s.config
-    if config.kind == "collinear":
-        C = basis_divisor(s, "L")
-        for i in config.collinear:
-            C = C - basis_divisor(s, f"E{i}")
+    if s.config.kind == "collinear":
+        C = DivisorClass(s, s.collinear_curves[0])  # L - sum of the collinear E_i
         # chi(O(-C)) = 0, so chi(O(C), v) = -c1.C - r: positive exactly when
         # r (delta - sum of collinear alphas) = c1.C < -r.  The slope
         # condition is checked at H = L: K + C = -2L + sum of the E_i off the
         # line, so c1.L > r (K + C).L reads l + 2r > 0.  Being strict, it holds
         # for the ample H = L + eps A at small eps, which keeps H.(K + F) < 0
-        obstruction = obstruction_certificate(v, C, basis_divisor(s, "L"))
+        twice_pairing = twice_euler_pairing(line_bundle_character(C), v)
+        obstruction = _section_certificate(v, C, basis_divisor(s, "L"), twice_pairing)
         if obstruction is not None:
             notes.append(
                 "collinear points: the line through them pairs positively, "
@@ -314,11 +311,10 @@ def _blowup_wbn(v: ChernCharacter, *, seed: int = 0, trials: int = 3) -> WBNVerd
                 "(A ample, eps small), since mu(v).L > (K+C).L = -2"
             )
             return _verdict(WBNStatus.FAILS, None, obstruction, None, tuple(notes))
-        pairing = euler_pairing(line_bundle_character(C), v)
-        if pairing > 0:  # the certificate failed on the slope condition alone
+        if twice_pairing > 0:  # the certificate failed on the slope condition alone
             notes.append(
                 f"collinear points: the line through them pairs positively "
-                f"(chi(O(C), v) = {pairing}), but mu(v).L <= (K+C).L = -2, so the "
+                f"(chi(O(C), v) = {twice_pairing // 2}), but mu(v).L <= (K+C).L = -2, so the "
                 "slope condition fails at H = L and no sections are forced"
             )
     if s.is_del_pezzo and not nef_first and is_nef(v.c1):
@@ -360,12 +356,19 @@ def obstruction_certificate(v: ChernCharacter, C: DivisorClass, H: DivisorClass)
     """
     if v.surface is not C.surface:
         raise LatticeError("curve class lives on a different surface")
-    pairing = euler_pairing(line_bundle_character(C), v)
-    if pairing <= 0:
+    return _section_certificate(v, C, H, twice_euler_pairing(line_bundle_character(C), v))
+
+
+def _section_certificate(
+    v: ChernCharacter, C: DivisorClass, H: DivisorClass, twice_pairing: int
+) -> Obstruction | None:
+    """``obstruction_certificate`` for C on v's surface, given 2 chi(O(C), v)."""
+    if twice_pairing <= 0:
         return None
-    if pairing.denominator != 1:
-        raise CharacterError(f"non-integral pairing {pairing}; malformed character")
+    if twice_pairing % 2:
+        raise CharacterError(f"non-integral pairing {Fraction(twice_pairing, 2)}; malformed character")
     K = canonical(v.surface)
     if intersect(v.c1, H) <= v.r * intersect(K + C, H):  # nu.H <= (K+C).H
         return None
-    return Obstruction(curve=C, chi_pairing=int(pairing), h0_lower_bound=int(pairing))
+    pairing = twice_pairing // 2
+    return Obstruction(curve=C, chi_pairing=pairing, h0_lower_bound=pairing)

@@ -457,24 +457,27 @@ def hirzebruch_fiber_sum(v: ChernCharacter) -> GoodSum:
 
 @dataclass(frozen=True)
 class WBNWitness:
-    """A good sum plus the number of point modifications reaching the target.
+    """A good sum plus the point modifications reaching the target.
 
-    chi drops by one per modification, so n = chi(sum) and the target
-    character is the sum's with ch2 lowered by n.
+    chi drops by one per modification, so there are n = chi(sum) of them
+    and the target character is the sum's with ch2 lowered by n.
     """
 
     good_sum: GoodSum
-    modifications: int
     target: ChernCharacter
 
+    @property
+    def modifications(self) -> int:
+        return self.good_sum.chi()
+
     def bookkeeping_ok(self) -> bool:
+        n = self.good_sum.chi()
         sum_char = self.good_sum.character()
         return (
-            self.modifications == self.good_sum.chi()
-            and self.modifications >= 0
+            n >= 0
             and sum_char.r == self.target.r
             and sum_char.c1 == self.target.c1
-            and sum_char.twice_ch2 - 2 * self.modifications == self.target.twice_ch2
+            and sum_char.twice_ch2 - 2 * n == self.target.twice_ch2
         )
 
     def to_json_dict(self) -> dict:

@@ -23,10 +23,9 @@ of the right length by construction and are wrapped unchecked
 (``wrap_coords``), as are the summands of a del Pezzo decomposition, whose
 lengths and sum the decomposition checks, and the classes the Hirzebruch
 classification computes from the ints of ``hirzebruch_core`` (the Serre
-dual's c1, the section E and the F_0 direct-sum class -E-F).  Outside this
-module one more construction skips the dataclass ``__init__``: ``decide``
-builds every verdict by storing its five fields straight into the slots of
-``WBNVerdict``.
+dual's c1 and the section E).  Outside this module one more construction
+skips the dataclass ``__init__``: ``decide`` builds every verdict by
+storing its five fields straight into the slots of ``WBNVerdict``.
 
 The builders (``hirzebruch``, ``blowup_p2``, ``blowup_hirzebruch``,
 ``del_pezzo``, and so ``parse_surface``) return one interned model per

@@ -17,7 +17,9 @@ Every report a closed form returns has passed one verification,
 the exponent-weighted bundle characters equals the target, compared on the
 integers (r, c1, 2 ch2).  Each collection caches that sum as a signed
 integer table, one column per integer with the kernel side negated, so the
-check is one dot product of the exponents with each column.  It raises
+check is one dot product of the exponents with each column.  A direct
+sum is the report at split 0, where the kernel is empty (O(-E-F)^r on
+F_0), so it is checked by the same table.  It raises
 ``VerificationError``, not an ``assert``, so it survives ``python -O``, and
 the verdicts of ``decide`` and the ``rbn resolve`` command both get it from
 here.
@@ -61,18 +63,26 @@ class ExceptionalCollection:
 
     ``bundles[:split_index]`` sit in the kernel of a two-term resolution and
     the rest of ``bundles[:-1]`` in the middle; the trailing structure sheaf
-    never appears in resolutions.
+    never appears in resolutions.  Every bundle lies on one surface, the
+    collection's.
     """
 
-    surface: SurfaceModel
     bundles: tuple[DivisorClass, ...]
     split_index: int = 1
 
     def __post_init__(self):
         if not self.bundles or not self.bundles[-1].is_zero:
             raise ResolutionError("collections must end with the structure sheaf O")
+        s = self.surface
+        for A in self.bundles:
+            if A.surface is not s:
+                raise ResolutionError(f"bundles live on different surfaces: {A.surface} vs {s}")
         if not 0 <= self.split_index <= len(self.bundles) - 1:
             raise ResolutionError("split index out of range")
+
+    @property
+    def surface(self) -> SurfaceModel:
+        return self.bundles[-1].surface
 
     @property
     def resolving(self) -> tuple[DivisorClass, ...]:
@@ -81,7 +91,7 @@ class ExceptionalCollection:
     def with_split(self, j: int) -> "ExceptionalCollection":
         if j == self.split_index:  # keeps the cached stock collection and its table
             return self
-        return ExceptionalCollection(self.surface, self.bundles, j)
+        return ExceptionalCollection(self.bundles, j)
 
     # read by every bookkeeping check, so the stock collections (cached per
     # surface) build it once
@@ -116,7 +126,7 @@ def builtin_collection(surface: SurfaceModel) -> ExceptionalCollection:
     else:  # F_e is its own blowup at k = 0 points
         E, F = basis_divisor(surface, "E"), basis_divisor(surface, "F")
         head = (-E - (surface.e + 1) * F, -E - surface.e * F, -F)
-    return ExceptionalCollection(surface, head + exc + (zero_divisor(surface),), 1)
+    return ExceptionalCollection(head + exc + (zero_divisor(surface),), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +155,31 @@ def verify_strong_exceptional(coll: ExceptionalCollection):
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Exponents of a two-term resolution, or a direct-sum degenerate case.
+    """Exponents of a two-term resolution.
 
     ``exponents[i]`` counts ``collection.resolving[i]``; entries left of the
-    split sit in the kernel.  ``direct_sum`` replaces the resolution by
-    O(D)^r when set (the sheaf itself splits).  ``feasible`` is False when
-    some exponent is negative, meaning no such resolution exists.
+    split sit in the kernel.  At split 0 the kernel is empty and the sheaf
+    is the direct sum of the right-hand terms (O(-E-F)^r on F_0).
+    ``feasible`` is False when some exponent is negative, meaning no such
+    resolution exists.
     """
 
     collection: ExceptionalCollection
     exponents: tuple[int, ...]
     target: ChernCharacter
-    form: str = "generic"
-    direct_sum: tuple[DivisorClass, int] | None = None
+
+    @property
+    def form(self) -> str:
+        """The closed form's label, read off the split and the surface family."""
+        j = self.collection.split_index
+        if j == 0:
+            return "direct-sum"
+        if self.collection.surface.is_blowup_p2_like:
+            if j == 1:
+                return "eqfirst"
+            if j == 2:
+                return "eqsecond"
+        return "generic"
 
     @property
     def feasible(self) -> bool:
@@ -173,25 +195,21 @@ class ResolutionReport:
 
     def _cokernel(self) -> list[int]:
         """[r, c1 coordinates..., 2 ch2] of the alternating sum, on integers."""
-        if self.direct_sum is not None:
-            D, mult = self.direct_sum
-            s = self.collection.surface
-            return [mult, *(mult * a for a in D.coords), mult * form(s, D.coords, D.coords)]
         exponents = self.exponents
         return [sum(map(mul, exponents, column)) for column in self.collection._table]
 
     def bookkeeping_ok(self) -> bool:
-        """The cokernel character equals the target, compared on integers."""
-        v, s = self.target, self.collection.surface
-        if v.surface is not s:
+        """One exponent per resolving bundle, and the cokernel character
+        equals the target, compared on integers."""
+        v, bundles = self.target, self.collection.bundles
+        if v.surface is not bundles[-1].surface or len(self.exponents) != len(bundles) - 1:
             return False
         return self._cokernel() == [v.r, *v.c1.coords, v.twice_ch2]
 
     def to_json_dict(self) -> dict:
         out: dict = {"collection": [divisor_expr(b) for b in self.collection.bundles]}
-        if self.direct_sum is not None:
-            D, mult = self.direct_sum
-            out["direct_sum"] = {divisor_expr(D): mult}
+        if self.collection.split_index == 0:
+            out["direct_sum"] = {divisor_expr(b): a for b, a in self.right() if a}
         else:
             out["left"] = {divisor_expr(b): a for b, a in self.left() if a}
             out["right"] = {divisor_expr(b): a for b, a in self.right() if a}
@@ -207,8 +225,9 @@ class ResolutionReport:
 
 
 def verify_report(report: ResolutionReport) -> ResolutionReport:
-    """The one check of an emitted report: nonnegative exponents and integer
-    bookkeeping.  Raises ``VerificationError``, so ``python -O`` keeps it."""
+    """The one check of an emitted report: nonnegative exponents, one per
+    resolving bundle, and integer bookkeeping.  Raises
+    ``VerificationError``, so ``python -O`` keeps it."""
     if not (report.feasible and report.bookkeeping_ok()):
         raise VerificationError(f"emitted resolution failed verification for {report.target}")
     return report
@@ -236,7 +255,8 @@ def _hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     Exponents: a = l - ke + k + r on O(-E-(e+1)F), b = -chi(E(-E)) on
     O(-E-eF), c = k + r on O(-F), read off ``hirzebruch_core`` together
     with the normalization.  The rank-r twist of O(-1,-1) on F_0
-    (k = l = -r) is returned as a direct sum instead.  Negative b means the
+    (k = l = -r) is the direct sum O(-E-F)^r: the report at split 0 with
+    exponents (r, 0, 0), whose kernel is empty.  Negative b means the
     section-obstruction regime; negative a only happens for e <= 1 pockets
     where no semistable sheaf exists, and both raise.
     """
@@ -244,12 +264,8 @@ def _hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:
     dualized, k, ell, t, _, (a, b, c) = hirzebruch_core(s.e, r, *v.c1.coords, v.twice_ch2)
     if dualized:  # the core's ints, wrapped unchecked (see ``lattice``)
         v = ChernCharacter(r, wrap_coords(s, (k, ell)), twice_ch2=t)
-    if s.e == 0 and k == -r and ell == -r:
-        minus_e_f = wrap_coords(s, (-1, -1))
-        report = ResolutionReport(
-            builtin_collection(s), (0, 0, 0), v, form="direct-sum", direct_sum=(minus_e_f, r)
-        )
-        return verify_report(report)
+    if s.e == 0 and k == -r and ell == -r:  # everything on the right: O(-E-F)^r
+        return verify_report(ResolutionReport(builtin_collection(s).with_split(0), (r, 0, 0), v))
     if b < 0:
         raise ResolutionError(f"chi(E(-E)) = {-b} > 0: sections obstruct the resolution")
     if a < 0 or c < 0:
@@ -287,9 +303,8 @@ def _blowup_resolution(v: ChernCharacter) -> ResolutionReport:
         raise ResolutionError(f"hypothesis delta - sum alpha_i >= -1 fails: {Fraction(ell - total, r)}")
     a = ell - total + r
     b_signed = r + a - total  # equals r (delta - 2 sum alpha_i + 2)
-    kind = "eqfirst" if b_signed >= 0 else "eqsecond"
     coll = builtin_collection(v.surface).with_split(1 if b_signed >= 0 else 2)
-    return verify_report(ResolutionReport(coll, (a, abs(b_signed), *ms), v, form=kind))
+    return verify_report(ResolutionReport(coll, (a, abs(b_signed), *ms), v))
 
 
 def _blowup_hirzebruch_resolution(v: ChernCharacter) -> ResolutionReport:

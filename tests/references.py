@@ -103,12 +103,8 @@ def solve_exponents(v: ChernCharacter, coll: ExceptionalCollection) -> Resolutio
 
 def cokernel_character(report: ResolutionReport) -> ChernCharacter:
     """Alternating sum of the exponent-weighted bundle characters, read off
-    the report's left and right terms (or its direct sum), not its
-    integer bookkeeping."""
-    if report.direct_sum is not None:
-        terms = [report.direct_sum]
-    else:
-        terms = [(A, -a) for A, a in report.left()] + list(report.right())
+    the report's left and right terms, not its integer bookkeeping."""
+    terms = [(A, -a) for A, a in report.left()] + list(report.right())
     c1 = sum((count * A for A, count in terms), zero_divisor(report.collection.surface))
     twice = sum(count * intersect(A, A) for A, count in terms)
     return ChernCharacter(sum(count for _, count in terms), c1, twice_ch2=twice)

@@ -118,10 +118,6 @@ def _hirz_expectation(e, r, k, ell):
 
 def _resolution_cokernel(e, report):
     """(r, c1, ch2) of the alternating sum of the report, in Fractions."""
-    if report.direct_sum is not None:
-        D, mult = report.direct_sum
-        square = Fraction(_hirz_form(e, D.coords, D.coords), 2)
-        return mult, tuple(mult * a for a in D.coords), mult * square
     r, c, ch2 = 0, (0, 0), Fraction(0)
     for sign, terms in ((1, report.right()), (-1, report.left())):
         for D, n in terms:
@@ -155,14 +151,11 @@ def test_criterion_3_hirzebruch_classification_boundary():
                         if isinstance(witness, res.ResolutionReport):
                             assert witness.feasible and witness.bookkeeping_ok(), v
                             assert _resolution_cokernel(e, witness) == normalized, v
-                            if witness.direct_sum is not None and e == 0 and (k, ell) == (
+                            if witness.form == "direct-sum" and e == 0 and (k, ell) == (
                                 -2,
                                 -2,
                             ) and r == 2:
-                                f0_witnessed = witness.direct_sum == (
-                                    lat.parse_divisor("-E-F", S),
-                                    2,
-                                )
+                                f0_witnessed = witness.exponents == (2, 0, 0)
                         else:
                             assert witness.bookkeeping_ok(), v
                     elif verdict.status is WBNStatus.FAILS:
@@ -293,7 +286,7 @@ def test_criterion_6_witness_bookkeeping():
         r = rng.randrange(1, 6)
         v = ch.character_from_chi(r, c1, 0)
         gs = gd.delpezzo_decompose(c1, r)
-        witness = gd.WBNWitness(gs, gs.chi(), v)
+        witness = gd.WBNWitness(gs, v)
         n = witness.modifications
         assert n == witness.good_sum.chi() and n >= 0, v
         assert witness.good_sum.character().ch2 - n == v.ch2, v

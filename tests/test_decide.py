@@ -102,7 +102,7 @@ class TestHirzebruch:
         v = ch.character_from_chi(2, D(F0, "-2E-2F"), 0)
         verdict = dec.wbn(v)
         assert verdict.status is WBNStatus.HOLDS
-        assert verdict.witness.direct_sum == (D(F0, "-E-F"), 2)
+        assert verdict.witness.form == "direct-sum" and verdict.witness.exponents == (2, 0, 0)
 
     def test_fails_with_positive_bound(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)
@@ -349,7 +349,7 @@ class TestBlowupP2:
         assert verdict.status is WBNStatus.UNKNOWN
         assert not any(n.startswith("collinear points") for n in verdict.notes)
 
-    def test_collinear_obstruction_needs_the_slope_condition(self):
+    def test_collinear_obstruction_needs_the_slope_condition(self, monkeypatch):
         # chi(O(C), v) = 11 > 0, but c1.L + 2r = -4 <= 0: a semistable sheaf
         # of slope -4L near H = L has no map from O(C), so no Fails
         S = lat.blowup_p2(3, lat.collinear_config([1, 2, 3]))
@@ -365,6 +365,10 @@ class TestBlowupP2:
             "(chi(O(C), v) = 11), but mu(v).L <= (K+C).L = -2, so the slope "
             "condition fails at H = L and no sections are forced"
         )
+        # the line is paired with v once, for the certificate and the note
+        calls = []
+        monkeypatch.setattr(dec, "line_bundle_character", lambda C: calls.append(C) or ch.line_bundle_character(C))
+        assert dec.wbn(v) == verdict and calls == [C]
         # at l + 2r = 1 the condition holds and the Fails stands, naming H
         # (Delta = 0, so Bogomolov leaves the moduli space nonempty)
         v = ch.character_from_chi(3, D(S, "-5L+E1"), 0)
@@ -680,7 +684,7 @@ class TestVerificationGates:
         script = textwrap.dedent(
             """
             import sys
-            from rbn import chern, decide, goodsums, lattice
+            from rbn import chern, decide, goodsums, lattice, resolutions
             decide.is_good_sum = lambda gs, **kw: goodsums.GoodSumCheck(False, ("forced",))
             v = chern.character_from_chi(3, lattice.parse_divisor("2L", lattice.del_pezzo(7)), 0)
             try:
@@ -693,6 +697,13 @@ class TestVerificationGates:
                 decide.rank_one_wbn(lattice.parse_divisor("F", F2))
             except decide.VerificationError:
                 print("rank one raised")
+            F0 = lattice.hirzebruch(0)
+            v = chern.character_from_chi(2, lattice.parse_divisor("-2E-2F", F0), 0)
+            coll = resolutions.builtin_collection(F0).with_split(0)
+            try:  # the direct sum O(-E-F)^2 with r + 1 copies
+                resolutions.verify_report(resolutions.ResolutionReport(coll, (3, 0, 0), v))
+            except decide.VerificationError:
+                print("F0 direct sum (3, 0, 0) raised")
             decide.ResolutionReport.bookkeeping_ok = lambda self: False
             for spec, c1 in (("F1", "E+F"), ("F0", "-2E-2F"), ("blF2:k=1", "E+3F-E1")):
                 S = lattice.parse_surface(spec)
@@ -707,7 +718,10 @@ class TestVerificationGates:
         out = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
         )
-        expected = "optimize 1 raised\nrank one raised\nF1 raised\nF0 raised\nblF2:k=1 raised\n"
+        expected = (
+            "optimize 1 raised\nrank one raised\nF0 direct sum (3, 0, 0) raised\n"
+            "F1 raised\nF0 raised\nblF2:k=1 raised\n"
+        )
         assert (out.returncode, out.stdout) == (0, expected), out.stderr
 
     def test_fails_and_chi_gates_survive_optimized_mode(self):

@@ -440,7 +440,7 @@ class TestHirzebruchFiberSum:
 
 def _witness(gs, v):
     """The witness decide builds: the sum plus chi(sum) point modifications."""
-    return gd.WBNWitness(gs, gs.chi(), v)
+    return gd.WBNWitness(gs, v)
 
 
 class TestWitness:
@@ -483,7 +483,7 @@ class TestWitnessBookkeepingAtLargeCoordinates:
         ell = data.draw(st.integers(-10**6, 10**6))
         v = ch.character_from_chi(r, lat.DivisorClass(lat.hirzebruch(e), (k, ell)), 0)
         gs = gd.hirzebruch_fiber_sum(v)
-        w = gd.WBNWitness(gs, gs.chi(), v)
+        w = gd.WBNWitness(gs, v)
         assert w.bookkeeping_ok() and gs.rank == r
         coords = [s.coords for s in gs.summands]
         assert tuple(map(sum, zip(*coords))) == (k, ell)
@@ -505,7 +505,7 @@ class TestWitnessBookkeepingAtLargeCoordinates:
         c1 = (d * r + p,) + tuple(-(x * r + q) for x, q in zip(a, rems))
         v = ch.character_from_chi(r, lat.DivisorClass(S, c1), 0)
         gs = gd.rounding_sum(v)
-        w = gd.WBNWitness(gs, gs.chi(), v)
+        w = gd.WBNWitness(gs, v)
         assert w.bookkeeping_ok() and gs.rank == r
         coords = [s.coords for s in gs.summands]
         assert tuple(map(sum, zip(*coords))) == c1

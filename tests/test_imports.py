@@ -1,6 +1,7 @@
 """Import hygiene of the library modules, checked on their syntax trees."""
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,8 @@ import textwrap
 from collections import Counter
 
 import pytest
+
+import rbn
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rbn"
 MODULES = sorted(SRC.glob("*.py"))
@@ -282,6 +285,8 @@ def test_two_term_resolution_is_the_only_closed_form_entry_point():
 # definitions that no library code names yet, each with its reason
 NO_LIBRARY_CALLER = {
     "riemann_roch_chi": "a public value the README names",
+    "euler_pairing": "a public value the README names; the library pairs on twice_euler_pairing's ints",
+    "obstruction_certificate": "a public certificate the README names; wbn passes the pairing it has to its core",
     "verify_strong_exceptional": "a hypothesis check of the closed forms, not yet run by two_term_resolution",
     "prioritary_hypotheses_check": "a hypothesis check of the closed forms, not yet run by two_term_resolution",
 }
@@ -324,3 +329,21 @@ def test_no_assert_statements():
         f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+# the value types the README lists store only values independent of each
+# other; a stored duplicate of a derived value would show here as a field
+VALUE_TYPE_FIELDS = {
+    "ChernCharacter": ("r", "c1", "twice_ch2"),
+    "PointConfig": ("collinear",),
+    "CohomologyAnswer": ("vector", "route", "derivation"),
+    "GoodSum": ("N", "summands"),
+    "ExceptionalCollection": ("bundles", "split_index"),
+    "ResolutionReport": ("collection", "exponents", "target"),
+    "WBNWitness": ("good_sum", "target"),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPE_FIELDS)
+def test_value_types_store_independent_values(name):
+    assert tuple(f.name for f in dataclasses.fields(getattr(rbn, name))) == VALUE_TYPE_FIELDS[name]

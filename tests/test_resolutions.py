@@ -39,16 +39,24 @@ class TestBuiltinCollections:
     def test_reversed_collection_fails_with_witness(self):
         coll = res.builtin_collection(F2)
         reversed_coll = res.ExceptionalCollection(
-            F2, tuple(reversed(coll.bundles[:-1])) + (lat.zero_divisor(F2),), 1
+            tuple(reversed(coll.bundles[:-1])) + (lat.zero_divisor(F2),), 1
         )
         ok, witness = res.verify_strong_exceptional(reversed_coll)
         assert not ok and witness is not None
         coll2 = res.builtin_collection(BL2)
         reversed2 = res.ExceptionalCollection(
-            BL2, tuple(reversed(coll2.bundles[:-1])) + (lat.zero_divisor(BL2),), 1
+            tuple(reversed(coll2.bundles[:-1])) + (lat.zero_divisor(BL2),), 1
         )
         ok, witness = res.verify_strong_exceptional(reversed2)
         assert not ok and witness is not None
+
+    def test_bundles_on_two_surfaces_refused(self):
+        # F0 and F1 classes have coordinates of one length, so without the
+        # check the table would read F1's bundles with F0's intersection form
+        bundles = res.builtin_collection(F1).bundles[:-1] + (lat.zero_divisor(F0),)
+        with pytest.raises(res.ResolutionError, match="different surfaces"):
+            res.ExceptionalCollection(bundles, 1)
+        assert res.builtin_collection(F1).surface is F1
 
 
 class TestSolveExponents:
@@ -84,7 +92,7 @@ class TestHirzebruchResolution:
     def test_quadric_special_case(self):
         v = ch.character_from_chi(2, D(F0, "-2E-2F"), 0)
         report = res.two_term_resolution(v)
-        assert report.direct_sum == (D(F0, "-E-F"), 2)
+        assert report.form == "direct-sum" and report.exponents == (2, 0, 0)
         assert report.bookkeeping_ok()
 
     def test_generic_f2_character(self):
@@ -278,6 +286,39 @@ class TestReportInvariants:
         assert payload["left"] == {"-2L": 2}
         assert payload["right"] == {"-L": 2, "-E1": 1, "-E2": 1}
         assert payload["cokernel"] == {"r": 2, "c1": "2L-E1-E2", "chi": 0}
+
+
+class TestVerifyReport:
+    def test_split_zero_is_a_direct_sum(self):
+        # every bundle sits on the right, so the sheaf is O(-L) + O(-E1),
+        # checked by the same table and printed under "direct_sum"
+        coll = res.builtin_collection(BL2).with_split(0)
+        v = ch.ChernCharacter(2, D(BL2, "-L-E1"), twice_ch2=0)
+        report = res.verify_report(res.ResolutionReport(coll, (0, 1, 1, 0), v))
+        assert report.form == "direct-sum" and cokernel_character(report) == v
+        assert report.to_json_dict() == {
+            "collection": ["-2L", "-L", "-E1", "-E2", "0"],
+            "direct_sum": {"-L": 1, "-E1": 1},
+            "form": "direct-sum",
+            "cokernel": {"r": 2, "c1": "-L-E1", "chi": 0},
+        }
+
+    @pytest.mark.parametrize(
+        "surface, c1, emitted, wrong",
+        [
+            (F1, "E+F", (3, 2, 3), (3, 2, 3, 5)),  # one exponent too many
+            (F1, "-2E", (2, 4, 0), (2, 4)),  # the zero dropped
+            (F0, "-2E-2F", (2, 0, 0), (3, 0, 0)),  # the direct sum with r + 1 copies
+        ],
+        ids=["too-long", "too-short", "F0-direct-sum"],
+    )
+    def test_wrong_exponents_raise(self, surface, c1, emitted, wrong):
+        # a map or zip over the exponents would drop the extra entry or the
+        # missing zero and pass the wrong lengths
+        report = res.two_term_resolution(ch.character_from_chi(2, D(surface, c1), 0))
+        assert report.exponents == emitted
+        with pytest.raises(res.VerificationError):
+            res.verify_report(res.ResolutionReport(report.collection, wrong, report.target))
 
 
 class TestBookkeepingTable:
