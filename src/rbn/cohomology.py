@@ -239,9 +239,19 @@ def _cremona_h0(coords) -> int:
 _CREMONA_NOTE = "exact cohomology by Cremona reduction"
 
 
-# a pure function of the tuple (k = len - 1) that good-sum checks repeat: a
-# delpezzo_goodsums pass (seed 1, pass 0) hits 2,129 times and misses 860,
-# blowup_queries 17 and 363; criterion 5 misses 16,129 times (15,275 at 4096)
+def _orbit_key(coords) -> tuple[int, ...]:
+    """The class up to renumbering of the points: the degree, then the
+    exceptional coefficients sorted."""
+    return (coords[0], *sorted(coords[1:]))
+
+
+# a pure function of the tuple (k = len - 1) that good-sum checks repeat.
+# Callers ask with ``_orbit_key``, so one entry serves every renumbering of
+# the points, under which the answer is invariant: ``_cremona_h0`` sorts
+# first, K - D permutes with D, and chi is a symmetric sum.  A
+# delpezzo_goodsums pass (seed 1, pass 0) hits 2,568 times and misses 421,
+# blowup_queries 46 and 302; criterion 5 misses 1,141 times, so every class
+# it asks for stays cached
 @lru_cache(maxsize=1 << 11)
 def _cremona_answer(coords) -> CohomologyAnswer:
     """Exact (h0, h1, h2): h2 is h0(K - D) by Serre duality, h1 closes chi."""
@@ -439,7 +449,7 @@ def vanishing_by_rules(D: DivisorClass) -> CohomologyAnswer:
     """
     s = D.surface
     if _has_cremona_vector(s):
-        return _cremona_answer(D.coords)
+        return _cremona_answer(_orbit_key(D.coords))
     if s.is_blowup_p2_like:
         stock, strips, derivable, param = _is_stock_blp2, _strips_blp2, _derivable_blp2, None
     elif s.is_blowup_hirzebruch:
@@ -658,7 +668,7 @@ def _h0_lower_bound(D: DivisorClass) -> int:
     """
     s = D.surface
     if _has_cremona_vector(s):
-        return _cremona_answer(D.coords).vector.h0
+        return _cremona_answer(_orbit_key(D.coords)).vector.h0
     if s.config.kind == "collinear" and s.k <= 8:
         return _collinear_h0_bound(s, D.coords)
     return 0
@@ -891,19 +901,24 @@ def interpolation_h0(
 def blowup_cohomology_oracle(
     D: DivisorClass, *, seed: int = 0, trials: int = 3, prime: int | None = None
 ) -> CohomologyVector:
-    """Full cohomology vector from two interpolations and Riemann-Roch.
+    """Full cohomology vector from interpolation and Riemann-Roch.
 
     h2 is h0 of the Serre-dual class K - D, and h1 closes the Euler
-    characteristic.  The two interpolations may place their frames at
-    different points, which loses nothing: D and K - D have degrees d and
-    -3 - d, so at most one of them is sampled at all.  Each stops its
+    characteristic.  D and K - D have degrees d and -3 - d, so at most one
+    of them is sampled at all.  At d >= -2 the dual degree is negative, so
+    h2 = 0 and K - D is neither built nor interpolated: the call on D has
+    already checked the surface and the trials, and the prime against
+    max(d, 0), at least the dual degree.  At d <= -3 the call on D returns 0
+    unsampled and the dual is interpolated.  Each call stops its
     trials early only where no further trial could lower its minimum, and
     each Cremona-reduces its samples, which keeps every sample's value (see
     ``interpolation_h0``), so the vector is the one all trials of the
     unreduced framed matrices would give.
     """
     h0 = interpolation_h0(D, seed=seed, trials=trials, prime=prime)
-    h2 = interpolation_h0(canonical(D.surface) - D, seed=seed, trials=trials, prime=prime)
+    h2 = 0
+    if D.coords[0] < -2:
+        h2 = interpolation_h0(canonical(D.surface) - D, seed=seed, trials=trials, prime=prime)
     h1 = h0 + h2 - chi_line_bundle(D)
     if h1 < 0:
         raise OracleError(f"inconsistent oracle sample for {D} (h1 = {h1} < 0); retry with another seed")

@@ -37,6 +37,7 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     SurfaceModel,
+    anticanonical,
     basis_divisor,
     canonical,
     chi_line_bundle,
@@ -209,7 +210,7 @@ def _rank_one_reference(surface: SurfaceModel) -> DivisorClass:
     if surface.is_hirzebruch or surface.is_blowup_hirzebruch:
         return basis_divisor(surface, "F")
     if surface.kind == "del_pezzo":  # the dp<d> spelling measures against -K
-        return -canonical(surface)
+        return anticanonical(surface)
     return basis_divisor(surface, "L")
 
 

@@ -27,6 +27,7 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     SurfaceModel,
+    anticanonical,
     basis_divisor,
     canonical,
     chi_line_bundle,
@@ -54,7 +55,9 @@ def fiber_class(surface: SurfaceModel) -> DivisorClass:
 
 
 # one entry per reference divisor: -K on each del Pezzo model, L on a
-# blowup of the plane, F on F_e.  A bad N raises, and ``lru_cache`` keeps no
+# blowup of the plane, F on F_e.  Every del Pezzo sum carries its model's
+# one -K (``anticanonical``), so the lookup finds it by identity and never
+# compares coordinates.  A bad N raises, and ``lru_cache`` keeps no
 # exception, so it raises on every call
 @lru_cache(maxsize=64)
 def _certify_reference(N: DivisorClass) -> None:
@@ -409,7 +412,7 @@ def delpezzo_decompose(D: DivisorClass, r: int) -> GoodSum:
     if len(flat) != r or sum(map(len, flat)) != r * s.rank or tuple(map(sum, zip(*flat))) != D.coords:
         raise RuntimeError(f"decomposition of {divisor_expr(D)} at rank {r} lost its first Chern class or rank")
     summands = tuple(x for c, n in counts for x in (wrap_coords(s, c),) * n)
-    return GoodSum(-canonical(s), summands)
+    return GoodSum(anticanonical(s), summands)
 
 
 # ---------------------------------------------------------------------------

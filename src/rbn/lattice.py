@@ -198,6 +198,11 @@ class SurfaceModel:
     def _canonical(self) -> "DivisorClass":
         return DivisorClass(self, self._head.canonical + (1,) * self.k)
 
+    # -K per model, the reference divisor of the del Pezzo good sums
+    @cached_property
+    def _anticanonical(self) -> "DivisorClass":
+        return -self._canonical
+
     def __reduce__(self):
         # an unpickled or copied model is the interned one
         return _model, (self.kind, self.e, self.k, self.config)
@@ -367,6 +372,11 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
 def canonical(surface: SurfaceModel) -> DivisorClass:
     """The canonical class in the fixed basis."""
     return surface._canonical
+
+
+def anticanonical(surface: SurfaceModel) -> DivisorClass:
+    """-K, one object per model, so the classes measured against it share it."""
+    return surface._anticanonical
 
 
 def chi_line_bundle(D: DivisorClass) -> int:

@@ -17,7 +17,8 @@ Every report a closed form returns has passed one verification,
 the exponent-weighted bundle characters equals the target, compared on the
 integers (r, c1, 2 ch2).  Each collection caches that sum as a signed
 integer table, one column per integer with the kernel side negated, so the
-check is one dot product of the exponents with each column.  A direct
+check is one dot product of the exponents with each column; ``with_split``
+keeps one collection per split, so each stock split builds it once.  A direct
 sum is the report at split 0, where the kernel is empty (O(-E-F)^r on
 F_0), so it is checked by the same table.  It raises
 ``VerificationError``, not an ``assert``, so it survives ``python -O``, and
@@ -89,9 +90,21 @@ class ExceptionalCollection:
         return self.bundles[:-1]
 
     def with_split(self, j: int) -> "ExceptionalCollection":
-        if j == self.split_index:  # keeps the cached stock collection and its table
-            return self
-        return ExceptionalCollection(self.bundles, j)
+        """These bundles split at j: one object per split, shared by every
+        collection reached from this one, so each builds its table once."""
+        splits = self._splits
+        coll = splits.get(j)
+        if coll is None:
+            coll = splits[j] = ExceptionalCollection(self.bundles, j)
+            coll.__dict__["_splits"] = splits  # as ``cached_property`` stores it
+        return coll
+
+    # at most one entry per split, len(bundles) in all; the stock
+    # collections (cached per surface) keep theirs, so the blowup eqsecond
+    # reports and the F_0 direct sums build no collection after the first
+    @cached_property
+    def _splits(self) -> dict[int, "ExceptionalCollection"]:
+        return {self.split_index: self}
 
     # read by every bookkeeping check, so the stock collections (cached per
     # surface) build it once

@@ -1,7 +1,8 @@
 """Independent references that only the tests read.
 
 Each recomputes a value the library derives another way, so a test can set
-the two side by side: line-bundle cohomology on F_e through the ruling, the
+the two side by side: line-bundle cohomology on F_e through the ruling and
+on k <= 8 general points through Weyl reflections of the class as given, the
 Euler characteristic through the lattice pairing with K, the Serre dual of
 a character, the exponents of a two-term resolution from the
 pairing recurrences of its collection, and the character of a resolution
@@ -14,7 +15,18 @@ from fractions import Fraction
 
 from rbn.chern import CharacterError, ChernCharacter, chi_integer, euler_pairing, line_bundle_character
 from rbn.cohomology import CohomologyVector, certified_cohomology
-from rbn.lattice import DivisorClass, LatticeError, canonical, divisor_expr, intersect, zero_divisor
+from rbn.lattice import (
+    DivisorClass,
+    LatticeError,
+    blowup_p2,
+    canonical,
+    chi_line_bundle,
+    cremona_root,
+    divisor_expr,
+    intersect,
+    reflect,
+    zero_divisor,
+)
 from rbn.resolutions import ExceptionalCollection, ResolutionError, ResolutionReport
 
 
@@ -41,6 +53,39 @@ def hirzebruch_pushforward_oracle(D: DivisorClass) -> CohomologyVector:
         return CohomologyVector(0, 0, 0)
     h0, h1, h2 = _nonneg_case(-2 - a, -(e + 2) - b)
     return CohomologyVector(h2, h1, h0)
+
+
+def cremona_vector_reference(D: DivisorClass) -> CohomologyVector:
+    """(h0, h1, h2) of O(D) on the plane blown up at k <= 8 general points,
+    reduced on the coordinates as given, never sorted.
+
+    h0: the class is padded with points of multiplicity 0 to k >= 3 (a
+    general point it does not pass through changes no section).  While
+    some E_i is met negatively it is a fixed component and is subtracted;
+    while the three heaviest points (by index) have multiplicities summing
+    to more than d, the class is reflected in the root L - E_a - E_b - E_c
+    at them, a quadratic transformation, which lowers d.  A class in
+    standard form is nef, so its h0 is chi (``chi_line_bundle``), and d < 0
+    has none.  h2 is h0(K - D) by Serre duality, and h1 closes chi.
+    """
+    S = D.surface
+    if not (S.is_blowup_p2_like and S.config.kind == "general" and S.k <= 8):
+        raise LatticeError(f"cremona_vector_reference expects k <= 8 general points, not {S}")
+    padded = blowup_p2(max(S.k, 3))
+
+    def h0(coords):
+        coords = coords + (0,) * (padded.rank - len(coords))
+        while coords[0] >= 0:
+            coords = (coords[0],) + tuple(min(c, 0) for c in coords[1:])
+            heaviest = sorted(range(1, padded.rank), key=lambda i: (coords[i], i))[:3]
+            root = cremona_root(padded, *heaviest).coords
+            if intersect(DivisorClass(padded, coords), DivisorClass(padded, root)) >= 0:
+                return max(0, chi_line_bundle(DivisorClass(padded, coords)))
+            coords = reflect(padded, coords, root)
+        return 0
+
+    top, bottom = h0(D.coords), h0((canonical(S) - D).coords)
+    return CohomologyVector(top, top + bottom - chi_line_bundle(D), bottom)
 
 
 def chi_reference(v: ChernCharacter) -> Fraction:

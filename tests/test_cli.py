@@ -448,6 +448,19 @@ class TestResolveGoodsumOracleCurves:
         )
         assert code == 0 and out == "h0=1 h1=1 h2=0\n"
 
+    @pytest.mark.parametrize(
+        "surface, divisor, stdout",
+        [
+            ("blp2:k=6", "6L-3E1-3E2-3E4-3E5-2E6", "h0=2 h1=1 h2=0\n"),
+            ("blp2:k=2", "-2L+E1", "h0=0 h1=0 h2=0\n"),
+            ("blp2:k=2", "-5L+E1", "h0=0 h1=0 h2=6\n"),
+        ],
+    )
+    def test_oracle_cohom_bytes(self, capsys, surface, divisor, stdout):
+        # the README's oracle example, and classes on either side of d = -3,
+        # below which the Serre dual is sampled
+        assert run(capsys, "oracle", "cohom", "--surface", surface, f"--divisor={divisor}") == (0, stdout, "")
+
     def test_oracle_bad_prime(self, capsys):
         code, _, err = run(
             capsys, "oracle", "h0", "--surface", "blp2:k=2", "--divisor", "L", "--prime", "10"

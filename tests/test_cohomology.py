@@ -17,7 +17,7 @@ from rbn import lattice as lat
 from rbn._modp import modp_stream_rank
 from rbn.cohomology import Vanishing
 
-from references import hirzebruch_pushforward_oracle
+from references import cremona_vector_reference, hirzebruch_pushforward_oracle
 from test_lattice import reflect, weyl_generators
 
 
@@ -521,6 +521,30 @@ class TestCremonaExact:
         answer = coh._cremona_answer(Dv.coords)
         for root in weyl_generators(S):
             assert coh._cremona_answer(lat.reflect(S, Dv.coords, root)) == answer, root
+
+    def test_one_cache_entry_per_orbit(self):
+        # renumbering the points asks the cache with one key, so a class and
+        # its permutations cost one miss and get one answer, through either
+        # caller of the cache
+        S = lat.blowup_p2(7)
+        coords = (11, -4, 1, 0, -2, -4, -1, -3)
+        perms = [coords[:1] + tuple(p) for p in itertools.islice(itertools.permutations(coords[1:]), 0, 5040, 97)]
+        coh._cremona_answer.cache_clear()
+        answers = {coh.vanishing_by_rules(lat.DivisorClass(S, c)) for c in perms}
+        bounds = {coh._h0_lower_bound(lat.DivisorClass(S, c)) for c in perms}
+        info = coh._cremona_answer.cache_info()
+        assert len(perms) == 52 and len(set(perms)) == 52
+        assert (info.misses, info.hits, info.currsize) == (1, 2 * 52 - 1, 1)
+        assert len(answers) == 1 and bounds == {answers.pop().vector.h0}
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_orbit_answer_matches_the_reference(self, k):
+        # the answer keyed by the sorted coordinates against a reduction of
+        # the class as drawn, unsorted
+        S, rng = lat.blowup_p2(k), random.Random(34 + k)
+        for _ in range(60):
+            Dv = lat.DivisorClass(S, (rng.randint(-6, 16),) + tuple(rng.randint(-7, 2) for _ in range(k)))
+            assert coh.vanishing_by_rules(Dv).vector == cremona_vector_reference(Dv), Dv.coords
 
     @settings(max_examples=200, deadline=None)
     @given(Dv=general_classes(st.integers(-6, 14), st.integers(-6, 2)))
@@ -1089,6 +1113,35 @@ class TestOracleVector:
     def test_doubled_conic_vector(self):
         vec = coh.blowup_cohomology_oracle(D(BL5, "4L-2E1-2E2-2E3-2E4-2E5"))
         assert vec.as_tuple() == (1, 1, 0)
+
+    @pytest.mark.parametrize("d", [-6, -4, -3, -2, -1, 0, 2, 5])
+    def test_dual_interpolated_only_at_nonnegative_dual_degree(self, d):
+        # K - D has degree -3 - d, so at d >= -2 it has no sections and is not asked
+        calls, interpolate = [], coh.interpolation_h0
+
+        def counting(Dv, **kwargs):
+            calls.append(Dv.coords)
+            return interpolate(Dv, **kwargs)
+
+        Dv = lat.DivisorClass(BL3, (d, -1, 0, 1))
+        with mock.patch.object(coh, "interpolation_h0", counting):
+            vec = coh.blowup_cohomology_oracle(Dv)
+        assert len(calls) == (1 if d >= -2 else 2)
+        assert vec == coh.certified_cohomology(Dv).vector
+
+    @pytest.mark.parametrize("d", [-3, -2, 0])
+    def test_oracle_refusals_kept(self, d):
+        # the first interpolation still checks the surface, the trials and
+        # the prime where the dual one is skipped
+        Dv = lat.DivisorClass(BL2, (d, 0, -1))
+        with pytest.raises(coh.OracleError, match="blowups of the plane"):
+            coh.blowup_cohomology_oracle(lat.DivisorClass(F2, (d, 1)))
+        with pytest.raises(coh.OracleError, match="at least one trial"):
+            coh.blowup_cohomology_oracle(Dv, trials=0)
+        with pytest.raises(coh.OracleError, match="not prime"):
+            coh.blowup_cohomology_oracle(Dv, prime=1000000)
+        with pytest.raises(coh.OracleError, match="too small"):
+            coh.blowup_cohomology_oracle(Dv, prime=997)
 
     def test_chi_consistency_random(self):
         rng = random.Random(21)

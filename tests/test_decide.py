@@ -535,6 +535,30 @@ class TestPointPermutations:
         assert moved and {WBNStatus.HOLDS, WBNStatus.FAILS} <= {a for a, b in pairs if a is b}
 
 
+class TestSerreDuality:
+    """At rank r >= 2 the Serre dual E^dual (x) K has character (r, rK - c1)
+    at chi = 0, and E -> E^dual (x) K carries the stack of v onto the one of
+    the dual, so wbn never answers Holds on one and Fails on the other."""
+
+    @staticmethod
+    def _draw(rng):
+        if rng.randrange(4):  # a blowup, drawn as for the permutation test
+            return TestPointPermutations._draw(rng)
+        S, r = lat.hirzebruch(rng.randint(0, 3)), rng.randint(2, 4)
+        return S, r, (rng.randint(-2 * r, 2 * r), rng.randint(-2 * r, 3 * r))
+
+    def test_random_characters(self):
+        rng = random.Random(10)
+        pairs = []
+        for _ in range(400):
+            S, r, coords = self._draw(rng)
+            v = ch.character_from_chi(r, lat.DivisorClass(S, coords), 0)
+            pair = [dec.wbn(w).status for w in (v, serre_dual_character(v))]
+            assert set(pair) != {WBNStatus.HOLDS, WBNStatus.FAILS}, (S.spec(), r, coords)
+            pairs.append(pair)
+        assert {WBNStatus.HOLDS, WBNStatus.FAILS} <= {a for a, b in pairs if a is b}
+
+
 class TestObstructionCertificate:
     def test_negative_section_pairing_is_one(self):
         v = ch.character_from_chi(2, D(F1, "2E-F"), 0)

@@ -373,6 +373,16 @@ class TestDecompose:
         with pytest.raises(gd.GoodSumError):
             gd.delpezzo_decompose(D(blp2, "E1"), 2)
 
+    @pytest.mark.parametrize("spec", ["dp4", "dp7", "blp2:k=3"])
+    def test_every_sum_shares_one_reference(self, spec):
+        # one -K object per model, so the reference check finds it by identity
+        S = lat.parse_surface(spec)
+        sums = [
+            gd.delpezzo_decompose(lat.DivisorClass(S, (d,) + (-1,) * S.k), r) for d in (3, 4, 6) for r in (1, 2, 4)
+        ]
+        assert len({id(gs.N) for gs in sums}) == 1 and sums[0].N == -lat.canonical(S)
+        assert all(gd.is_good_sum(gs).ok for gs in sums)
+
     def test_small_sweep_all_degrees(self):
         for degree in (4, 5, 6, 7):
             S = lat.del_pezzo(degree)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -94,6 +95,9 @@ class TestHirzebruchResolution:
         report = res.two_term_resolution(v)
         assert report.form == "direct-sum" and report.exponents == (2, 0, 0)
         assert report.bookkeeping_ok()
+        # every direct sum reads the one split-0 collection of the model
+        other = res.two_term_resolution(ch.character_from_chi(3, D(F0, "-3E-3F"), 0))
+        assert other.collection is report.collection is res.builtin_collection(F0).with_split(0)
 
     def test_generic_f2_character(self):
         v = ch.character_from_chi(2, D(F2, "2E+5F"), 0)
@@ -159,6 +163,31 @@ class TestBlowupResolution:
         assert report.form == "eqsecond" and report.collection.split_index == 2
         assert report.exponents == (0, 2, 2, 2)
         assert report.bookkeeping_ok()
+
+    def test_second_form_shares_one_collection(self, monkeypatch):
+        # every eqsecond report of a model reads one split-2 collection, so
+        # its table is built once; the table still refuses wrong exponents
+        S = lat.blowup_p2(4)
+        reports = [res.two_term_resolution(ch.character_from_chi(2, D(S, c1), 0)) for c1 in ("2L-2E1-2E2", "4L-2E1-2E2-2E3")]
+        assert [r.form for r in reports] == ["eqsecond"] * 2
+        assert reports[0].collection is reports[1].collection is res.builtin_collection(S).with_split(2)
+        wrong = (reports[0].exponents[0] + 1,) + reports[0].exponents[1:]
+        with pytest.raises(res.VerificationError):
+            res.verify_report(res.ResolutionReport(reports[0].collection, wrong, reports[0].target))
+        # a collection built afresh builds one table for all its split-2 reports
+        built, table = [], res.ExceptionalCollection._table
+
+        def counting(coll):
+            built.append(coll.split_index)
+            return table.func(coll)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(res.ExceptionalCollection, "_table")
+        monkeypatch.setattr(res.ExceptionalCollection, "_table", counted)
+        fresh = res.ExceptionalCollection(res.builtin_collection(S).bundles)
+        rebuilt = [res.verify_report(res.ResolutionReport(fresh.with_split(2), r.exponents, r.target)) for r in reports]
+        assert rebuilt[0].collection is rebuilt[1].collection is fresh.with_split(2).with_split(1).with_split(2)
+        assert fresh.with_split(1) is fresh and built == [2]
 
     def test_boundary_emits_first_form(self):
         # delta - 2 sum alpha + 2 = 0 makes b vanish; eqfirst by convention
