@@ -14,8 +14,10 @@ Four routes, by strength of the statement:
   of classes with no cohomology, adding an exceptional class, a line or a
   fiber under an intersection guard preserves vanishing of higher
   cohomology.  The classes the rules reach have a closed form, and a
-  greedy walk back from a class records its derivation.  On k <= 8 general
-  points ``vanishing_by_rules`` answers from the Cremona vector instead.
+  greedy walk back from a class records its derivation; it walks back run
+  by run, each run of equal moves read off the closed form at once.  On
+  k <= 8 general points ``vanishing_by_rules`` answers from the Cremona
+  vector instead.
 * Blowups of the plane additionally get a brute-force numerical oracle:
   ``h0`` is the nullity of the fat-point interpolation matrix over a large
   prime field, ``h2`` comes from Serre duality and ``h1`` from the Euler
@@ -254,10 +256,12 @@ def _orbit_key(coords) -> tuple[int, ...]:
 # it asks for stays cached
 @lru_cache(maxsize=1 << 11)
 def _cremona_answer(coords) -> CohomologyAnswer:
-    """Exact (h0, h1, h2): h2 is h0(K - D) by Serre duality, h1 closes chi."""
+    """Exact (h0, h1, h2): h2 is h0(K - D) by Serre duality, h1 closes chi.
+    K - D has degree -3 - d, so at d >= -2 it has no sections and is not built."""
+    d = coords[0]
     h0 = _cremona_h0(coords)
-    h2 = _cremona_h0((-3 - coords[0],) + tuple(1 - c for c in coords[1:]))
-    vec = CohomologyVector(h0, h0 + h2 - _chi_plane(coords[0], [-c for c in coords[1:]]), h2)
+    h2 = _cremona_h0((-3 - d,) + tuple(1 - c for c in coords[1:])) if d < -2 else 0
+    vec = CohomologyVector(h0, h0 + h2 - _chi_plane(d, [-c for c in coords[1:]]), h2)
     return CohomologyAnswer(vec, "exact", (_CREMONA_NOTE,))
 
 
@@ -276,16 +280,32 @@ def _cremona_answer(coords) -> CohomologyAnswer:
 # k >= 9 points, and blowups of Hirzebruch surfaces.
 #
 # One engine, ``_derive``, serves every family.  A family supplies its
-# stock test, its strip generator (candidate last moves, in generator
-# order) and its derivability test.  Every move's guard reads only the head
-# coordinates and one exceptional coefficient, so derivability (a
-# derivation from the zero class or a stock class exists) has a closed
-# form, proved below for each family.  The engine tests it on the target,
-# then walks back from it, taking at each state the first strip whose
+# stock test, its derivability test and its run step.  Every move's guard
+# reads only the head coordinates and one exceptional coefficient, so
+# derivability (a derivation from the zero class or a stock class exists)
+# has a closed form, proved below for each family.  A strip un-applies one
+# legal move; a state's strips, in strip order, are +E_j on each c_j in
+# {0, 1} (j ascending), then the family's head strips in the order given
+# below.  The greedy walk takes at each state the first strip whose
 # predecessor is derivable, until it reaches the zero class or a stock
 # class.  Every strip lowers the state in a well-founded order (the head
 # never rises and a strip lowers an exceptional coefficient only down to
 # -1), so the walk ends.
+#
+# The engine tests derivability on the target, then walks back run by run:
+# the run step reads the greedy's move off the closed form, together with
+# the length of the run of that same move the greedy takes from there, cut
+# at the first stock or zero class, and the engine tests derivability again
+# at the run's end.  The runs below are proved for a derivable state that is
+# neither the zero class nor a stock class, with k >= 1 (every blowup model
+# has a point); each run ends at a derivable state, so the walk never
+# leaves the closed form.  The run step meets a state outside it only when
+# ``derivable`` admitted one wrongly; it then offers the first legal strip
+# (for +E_j at c_j = 1, both of its legal moves).  A legal strip from a
+# class with no derivation leads to another such class, never back into
+# the closed form.  So every move of a trail is legal whatever
+# ``derivable`` says, and a class with no derivation makes the walk raise:
+# where no legal strip is left, or where ``derivable`` rejects a run's end.
 #
 # Blowup of the plane: state (l, c_1..c_k), m_i = -c_i for c_i < 0.  The
 # stock classes are
@@ -297,6 +317,33 @@ def _cremona_answer(coords) -> CohomologyAnswer:
 # no move lifts a coefficient above 1.  Sufficiency: strip +E_j on each
 # c_j = 1, then +(L - E_i) on each c_i < 0 (its guard l + c_i >= -1 holds
 # because m_i <= sum m <= l + 1), then +L down to a stock class.
+#
+# Head strips: +L (legal at l >= -1), then +(L - E_i) for i ascending
+# (legal at l >= -1 and l + c_i >= -1).  Runs: a derivable state other than
+# the zero and stock classes has l >= 0 (at l = -1, sum m <= 0 leaves every
+# c_i in {0, 1}, a stock class, as at l = -2) and slack s = l + 1 - sum m
+# >= 0.  The predecessor of +E_j is derivable iff c_j = 1 (sum m is kept) or
+# c_j = 0 and s > 0 (sum m rises by 1); that of +L iff s > 0; that of
+# +(L - E_i) iff c_i < 0 (l and sum m fall by 1) or c_i = 0 and s > 0.  So
+# the greedy's move and run are:
+#   * +E_j at the first j with c_j = 1, or c_j = 0 when s > 0.  A move keeps
+#     s, or lowers it as c_j goes to -1, so no earlier index becomes a
+#     candidate and j stays first while it is one: two moves when c_j = 1
+#     and s > 0, else one.  The state between the two has s > 0, so at
+#     l = 0 it has sum m = 0 and is no stock class; it is the zero class
+#     (and the run one move) when l = 0 and c_j was the only c_i = 1.
+#   * else +L when s > 0.  No c_i is 1, nor 0 (it would be a candidate), so
+#     every c_i < 0 and sum m >= 1.  Each move lowers s by 1 and keeps the
+#     c_i: s moves, down to l = sum m - 1 >= 0, passing only states with
+#     l >= 1, none of them a stock or zero class.
+#   * else +(L - E_i) at the first i with c_i < 0: now s = 0, so
+#     sum m = l + 1 >= 1, and no c is 1.  Its guard holds as m_i <= sum m =
+#     l + 1.  A move keeps s = 0 and l + c_i, so the guard holds along the
+#     run, and i stays first while c_i < 0: m_i moves.  If another c is
+#     negative, l >= sum m - m_i >= 1 before the last move, so no stock
+#     class is passed.  Otherwise m_i = l + 1, and after l moves the state
+#     is (0, ..., -1, ...) with every other c zero, a stock class: the run
+#     is min(m_i, l) moves.
 
 
 def _is_stock_blp2(coords) -> bool:
@@ -308,21 +355,6 @@ def _is_stock_blp2(coords) -> bool:
     return False
 
 
-def _strips_blp2(coords, _):
-    """Candidate last moves of a derivation ending at ``coords``."""
-    k = len(coords) - 1
-    ell, tail = coords[0], coords[1:]
-    for j, c in enumerate(tail):
-        if c in (0, 1):
-            yield coords[: 1 + j] + (c - 1,) + coords[2 + j :], f"+E{j + 1}"
-    if ell >= -1:
-        yield (ell - 1,) + tail, "+L"
-        for i in range(k):
-            # un-apply +(L - E_i); the guard is (T - C).C = T.C >= -1
-            if ell + tail[i] >= -1:
-                yield (ell - 1,) + tail[:i] + (tail[i] + 1,) + tail[i + 1 :], f"+L-E{i + 1}"
-
-
 def _derivable_blp2(coords, _) -> bool:
     """The closed form above; with every c_i <= 1, sum m = count(1) - sum c."""
     ell, tail = coords[0], coords[1:]
@@ -331,6 +363,39 @@ def _derivable_blp2(coords, _) -> bool:
     if ell >= -1:
         return tail.count(1) - sum(tail) <= ell + 1
     return ell == -2 and min(tail) >= 0
+
+
+def _exceptional_run(head, tail, ones, spare):
+    """The +E_j run at the first c_j = 1, or c_j = 0 when ``spare`` (a zero
+    may still go to -1), as in the runs above; None if there is none."""
+    k = len(tail)
+    j = tail.index(1) if ones else k
+    if spare and 0 in tail:
+        j = min(j, tail.index(0))
+    if j == k:
+        return None
+    n = 2 if tail[j] == 1 and spare and (any(head) or ones > 1) else 1
+    return f"+E{j + 1}", head + tail[:j] + (tail[j] - n,) + tail[j + 1 :], n
+
+
+def _run_blp2(coords, _):
+    """The greedy's last run into ``coords``: (move, predecessor before the
+    run, length), read off the slack as above."""
+    ell, tail = coords[0], coords[1:]
+    ones = tail.count(1)
+    slack = ell + 1 + sum(tail) - ones
+    if ell < 0 or slack < 0 or max(tail) > 1:
+        # outside the closed form: the first legal strip (+(L - E_i) is
+        # legal only where +L is)
+        return _exceptional_run((ell,), tail, ones, True) or (("+L", (ell - 1,) + tail, 1) if ell >= -1 else None)
+    run = _exceptional_run((ell,), tail, ones, slack > 0)
+    if run:
+        return run
+    if slack:
+        return "+L", (ell - slack,) + tail, slack
+    i = next(i for i, c in enumerate(tail) if c)
+    n = min(-tail[i], ell)
+    return f"+L-E{i + 1}", (ell - n,) + tail[:i] + (tail[i] + n,) + tail[i + 1 :], n
 
 
 # Blowup of a Hirzebruch surface: same idea with coordinates (a, b, c_1..c_k)
@@ -346,6 +411,32 @@ def _derivable_blp2(coords, _) -> bool:
 # +E_j on each c_j = 1, then +E down to a = 0 (the guard holds and the
 # bound on b only weakens), then +F down to b = -1, or to b = 0 when some
 # c_i = -1: a stock class.
+#
+# Head strips: +F (legal at a >= -1 and b >= 0), then +E (legal at a >= 0
+# and b >= ae - 1).  Runs: let n <= 1 count the c_i = -1.  A derivable
+# state other than the zero and stock classes has a >= 0 (a = -1 forbids
+# c_i = -1, a stock class), b >= ae - 1, and b >= 0 if n = 1.  The
+# predecessor of +E_j is derivable iff c_j = 1, or c_j = 0, n = 0 and
+# b >= 0; that of +F iff b >= ae and (b >= 1 or n = 0); that of +E iff
+# a >= 1 or n = 0.  So the greedy's move and run are:
+#   * +E_j at the first j with c_j = 1, or c_j = 0 when n = 0 and b >= 0:
+#     two moves when c_j = 1, n = 0 and b >= 0, else one, as on the plane
+#     (n only rises).  The state between the two has n = 0, so it is no
+#     stock class with b >= 0; it is the zero class (and the run one move)
+#     when a = b = 0 and c_j was the only c_i = 1.
+#   * else +F when b >= max(ae, 1).  No c_i is 1, and with n = 0 every c_i
+#     would be 0 and a candidate (b >= 0), so n = 1; then +F needs b >= 1.
+#     Each move keeps a and the c_i: b - max(ae, 1) + 1 moves, down to
+#     b = max(ae, 1) - 1, passing only states with b >= 1 and some c_i = -1,
+#     none of them a stock or zero class.
+#   * else +E, one move.  If b >= ae, +F fails only at b = 0 with n = 1,
+#     so a = 0 (as e >= 1): a stock class.  So b = ae - 1.  With n = 0
+#     every c_i is 0 and no candidate, so b < 0 and a = 0: the stock class
+#     (0, -1, 0, ...).  So n = 1, b = ae - 1 >= 0 and a >= 1; the
+#     predecessor (a - 1, ae - 1) is derivable and has b >= (a - 1)e, so it
+#     takes +F, or is the stock class (0, 0, ..., -1, ...) when a = e = 1.
+#     Blowup models have e >= 2; on F_0 the greedy may take +E again, and
+#     the step still returns its first move.
 
 
 def _is_stock_blf(coords) -> bool:
@@ -359,19 +450,6 @@ def _is_stock_blf(coords) -> bool:
     return False
 
 
-def _strips_blf(coords, e: int):
-    a, b, tail = coords[0], coords[1], coords[2:]
-    for j, c in enumerate(tail):
-        if c in (0, 1):
-            yield coords[: 2 + j] + (c - 1,) + coords[3 + j :], f"+E{j + 1}"
-    if a >= -1 and b - 1 >= -1:
-        # guard for +F on the stripped class: F.(D-F) = a >= -1
-        yield (a, b - 1) + tail, "+F"
-    if a - 1 >= -1 and b - (a - 1) * e >= e - 1:
-        # guard for +E: E.(D-E) = b - (a-1)e >= e-1
-        yield (a - 1, b) + tail, "+E"
-
-
 def _derivable_blf(coords, e: int) -> bool:
     """The closed form above."""
     a, b, tail = coords[0], coords[1], coords[2:]
@@ -383,27 +461,52 @@ def _derivable_blf(coords, e: int) -> bool:
     return a >= 0 and b >= a * e - 1 and (b >= 0 or not negative)
 
 
-def _derive(coords, stock, strips, derivable, param) -> tuple[str, ...] | None:
+def _run_blf(coords, e: int):
+    """The greedy's last run into ``coords``, as ``_run_blp2``."""
+    a, b, tail = coords[0], coords[1], coords[2:]
+    ones, negative = tail.count(1), tail.count(-1)
+    if a < 0 or b < a * e - 1 or negative > 1 or (negative and b < 0) or max(tail) > 1 or min(tail) < -1:
+        # outside the closed form: the first legal strip
+        head = None
+        if a >= -1 and b >= 0:
+            head = ("+F", (a, b - 1) + tail, 1)
+        elif a >= 0 and b >= a * e - 1:
+            head = ("+E", (a - 1, b) + tail, 1)
+        return _exceptional_run((a, b), tail, ones, True) or head
+    run = _exceptional_run((a, b), tail, ones, not negative and b >= 0)
+    if run:
+        return run
+    top = max(a * e, 1)
+    if b >= top:
+        return "+F", (a, top - 1) + tail, b - top + 1
+    return "+E", (a - 1, b) + tail, 1
+
+
+def _derive(coords, stock, run, derivable, param) -> tuple[str, ...] | None:
     """Derivation trail (start class, then moves) of ``coords``, else None.
 
-    ``stock(c)``, ``strips(c, param)`` and ``derivable(c, param)`` are the
+    ``stock(c)``, ``run(c, param)`` and ``derivable(c, param)`` are the
     family's rules; ``param`` is e on blowups of F_e and None on blowups of
-    the plane.  Each step un-applies a legal move, so a returned trail is a
-    derivation whatever ``derivable`` says; a derivable state with no
-    derivable predecessor would prove the closed form wrong, and raises.
+    the plane.  ``run`` gives the greedy's last run into a state as (move,
+    predecessor before the run, length), or None.  ``derivable`` is tested
+    on the target and at every run's end; a state with no run, or a run
+    ending outside ``derivable``, would prove the closed form wrong, and
+    raises.  Every run is a string of legal moves (see above), so a
+    returned trail is a derivation.
     """
     if not derivable(coords, param):
         return None
-    moves = []
+    runs = []
     while any(coords) and not stock(coords):
-        for pred, move in strips(coords, param):
-            if derivable(pred, param):
-                break
-        else:
+        step = run(coords, param)
+        if step is None or not derivable(step[1], param):
             raise RuntimeError(f"derivable state {_coords_repr(coords)} has no derivable predecessor")
-        moves.append(move)
-        coords = pred
-    return (f"start {_coords_repr(coords)}",) + tuple(reversed(moves))
+        move, coords, n = step
+        runs.append((move, n))
+    trail = [f"start {_coords_repr(coords)}"]
+    for move, n in reversed(runs):
+        trail += [move] * n
+    return tuple(trail)
 
 
 def _coords_repr(coords) -> str:
@@ -444,19 +547,19 @@ def vanishing_by_rules(D: DivisorClass) -> CohomologyAnswer:
     ``_derive`` (a stock class is its own derivation).  NONZERO answers come
     only from cheap sound certificates (negative Euler characteristic, or
     an obviously effective Serre dual), with no vector.  Nothing is cached:
-    a call costs one closed-form test and, for a derivable class, one walk
-    along its trail.
+    a call costs one closed-form test and, for a derivable class, one run
+    step and one closed-form test per run of equal moves in its trail.
     """
     s = D.surface
     if _has_cremona_vector(s):
         return _cremona_answer(_orbit_key(D.coords))
     if s.is_blowup_p2_like:
-        stock, strips, derivable, param = _is_stock_blp2, _strips_blp2, _derivable_blp2, None
+        stock, run, derivable, param = _is_stock_blp2, _run_blp2, _derivable_blp2, None
     elif s.is_blowup_hirzebruch:
-        stock, strips, derivable, param = _is_stock_blf, _strips_blf, _derivable_blf, s.e
+        stock, run, derivable, param = _is_stock_blf, _run_blf, _derivable_blf, s.e
     else:
         raise LatticeError(f"vanishing rules are not available on {s}")
-    trail = ("stock class",) if stock(D.coords) else _derive(D.coords, stock, strips, derivable, param)
+    trail = ("stock class",) if stock(D.coords) else _derive(D.coords, stock, run, derivable, param)
     chi = chi_line_bundle(D)
     if trail is not None:
         return CohomologyAnswer(CohomologyVector(chi, 0, 0), "rules", trail)
@@ -625,13 +728,22 @@ def _line_h0(d: int, frame_mults, line_mults) -> int:
     < m - b in x; at distinct nonzero x0, where x^lo_b is a unit, these are
     independent Hermite conditions on a polynomial of degree <= hi_b - lo_b
     (Chinese remainders), over every F_p.  So each layer's nullity is its
-    width less its conditions, or 0.
+    width less its conditions, or 0.  No point imposes a condition on the
+    layers from max(m0, line multiplicities) on, so only the layers below
+    are looped over; the rest are summed in closed form.
     """
     m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
-    return sum(
+    top = d - my  # the last layer
+    low = min(max((m0, *line_mults)), top + 1)
+    below = sum(
         max(0, min(d - b, d - mx) - max(0, m0 - b) + 1 - sum(max(0, m - b) for m in line_mults))
-        for b in range(d - my + 1)
+        for b in range(low)
     )
+    # layer b >= low has width min(d - b, d - mx) + 1: d - mx + 1 (or 0) up to
+    # b = mx, then d - b + 1 >= my + 1, an arithmetic series from b = start to top
+    flat = max(0, min(top, mx) - low + 1) * max(0, d - mx + 1)
+    start = max(low, mx + 1)
+    return below + flat + max(0, top - start + 1) * (2 * d + 2 - start - top) // 2
 
 
 def _collinear_h0_bound(s: SurfaceModel, coords) -> int:

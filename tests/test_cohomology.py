@@ -58,6 +58,9 @@ GOLDEN_TRAILS = [
     ('blF3:k=1', '2E+7F-2E1', 'Unknown', ()),
     (COL2, '0', 'Zero', ('start (0,0,0)',)),
     ('blF2:k=1', '0', 'Zero', ('start (0,0,0)',)),
+    (COL3, '6L-3E1-4E2', 'Zero', ('start (0,0,-1,0)',) + ('+L-E2',) * 3 + ('+L-E1',) * 3),  # run cut by a stock class
+    (COL3, '10L-7E1', 'Zero', ('start (0,0,0,-1)', '+L-E2') + ('+L-E1',) * 7 + ('+L', '+L', '+E3', '+E2')),
+    ('blF2:k=1', 'E+9F-E1', 'Zero', ('start (0,0,-1)', '+F', '+E') + ('+F',) * 8),
 ]
 
 
@@ -151,6 +154,36 @@ def reference_plausible_blf(coords, e):
     return max(coords[2:]) <= 1
 
 
+def reference_strips_blp2(coords, _):
+    """Candidate last moves of a derivation ending at ``coords`` on a blowup
+    of the plane, in strip order: every legal +E_j, +L, +(L - E_i)."""
+    k = len(coords) - 1
+    ell, tail = coords[0], coords[1:]
+    for j, c in enumerate(tail):
+        if c in (0, 1):
+            yield coords[: 1 + j] + (c - 1,) + coords[2 + j :], f"+E{j + 1}"
+    if ell >= -1:
+        yield (ell - 1,) + tail, "+L"
+        for i in range(k):
+            # un-apply +(L - E_i); the guard is (T - C).C = T.C >= -1
+            if ell + tail[i] >= -1:
+                yield (ell - 1,) + tail[:i] + (tail[i] + 1,) + tail[i + 1 :], f"+L-E{i + 1}"
+
+
+def reference_strips_blf(coords, e):
+    """The same on a blowup of F_e: every legal +E_j, +F, +E."""
+    a, b, tail = coords[0], coords[1], coords[2:]
+    for j, c in enumerate(tail):
+        if c in (0, 1):
+            yield coords[: 2 + j] + (c - 1,) + coords[3 + j :], f"+E{j + 1}"
+    if a >= -1 and b - 1 >= -1:
+        # guard for +F on the stripped class: F.(D-F) = a >= -1
+        yield (a, b - 1) + tail, "+F"
+    if a - 1 >= -1 and b - (a - 1) * e >= e - 1:
+        # guard for +E: E.(D-E) = b - (a-1)e >= e-1
+        yield (a - 1, b) + tail, "+E"
+
+
 def reference_derive(coords, stock, strips, plausible, param, memo):
     """The depth-first rule search the closed forms replaced: a state takes
     its first derivable predecessor in strip order, found with an explicit
@@ -203,15 +236,33 @@ def reference_derive(coords, stock, strips, plausible, param, memo):
     return (f"start {coh._coords_repr(coords)}",) + tuple(reversed(moves))
 
 
-BLP2_RULES = (coh._is_stock_blp2, coh._strips_blp2)
-BLF_RULES = (coh._is_stock_blf, coh._strips_blf)
+# each family: the engine's rules (stock test, run step, closed form), then
+# the reference search's strips and prune
+BLP2_RULES = (coh._is_stock_blp2, coh._run_blp2, coh._derivable_blp2)
+BLF_RULES = (coh._is_stock_blf, coh._run_blf, coh._derivable_blf)
+BLP2 = (BLP2_RULES, reference_strips_blp2, reference_plausible_blp2)
+BLF = (BLF_RULES, reference_strips_blf, reference_plausible_blf)
 
 
-def engines_agree(coords, rules, derivable, plausible, param, memo):
-    """Closed-form derivability and the greedy trail against the search."""
-    expected = reference_derive(coords, *rules, plausible, param, memo)
+def engines_agree(coords, family, param, memo):
+    """Closed-form derivability and the run-by-run trail against the search."""
+    (stock, run, derivable), strips, plausible = family
+    expected = reference_derive(coords, stock, strips, plausible, param, memo)
     assert derivable(coords, param) == (expected is not None), coords
-    assert coh._derive(coords, *rules, derivable, param) == expected, coords
+    assert coh._derive(coords, stock, run, derivable, param) == expected, coords
+
+
+def random_class(rng, family, ell_top, low):
+    """A class (and param) of ``family`` with head coordinates up to about
+    ``ell_top`` and exceptional coefficients down to ``low``, mostly in -1..1."""
+    def coefficient():
+        return rng.randint(low, 2) if rng.random() < 0.3 else rng.choice((-1, -1, 0, 1))
+
+    if family is BLP2:
+        return (rng.randint(-3, ell_top),) + tuple(coefficient() for _ in range(rng.randint(1, 5))), None
+    e = rng.randint(0, 4)
+    head = (rng.randint(-2, ell_top if e == 0 else 10), rng.randint(-3, 4 * ell_top))
+    return head + tuple(coefficient() for _ in range(rng.randint(1, 3))), e
 
 
 class TestHirzebruchExact:
@@ -367,11 +418,11 @@ class TestDerivationTrails:
     @pytest.mark.parametrize("spec, expr", [("blp2:k=5:collinear=1,2,3", "8L+E1+E2+2E4"), ("blF2:k=2", "3E+9F+2E1")])
     def test_exceptional_coefficient_two_is_not_searched(self, spec, expr):
         # no move raises an exceptional coefficient above 1, so the closed
-        # form refuses the class before any strip is generated
-        def no_strips(*args):
-            raise AssertionError("a class with coefficient 2 reached the strips")
+        # form refuses the class before any run step is taken
+        def no_step(*args):
+            raise AssertionError("a class with coefficient 2 reached the run step")
 
-        with mock.patch.multiple(coh, _strips_blp2=no_strips, _strips_blf=no_strips):
+        with mock.patch.multiple(coh, _run_blp2=no_step, _run_blf=no_step):
             verdict = coh.vanishing_by_rules(D(lat.parse_surface(spec), expr))
         assert verdict.higher_cohomology is Vanishing.UNKNOWN and verdict.derivation == ()
 
@@ -381,16 +432,16 @@ class TestDerivationTrails:
         # rules (the engine keeps no memo)
         reached, derive = [], coh._derive
 
-        def recording(coords, stock, strips, derivable, param):
-            reached.append((len(coords), stock, strips, derivable, param))
-            return derive(coords, stock, strips, derivable, param)
+        def recording(coords, stock, run, derivable, param):
+            reached.append((len(coords), stock, run, derivable, param))
+            return derive(coords, stock, run, derivable, param)
 
         with mock.patch.object(coh, "_derive", recording):
             for S in [BL3, lat.del_pezzo(5), lat.parse_surface(COL3), lat.parse_surface("blp2:k=9")]:
                 for coords in itertools.product(range(-1, 4), *[range(-2, 2)] * 3):
                     coh.vanishing_by_rules(lat.DivisorClass(S, coords + (0,) * (S.k - 3)))
         assert {r[0] for r in reached} == {4, 10}  # collinear k = 3 and k = 9 only
-        assert {r[1:] for r in reached} == {BLP2_RULES + (coh._derivable_blp2, None)}
+        assert {r[1:] for r in reached} == {BLP2_RULES + (None,)}
 
     @pytest.mark.parametrize(
         "k, ells, coeffs",
@@ -403,13 +454,13 @@ class TestDerivationTrails:
         # greedy walk returns the same trail
         memo = {}
         for coords in itertools.product(ells, *[coeffs] * k):
-            engines_agree(coords, BLP2_RULES, coh._derivable_blp2, reference_plausible_blp2, None, memo)
+            engines_agree(coords, BLP2, None, memo)
 
     @pytest.mark.parametrize("e, k", [(0, 1), (1, 2), (2, 2), (3, 3)])
     def test_blowup_hirzebruch_engine_matches_the_reference(self, e, k):
         memo = {}
         for coords in itertools.product(range(-3, 5), range(-4, 11), *[range(-2, 3)] * k):
-            engines_agree(coords, BLF_RULES, coh._derivable_blf, reference_plausible_blf, e, memo)
+            engines_agree(coords, BLF, e, memo)
 
     def test_random_trails_match_the_reference(self):
         rng = random.Random(20)
@@ -417,12 +468,54 @@ class TestDerivationTrails:
         for _ in range(2000):
             if rng.random() < 0.5:
                 coords = (rng.randint(-3, 25),) + tuple(rng.choice((-2, -1, -1, 0, 0, 1, 1, 2)) for _ in range(rng.randint(1, 7)))
-                rules, derivable, plausible, param = BLP2_RULES, coh._derivable_blp2, reference_plausible_blp2, None
+                family, param = BLP2, None
             else:
                 param = rng.randint(0, 4)
                 coords = (rng.randint(-2, 10), rng.randint(-3, 40)) + tuple(rng.choice((-2, -1, 0, 0, 1, 1)) for _ in range(rng.randint(1, 4)))
-                rules, derivable, plausible = BLF_RULES, coh._derivable_blf, reference_plausible_blf
-            engines_agree(coords, rules, derivable, plausible, param, memos.setdefault((rules, param), {}))
+                family = BLF
+            engines_agree(coords, family, param, memos.setdefault(param, {}))
+
+    @pytest.mark.parametrize("family", [BLP2, BLF], ids=["blp2", "blF"])
+    def test_long_runs_match_the_reference(self, family):
+        # heads up to 60 (and fibers up to 240, F_0 sections up to 60) with
+        # coefficients down to -12, so +L, +(L - E_i), +F and +E runs are
+        # long and some end one move early at a stock class
+        rng = random.Random(35)
+        memos = {}
+        for _ in range(250):
+            coords, param = random_class(rng, family, 60, -12)
+            engines_agree(coords, family, param, memos.setdefault(param, {}))
+
+    @pytest.mark.parametrize(
+        "spec, expr, length, runs",
+        [(COL3, "1200L-E1-E2-E3", 1201, 3), (COL3, "1200L+E1-E2-E3", 1203, 4), ("blF2:k=1", "5E+3000F-E1", 3006, 11),
+         ("blF2:k=1", "5E+3000F+E1", 3008, 12)],
+    )
+    def test_family_steps_are_linear_in_k(self, spec, expr, length, runs):
+        # the walk takes one run step per run and tests the closed form on
+        # the target and at each run's end: at most 2k + 1 runs on blowups
+        # of the plane (an +E_j run per index, one +L run, an +(L - E_i) run
+        # per index) and k + 2(a + 1) on blowups of F_e (+F and +E runs
+        # alternate while a falls), however long the trail
+        S = lat.parse_surface(spec)
+        Dv = D(S, expr)
+        names = ("_run_blp2", "_derivable_blp2") if S.is_blowup_p2_like else ("_run_blf", "_derivable_blf")
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name):
+            original = getattr(coh, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return counted
+
+        with mock.patch.multiple(coh, **{name: counting(name) for name in names}):
+            verdict = coh.vanishing_by_rules(Dv)
+        assert len(verdict.derivation) == length
+        assert counts == dict(zip(names, (runs, runs + 1)))
+        assert runs <= (2 * S.k + 1 if S.is_blowup_p2_like else S.k + 2 * (Dv.coords[0] + 1))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -431,8 +524,9 @@ class TestDerivationTrails:
         # C.D >= -C^2 - 1 and land on the target, at coordinates up to 500
         S = lat.parse_surface(data.draw(st.sampled_from([COL3, "blp2:k=4:collinear=1,2,3", "blp2:k=9", "blF2:k=2", "blF3:k=3"])))
         head = [st.integers(-3, 500)] if S.is_blowup_p2_like else [st.integers(-2, 60), st.integers(-3, 500)]
+        coefficient = st.one_of(st.sampled_from([-1, -1, 0, 0, 1, 1]), st.integers(-12, 2))
         coords = tuple(data.draw(h) for h in head) + tuple(
-            data.draw(st.lists(st.sampled_from([-2, -1, -1, 0, 0, 1, 1]), min_size=S.k, max_size=S.k))
+            data.draw(st.lists(coefficient, min_size=S.k, max_size=S.k))
         )
         verdict = coh.vanishing_by_rules(lat.DivisorClass(S, coords))
         stock = coh._is_stock_blp2 if S.is_blowup_p2_like else coh._is_stock_blf
@@ -537,6 +631,25 @@ class TestCremonaExact:
         assert (info.misses, info.hits, info.currsize) == (1, 2 * 52 - 1, 1)
         assert len(answers) == 1 and bounds == {answers.pop().vector.h0}
 
+    def test_dual_is_not_reduced_at_nonnegative_dual_degree(self):
+        # at d >= -2 the dual K - D has degree -3 - d < 0, so h2 = 0 and only
+        # D itself is reduced; at d <= -3 the dual is reduced too
+        rng = random.Random(35)
+        answer, h0, calls = coh._cremona_answer.__wrapped__, coh._cremona_h0, []
+
+        def spying(coords):
+            calls.append(coords)
+            return h0(coords)
+
+        with mock.patch.object(coh, "_cremona_h0", spying):
+            for _ in range(400):
+                S = lat.blowup_p2(rng.randint(1, 8))
+                Dv = lat.DivisorClass(S, (rng.randint(-8, 12),) + tuple(rng.randint(-6, 2) for _ in range(S.k)))
+                calls.clear()
+                assert answer(Dv.coords).vector == cremona_vector_reference(Dv), Dv.coords
+                dual = (lat.canonical(S) - Dv).coords
+                assert calls == [Dv.coords] + ([dual] if Dv.coords[0] < -2 else []), Dv.coords
+
     @pytest.mark.parametrize("k", range(2, 9))
     def test_orbit_answer_matches_the_reference(self, k):
         # the answer keyed by the sorted coordinates against a reduction of
@@ -578,7 +691,27 @@ class TestCremonaExact:
             assert coh.higher_cohomology_vanishes(Dv) == answer == coh.line_bundle_cohomology(Dv)
 
 
+def reference_line_h0(d, frame_mults, line_mults):
+    """``_line_h0`` summed layer by layer over every layer b <= d - my."""
+    m0, mx, my = tuple(frame_mults) + (0,) * (3 - len(frame_mults))
+    return sum(
+        max(0, min(d - b, d - mx) - max(0, m0 - b) + 1 - sum(max(0, m - b) for m in line_mults))
+        for b in range(d - my + 1)
+    )
+
+
 class TestInterpolationOracle:
+    def test_line_count_matches_the_layer_loop(self):
+        # every frame (two or three points) with d <= 20 and multiplicities
+        # <= 8, with 0 to 4 line points drawn per frame
+        rng = random.Random(35)
+        for d in range(21):
+            for frame in itertools.product(range(9), repeat=3):
+                for frame_mults in (frame, frame[:2]):
+                    line_mults = [rng.randint(0, 8) for _ in range(rng.randint(0, 4))]
+                    expected = reference_line_h0(d, frame_mults, line_mults)
+                    assert coh._line_h0(d, frame_mults, line_mults) == expected, (d, frame_mults, line_mults)
+
     def test_conics_through_two_points(self):
         assert coh.interpolation_h0(D(BL2, "2L-E1-E2")) == 4
 
